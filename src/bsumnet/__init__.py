@@ -15,9 +15,9 @@ from .functions import (ACTIVATIONS, LOSSES, BentIdentity, BlockCurvature,
                         L2Loss, LeakyReluSmooth, Logistic, LogisticLoss,
                         Regularizer, Softplus, SquaredHingeLoss, Tanh,
                         classify_convexity)
-from .gradients import (BatchSampler, all_block_gradients, block_gradient,
-                        block_hessian, delta_recursion, fd_gradient,
-                        objective_value, stochastic_block_gradient)
+from .gradients import (BatchSampler, NetworkPass, all_block_gradients,
+                        block_gradient, block_hessian, delta_recursion,
+                        fd_gradient, objective_value, stochastic_block_gradient)
 from .harness import (baseline_adagrad, baseline_bp_clr, emit_curves,
                       load_config, load_csv_dataset, parse_config,
                       parse_curves, run_experiment, synth_regression)

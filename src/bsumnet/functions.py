@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
 from .errors import DomainError, NonSmoothError
 
@@ -41,15 +42,6 @@ _EXP_LIMIT = 700.0
 _CE_CLAMP = 1e-12
 
 
-def _sigmoid(u: np.ndarray) -> np.ndarray:
-    out = np.empty_like(u, dtype=float)
-    pos = u >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-u[pos]))
-    eu = np.exp(u[~pos])
-    out[~pos] = eu / (1.0 + eu)
-    return out
-
-
 def _softplus(u: np.ndarray) -> np.ndarray:
     return np.maximum(u, 0.0) + np.log1p(np.exp(-np.abs(u)))
 
@@ -71,7 +63,10 @@ class Activation:
     def value(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def derivative(self, u: np.ndarray) -> np.ndarray:
+    def derivative(self, u: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """sigma'(u). ``z`` may carry the already computed sigma(u); kinds
+        whose derivative is a function of the output (logistic, tanh) then
+        skip re-evaluating sigma, others ignore it."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -88,7 +83,7 @@ class Identity(Activation):
     def value(self, u):
         return np.array(u, dtype=float)
 
-    def derivative(self, u):
+    def derivative(self, u, z=None):
         return np.ones_like(u, dtype=float)
 
 
@@ -99,10 +94,10 @@ class Logistic(Activation):
     bounded = True
 
     def value(self, u):
-        return _sigmoid(np.asarray(u, dtype=float))
+        return expit(np.asarray(u, dtype=float))
 
-    def derivative(self, u):
-        s = _sigmoid(np.asarray(u, dtype=float))
+    def derivative(self, u, z=None):
+        s = expit(np.asarray(u, dtype=float)) if z is None else z
         return s * (1.0 - s)
 
 
@@ -115,8 +110,8 @@ class Tanh(Activation):
     def value(self, u):
         return np.tanh(u)
 
-    def derivative(self, u):
-        t = np.tanh(u)
+    def derivative(self, u, z=None):
+        t = np.tanh(u) if z is None else z
         return 1.0 - t * t
 
 
@@ -129,8 +124,8 @@ class Softplus(Activation):
     def value(self, u):
         return _softplus(np.asarray(u, dtype=float))
 
-    def derivative(self, u):
-        return _sigmoid(np.asarray(u, dtype=float))
+    def derivative(self, u, z=None):
+        return expit(np.asarray(u, dtype=float))
 
 
 @dataclass(frozen=True, repr=False)
@@ -154,9 +149,9 @@ class LeakyReluSmooth(Activation):
         u = np.asarray(u, dtype=float)
         return self.alpha * u + (1.0 - self.alpha) * _softplus(u)
 
-    def derivative(self, u):
+    def derivative(self, u, z=None):
         u = np.asarray(u, dtype=float)
-        return self.alpha + (1.0 - self.alpha) * _sigmoid(u)
+        return self.alpha + (1.0 - self.alpha) * expit(u)
 
 
 @dataclass(frozen=True, repr=False)
@@ -169,7 +164,7 @@ class BentIdentity(Activation):
         u = np.asarray(u, dtype=float)
         return (np.sqrt(u * u + 1.0) - 1.0) / 2.0 + u
 
-    def derivative(self, u):
+    def derivative(self, u, z=None):
         u = np.asarray(u, dtype=float)
         return u / (2.0 * np.sqrt(u * u + 1.0)) + 1.0
 
@@ -360,7 +355,7 @@ class LogisticLoss(Loss):
     def grad_H(self, H, Y):
         self.check_labels(Y)
         margins = np.sum(Y * H, axis=0)
-        return -(Y * _sigmoid(-margins)) / H.shape[1]
+        return -(Y * expit(-margins)) / H.shape[1]
 
 
 LOSSES = {

@@ -1,13 +1,17 @@
-"""Matrix-form backpropagation, mini-batch gradients, and finite-difference oracles.
+"""The forward/backward engine: one cached pass per (network, data, loss).
 
-The error recursion runs backward through the layers,
+``NetworkPass`` keeps the forward stages Z_0 = X, U_j = W_j Z_{j-1},
+Z_j = sigma_j(U_j) and the error matrices of the backward recursion
 
-    D_J = dL/dH (.) sigma'_J(U_J)
-    D_j = (W_{j+1}^T D_{j+1}) (.) sigma'_j(U_j)   for j < J
+    D_J = dL/dH (.) sigma'_J(U_J),   D_j = (W_{j+1}^T D_{j+1}) (.) sigma'_j(U_j),
 
-with (.) the Hadamard product, and the gradient of the regularized objective
-with respect to block j is D_j Z_{j-1}^T plus the regularizer gradient. All
-vec orderings here and in the Newton solve are row-major flattening of W_j.
+with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
+regularizer gradient. ``set_block(j, W)`` keeps Z_0..Z_{j-1}, and the next
+query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
+to the block asked for. Logistic and tanh derivatives come from the cached
+Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the network.
+The module functions are views of a fresh pass for callers that hold a plain
+network. Vec orderings here and in the Newton solve are row-major vec(W_j).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from .errors import NonSmoothError, ShapeError, SizeError, SpecError
 from .netcore import Dataset, LayerOutputs, Network, forward
 
 __all__ = [
-    "BatchSampler", "BatchStream",
+    "NetworkPass", "BatchSampler", "BatchStream",
     "delta_recursion", "block_gradient", "all_block_gradients",
     "stochastic_block_gradient", "objective_value", "block_objective_fn",
     "fd_gradient", "block_hessian",
@@ -30,28 +34,108 @@ _HESSIAN_SIZE_LIMIT = 10_000
 
 
 # ---------------------------------------------------------------------------
-# backprop
+# the engine
+# ---------------------------------------------------------------------------
+
+class NetworkPass:
+    """Cached forward and backward state of one (network, data, loss).
+
+    The pass owns its weight list; the arrays in it are shared with the
+    network it was built from and are never written to. ``outs`` may hand in
+    a forward pass already run on the same network and inputs.
+    """
+
+    def __init__(self, net: Network, data: Dataset, loss,
+                 outs: LayerOutputs | None = None):
+        self.net = Network(net.spec, list(net.weights))
+        self.data = data
+        self.loss = loss
+        if outs is None:
+            outs = forward(self.net, data.X)
+        self._outs = LayerOutputs(list(outs.pre_activations),
+                                  list(outs.post_activations))
+        self.depth = net.depth
+        self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
+        self._deltas = [None] * self.depth
+        self._f = None
+
+    def set_block(self, j: int, w: np.ndarray) -> None:
+        """Replace W_j; the stages from layer j on refresh at the next query."""
+        self.net.weights[j - 1] = np.array(w, dtype=float)
+        self._stale = min(self._stale, j)
+        self._deltas = [None] * self.depth
+        self._f = None
+
+    def branch(self, j: int, w: np.ndarray) -> "NetworkPass":
+        """The pass at W_j = w, sharing this one's Z_0..Z_{j-1}."""
+        other = NetworkPass(self.net, self.data, self.loss, self.outs)
+        other.set_block(j, w)
+        return other
+
+    @property
+    def outs(self) -> LayerOutputs:
+        if self._stale <= self.depth:
+            self._outs.refresh(self.net, self._stale)
+            self._stale = self.depth + 1
+        return self._outs
+
+    def objective(self) -> float:
+        """Full regularized objective at the current weights."""
+        if self._f is None:
+            self._f = objective_value(self.net, self.data, self.loss, self.outs)
+        return self._f
+
+    def deltas(self, j: int = 1) -> list:
+        """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
+        stay None until asked for."""
+        outs, deltas = self.outs, self._deltas
+        pre, post = outs.pre_activations, outs.post_activations
+        acts = self.net.spec.activations
+        if deltas[-1] is None:
+            if self.data.Y.shape != outs.output.shape:
+                raise ShapeError(
+                    f"Y shape {self.data.Y.shape} != output shape {outs.output.shape}")
+            grad_h = self.loss.grad_H(outs.output, self.data.Y)
+            deltas[-1] = grad_h * acts[-1].derivative(pre[-1], post[-1])
+        for i in range(self.depth - 1, j - 1, -1):
+            if deltas[i - 1] is None:
+                back = self.net.weights[i].T @ deltas[i]
+                deltas[i - 1] = back * acts[i - 1].derivative(pre[i - 1], post[i])
+        return deltas
+
+    def grad(self, j: int, include_reg: bool = True) -> np.ndarray:
+        """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
+        regularizer gradient when it is smooth (an L1 penalty is left to the
+        prox step)."""
+        g = self.deltas(j)[j - 1] @ self.outs.post_activations[j - 1].T
+        reg = self.net.spec.regularizers[j - 1]
+        if include_reg and reg.smooth:
+            g = g + reg.grad(self.net.weights[j - 1])
+        return g
+
+    def grads(self, include_reg: bool = True) -> list:
+        return [self.grad(j, include_reg) for j in range(1, self.depth + 1)]
+
+
+def _check_layer(net: Network, j: int) -> None:
+    if not 1 <= j <= net.depth:
+        raise SpecError(f"layer index {j} outside 1..{net.depth}")
+
+
+def _require_smooth(net: Network, j: int) -> None:
+    if not net.spec.regularizers[j - 1].smooth:
+        raise NonSmoothError(
+            f"layer {j} has an L1 regularizer; request the data term only")
+
+
+# ---------------------------------------------------------------------------
+# views for callers holding a plain network
 # ---------------------------------------------------------------------------
 
 def delta_recursion(net: Network, outs: LayerOutputs, loss, Y: np.ndarray) -> list:
     """Per-layer error matrices; deltas[j-1] has shape (d_j, N)."""
-    Y = np.asarray(Y, dtype=float)
-    if Y.shape != outs.output.shape:
-        raise ShapeError(f"Y shape {Y.shape} != output shape {outs.output.shape}")
-    depth = net.depth
-    deltas = [None] * depth
-    grad_h = loss.grad_H(outs.output, Y)
-    sig = net.spec.activations[depth - 1].derivative(outs.pre_activations[depth - 1])
-    deltas[depth - 1] = grad_h * sig
-    for j in range(depth - 1, 0, -1):
-        back = net.weights[j].T @ deltas[j]
-        deltas[j - 1] = back * net.spec.activations[j - 1].derivative(
-            outs.pre_activations[j - 1])
-    return deltas
-
-
-def _data_gradient(deltas: list, outs: LayerOutputs, j: int) -> np.ndarray:
-    return deltas[j - 1] @ outs.post_activations[j - 1].T
+    data = Dataset(outs.post_activations[0], Y)
+    return list(NetworkPass(net, data, loss, outs).deltas())
 
 
 def block_gradient(net: Network, data: Dataset, loss, j: int,
@@ -63,16 +147,9 @@ def block_gradient(net: Network, data: Dataset, loss, j: int,
     with an L1 regularizer on layer j raises NonSmoothError.
     """
     _check_layer(net, j)
-    outs = forward(net, data.X)
-    deltas = delta_recursion(net, outs, loss, data.Y)
-    grad = _data_gradient(deltas, outs, j)
     if include_reg:
-        reg = net.spec.regularizers[j - 1]
-        if not reg.smooth:
-            raise NonSmoothError(
-                f"layer {j} has an L1 regularizer; request the data term only")
-        grad = grad + reg.grad(net.weights[j - 1])
-    return grad
+        _require_smooth(net, j)
+    return NetworkPass(net, data, loss).grad(j, include_reg)
 
 
 def all_block_gradients(net: Network, data: Dataset, loss,
@@ -83,17 +160,7 @@ def all_block_gradients(net: Network, data: Dataset, loss,
     Smooth-regularizer layers get the combined gradient; L1 layers get the
     data term only (their regularizer is handled by the prox step).
     """
-    if outs is None:
-        outs = forward(net, data.X)
-    deltas = delta_recursion(net, outs, loss, data.Y)
-    grads = []
-    for j in range(1, net.depth + 1):
-        g = _data_gradient(deltas, outs, j)
-        reg = net.spec.regularizers[j - 1]
-        if include_reg and reg.smooth:
-            g = g + reg.grad(net.weights[j - 1])
-        grads.append(g)
-    return grads
+    return NetworkPass(net, data, loss, outs).grads(include_reg)
 
 
 def stochastic_block_gradient(net: Network, data: Dataset, loss, j: int,
@@ -112,10 +179,6 @@ def stochastic_block_gradient(net: Network, data: Dataset, loss, j: int,
     return block_gradient(net, data.restrict(batch), loss, j, include_reg)
 
 
-# ---------------------------------------------------------------------------
-# objective helpers
-# ---------------------------------------------------------------------------
-
 def objective_value(net: Network, data: Dataset, loss,
                     outs: LayerOutputs | None = None) -> float:
     """Full regularized objective: data loss plus every layer's penalty."""
@@ -127,27 +190,26 @@ def objective_value(net: Network, data: Dataset, loss,
     return val
 
 
-def block_objective_fn(net: Network, data: Dataset, loss, j: int):
+def block_objective_fn(net: Network, data: Dataset, loss, j: int,
+                       cache: NetworkPass | None = None):
     """Value and gradient callables of the objective as a function of block j.
 
-    Both close over the frozen remaining blocks; the value includes every
-    regularizer (a constant shift for blocks other than j, so minimizers and
-    majorization tests are unaffected).
+    Both close over the frozen remaining blocks and start from Z_{j-1}; the
+    value includes every regularizer (a constant shift for blocks other than
+    j, so minimizers and majorization tests are unaffected). ``cache`` is a
+    pass already built on this (net, data, loss) whose stages are reused.
     """
     _check_layer(net, j)
+    base = cache if cache is not None else NetworkPass(net, data, loss)
 
     def value(w):
-        return objective_value(net.with_block(j, w), data, loss)
+        return base.branch(j, w).objective()
 
     def grad(w):
-        return block_gradient(net.with_block(j, w), data, loss, j)
+        _require_smooth(net, j)
+        return base.branch(j, w).grad(j)
 
     return value, grad
-
-
-def _check_layer(net: Network, j: int) -> None:
-    if not 1 <= j <= net.depth:
-        raise SpecError(f"layer index {j} outside 1..{net.depth}")
 
 
 # ---------------------------------------------------------------------------

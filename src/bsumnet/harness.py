@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, IngestError, NonSmoothError, SpecError
 from .functions import (ACTIVATIONS, LOSSES, Logistic, Regularizer)
-from .gradients import BatchSampler, all_block_gradients, objective_value
+from .gradients import BatchSampler, NetworkPass
 from .netcore import (Dataset, FrobeniusBall, Network, NetworkSpec, Toeplitz,
                       Unconstrained, build_network, forward)
 from .trainer import (ArmijoRule, Constant, Geometric, InverseRoot, Recursive,
@@ -150,12 +150,42 @@ def _check_smooth(net: Network) -> None:
         raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
 
 
-def _baseline_row(k, net, data, loss, grads, rate, t0):
-    outs = forward(net, data.X)
-    f_val = objective_value(net, data, loss, outs)
-    norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    return f_val, TraceRow(k, 0, f_val, normalized_mse(outs.output, data.Y),
-                           norm, norm, rate, 0.0, time.perf_counter() - t0)
+def _baseline(net: Network, data: Dataset, loss, rate: float, step,
+              max_iterations: int, record_every: int,
+              grad_norm_tol: float) -> TrainTrace:
+    """Simultaneous update W_j <- step(j, W_j, G_j) of every layer, one pass
+    per iteration: the pass at the new weights gives the row's f and the next
+    gradients. Aborts once f is non-finite or over the divergence cap."""
+    _check_smooth(net)
+    trace = TrainTrace()
+    t0 = time.perf_counter()
+    fb = NetworkPass(net, data, loss)
+    grads = fb.grads()
+    trace.initial_f = f_val = fb.objective()
+    trace.initial_grad_norm = norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    for k in range(1, max_iterations + 1):
+        try:
+            grads = fb.grads()
+            weights = [step(j, w, g) for j, (w, g) in enumerate(zip(fb.net.weights, grads))]
+            fb = NetworkPass(Network(net.spec, weights), data, loss)
+            f_val = fb.objective()
+        except OverflowError as exc:
+            trace.abort(str(exc))
+            break
+        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        trace.iterations_run = k
+        if k % record_every == 0:
+            trace.rows.append(TraceRow(k, 0, f_val, normalized_mse(fb.outs.output, data.Y),
+                                       norm, norm, rate, 0.0, time.perf_counter() - t0))
+        if not math.isfinite(f_val) or f_val > _DIVERGENCE_CAP:
+            trace.abort(f"objective diverged to {f_val:.3g}")
+            break
+        if grad_norm_tol > 0 and norm <= grad_norm_tol:
+            trace.converged = True
+            break
+    trace.final_f = f_val
+    trace.final_grad_norm = norm
+    return trace
 
 
 def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
@@ -170,38 +200,8 @@ def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
     """
     if rate < 0:
         raise SpecError("learning rate must be nonnegative")
-    _check_smooth(net)
-    current = net.copy()
-    trace = TrainTrace()
-    t0 = time.perf_counter()
-    grads = all_block_gradients(current, data, loss)
-    trace.initial_f = objective_value(current, data, loss)
-    trace.initial_grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    f_val, norm = trace.initial_f, trace.initial_grad_norm
-    for k in range(1, max_iterations + 1):
-        try:
-            grads = all_block_gradients(current, data, loss)
-            for j in range(current.depth):
-                current.weights[j] = current.weights[j] - rate * grads[j]
-            f_val, row = _baseline_row(k, current, data, loss, grads, rate, t0)
-        except OverflowError as exc:
-            trace.aborted = True
-            trace.abort_reason = str(exc)
-            break
-        norm = row.full_grad_norm
-        trace.iterations_run = k
-        if k % record_every == 0:
-            trace.rows.append(row)
-        if not math.isfinite(f_val) or f_val > _DIVERGENCE_CAP:
-            trace.aborted = True
-            trace.abort_reason = f"objective diverged to {f_val:.3g}"
-            break
-        if grad_norm_tol > 0 and norm <= grad_norm_tol:
-            trace.converged = True
-            break
-    trace.final_f = f_val
-    trace.final_grad_norm = norm
-    return trace
+    return _baseline(net, data, loss, rate, lambda j, w, g: w - rate * g,
+                     max_iterations, record_every, grad_norm_tol)
 
 
 def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
@@ -214,41 +214,14 @@ def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
     """
     if not (rate > 0 and eps > 0):
         raise SpecError("rate and eps must be positive")
-    _check_smooth(net)
-    current = net.copy()
-    accum = [np.zeros_like(w) for w in current.weights]
-    trace = TrainTrace()
-    t0 = time.perf_counter()
-    grads = all_block_gradients(current, data, loss)
-    trace.initial_f = objective_value(current, data, loss)
-    trace.initial_grad_norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
-    f_val, norm = trace.initial_f, trace.initial_grad_norm
-    for k in range(1, max_iterations + 1):
-        try:
-            grads = all_block_gradients(current, data, loss)
-            for j in range(current.depth):
-                accum[j] += grads[j] * grads[j]
-                current.weights[j] = current.weights[j] \
-                    - rate * grads[j] / np.sqrt(accum[j] + eps)
-            f_val, row = _baseline_row(k, current, data, loss, grads, rate, t0)
-        except OverflowError as exc:
-            trace.aborted = True
-            trace.abort_reason = str(exc)
-            break
-        norm = row.full_grad_norm
-        trace.iterations_run = k
-        if k % record_every == 0:
-            trace.rows.append(row)
-        if not math.isfinite(f_val) or f_val > _DIVERGENCE_CAP:
-            trace.aborted = True
-            trace.abort_reason = f"objective diverged to {f_val:.3g}"
-            break
-        if grad_norm_tol > 0 and norm <= grad_norm_tol:
-            trace.converged = True
-            break
-    trace.final_f = f_val
-    trace.final_grad_norm = norm
-    return trace
+    accum = [np.zeros_like(w) for w in net.weights]
+
+    def step(j, w, g):
+        accum[j] += g * g
+        return w - rate * g / np.sqrt(accum[j] + eps)
+
+    return _baseline(net, data, loss, rate, step, max_iterations, record_every,
+                     grad_norm_tol)
 
 
 # ---------------------------------------------------------------------------
@@ -698,8 +671,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     All methods share the seed's initial network, so comparisons start from
     the same point. Runs that abort are recorded as failed but do not stop
     the remaining runs. BSUM_TRAIN_THREADS > 1 runs (method, seed) pairs in
-    a thread pool.
+    a thread pool; a value below 1 is a ConfigError.
     """
+    raw_threads = os.environ.get("BSUM_TRAIN_THREADS", "1") or "1"
+    try:
+        threads = int(raw_threads)
+    except ValueError:
+        threads = 0
+    if threads < 1:
+        raise ConfigError(
+            f"BSUM_TRAIN_THREADS must be a positive integer, got {raw_threads!r}")
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_seeds = tuple(int(s) for s in (seeds if seeds else cfg.seeds))
@@ -712,12 +693,6 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
         for name in names:
             jobs.append((name, seed, net0))
 
-    raw_threads = os.environ.get("BSUM_TRAIN_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        raise ConfigError(
-            f"BSUM_TRAIN_THREADS must be an integer, got {raw_threads!r}") from None
     result = ExperimentResult()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

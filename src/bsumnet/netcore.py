@@ -67,7 +67,9 @@ class Toeplitz(FeasibleSet):
     """Matrices constant along every diagonal (circular-convolution weights).
 
     An affine subspace; the orthogonal projection under the Frobenius inner
-    product replaces each diagonal by its mean.
+    product replaces each diagonal by its mean. A diagonal that is already
+    constant keeps its value exactly (a summed mean can be an ulp off), so
+    the projection is bitwise idempotent.
     """
 
     name = "toeplitz"
@@ -75,16 +77,12 @@ class Toeplitz(FeasibleSet):
     def project(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
         rows, cols = w.shape
-        out = np.empty_like(w)
-        for off in range(-(rows - 1), cols):
-            diag = np.diagonal(w, offset=off)
-            mean = diag.mean()
-            idx = np.arange(len(diag))
-            if off >= 0:
-                out[idx, idx + off] = mean
-            else:
-                out[idx - off, idx] = mean
-        return out
+        offsets = np.arange(-(rows - 1), cols)
+        key = (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+        first = w[np.maximum(-offsets, 0), np.maximum(offsets, 0)]
+        mean = np.bincount(key, weights=w.ravel()) / np.bincount(key)
+        varies = np.bincount(key, weights=(w.ravel() != first[key]))
+        return np.where(varies > 0, mean, first)[key].reshape(rows, cols)
 
 
 @dataclass(frozen=True)
@@ -209,6 +207,19 @@ class LayerOutputs:
     def output(self) -> np.ndarray:
         return self.post_activations[-1]
 
+    def refresh(self, net: "Network", start: int) -> "LayerOutputs":
+        """Recompute U_j and Z_j for j >= start, in place, from the kept
+        Z_{start-1}: after a change to W_start only that suffix is redone."""
+        pre, post = self.pre_activations, self.post_activations
+        del pre[start - 1:], post[start:]
+        z = post[-1]
+        for j in range(start - 1, net.depth):
+            u = net.weights[j] @ z
+            z = net.spec.activations[j].value(u)
+            pre.append(u)
+            post.append(z)
+        return self
+
 
 @dataclass
 class Dataset:
@@ -281,15 +292,7 @@ def forward(net: Network, X: np.ndarray) -> LayerOutputs:
         raise ShapeError(
             f"input has shape {X.shape}, expected ({net.spec.dims[0]}, N)"
         )
-    pre = []
-    post = [X]
-    z = X
-    for j in range(net.depth):
-        u = net.weights[j] @ z
-        z = net.spec.activations[j].value(u)
-        pre.append(u)
-        post.append(z)
-    return LayerOutputs(pre, post)
+    return LayerOutputs([], [X]).refresh(net, 1)
 
 
 def network_output(net: Network, X: np.ndarray) -> np.ndarray:

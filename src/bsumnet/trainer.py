@@ -5,7 +5,8 @@ direction is produced by the configured surrogate family, then the block
 moves to the convex combination (1-alpha) W_j + alpha D_j. Stepsizes come
 from a diminishing schedule, an Armijo search, or are pinned to 1
 (unit-stepsize / exact block-minimization modes). Stopping is checked at the
-end of every full cycle on the full-batch stationarity residual.
+end of every full cycle on the full-batch stationarity residual; a run whose
+objective or residual turns non-finite stops there as aborted.
 
 Each run owns its mutable state (schedule positions, batch stream); networks
 and trace rows it hands out are fresh values, safe to keep or share.
@@ -21,10 +22,9 @@ import numpy as np
 
 from .errors import CurvatureError, NonSmoothError, SpecError
 from .functions import classify_convexity
-from .gradients import (BatchSampler, BatchStream, all_block_gradients,
-                        block_hessian, block_objective_fn, delta_recursion,
-                        objective_value)
-from .netcore import Dataset, Network, Unconstrained, forward
+from .gradients import (BatchSampler, BatchStream, NetworkPass, block_hessian,
+                        block_objective_fn)
+from .netcore import Dataset, Network, Unconstrained
 from .upperbounds import (FirstOrderProx, InnerSolverConfig, LinearBound,
                           Proximal, SecondOrderProx,
                           closed_form_linear_block,
@@ -255,6 +255,10 @@ class TrainTrace:
     def f_values(self):
         return [r.f for r in self.rows]
 
+    def abort(self, reason: str) -> None:
+        self.aborted = True
+        self.abort_reason = reason
+
 
 def normalized_mse(H: np.ndarray, Y: np.ndarray) -> float:
     """Training MSE divided by the target variance energy ||Y - Ybar||_F^2."""
@@ -331,11 +335,10 @@ def _block_residual_norm(net: Network, grads: list) -> float:
     return math.sqrt(total)
 
 
-def _full_diagnostics(net: Network, data: Dataset, loss):
-    outs = forward(net, data.X)
-    f_val = objective_value(net, data, loss, outs)
-    grads = all_block_gradients(net, data, loss, outs)
-    return f_val, _block_residual_norm(net, grads), normalized_mse(outs.output, data.Y)
+def _full_diagnostics(full: NetworkPass):
+    f_val = full.objective()
+    norm = _block_residual_norm(full.net, full.grads())
+    return f_val, norm, normalized_mse(full.outs.output, full.data.Y)
 
 
 def _require_convex_block(net: Network, loss, j: int, cfg: TrainConfig) -> None:
@@ -347,20 +350,15 @@ def _require_convex_block(net: Network, loss, j: int, cfg: TrainConfig) -> None:
             "set curvature_override=True to run the proximal family heuristically")
 
 
-def _direction(net: Network, step_data: Dataset, loss, cfg: TrainConfig,
-               j: int, adapt_ok: bool):
-    """Descent direction for block j; returns (D, gamma_used, grad_norm)."""
+def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
+    """Descent direction for block j; returns (D, gamma_used, grad)."""
+    net, loss = fb.net, fb.loss
     kind = _per_layer(cfg.upperbound, j, net.depth)
     feasible = net.spec.feasible_sets[j - 1]
     reg = net.spec.regularizers[j - 1]
     w = net.weights[j - 1]
-
-    outs = forward(net, step_data.X)
-    f_anchor = objective_value(net, step_data, loss, outs)
-    deltas = delta_recursion(net, outs, loss, step_data.Y)
-    grad_data = deltas[j - 1] @ outs.post_activations[j - 1].T
-    grad = grad_data + reg.grad(w) if reg.smooth else grad_data
-    grad_norm = float(np.linalg.norm(grad))
+    # data term only on an L1 block: its penalty is absorbed by the prox step
+    grad = fb.grad(j)
 
     if not reg.smooth:
         if cfg.exact_bcd:
@@ -368,66 +366,80 @@ def _direction(net: Network, step_data: Dataset, loss, cfg: TrainConfig,
         if not isinstance(kind, FirstOrderProx):
             raise NonSmoothError(
                 "L1-regularized blocks are only supported with the first-order family")
-        d = prox_l1_step(w, grad_data, kind.gamma, reg.lam)
-        return feasible.project(d), kind.gamma, grad_norm
+        d = prox_l1_step(w, grad, kind.gamma, reg.lam)
+        return feasible.project(d), kind.gamma, grad
 
     if cfg.exact_bcd:
         deep_linear = (all(a.name == "identity" for a in net.spec.activations)
                        and loss.name == "l2" and isinstance(feasible, Unconstrained))
         if deep_linear:
-            return closed_form_linear_block(net, step_data, j, reg.lam), 0.0, grad_norm
+            return closed_form_linear_block(net, fb.data, j, reg.lam), 0.0, grad
         _require_convex_block(net, loss, j, cfg)
-        value_fn, grad_fn = block_objective_fn(net, step_data, loss, j)
+        value_fn, grad_fn = block_objective_fn(net, fb.data, loss, j, cache=fb)
         d, _ = descent_direction_proximal(value_fn, grad_fn, w, 0.0, feasible, cfg.inner)
-        return d, 0.0, grad_norm
+        return d, 0.0, grad
 
     if isinstance(kind, FirstOrderProx):
         if cfg.adapt_gamma and adapt_ok:
-            value_fn, _ = block_objective_fn(net, step_data, loss, j)
+            value_fn, _ = block_objective_fn(net, fb.data, loss, j, cache=fb)
             d, gamma = first_order_direction_backtracked(
-                w, grad, kind.gamma, feasible, value_fn, f_anchor)
-            return d, gamma, grad_norm
+                w, grad, kind.gamma, feasible, value_fn, fb.objective())
+            return d, gamma, grad
         return descent_direction_first_order(w, grad, kind.gamma, feasible), \
-            kind.gamma, grad_norm
+            kind.gamma, grad
 
     if isinstance(kind, SecondOrderProx):
-        hess = block_hessian(net, step_data, loss, j)
+        hess = block_hessian(net, fb.data, loss, j)
         d = descent_direction_second_order(w, grad, hess, kind.gamma)
-        return feasible.project(d), kind.gamma, grad_norm
+        return feasible.project(d), kind.gamma, grad
 
     if isinstance(kind, Proximal):
         _require_convex_block(net, loss, j, cfg)
-        value_fn, grad_fn = block_objective_fn(net, step_data, loss, j)
+        value_fn, grad_fn = block_objective_fn(net, fb.data, loss, j, cache=fb)
         d, _ = descent_direction_proximal(value_fn, grad_fn, w, kind.gamma,
                                           feasible, kind.inner)
-        return d, kind.gamma, grad_norm
+        return d, kind.gamma, grad
 
     if isinstance(kind, LinearBound):
         curv = classify_convexity(loss, net.spec.activations[j - 1:], reg)
         d = descent_direction_linear(w, grad, curv, override=cfg.curvature_override)
-        return feasible.project(d), 0.0, grad_norm
+        return feasible.project(d), 0.0, grad
 
     raise SpecError(f"unknown upperbound kind {kind!r}")
 
 
-def _alpha_for_step(net: Network, step_data: Dataset, loss, cfg: TrainConfig,
-                    j: int, k: int, w, d, state: _LoopState) -> float:
+def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
+                    d, grad, state: _LoopState) -> float:
     if cfg.unit_stepsize or cfg.exact_bcd:
         return 1.0
-    sched = _per_layer(cfg.schedule, j, net.depth)
+    sched = _per_layer(cfg.schedule, j, fb.net.depth)
     if isinstance(sched, ArmijoRule):
-        value_fn, grad_fn = block_objective_fn(net, step_data, loss, j)
-        alpha, _ = armijo_stepsize(value_fn, w, d, grad_fn(w), sched)
+        if not fb.net.spec.regularizers[j - 1].smooth:
+            raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
+        value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
+        alpha, _ = armijo_stepsize(value_fn, fb.net.weights[j - 1], d, grad, sched)
         return alpha
     return stepsize_next(sched, k, state.sched_state(cfg, j))
 
 
-def _apply_update(net: Network, j: int, w, d, alpha: float) -> Network:
+def _apply_update(w, d, alpha: float):
     # alpha == 1 assigns D directly so the gradient-descent / Newton special
     # cases reproduce their textbook updates bitwise
-    if alpha == 1.0:
-        return net.with_block(j, d)
-    return net.with_block(j, (1.0 - alpha) * w + alpha * d)
+    return d if alpha == 1.0 else (1.0 - alpha) * w + alpha * d
+
+
+def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
+    """Outer iteration k: direction and stepsize from a pass on the batch
+    (``full`` itself with a full sampler), then W_j of ``full`` is replaced.
+    Returns (j, alpha, gamma, block gradient norm)."""
+    j = ((k - 1) % full.net.depth) + 1
+    full_batch = cfg.sampler.mode == "full"
+    fb = full if full_batch else NetworkPass(
+        full.net, full.data.restrict(state.stream.next(k)), full.loss)
+    d, gamma, grad = _direction(fb, cfg, j, full_batch)
+    alpha = _alpha_for_step(fb, cfg, j, k, d, grad, state)
+    full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))
+    return j, alpha, gamma, float(np.linalg.norm(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -448,74 +460,64 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
     if state is None:
         state = _LoopState(cfg, net.depth, data.n_samples)
     t0 = time.perf_counter()
-    j = ((k - 1) % net.depth) + 1
-    batch = state.stream.next(k)
-    step_data = data if cfg.sampler.mode == "full" else data.restrict(batch)
-    adapt_ok = cfg.sampler.mode == "full"
-
-    w = net.weights[j - 1]
-    d, gamma, grad_norm = _direction(net, step_data, loss, cfg, j, adapt_ok)
-    alpha = _alpha_for_step(net, step_data, loss, cfg, j, k, w, d, state)
-    new_net = _apply_update(net, j, w, d, alpha)
-
-    f_val, full_norm, nmse = _full_diagnostics(new_net, data, loss)
+    full = NetworkPass(net.copy(), data, loss)
+    j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
+    f_val, full_norm, nmse = _full_diagnostics(full)
     row = TraceRow(k, j, f_val, nmse, grad_norm, full_norm, alpha, gamma,
                    time.perf_counter() - t0)
-    return new_net, row
+    return full.net, row
 
 
 def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
     depth = net.depth
     record_every = cfg.record_every if cfg.record_every is not None else depth
     state = _LoopState(cfg, depth, data.n_samples)
-    current = net.copy()
+    full = NetworkPass(net.copy(), data, loss)
     trace = TrainTrace()
     t0 = time.perf_counter()
 
     try:
-        trace.initial_f, trace.initial_grad_norm, _ = _full_diagnostics(current, data, loss)
+        f_val, full_norm, _ = _full_diagnostics(full)
     except OverflowError as exc:
-        trace.aborted = True
-        trace.abort_reason = str(exc)
-        return current, trace
-    f_val, full_norm = trace.initial_f, trace.initial_grad_norm
+        trace.abort(str(exc))
+        return full.net, trace
+    trace.initial_f = trace.final_f = f_val
+    trace.initial_grad_norm = trace.final_grad_norm = full_norm
+    if not (math.isfinite(f_val) and math.isfinite(full_norm)):
+        trace.abort(f"non-finite objective {f_val} or residual {full_norm} at the start")
+        return full.net, trace
 
     for k in range(1, cfg.max_outer_iterations + 1):
-        j = ((k - 1) % depth) + 1
-        batch = state.stream.next(k)
-        step_data = data if cfg.sampler.mode == "full" else data.restrict(batch)
-        adapt_ok = cfg.sampler.mode == "full"
-        w = current.weights[j - 1]
         try:
-            d, gamma, grad_norm = _direction(current, step_data, loss, cfg, j, adapt_ok)
-            alpha = _alpha_for_step(current, step_data, loss, cfg, j, k, w, d, state)
+            j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
         except OverflowError as exc:
-            trace.aborted = True
-            trace.abort_reason = str(exc)
+            trace.abort(str(exc))
             break
-        current = _apply_update(current, j, w, d, alpha)
         trace.iterations_run = k
 
         cycle_end = (k % depth == 0)
         record_due = (k % record_every == 0)
         if cycle_end or record_due or k == cfg.max_outer_iterations:
             try:
-                f_val, full_norm, nmse = _full_diagnostics(current, data, loss)
+                f_val, full_norm, nmse = _full_diagnostics(full)
             except OverflowError as exc:
-                trace.aborted = True
-                trace.abort_reason = str(exc)
+                trace.abort(str(exc))
                 break
             if record_due:
                 trace.rows.append(TraceRow(
                     k, j, f_val, nmse, grad_norm, full_norm, alpha, gamma,
                     time.perf_counter() - t0))
+            if not (math.isfinite(f_val) and math.isfinite(full_norm)):
+                trace.abort(f"non-finite objective {f_val} or residual {full_norm} "
+                            f"after iteration {k}")
+                break
             if cycle_end and full_norm <= cfg.grad_norm_tol:
                 trace.converged = True
                 break
 
     trace.final_f = f_val
     trace.final_grad_norm = full_norm
-    return current, trace
+    return full.net, trace
 
 
 def train(net: Network, data: Dataset, loss, cfg: TrainConfig):

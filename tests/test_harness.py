@@ -409,6 +409,14 @@ class TestRunnerDetails:
                                 sorted(r_par.curve_paths)):
             assert p_seq.read_bytes() == p_par.read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_thread_count_below_one_rejected(self, tmp_path, monkeypatch, value):
+        cfg = parse_config(minimal_config(tmp_path))
+        monkeypatch.setenv("BSUM_TRAIN_THREADS", value)
+        with pytest.raises(ConfigError, match="BSUM_TRAIN_THREADS"):
+            run_experiment(cfg, out_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
     def test_trace_rows_strictly_increasing_cyclic_blocks(self, tmp_path):
         raw = minimal_config(tmp_path, baselines=[])
         raw["methods"][0]["record_every"] = 1

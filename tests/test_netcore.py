@@ -2,12 +2,28 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsumnet import (Dataset, FrobeniusBall, Identity, Logistic, Network,
                      NetworkSpec, Regularizer, ShapeError, SpecError, Tanh,
                      Toeplitz, Unconstrained, build_network, forward,
                      network_output)
 from conftest import scalar_output
+
+
+def loop_toeplitz_project(w):
+    """Reference projection: one diagonal at a time, each set to its mean."""
+    rows, cols = w.shape
+    out = np.empty_like(w)
+    for off in range(-(rows - 1), cols):
+        diag = np.diagonal(w, offset=off)
+        idx = np.arange(len(diag))
+        if off >= 0:
+            out[idx, idx + off] = diag.mean()
+        else:
+            out[idx - off, idx] = diag.mean()
+    return out
 
 
 def spec_of(dims, act, feasible=None):
@@ -170,6 +186,18 @@ class TestFeasibleSets:
     def test_ball_interior_untouched(self):
         w = np.array([[0.1, 0.2], [0.0, -0.1]])
         assert np.array_equal(FrobeniusBall(5.0).project(w), w)
+
+    @given(rows=st.integers(1, 12), cols=st.integers(1, 12),
+           seed=st.integers(0, 2**32 - 1), log_scale=st.floats(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_toeplitz_matches_diagonal_loop(self, rows, cols, seed, log_scale):
+        w = np.random.default_rng(seed).standard_normal((rows, cols)) * 10.0 ** log_scale
+        got = Toeplitz().project(w)
+        # the loop and the vectorized form sum each diagonal in a different
+        # order: at most (length - 1) roundings apart
+        tol = max(rows, cols) * np.finfo(float).eps * np.max(np.abs(w))
+        np.testing.assert_allclose(got, loop_toeplitz_project(w), rtol=0, atol=tol)
+        assert np.array_equal(Toeplitz().project(got), got)
 
     @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz(),
                                           FrobeniusBall(0.7)])

@@ -9,8 +9,8 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      NetworkSpec, Network, Proximal, Recursive, Regularizer,
                      SecondOrderProx, Softplus, SpecError, Toeplitz,
                      build_network, closed_form_linear_block, forward,
-                     normalized_mse, stepsize_next, stochastic_train, train,
-                     train_step, validate_schedule)
+                     normalized_mse, stepsize_next, stochastic_train,
+                     synth_regression, train, train_step, validate_schedule)
 from bsumnet.gradients import block_gradient, objective_value
 from bsumnet.trainer import TrainConfig, armijo_stepsize
 from bsumnet.upperbounds import InnerSolverConfig
@@ -373,6 +373,23 @@ class TestTrainLoop:
         assert trace.aborted
         assert trace.iterations_run >= 1
         assert "exponent" in trace.abort_reason
+
+    def test_non_finite_objective_aborts(self):
+        # a step far too long for the curvature: f overflows within a few
+        # cycles while every weight stays finite for a while
+        data = synth_regression(seed=0, n_features=5, teacher_dims=[5, 4, 1])
+        net = build_network(NetworkSpec.homogeneous([5, 4, 1], Identity()),
+                            "uniform", seed=0)
+        cfg = TrainConfig(upperbound=FirstOrderProx(1e-3), schedule=Constant(0.9),
+                          adapt_gamma=False, max_outer_iterations=200)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, trace = train(net, data, L2Loss(), cfg)
+            f_out = objective_value(out, data, L2Loss())
+        assert trace.aborted
+        assert "non-finite" in trace.abort_reason
+        assert trace.iterations_run < cfg.max_outer_iterations
+        assert not np.isfinite(trace.final_f)
+        assert not np.isfinite(f_out)
 
 
 class TestStochasticTrain:
