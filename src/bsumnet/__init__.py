@@ -10,30 +10,30 @@ out as configurations.
 from .errors import (ConfigError, CurvatureError, DomainError, IngestError,
                      NonSmoothError, ShapeError, SingularError, SizeError,
                      SpecError)
-from .functions import (ACTIVATIONS, LOSSES, BentIdentity, BlockCurvature,
-                        CrossEntropyLoss, ExponentialLoss, Identity,
-                        L2Loss, LeakyReluSmooth, Logistic, LogisticLoss,
-                        Regularizer, Softplus, SquaredHingeLoss, Tanh,
-                        classify_convexity)
+from .functions import (ACTIVATIONS, LOSSES, REGULARIZERS, BentIdentity,
+                        BlockCurvature, CrossEntropyLoss, ExponentialLoss,
+                        Identity, L1Regularizer, L2Loss, L2Regularizer,
+                        LeakyReluSmooth, Logistic, LogisticLoss, Regularizer,
+                        Softplus, SquaredHingeLoss, Tanh, classify_convexity)
 from .gradients import (BatchSampler, NetworkPass, all_block_gradients,
                         block_gradient, block_hessian, delta_recursion,
                         fd_gradient, objective_value, stochastic_block_gradient)
 from .harness import (baseline_adagrad, baseline_bp_clr, emit_curves,
                       load_config, load_csv_dataset, parse_config,
                       parse_curves, run_experiment, synth_regression)
-from .netcore import (Dataset, FrobeniusBall, Network, NetworkSpec, Toeplitz,
-                      Unconstrained, build_network, forward, network_output)
-from .trainer import (ArmijoRule, Constant, Geometric, InverseRoot, Recursive,
-                      TrainConfig, TrainTrace, armijo_stepsize,
+from .netcore import (FEASIBLE_SETS, Dataset, FrobeniusBall, Network,
+                      NetworkSpec, Toeplitz, Unconstrained, build_network,
+                      forward)
+from .trainer import (SCHEDULES, ArmijoRule, Constant, Geometric, InverseRoot,
+                      Recursive, TrainConfig, TrainTrace, armijo_stepsize,
                       normalized_mse, stepsize_next, stochastic_train, train,
                       train_step, validate_schedule)
-from .upperbounds import (Anchor, FirstOrderProx, InnerSolverConfig,
-                          LinearBound, Proximal, SecondOrderProx,
-                          closed_form_linear_block,
+from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx,
+                          InnerSolverConfig, LinearBound, Proximal,
+                          SecondOrderProx, closed_form_linear_block,
                           descent_direction_first_order,
                           descent_direction_linear,
                           descent_direction_proximal,
-                          descent_direction_second_order,
-                          evaluate_upperbound, project_feasible, prox_l1_step)
+                          descent_direction_second_order, prox_l1_step)
 
 __version__ = "0.1.0"

@@ -17,18 +17,10 @@ import numpy as np
 from .errors import ConfigError, SpecError
 from .functions import ACTIVATIONS, LOSSES, Logistic, Regularizer
 from .gradients import block_gradient, block_objective_fn, fd_gradient
-from .harness import load_config, run_experiment, _resolve_dataset
+from .harness import (_coerce, _parse_kind, _resolve_dataset, load_config,
+                      run_experiment)
 from .netcore import Dataset, NetworkSpec, Unconstrained, build_network
-from .trainer import (ArmijoRule, Constant, Geometric, InverseRoot, Recursive,
-                      validate_schedule)
-
-_SCHEDULES = {
-    "inverse_root": InverseRoot,
-    "geometric": Geometric,
-    "recursive": Recursive,
-    "constant": Constant,
-    "armijo": ArmijoRule,
-}
+from .trainer import SCHEDULES, validate_schedule
 
 
 def _parse_params(pairs):
@@ -37,10 +29,7 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise ConfigError(f"--param expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        try:
-            out[key] = float(val)
-        except ValueError:
-            raise ConfigError(f"--param {key}: non-numeric value {val!r}") from None
+        out[key] = _coerce(val, float, f"--param {key}")
     return out
 
 
@@ -60,14 +49,8 @@ def _cmd_train(args) -> int:
 
 def _cmd_validate_schedule(args) -> int:
     kind = args.kind.replace("-", "_")
-    if kind not in _SCHEDULES:
-        raise ConfigError(f"unknown schedule kind {args.kind!r}; "
-                          f"options: {sorted(_SCHEDULES)}")
-    params = _parse_params(args.param)
-    try:
-        schedule = _SCHEDULES[kind](**params)
-    except (TypeError, SpecError) as exc:
-        raise ConfigError(f"bad parameters for {kind}: {exc}") from None
+    schedule = _parse_kind({"kind": kind, **_parse_params(args.param)},
+                           SCHEDULES, "schedule", "--kind")
     report = validate_schedule(schedule)
     verdict = "true" if report.satisfies_eq7 else "false"
     print(f"{kind}: satisfies stepsize conditions = {verdict}")

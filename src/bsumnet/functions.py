@@ -27,10 +27,8 @@ __all__ = [
     "LeakyReluSmooth", "BentIdentity", "ACTIVATIONS",
     "Loss", "L2Loss", "ExponentialLoss", "CrossEntropyLoss",
     "SquaredHingeLoss", "LogisticLoss", "LOSSES",
-    "Regularizer", "BlockCurvature",
-    "activation_apply", "activation_derivative",
-    "loss_value", "loss_grad_H",
-    "regularizer_value", "regularizer_grad",
+    "Regularizer", "L2Regularizer", "L1Regularizer",
+    "REGULARIZERS", "BlockCurvature", "loss_value", "loss_grad_H",
     "classify_convexity",
 ]
 
@@ -169,24 +167,8 @@ class BentIdentity(Activation):
         return u / (2.0 * np.sqrt(u * u + 1.0)) + 1.0
 
 
-ACTIVATIONS = {
-    "identity": Identity,
-    "logistic": Logistic,
-    "tanh": Tanh,
-    "softplus": Softplus,
-    "leaky_relu_smooth": LeakyReluSmooth,
-    "bent_identity": BentIdentity,
-}
-
-
-def activation_apply(kind: Activation, U: np.ndarray) -> np.ndarray:
-    """Elementwise sigma(U); output shape equals input shape."""
-    return kind.value(np.asarray(U, dtype=float))
-
-
-def activation_derivative(kind: Activation, U: np.ndarray) -> np.ndarray:
-    """Elementwise sigma'(U)."""
-    return kind.derivative(np.asarray(U, dtype=float))
+ACTIVATIONS = {cls.name: cls for cls in (Identity, Logistic, Tanh, Softplus,
+                                         LeakyReluSmooth, BentIdentity)}
 
 
 # ---------------------------------------------------------------------------
@@ -358,13 +340,8 @@ class LogisticLoss(Loss):
         return -(Y * expit(-margins)) / H.shape[1]
 
 
-LOSSES = {
-    "l2": L2Loss,
-    "exponential": ExponentialLoss,
-    "cross_entropy": CrossEntropyLoss,
-    "squared_hinge": SquaredHingeLoss,
-    "logistic": LogisticLoss,
-}
+LOSSES = {cls.name: cls for cls in (L2Loss, ExponentialLoss, CrossEntropyLoss,
+                                    SquaredHingeLoss, LogisticLoss)}
 
 
 def _check_pair(H, Y):
@@ -397,59 +374,76 @@ class Regularizer:
 
     The squared-Frobenius penalty lam*||W||_F^2 is strongly convex with
     modulus 2*lam; L1 is non-smooth and only usable through the prox path.
+    This base class is the "none" kind.
     """
 
-    kind: str = "none"  # "l2" | "l1" | "none"
-    lam: float = 0.0
+    name = "none"
+    lam = 0.0
+    smooth = True
+    strong_convexity = 0.0  # modulus; nonzero only for an active squared-Frobenius term
 
     def __post_init__(self):
-        if self.kind not in ("l2", "l1", "none"):
-            raise DomainError(f"unknown regularizer kind {self.kind!r}")
         if self.lam < 0:
             raise DomainError(f"regularizer strength must be >= 0, got {self.lam}")
 
-    @classmethod
-    def none(cls):
-        return cls("none", 0.0)
-
-    @classmethod
-    def l2(cls, lam: float):
-        return cls("l2", lam)
-
-    @classmethod
-    def l1(cls, lam: float):
-        return cls("l1", lam)
-
     @property
-    def smooth(self) -> bool:
-        return self.kind != "l1" or self.lam == 0.0
+    def kind(self) -> str:
+        return self.name
 
-    @property
-    def strong_convexity(self) -> float:
-        """Strong-convexity modulus (0 unless an active squared-Frobenius term)."""
-        return 2.0 * self.lam if self.kind == "l2" else 0.0
+    @staticmethod
+    def none():
+        return Regularizer()
+
+    @staticmethod
+    def l2(lam: float):
+        return L2Regularizer(lam)
+
+    @staticmethod
+    def l1(lam: float):
+        return L1Regularizer(lam)
 
     def value(self, W: np.ndarray) -> float:
-        if self.kind == "l2":
-            return self.lam * float(np.sum(W * W))
-        if self.kind == "l1":
-            return self.lam * float(np.sum(np.abs(W)))
         return 0.0
 
     def grad(self, W: np.ndarray) -> np.ndarray:
-        if not self.smooth:
-            raise NonSmoothError("L1 regularizer has no gradient; use the prox path")
-        if self.kind == "l2":
-            return 2.0 * self.lam * W
         return np.zeros_like(W)
 
 
-def regularizer_value(reg: Regularizer, W: np.ndarray) -> float:
-    return reg.value(np.asarray(W, dtype=float))
+@dataclass(frozen=True)
+class L2Regularizer(Regularizer):
+    lam: float = 0.0
+    name = "l2"
+
+    @property
+    def strong_convexity(self) -> float:
+        return 2.0 * self.lam
+
+    def value(self, W):
+        return self.lam * float(np.sum(W * W))
+
+    def grad(self, W):
+        return 2.0 * self.lam * W
 
 
-def regularizer_grad(reg: Regularizer, W: np.ndarray) -> np.ndarray:
-    return reg.grad(np.asarray(W, dtype=float))
+@dataclass(frozen=True)
+class L1Regularizer(Regularizer):
+    lam: float = 0.0
+    name = "l1"
+
+    @property
+    def smooth(self) -> bool:
+        return self.lam == 0.0
+
+    def value(self, W):
+        return self.lam * float(np.sum(np.abs(W)))
+
+    def grad(self, W):
+        if not self.smooth:
+            raise NonSmoothError("L1 regularizer has no gradient; use the prox path")
+        return np.zeros_like(W)
+
+
+REGULARIZERS = {cls.name: cls for cls in (Regularizer, L2Regularizer, L1Regularizer)}
 
 
 # ---------------------------------------------------------------------------
@@ -505,7 +499,7 @@ def classify_convexity(loss: Loss, activations, reg: Regularizer) -> BlockCurvat
 
     loss_concave = getattr(loss, "concave_in_H", False)
     if all_cvx_nondec and loss_concave and loss.monotone == "nonincreasing" \
-            and reg.kind == "none":
+            and reg.name == "none":
         return BlockCurvature.concave()
 
     return BlockCurvature.unknown()

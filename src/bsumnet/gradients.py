@@ -47,6 +47,9 @@ class NetworkPass:
 
     def __init__(self, net: Network, data: Dataset, loss,
                  outs: LayerOutputs | None = None):
+        if data.Y.shape[0] != net.spec.dims[-1]:
+            raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
+                             f"has d_J = {net.spec.dims[-1]}")
         self.net = Network(net.spec, list(net.weights))
         self.data = data
         self.loss = loss
@@ -92,9 +95,6 @@ class NetworkPass:
         pre, post = outs.pre_activations, outs.post_activations
         acts = self.net.spec.activations
         if deltas[-1] is None:
-            if self.data.Y.shape != outs.output.shape:
-                raise ShapeError(
-                    f"Y shape {self.data.Y.shape} != output shape {outs.output.shape}")
             grad_h = self.loss.grad_H(outs.output, self.data.Y)
             deltas[-1] = grad_h * acts[-1].derivative(pre[-1], post[-1])
         for i in range(self.depth - 1, j - 1, -1):
@@ -183,7 +183,7 @@ def objective_value(net: Network, data: Dataset, loss,
                     outs: LayerOutputs | None = None) -> float:
     """Full regularized objective: data loss plus every layer's penalty."""
     if outs is None:
-        outs = forward(net, data.X)
+        return NetworkPass(net, data, loss).objective()
     val = loss.value(outs.output, data.Y)
     for reg, w in zip(net.spec.regularizers, net.weights):
         val += reg.value(w)

@@ -11,26 +11,23 @@ on emission (real timings live in the summaries).
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, IngestError, NonSmoothError, SpecError
-from .functions import (ACTIVATIONS, LOSSES, Logistic, Regularizer)
+from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import BatchSampler, NetworkPass
-from .netcore import (Dataset, FrobeniusBall, Network, NetworkSpec, Toeplitz,
-                      Unconstrained, build_network, forward)
-from .trainer import (ArmijoRule, Constant, Geometric, InverseRoot, Recursive,
-                      TraceRow, TrainConfig, TrainTrace, normalized_mse,
-                      stochastic_train)
-from .upperbounds import (FirstOrderProx, InnerSolverConfig, LinearBound,
-                          Proximal, SecondOrderProx)
+from .netcore import (FEASIBLE_SETS, Dataset, Network, NetworkSpec,
+                      build_network, forward)
+from .trainer import (SCHEDULES, TraceRow, TrainConfig, TrainTrace,
+                      normalized_mse, stochastic_train)
+from .upperbounds import UPPERBOUNDS
 
 __all__ = [
     "load_csv_dataset", "synth_regression",
@@ -145,18 +142,14 @@ def synth_regression(seed: int, n_samples: int = 252, n_features: int = 13,
 # baseline optimizers
 # ---------------------------------------------------------------------------
 
-def _check_smooth(net: Network) -> None:
-    if any(not r.smooth for r in net.spec.regularizers):
-        raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
-
-
 def _baseline(net: Network, data: Dataset, loss, rate: float, step,
               max_iterations: int, record_every: int,
               grad_norm_tol: float) -> TrainTrace:
     """Simultaneous update W_j <- step(j, W_j, G_j) of every layer, one pass
     per iteration: the pass at the new weights gives the row's f and the next
     gradients. Aborts once f is non-finite or over the divergence cap."""
-    _check_smooth(net)
+    if any(not r.smooth for r in net.spec.regularizers):
+        raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
     trace = TrainTrace()
     t0 = time.perf_counter()
     fb = NetworkPass(net, data, loss)
@@ -315,124 +308,49 @@ def _reject_unknown(d: dict, allowed, where: str) -> None:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
 
 
-def _as_kind_dict(value, where: str) -> dict:
-    if isinstance(value, str):
-        return {"kind": value}
-    if isinstance(value, dict):
-        if "kind" not in value:
-            raise ConfigError(f"{where}: missing 'kind'")
-        return dict(value)
-    raise ConfigError(f"{where}: expected a kind name or object, got {value!r}")
+def _object(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where}: expected an object, got {value!r}")
+    return dict(value)
 
 
-def _parse_activation(value, where: str):
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    if kind not in ACTIVATIONS:
-        raise ConfigError(f"{where}: unknown activation {kind!r}")
+def _construct(cls, params: dict, where: str):
+    """``cls(**params)``, allowing the keys its constructor takes; a value it
+    rejects is a ConfigError at ``where``."""
+    params = _object(params, where)
+    _reject_unknown(params, inspect.signature(cls).parameters, where)
     try:
-        return ACTIVATIONS[kind](**d)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: bad activation params {d}: {exc}") from None
+        return cls(**params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}: {exc} (given {params})") from None
 
 
-def _parse_loss(value, where: str):
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    if kind not in LOSSES:
-        raise ConfigError(f"{where}: unknown loss {kind!r}")
+def _parse_kind(value, registry: dict, family: str, where: str):
+    """The object a kind name or a ``{"kind": name, **params}`` entry names."""
+    d = {"kind": value} if isinstance(value, str) else _object(value, where)
+    kind = d.pop("kind", None)
+    if not isinstance(kind, str) or kind not in registry:
+        raise ConfigError(f"{where}: unknown {family} {kind!r}; options: {sorted(registry)}")
+    return _construct(registry[kind], d, where)
+
+
+def _coerce(value, to, where: str):
+    """``to(value)``; a value it cannot convert is a ConfigError at ``where``."""
     try:
-        return LOSSES[kind](**d)
-    except TypeError as exc:
-        raise ConfigError(f"{where}: bad loss params {d}: {exc}") from None
+        return to(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where}: bad value {value!r}") from None
 
 
-def _parse_feasible(value, where: str):
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    if kind == "unconstrained":
-        _reject_unknown(d, (), where)
-        return Unconstrained()
-    if kind == "toeplitz":
-        _reject_unknown(d, (), where)
-        return Toeplitz()
-    if kind == "frobenius_ball":
-        _reject_unknown(d, ("radius",), where)
-        if "radius" not in d:
-            raise ConfigError(f"{where}: frobenius_ball needs a radius")
-        return FrobeniusBall(float(d["radius"]))
-    raise ConfigError(f"{where}: unknown feasible set {kind!r}")
+def _int_list(values) -> list:
+    return [int(v) for v in values]
 
 
-def _parse_regularizer(value, where: str):
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    _reject_unknown(d, ("lam",), where)
-    if kind == "none":
-        return Regularizer.none()
-    if kind in ("l2", "l1"):
-        return Regularizer(kind, float(d.get("lam", 0.0)))
-    raise ConfigError(f"{where}: unknown regularizer {kind!r}")
-
-
-def _parse_upperbound(value, where: str):
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    if kind == "first_order_prox":
-        _reject_unknown(d, ("gamma",), where)
-        return FirstOrderProx(float(d.get("gamma", 1.0)))
-    if kind == "second_order_prox":
-        _reject_unknown(d, ("gamma",), where)
-        return SecondOrderProx(float(d.get("gamma", 1.0)))
-    if kind == "proximal":
-        _reject_unknown(d, ("gamma", "inner"), where)
-        inner = d.get("inner", {})
-        _reject_unknown(inner, ("max_iters", "grad_tol", "shrink", "slope", "step_init"),
-                        f"{where}.inner")
-        return Proximal(float(d.get("gamma", 1.0)), InnerSolverConfig(**inner))
-    if kind == "linear":
-        _reject_unknown(d, (), where)
-        return LinearBound()
-    raise ConfigError(f"{where}: unknown upperbound {kind!r}")
-
-
-def _parse_schedule(value, where: str):
-    if value is None:
-        return None
-    d = _as_kind_dict(value, where)
-    kind = d.pop("kind")
-    table = {
-        "inverse_root": (InverseRoot, ("c",)),
-        "geometric": (Geometric, ("c",)),
-        "recursive": (Recursive, ("alpha0", "t")),
-        "constant": (Constant, ("c",)),
-        "armijo": (ArmijoRule, ("shrink", "slope", "alpha_init")),
-    }
-    if kind not in table:
-        raise ConfigError(f"{where}: unknown schedule {kind!r}")
-    cls, allowed = table[kind]
-    _reject_unknown(d, allowed, where)
-    try:
-        return cls(**d)
-    except SpecError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _parse_sampler(value, where: str) -> BatchSampler:
-    if value is None:
-        return BatchSampler()
-    d = dict(value)
-    _reject_unknown(d, ("mode", "batch_size", "seed"), where)
-    try:
-        return BatchSampler(**d)
-    except SpecError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-
-
-def _maybe_list(value, parse, where):
+def _maybe_list(value, registry, family, where):
     if isinstance(value, list):
-        return tuple(parse(v, f"{where}[{i}]") for i, v in enumerate(value))
-    return parse(value, where)
+        return tuple(_parse_kind(v, registry, family, f"{where}[{i}]")
+                     for i, v in enumerate(value))
+    return _parse_kind(value, registry, family, where)
 
 
 def _parse_network(d: dict) -> tuple:
@@ -440,18 +358,16 @@ def _parse_network(d: dict) -> tuple:
                         "init", "init_scale"), "network")
     if "dims" not in d:
         raise ConfigError("network: dims is required")
-    dims = [int(x) for x in d["dims"]]
+    dims = _coerce(d["dims"], _int_list, "network.dims")
     depth = len(dims) - 1
 
-    def widen(parsed):
+    def widen(key, default, registry, family):
+        parsed = _maybe_list(d.get(key, default), registry, family, f"network.{key}")
         return parsed if isinstance(parsed, tuple) else (parsed,) * depth
 
-    acts = widen(_maybe_list(d.get("activation", "logistic"),
-                             _parse_activation, "network.activation"))
-    feas = widen(_maybe_list(d.get("feasible", "unconstrained"),
-                             _parse_feasible, "network.feasible"))
-    regs = widen(_maybe_list(d.get("regularizer", {"kind": "none"}),
-                             _parse_regularizer, "network.regularizer"))
+    acts = widen("activation", "logistic", ACTIVATIONS, "activation")
+    feas = widen("feasible", "unconstrained", FEASIBLE_SETS, "feasible set")
+    regs = widen("regularizer", "none", REGULARIZERS, "regularizer")
     try:
         spec = NetworkSpec(tuple(dims), acts, feas, regs)
     except SpecError as exc:
@@ -460,7 +376,7 @@ def _parse_network(d: dict) -> tuple:
     if init not in ("zeros", "uniform", "gaussian"):
         raise ConfigError(f"network.init: unknown scheme {init!r}")
     scale = d.get("init_scale")
-    return spec, init, None if scale is None else float(scale)
+    return spec, init, None if scale is None else _coerce(scale, float, "network.init_scale")
 
 
 def _parse_method(d: dict, idx: int) -> MethodSpec:
@@ -469,22 +385,23 @@ def _parse_method(d: dict, idx: int) -> MethodSpec:
                "adapt_gamma", "curvature_override")
     where = f"methods[{idx}]"
     _reject_unknown(d, allowed, where)
-    ub = _maybe_list(d.get("upperbound", {"kind": "first_order_prox"}),
-                     _parse_upperbound, f"{where}.upperbound")
+    ub = _maybe_list(d.get("upperbound", "first_order_prox"), UPPERBOUNDS,
+                     "upperbound", f"{where}.upperbound")
     sched = d.get("schedule")
-    if isinstance(sched, list):
-        sched = tuple(_parse_schedule(s, f"{where}.schedule[{i}]")
-                      for i, s in enumerate(sched))
-    else:
-        sched = _parse_schedule(sched, f"{where}.schedule")
+    if sched is not None:
+        sched = _maybe_list(sched, SCHEDULES, "schedule", f"{where}.schedule")
+    record_every = d.get("record_every")
     try:
         cfg = TrainConfig(
             upperbound=ub,
             schedule=sched,
-            sampler=_parse_sampler(d.get("sampler"), f"{where}.sampler"),
-            max_outer_iterations=int(d.get("max_iterations", 1000)),
-            grad_norm_tol=float(d.get("grad_norm_tol", 1e-8)),
-            record_every=d.get("record_every"),
+            sampler=_construct(BatchSampler, d.get("sampler") or {}, f"{where}.sampler"),
+            max_outer_iterations=_coerce(d.get("max_iterations", 1000), int,
+                                         f"{where}.max_iterations"),
+            grad_norm_tol=_coerce(d.get("grad_norm_tol", 1e-8), float,
+                                  f"{where}.grad_norm_tol"),
+            record_every=None if record_every is None else _coerce(
+                record_every, int, f"{where}.record_every"),
             unit_stepsize=bool(d.get("unit_stepsize", False)),
             exact_bcd=bool(d.get("exact_bcd", False)),
             adapt_gamma=bool(d.get("adapt_gamma", True)),
@@ -503,14 +420,11 @@ def _parse_baseline(d: dict, idx: int) -> BaselineSpec:
     kind = d.get("kind")
     if kind not in ("bp_clr", "adagrad"):
         raise ConfigError(f"{where}: unknown baseline {kind!r}")
-    return BaselineSpec(
-        name=kind,
-        rate=float(d.get("rate", 0.01)),
-        eps=float(d.get("eps", 1e-8)),
-        max_iterations=int(d.get("max_iterations", 1000)),
-        record_every=int(d.get("record_every", 1)),
-        grad_norm_tol=float(d.get("grad_norm_tol", 0.0)),
-    )
+    defaults = {"rate": 0.01, "eps": 1e-8, "max_iterations": 1000,
+                "record_every": 1, "grad_norm_tol": 0.0}
+    return BaselineSpec(name=kind, **{
+        key: _coerce(d.get(key, default), type(default), f"{where}.{key}")
+        for key, default in defaults.items()})
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -523,28 +437,31 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"config: {key} is required")
 
-    ds = dict(raw["dataset"])
+    ds = _object(raw["dataset"], "dataset")
     kind = ds.get("kind")
     if kind == "csv":
         _reject_unknown(ds, ("kind", "path", "target_cols", "standardize"), "dataset")
         if "path" not in ds or "target_cols" not in ds:
             raise ConfigError("dataset: csv needs path and target_cols")
     elif kind == "synthetic":
-        _reject_unknown(ds, ("kind", "seed", "n_samples", "n_features",
-                             "teacher_dims", "noise_sigma"), "dataset")
+        types = {"seed": int, "n_samples": int, "n_features": int,
+                 "teacher_dims": _int_list, "noise_sigma": float}
+        _reject_unknown(ds, ("kind", *types), "dataset")
+        for key in types.keys() & ds.keys():
+            ds[key] = _coerce(ds[key], types[key], f"dataset.{key}")
     else:
         raise ConfigError(f"dataset: unknown kind {kind!r}")
 
-    spec, init, init_scale = _parse_network(dict(raw["network"]))
-    loss = _parse_loss(raw.get("loss", "l2"), "loss")
-    methods = tuple(_parse_method(dict(m), i)
+    spec, init, init_scale = _parse_network(_object(raw["network"], "network"))
+    loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i)
                     for i, m in enumerate(raw.get("methods", [])))
-    baselines = tuple(_parse_baseline(dict(b), i)
+    baselines = tuple(_parse_baseline(_object(b, f"baselines[{i}]"), i)
                       for i, b in enumerate(raw.get("baselines", [])))
     names = [m.name for m in methods] + [b.name for b in baselines]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate method/baseline names in {names}")
-    seeds = tuple(int(s) for s in raw["seeds"])
+    seeds = tuple(_coerce(raw["seeds"], _int_list, "seeds"))
     return ExperimentConfig(
         dataset=ds, spec=spec, loss=loss, methods=methods,
         baselines=baselines, seeds=seeds,
@@ -581,30 +498,27 @@ class ExperimentResult:
 
 
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
+    """The configured dataset; one that cannot be read or built is a
+    ConfigError."""
     ds = cfg.dataset
-    if ds["kind"] == "csv":
-        return load_csv_dataset(ds["path"], ds["target_cols"],
-                                bool(ds.get("standardize", False)))
-    return synth_regression(
-        seed=int(ds.get("seed", 0)),
-        n_samples=int(ds.get("n_samples", 252)),
-        n_features=int(ds.get("n_features", cfg.spec.dims[0])),
-        teacher_dims=ds.get("teacher_dims"),
-        noise_sigma=float(ds.get("noise_sigma", 0.1)),
-    )
+    try:
+        if ds["kind"] == "csv":
+            return load_csv_dataset(ds["path"], ds["target_cols"],
+                                    bool(ds.get("standardize", False)))
+        return synth_regression(
+            seed=ds.get("seed", 0),
+            n_samples=ds.get("n_samples", 252),
+            n_features=ds.get("n_features", cfg.spec.dims[0]),
+            teacher_dims=ds.get("teacher_dims"),
+            noise_sigma=ds.get("noise_sigma", 0.1),
+        )
+    except (IngestError, SpecError) as exc:
+        raise ConfigError(f"dataset: {exc}") from None
 
 
 def _zero_wall(trace: TrainTrace) -> TrainTrace:
     # byte-identical reruns: timings stay in the JSON summaries only
-    out = TrainTrace(
-        rows=[TraceRow(r.k, r.block, r.f, r.normalized_mse, r.block_grad_norm,
-                       r.full_grad_norm, r.alpha, r.gamma, 0.0)
-              for r in trace.rows],
-        initial_f=trace.initial_f, initial_grad_norm=trace.initial_grad_norm,
-        final_f=trace.final_f, final_grad_norm=trace.final_grad_norm,
-        iterations_run=trace.iterations_run, converged=trace.converged,
-        aborted=trace.aborted, abort_reason=trace.abort_reason)
-    return out
+    return replace(trace, rows=[replace(r, wall_seconds=0.0) for r in trace.rows])
 
 
 def _run_one(cfg: ExperimentConfig, data: Dataset, name: str, seed: int,
@@ -670,40 +584,21 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
 
     All methods share the seed's initial network, so comparisons start from
     the same point. Runs that abort are recorded as failed but do not stop
-    the remaining runs. BSUM_TRAIN_THREADS > 1 runs (method, seed) pairs in
-    a thread pool; a value below 1 is a ConfigError.
+    the remaining runs.
     """
-    raw_threads = os.environ.get("BSUM_TRAIN_THREADS", "1") or "1"
-    try:
-        threads = int(raw_threads)
-    except ValueError:
-        threads = 0
-    if threads < 1:
-        raise ConfigError(
-            f"BSUM_TRAIN_THREADS must be a positive integer, got {raw_threads!r}")
+    data = _resolve_dataset(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_seeds = tuple(int(s) for s in (seeds if seeds else cfg.seeds))
-    data = _resolve_dataset(cfg)
     names = [m.name for m in cfg.methods] + [b.name for b in cfg.baselines]
 
-    jobs = []
+    result = ExperimentResult()
     for seed in use_seeds:
         net0 = build_network(cfg.spec, cfg.init, seed=seed, scale=cfg.init_scale)
         for name in names:
-            jobs.append((name, seed, net0))
-
-    result = ExperimentResult()
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(
-                lambda job: _run_one(cfg, data, job[0], job[1], job[2], out), jobs))
-    else:
-        outcomes = [_run_one(cfg, data, name, seed, net0, out)
-                    for name, seed, net0 in jobs]
-    for curve, summary, status, failure in outcomes:
-        result.curve_paths.append(curve)
-        result.summary_paths.append(summary)
-        if status != "ok":
-            result.failures.append(failure)
+            curve, summary, status, failure = _run_one(cfg, data, name, seed, net0, out)
+            result.curve_paths.append(curve)
+            result.summary_paths.append(summary)
+            if status != "ok":
+                result.failures.append(failure)
     return result

@@ -24,13 +24,13 @@ __all__ = [
     "Unconstrained",
     "Toeplitz",
     "FrobeniusBall",
+    "FEASIBLE_SETS",
     "NetworkSpec",
     "Network",
     "LayerOutputs",
     "Dataset",
     "build_network",
     "forward",
-    "network_output",
 ]
 
 
@@ -104,6 +104,9 @@ class FrobeniusBall(FeasibleSet):
         if norm <= self.radius * (1.0 + 1e-14):
             return w.copy()
         return w * (self.radius / norm)
+
+
+FEASIBLE_SETS = {cls.name: cls for cls in (Unconstrained, Toeplitz, FrobeniusBall)}
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +297,3 @@ def forward(net: Network, X: np.ndarray) -> LayerOutputs:
         )
     return LayerOutputs([], [X]).refresh(net, 1)
 
-
-def network_output(net: Network, X: np.ndarray) -> np.ndarray:
-    """The final batch output Z_J."""
-    return forward(net, X).output

@@ -36,7 +36,7 @@ from .upperbounds import (FirstOrderProx, InnerSolverConfig, LinearBound,
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
-    "ScheduleReport", "stepsize_next", "validate_schedule",
+    "SCHEDULES", "ScheduleReport", "stepsize_next", "validate_schedule",
     "TrainConfig", "TraceRow", "TrainTrace", "normalized_mse",
     "armijo_stepsize", "train_step", "train", "stochastic_train",
 ]
@@ -56,10 +56,15 @@ class InverseRoot:
     c: float = 1.0
     name = "inverse_root"
     satisfies_eq7 = True
+    witness = ("c/sqrt(k): diminishing with divergent sum (~2c sqrt(K)); squares decay "
+               "like c^2/k (borderline harmonic tail, accepted for this family)")
 
     def __post_init__(self):
         if not self.c > 0:
             raise SpecError("inverse-root schedule needs c > 0")
+
+    def alpha(self, k: int, state: dict | None) -> float:
+        return self.c / math.sqrt(k)
 
 
 @dataclass(frozen=True)
@@ -69,10 +74,14 @@ class Geometric:
     c: float = 1.0
     name = "geometric"
     satisfies_eq7 = False
+    witness = "c/2^k sums to c: the divergent-sum condition fails, iterates can stall"
 
     def __post_init__(self):
         if not self.c > 0:
             raise SpecError("geometric schedule needs c > 0")
+
+    def alpha(self, k, state):
+        return self.c * 0.5 ** k
 
 
 @dataclass(frozen=True)
@@ -83,6 +92,8 @@ class Recursive:
     t: float = 0.99
     name = "recursive"
     satisfies_eq7 = True
+    witness = ("alpha(1 - t alpha) behaves like 1/(t k): diminishing, divergent sum, "
+               "summable squares (~1/(t^2 k^2))")
 
     def __post_init__(self):
         if not 0 < self.alpha0 <= 1:
@@ -90,16 +101,27 @@ class Recursive:
         if not 0 < self.t < 1:
             raise SpecError("recursive schedule needs t in (0, 1)")
 
+    def alpha(self, k, state):
+        if state is None:
+            raise SpecError("recursive schedule needs a mutable state dict")
+        cur = state.setdefault("alpha", self.alpha0)
+        state["alpha"] = cur * (1.0 - self.t * cur)
+        return state["alpha"]
+
 
 @dataclass(frozen=True)
 class Constant:
     c: float = 0.1
     name = "constant"
     satisfies_eq7 = False
+    witness = "constant alpha never diminishes"
 
     def __post_init__(self):
         if not 0 < self.c < 1:
             raise SpecError("constant stepsize must lie in (0, 1)")
+
+    def alpha(self, k, state):
+        return self.c
 
 
 @dataclass(frozen=True)
@@ -111,10 +133,18 @@ class ArmijoRule:
     alpha_init: float = 1.0
     name = "armijo"
     satisfies_eq7 = False
+    witness = "line-search stepsizes are adaptive, not a predetermined diminishing sequence"
 
     def __post_init__(self):
         if not (0 < self.shrink < 1 and 0 < self.slope < 1 and self.alpha_init > 0):
             raise SpecError("armijo parameters out of range")
+
+    def alpha(self, k, state):
+        raise SpecError("armijo stepsize depends on the objective; the trainer resolves it")
+
+
+SCHEDULES = {cls.name: cls for cls in (InverseRoot, Geometric, Recursive, Constant,
+                                       ArmijoRule)}
 
 
 def stepsize_next(schedule, k: int, state: dict | None = None) -> float:
@@ -122,23 +152,7 @@ def stepsize_next(schedule, k: int, state: dict | None = None) -> float:
     mutates its state dict (current alpha) on every call."""
     if k < 1:
         raise SpecError("iteration index starts at 1")
-    if isinstance(schedule, InverseRoot):
-        alpha = schedule.c / math.sqrt(k)
-    elif isinstance(schedule, Geometric):
-        alpha = schedule.c * 0.5 ** k
-    elif isinstance(schedule, Constant):
-        alpha = schedule.c
-    elif isinstance(schedule, Recursive):
-        if state is None:
-            raise SpecError("recursive schedule needs a mutable state dict")
-        cur = state.setdefault("alpha", schedule.alpha0)
-        alpha = cur * (1.0 - schedule.t * cur)
-        state["alpha"] = alpha
-    elif isinstance(schedule, ArmijoRule):
-        raise SpecError("armijo stepsize depends on the objective; the trainer resolves it")
-    else:
-        raise SpecError(f"unknown schedule {schedule!r}")
-    return min(max(alpha, 0.0), _ALPHA_CAP)
+    return min(max(schedule.alpha(k, state), 0.0), _ALPHA_CAP)
 
 
 @dataclass(frozen=True)
@@ -151,23 +165,7 @@ def validate_schedule(schedule) -> ScheduleReport:
     """Classify a schedule against the diminishing-stepsize conditions
     (alpha in [0,1), alpha -> 0, divergent sum, summable squares), with a
     one-line justification string."""
-    if isinstance(schedule, InverseRoot):
-        return ScheduleReport(True, (
-            "c/sqrt(k): diminishing with divergent sum (~2c sqrt(K)); squares decay "
-            "like c^2/k (borderline harmonic tail, accepted for this family)"))
-    if isinstance(schedule, Recursive):
-        return ScheduleReport(True, (
-            "alpha(1 - t alpha) behaves like 1/(t k): diminishing, divergent sum, "
-            "summable squares (~1/(t^2 k^2))"))
-    if isinstance(schedule, Geometric):
-        return ScheduleReport(False, (
-            "c/2^k sums to c: the divergent-sum condition fails, iterates can stall"))
-    if isinstance(schedule, Constant):
-        return ScheduleReport(False, "constant alpha never diminishes")
-    if isinstance(schedule, ArmijoRule):
-        return ScheduleReport(False, (
-            "line-search stepsizes are adaptive, not a predetermined diminishing sequence"))
-    raise SpecError(f"unknown schedule {schedule!r}")
+    return ScheduleReport(schedule.satisfies_eq7, schedule.witness)
 
 
 # ---------------------------------------------------------------------------

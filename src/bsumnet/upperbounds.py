@@ -26,12 +26,11 @@ from .netcore import Dataset, FeasibleSet, Network, Unconstrained
 
 __all__ = [
     "InnerSolverConfig", "FirstOrderProx", "SecondOrderProx", "Proximal",
-    "LinearBound", "Anchor",
-    "project_feasible",
+    "LinearBound", "UPPERBOUNDS", "Anchor",
     "descent_direction_first_order", "descent_direction_second_order",
     "descent_direction_proximal", "descent_direction_linear",
     "first_order_direction_backtracked",
-    "prox_l1_step", "evaluate_upperbound", "closed_form_linear_block",
+    "prox_l1_step", "closed_form_linear_block",
 ]
 
 
@@ -70,6 +69,11 @@ class FirstOrderProx:
     def __post_init__(self):
         _check_gamma(self.gamma)
 
+    def evaluate(self, W: np.ndarray, anchor: "Anchor") -> float:
+        """Value of the surrogate at W, anchored at the current iterate."""
+        lin, diff = anchor.linear(W)
+        return lin + 0.5 * self.gamma * float(np.sum(diff * diff))
+
 
 @dataclass(frozen=True)
 class SecondOrderProx:
@@ -79,20 +83,45 @@ class SecondOrderProx:
     def __post_init__(self):
         _check_gamma(self.gamma)
 
+    def evaluate(self, W, anchor):
+        if anchor.hess is None:
+            raise SpecError("second-order surrogate needs anchor.hess")
+        lin, diff = anchor.linear(W)
+        d = diff.reshape(-1)
+        return lin + 0.5 * self.gamma * float(np.sum(diff * diff)) \
+            + 0.5 * float(d @ anchor.hess @ d)
+
 
 @dataclass(frozen=True)
 class Proximal:
+    """``inner`` may be given as a dict of InnerSolverConfig fields."""
+
     gamma: float = 1.0
     inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
     name = "proximal"
 
     def __post_init__(self):
         _check_gamma(self.gamma)
+        if not isinstance(self.inner, InnerSolverConfig):
+            object.__setattr__(self, "inner", InnerSolverConfig(**self.inner))
+
+    def evaluate(self, W, anchor):
+        if anchor.f_fn is None:
+            raise SpecError("proximal surrogate needs anchor.f_fn")
+        _, diff = anchor.linear(W)
+        return anchor.f_fn(W) + 0.5 * self.gamma * float(np.sum(diff * diff))
 
 
 @dataclass(frozen=True)
 class LinearBound:
     name = "linear"
+
+    def evaluate(self, W, anchor):
+        return anchor.linear(W)[0]
+
+
+UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal,
+                                         LinearBound)}
 
 
 @dataclass
@@ -110,21 +139,21 @@ class Anchor:
     hess: np.ndarray | None = None
     f_fn: object | None = None
 
+    def linear(self, W: np.ndarray):
+        """The tangent model f + <grad, W - w> at W, and the step W - w."""
+        diff = np.asarray(W, dtype=float) - self.w
+        return self.f_value + float(np.sum(self.grad * diff)), diff
+
 
 # ---------------------------------------------------------------------------
 # projections and directions
 # ---------------------------------------------------------------------------
 
-def project_feasible(feasible: FeasibleSet, W: np.ndarray) -> np.ndarray:
-    """Orthogonal (Frobenius) projection onto the feasible set; idempotent."""
-    return feasible.project(np.asarray(W, dtype=float))
-
-
 def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
                                   feasible: FeasibleSet = Unconstrained()) -> np.ndarray:
     """Minimizer of the first-order proximal surrogate: project(W - grad/gamma)."""
     _check_gamma(gamma)
-    return project_feasible(feasible, W - grad / gamma)
+    return feasible.project(W - grad / gamma)
 
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
@@ -173,7 +202,7 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
         except OverflowError:
             return math.inf
 
-    v = project_feasible(feasible, center)
+    v = feasible.project(center)
     phi_v = phi(v)
     best, best_val = v, phi_v
     step = cfg.step_init
@@ -183,7 +212,7 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
         step = min(step / cfg.shrink, 1e6)  # let the step grow back
         accepted = False
         while step > 1e-18:
-            cand = project_feasible(feasible, v - step * g)
+            cand = feasible.project(v - step * g)
             decrease = float(np.sum(g * (cand - v)))
             cand_phi = phi(cand)
             if cand_phi <= phi_v + cfg.slope * decrease and math.isfinite(cand_phi):
@@ -260,31 +289,6 @@ def prox_l1_step(W: np.ndarray, grad_smooth: np.ndarray, gamma: float,
     a = np.asarray(W, dtype=float) - np.asarray(grad_smooth, dtype=float) / gamma
     t = lam / gamma
     return np.where(a > t, a - t, np.where(a < -t, a + t, 0.0))
-
-
-# ---------------------------------------------------------------------------
-# surrogate evaluation (for the tangency/consistency/majorization checks)
-# ---------------------------------------------------------------------------
-
-def evaluate_upperbound(kind, W: np.ndarray, anchor: Anchor) -> float:
-    """Value of the surrogate g_j at W, anchored at the current iterate."""
-    diff = np.asarray(W, dtype=float) - anchor.w
-    lin = anchor.f_value + float(np.sum(anchor.grad * diff))
-    sq = float(np.sum(diff * diff))
-    if isinstance(kind, FirstOrderProx):
-        return lin + 0.5 * kind.gamma * sq
-    if isinstance(kind, SecondOrderProx):
-        if anchor.hess is None:
-            raise SpecError("second-order surrogate needs anchor.hess")
-        d = diff.reshape(-1)
-        return lin + 0.5 * kind.gamma * sq + 0.5 * float(d @ anchor.hess @ d)
-    if isinstance(kind, Proximal):
-        if anchor.f_fn is None:
-            raise SpecError("proximal surrogate needs anchor.f_fn")
-        return anchor.f_fn(W) + 0.5 * kind.gamma * sq
-    if isinstance(kind, LinearBound):
-        return lin
-    raise SpecError(f"unknown upperbound kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ from bsumnet import (Anchor, BatchSampler, BentIdentity, Constant,
                      Logistic, LogisticLoss, NetworkSpec, Proximal, Recursive,
                      Regularizer, SecondOrderProx, Softplus, SquaredHingeLoss,
                      Tanh, Toeplitz, Unconstrained, build_network,
-                     evaluate_upperbound, forward, prox_l1_step,
+                     forward, prox_l1_step,
                      stochastic_train, synth_regression, train, train_step,
                      validate_schedule)
 from bsumnet.gradients import (block_gradient, block_hessian,
@@ -282,10 +282,10 @@ def test_criterion_08_surrogate_properties():
             kinds.append(SecondOrderProx(gamma))
         for kind in kinds:
             # P-tangency: the surrogate touches f at the anchor, exactly
-            tight_ok &= abs(evaluate_upperbound(kind, anchor.w, anchor)
+            tight_ok &= abs(kind.evaluate(anchor.w, anchor)
                             - anchor.f_value) <= 1e-12
             # P2: the surrogate's gradient at the anchor is the block gradient
-            fd = fd_gradient(lambda v: evaluate_upperbound(kind, v, anchor),
+            fd = fd_gradient(lambda v: kind.evaluate(v, anchor),
                              anchor.w, h=1e-6)
             rel = np.linalg.norm(fd - anchor.grad) \
                 / max(1.0, np.linalg.norm(anchor.grad))
@@ -296,8 +296,8 @@ def test_criterion_08_surrogate_properties():
         v = anchor.w + rng.standard_normal(anchor.w.shape)
         u = anchor.w + rng.standard_normal(anchor.w.shape)
         grad_v = anchor.grad + gamma * (v - anchor.w)
-        gap = (evaluate_upperbound(kind, u, anchor)
-               - evaluate_upperbound(kind, v, anchor)
+        gap = (kind.evaluate(u, anchor)
+               - kind.evaluate(v, anchor)
                - float(np.sum(grad_v * (u - v))))
         strong_ok &= gap >= 0.5 * gamma * float(np.sum((u - v) ** 2)) - 1e-10
 

@@ -1,0 +1,53 @@
+"""The benchmark's tracer (perfbench/tracer.py) still hooks into the package.
+
+The tracer replaces named functions and methods of bsumnet while a traced
+run lasts. A rename or deletion of one of them would break only the
+separate benchmark suite, so this test installs the tracer on the package,
+runs one traced training step, and checks that uninstalling restores every
+attribute it touched.
+"""
+
+import sys
+from pathlib import Path
+
+import scipy.linalg
+
+import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
+from bsumnet import FirstOrderProx, InverseRoot, L2Loss, Logistic, train_step
+from bsumnet.trainer import TrainConfig
+from conftest import make_problem
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from tracer import Tracer  # noqa: E402
+
+
+def package_namespaces():
+    """Every module of the package, the classes defined in it, and
+    scipy.linalg (whose cho_factor the tracer counts)."""
+    mods = [m for name, m in sys.modules.items()
+            if name == "bsumnet" or name.startswith("bsumnet.")]
+    classes = {v for m in mods for v in vars(m).values()
+               if isinstance(v, type) and v.__module__.startswith("bsumnet")}
+    return mods + list(classes) + [scipy.linalg]
+
+
+def test_tracer_installs_and_restores_every_attribute():
+    before = {(id(ns), key): value for ns in package_namespaces()
+              for key, value in vars(ns).items()}
+    net, data = make_problem([3, 2, 1], Logistic(), L2Loss(), seed=0)
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0))
+    tracer = Tracer()
+    try:
+        tracer.install()
+        patched = [(owner, attr) for owner, attr, _ in tracer._undo]
+        train_step(net, data, L2Loss(), cfg, 1)
+    finally:
+        tracer.uninstall()
+    assert len(patched) > 20
+    assert {s[0] for s in tracer.spans} >= {"trainer.stepsize", "functions.loss",
+                                            "functions.activation.value"}
+    for owner, attr in patched:
+        assert vars(owner)[attr] is before[(id(owner), attr)], (owner, attr)
+    after = {(id(ns), key): value for ns in package_namespaces()
+             for key, value in vars(ns).items()}
+    assert all(after[k] is v for k, v in before.items())

@@ -7,9 +7,8 @@ import pytest
 from bsumnet.cli import main
 
 
-@pytest.fixture
-def config_path(tmp_path):
-    raw = {
+def base_config(tmp_path):
+    return {
         "dataset": {"kind": "synthetic", "seed": 0, "n_samples": 20,
                     "n_features": 3, "teacher_dims": [3, 2, 1],
                     "noise_sigma": 0.05},
@@ -22,9 +21,41 @@ def config_path(tmp_path):
         "seeds": [0],
         "output_dir": str(tmp_path / "out"),
     }
+
+
+@pytest.fixture
+def config_path(tmp_path):
     p = tmp_path / "cfg.json"
-    p.write_text(json.dumps(raw), encoding="utf-8")
+    p.write_text(json.dumps(base_config(tmp_path)), encoding="utf-8")
     return p
+
+
+# (path into the config, malformed value): each must exit 2 before any run
+MALFORMED = [
+    ("network.activation", {"kind": "leaky_relu_smooth", "alpha": 2}),
+    ("loss", {"kind": "exponential", "c": -1}),
+    ("network.regularizer", {"kind": "l2", "lam": -1}),
+    ("network.regularizer", {"kind": "none", "lam": 0.1}),
+    ("network.feasible", {"kind": "frobenius_ball", "radius": -1}),
+    ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": "x"}),
+    ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": 0}),
+    ("methods.0.upperbound", {"kind": "proximal", "inner": {"max_iters": 0}}),
+    ("methods.0.schedule", {"kind": "constant", "c": 2}),
+    ("methods.0.sampler", {"mode": "fixed", "batch_size": "x"}),
+    ("methods.0.max_iterations", "x"),
+    ("methods.0.grad_norm_tol", "x"),
+    ("methods.0.record_every", "x"),
+    ("network.dims", ["a", 2, 1]),
+    ("network.dims", 3),
+    ("network.init_scale", "x"),
+    ("seeds", ["x"]),
+    ("dataset.n_samples", "x"),
+    ("dataset.n_samples", 0),
+    ("dataset.teacher_dims", [3, "a", 1]),
+    ("dataset.noise_sigma", "x"),
+    ("baselines", [{"kind": "bp_clr", "rate": "x"}]),
+    ("baselines", [{"kind": "adagrad", "max_iterations": "x"}]),
+]
 
 
 class TestTrainCommand:
@@ -53,6 +84,21 @@ class TestTrainCommand:
                                  "seeds": [0], "unexpected": True}),
                      encoding="utf-8")
         assert main(["train", "--config", str(p)]) == 2
+
+    @pytest.mark.parametrize("path,value", MALFORMED,
+                             ids=[f"{p}={json.dumps(v)}" for p, v in MALFORMED])
+    def test_malformed_value_exit_two(self, tmp_path, capsys, path, value):
+        raw = base_config(tmp_path)
+        keys = [int(k) if k.isdigit() else k for k in path.split(".")]
+        node = raw
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["train", "--config", str(p)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_failed_run_exit_one(self, tmp_path, capsys):
         raw = {

@@ -8,9 +8,7 @@ from bsumnet import (ACTIVATIONS, LOSSES, BentIdentity, CrossEntropyLoss,
                      LeakyReluSmooth, Logistic, LogisticLoss, NetworkSpec,
                      NonSmoothError, Regularizer, Softplus, SquaredHingeLoss,
                      Tanh, build_network, classify_convexity, forward)
-from bsumnet.functions import (activation_apply, activation_derivative,
-                               loss_grad_H, loss_value, regularizer_grad,
-                               regularizer_value)
+from bsumnet.functions import loss_grad_H, loss_value
 from bsumnet.gradients import block_hessian
 from conftest import labels_for
 
@@ -33,23 +31,23 @@ def valid_h(loss, d, n, rng):
 
 class TestActivationValues:
     def test_logistic_at_zero(self):
-        out = activation_apply(Logistic(), np.zeros((2, 3)))
+        out = Logistic().value(np.zeros((2, 3)))
         assert np.array_equal(out, np.full((2, 3), 0.5))
 
     def test_identity_unchanged(self):
         u = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(activation_apply(Identity(), u), u)
+        assert np.array_equal(Identity().value(u), u)
 
     def test_softplus_at_zero_is_ln2(self):
-        out = activation_apply(Softplus(), np.zeros((1, 1)))
+        out = Softplus().value(np.zeros((1, 1)))
         assert out[0, 0] == pytest.approx(0.6931471805599453, abs=1e-15)
 
     def test_logistic_derivative_at_zero(self):
-        out = activation_derivative(Logistic(), np.zeros((2, 2)))
+        out = Logistic().derivative(np.zeros((2, 2)))
         assert np.array_equal(out, np.full((2, 2), 0.25))
 
     def test_identity_derivative_is_ones(self):
-        out = activation_derivative(Identity(), np.ones((2, 5)))
+        out = Identity().derivative(np.ones((2, 5)))
         assert np.array_equal(out, np.ones((2, 5)))
 
     def test_leaky_alpha_domain(self):
@@ -216,23 +214,23 @@ class TestRegularizers:
     def test_l2_identity_example(self):
         reg = Regularizer.l2(0.5)
         w = np.eye(2)
-        assert regularizer_value(reg, w) == pytest.approx(1.0)
-        np.testing.assert_array_equal(regularizer_grad(reg, w), w)
+        assert reg.value(w) == pytest.approx(1.0)
+        np.testing.assert_array_equal(reg.grad(w), w)
 
     def test_none_is_zero(self):
         reg = Regularizer.none()
         w = np.random.default_rng(0).standard_normal((3, 2))
-        assert regularizer_value(reg, w) == 0.0
-        assert np.array_equal(regularizer_grad(reg, w), np.zeros((3, 2)))
+        assert reg.value(w) == 0.0
+        assert np.array_equal(reg.grad(w), np.zeros((3, 2)))
 
     def test_l1_value(self):
         reg = Regularizer.l1(1.0)
         w = np.array([[-2.0, 0.0], [1.0, 3.0]])
-        assert regularizer_value(reg, w) == pytest.approx(6.0)
+        assert reg.value(w) == pytest.approx(6.0)
 
     def test_l1_gradient_refused(self):
         with pytest.raises(NonSmoothError):
-            regularizer_grad(Regularizer.l1(0.5), np.ones((2, 2)))
+            Regularizer.l1(0.5).grad(np.ones((2, 2)))
 
     def test_strong_convexity_modulus(self):
         assert Regularizer.l2(0.1).strong_convexity == pytest.approx(0.2)

@@ -5,8 +5,8 @@ import pytest
 
 from bsumnet import (BatchSampler, Dataset, ExponentialLoss, Identity, L2Loss,
                      Logistic, LogisticLoss, NetworkSpec, Network,
-                     NonSmoothError, Regularizer, Softplus, SpecError,
-                     build_network, forward)
+                     NonSmoothError, Regularizer, ShapeError, Softplus,
+                     SpecError, build_network, forward)
 from bsumnet.gradients import (BatchStream, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value,
@@ -251,6 +251,21 @@ class TestObjectiveHelpers:
         np.testing.assert_allclose(grad_fn(w),
                                    block_gradient(net, data, L2Loss(), 2),
                                    atol=1e-14)
+
+
+class TestTargetRows:
+    def test_targets_with_wrong_row_count_raise(self):
+        # Y would broadcast against the 2-row output in every loss
+        net = build_network(NetworkSpec.homogeneous([3, 2], Logistic()), "uniform", seed=0)
+        rng = np.random.default_rng(0)
+        data = Dataset(rng.standard_normal((3, 5)), rng.standard_normal((1, 5)))
+        with pytest.raises(ShapeError):
+            objective_value(net, data, L2Loss())
+        with pytest.raises(ShapeError):
+            value_fn, _ = block_objective_fn(net, data, L2Loss(), 1)
+            value_fn(net.weights[0])
+        with pytest.raises(ShapeError):
+            block_gradient(net, data, L2Loss(), 1)
 
 
 class TestBatchStream:

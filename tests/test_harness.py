@@ -1,10 +1,15 @@
 """Dataset ingestion, baselines, curve files, configs, experiment runs."""
 
+import dataclasses
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsumnet import (ConfigError, Dataset, Identity, IngestError, L2Loss,
                      Logistic, NetworkSpec, Network, NonSmoothError,
@@ -13,7 +18,7 @@ from bsumnet import (ConfigError, Dataset, Identity, IngestError, L2Loss,
                      load_csv_dataset, parse_config, parse_curves,
                      run_experiment, synth_regression)
 from bsumnet.gradients import all_block_gradients
-from bsumnet.harness import CURVE_HEADER, load_config
+from bsumnet.harness import CURVE_HEADER, _zero_wall, load_config
 from bsumnet.trainer import TraceRow, TrainTrace
 
 
@@ -254,6 +259,38 @@ def minimal_config(tmp_path, **overrides):
     return raw
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def traces(draw):
+    ks = sorted(draw(st.sets(st.integers(1, 10**6), max_size=8)))
+    rows = [TraceRow(k, draw(st.integers(0, 5)), *draw(st.tuples(*[finite] * 7)))
+            for k in ks]
+    return TrainTrace(rows, *draw(st.tuples(*[finite] * 4)), draw(st.integers(0, 10**6)),
+                      draw(st.booleans()), draw(st.booleans()), draw(st.text(max_size=5)))
+
+
+class TestCurveProperties:
+    @given(traces(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_emit_parse_round_trip(self, trace, seed):
+        with tempfile.TemporaryDirectory() as tmp:
+            rows = parse_curves(emit_curves([("m", seed, trace)], Path(tmp) / "c.csv"))
+        assert rows == [("m", seed, r.k, r.f, r.normalized_mse, r.full_grad_norm,
+                         r.alpha, r.wall_seconds) for r in trace.rows]
+
+    @given(traces())
+    @settings(max_examples=60, deadline=None)
+    def test_zero_wall_changes_only_wall_seconds(self, trace):
+        zeroed = _zero_wall(trace)
+        assert [r.wall_seconds for r in zeroed.rows] == [0.0] * len(trace.rows)
+        assert [dataclasses.astuple(r)[:-1] for r in zeroed.rows] == \
+            [dataclasses.astuple(r)[:-1] for r in trace.rows]
+        fields = [f.name for f in dataclasses.fields(TrainTrace) if f.name != "rows"]
+        assert all(getattr(zeroed, f) == getattr(trace, f) for f in fields)
+
+
 class TestConfigParsing:
     def test_minimal_config_parses(self, tmp_path):
         cfg = parse_config(minimal_config(tmp_path))
@@ -397,25 +434,6 @@ class TestRunnerDetails:
         target.mkdir()
         with pytest.raises(IngestError, match="is_a_dir"):
             emit_curves([("m", 0, toy_trace([1]))], target)
-
-    def test_thread_pool_runs_match_sequential(self, tmp_path, monkeypatch):
-        raw = minimal_config(tmp_path)
-        cfg = parse_config(raw)
-        r_seq = run_experiment(cfg, out_dir=tmp_path / "seq")
-        monkeypatch.setenv("BSUM_TRAIN_THREADS", "2")
-        r_par = run_experiment(cfg, out_dir=tmp_path / "par")
-        assert len(r_par.curve_paths) == len(r_seq.curve_paths)
-        for p_seq, p_par in zip(sorted(r_seq.curve_paths),
-                                sorted(r_par.curve_paths)):
-            assert p_seq.read_bytes() == p_par.read_bytes()
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_thread_count_below_one_rejected(self, tmp_path, monkeypatch, value):
-        cfg = parse_config(minimal_config(tmp_path))
-        monkeypatch.setenv("BSUM_TRAIN_THREADS", value)
-        with pytest.raises(ConfigError, match="BSUM_TRAIN_THREADS"):
-            run_experiment(cfg, out_dir=tmp_path / "out")
-        assert not (tmp_path / "out").exists()
 
     def test_trace_rows_strictly_increasing_cyclic_blocks(self, tmp_path):
         raw = minimal_config(tmp_path, baselines=[])

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from bsumnet import (Dataset, FrobeniusBall, Identity, Logistic, Network,
                      NetworkSpec, Regularizer, ShapeError, SpecError, Tanh,
-                     Toeplitz, Unconstrained, build_network, forward,
-                     network_output)
+                     Toeplitz, Unconstrained, build_network, forward)
 from conftest import scalar_output
 
 
@@ -112,14 +111,14 @@ class TestForward:
 
     def test_zero_weight_logistic_gives_half(self):
         net = build_network(spec_of([4, 2], Logistic()), "zeros", seed=0)
-        out = network_output(net, np.random.default_rng(1).standard_normal((4, 5)))
+        out = forward(net, np.random.default_rng(1).standard_normal((4, 5))).output
         assert np.array_equal(out, np.full((2, 5), 0.5))
 
     def test_against_scalar_loop_oracle(self):
         spec = spec_of([4, 3, 5, 2], Logistic())
         net = build_network(spec, "uniform", seed=5)
         X = np.random.default_rng(2).standard_normal((4, 3))
-        got = network_output(net, X)
+        got = forward(net, X).output
         want = scalar_output(net, X)
         np.testing.assert_allclose(got, want, atol=1e-12, rtol=0)
 
@@ -127,7 +126,7 @@ class TestForward:
         spec = spec_of([2, 4, 1], Tanh())
         net = build_network(spec, "uniform", seed=9)
         X = np.random.default_rng(3).standard_normal((2, 6))
-        assert np.array_equal(network_output(net, X),
+        assert np.array_equal(forward(net, X).output,
                               forward(net, X).post_activations[-1])
 
     def test_shape_error_on_wrong_rows(self):

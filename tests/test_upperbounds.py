@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
                      ExponentialLoss, FirstOrderProx, FrobeniusBall, Identity,
@@ -11,8 +13,9 @@ from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
                      Unconstrained, build_network, closed_form_linear_block,
                      descent_direction_first_order, descent_direction_linear,
                      descent_direction_proximal, descent_direction_second_order,
-                     evaluate_upperbound, project_feasible, prox_l1_step)
-from bsumnet.gradients import block_gradient, block_hessian, block_objective_fn, fd_gradient
+                     prox_l1_step)
+from bsumnet.gradients import (block_gradient, block_hessian, block_objective_fn,
+                               fd_gradient, objective_value)
 from bsumnet.upperbounds import first_order_direction_backtracked
 from conftest import brute_force_prox_scalar, kron_block_oracle, make_problem, ridge_oracle
 
@@ -20,24 +23,24 @@ from conftest import brute_force_prox_scalar, kron_block_oracle, make_problem, r
 class TestProjectFeasible:
     def test_unconstrained_identity_map(self):
         w = np.random.default_rng(0).standard_normal((3, 4))
-        assert np.array_equal(project_feasible(Unconstrained(), w), w)
+        assert np.array_equal(Unconstrained().project(w), w)
 
     def test_toeplitz_diagonal_means(self):
-        got = project_feasible(Toeplitz(), np.array([[1.0, 2.0], [3.0, 4.0]]))
+        got = Toeplitz().project(np.array([[1.0, 2.0], [3.0, 4.0]]))
         np.testing.assert_array_equal(got, [[2.5, 2.0], [3.0, 2.5]])
 
     def test_toeplitz_is_orthogonal_projection(self):
         # projection residual is Frobenius-orthogonal to the subspace
         rng = np.random.default_rng(1)
         w = rng.standard_normal((4, 4))
-        p = project_feasible(Toeplitz(), w)
-        q = project_feasible(Toeplitz(), rng.standard_normal((4, 4)))
+        p = Toeplitz().project(w)
+        q = Toeplitz().project(rng.standard_normal((4, 4)))
         assert abs(np.sum((w - p) * q)) <= 1e-12
 
     def test_ball_projection_norm(self):
         rng = np.random.default_rng(2)
         w = rng.standard_normal((3, 3)) * 10
-        got = project_feasible(FrobeniusBall(1.0), w)
+        got = FrobeniusBall(1.0).project(w)
         assert np.linalg.norm(got) == pytest.approx(1.0, abs=1e-12)
 
 
@@ -55,7 +58,7 @@ class TestFirstOrderDirection:
 
     def test_toeplitz_output_stays_toeplitz(self):
         rng = np.random.default_rng(5)
-        w = project_feasible(Toeplitz(), rng.standard_normal((3, 3)))
+        w = Toeplitz().project(rng.standard_normal((3, 3)))
         g = rng.standard_normal((3, 3))
         d = descent_direction_first_order(w, g, 0.5, Toeplitz())
         assert Toeplitz().distance(d) <= 1e-12
@@ -160,7 +163,7 @@ class TestProximalDirection:
     def test_projected_variant_stays_feasible(self):
         rng = np.random.default_rng(13)
         a = rng.standard_normal((3, 3)) * 4
-        w = project_feasible(FrobeniusBall(1.0), rng.standard_normal((3, 3)))
+        w = FrobeniusBall(1.0).project(rng.standard_normal((3, 3)))
         d, _ = descent_direction_proximal(
             lambda v: float(np.sum((v - a) ** 2)), lambda v: 2 * (v - a),
             w, 1.0, FrobeniusBall(1.0))
@@ -263,25 +266,25 @@ class TestEvaluateUpperbound:
 
     def test_tangency_first_order(self):
         anchor = self._anchor()
-        got = evaluate_upperbound(FirstOrderProx(3.0), anchor.w, anchor)
+        got = FirstOrderProx(3.0).evaluate(anchor.w, anchor)
         assert got == anchor.f_value
 
     def test_tangency_second_order(self):
         anchor = self._anchor(with_hess=True)
-        got = evaluate_upperbound(SecondOrderProx(3.0), anchor.w, anchor)
+        got = SecondOrderProx(3.0).evaluate(anchor.w, anchor)
         assert got == anchor.f_value
 
     def test_zero_gradient_pure_quadratic(self):
         anchor = self._anchor()
         anchor.grad = np.zeros_like(anchor.grad)
         e = np.array([[0.3, -0.2], [0.1, 0.4]])
-        got = evaluate_upperbound(FirstOrderProx(2.0), anchor.w + e, anchor)
+        got = FirstOrderProx(2.0).evaluate(anchor.w + e, anchor)
         assert got == pytest.approx(anchor.f_value + 1.0 * float(np.sum(e * e)))
 
     def test_gradient_consistency_via_fd(self):
         anchor = self._anchor(with_hess=True)
         for kind in (FirstOrderProx(1.5), SecondOrderProx(1.5), LinearBound()):
-            fd = fd_gradient(lambda v: evaluate_upperbound(kind, v, anchor),
+            fd = fd_gradient(lambda v: kind.evaluate(v, anchor),
                              anchor.w, h=1e-6)
             rel = np.linalg.norm(fd - anchor.grad) / max(1.0, np.linalg.norm(anchor.grad))
             assert rel <= 1e-6
@@ -297,8 +300,8 @@ class TestEvaluateUpperbound:
             v = anchor.w + rng.standard_normal((2, 2))
             w = anchor.w + rng.standard_normal((2, 2))
             grad_v = anchor.grad + gamma * (v - anchor.w)
-            lhs = evaluate_upperbound(kind, w, anchor) \
-                - evaluate_upperbound(kind, v, anchor) \
+            lhs = kind.evaluate(w, anchor) \
+                - kind.evaluate(v, anchor) \
                 - float(np.sum(grad_v * (w - v)))
             rhs = 0.5 * gamma * float(np.sum((w - v) ** 2))
             assert lhs >= rhs - 1e-10
@@ -306,12 +309,46 @@ class TestEvaluateUpperbound:
     def test_second_order_needs_hessian(self):
         anchor = self._anchor(with_hess=False)
         with pytest.raises(SpecError):
-            evaluate_upperbound(SecondOrderProx(1.0), anchor.w, anchor)
+            SecondOrderProx(1.0).evaluate(anchor.w, anchor)
 
     def test_proximal_needs_value_callable(self):
         anchor = self._anchor()
         with pytest.raises(SpecError):
-            evaluate_upperbound(Proximal(1.0), anchor.w, anchor)
+            Proximal(1.0).evaluate(anchor.w, anchor)
+
+
+@st.composite
+def anchored_blocks(draw):
+    """A small softplus/L2 problem, a block j and the anchor at W_j."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1))
+    seed = draw(st.integers(0, 2**31 - 1))
+    net, data = make_problem(dims, Softplus(), L2Loss(), lam=0.01, seed=seed, n=6)
+    j = draw(st.integers(1, depth))
+    value_fn, _ = block_objective_fn(net, data, L2Loss(), j)
+    anchor = Anchor(w=net.weights[j - 1], f_value=objective_value(net, data, L2Loss()),
+                    grad=block_gradient(net, data, L2Loss(), j),
+                    hess=block_hessian(net, data, L2Loss(), j), f_fn=value_fn)
+    return anchor, value_fn
+
+
+class TestSurrogateProperties:
+    @given(anchored_blocks(), st.floats(1e-3, 1e3))
+    @settings(max_examples=40, deadline=None)
+    def test_every_surrogate_touches_f_at_the_anchor(self, block, gamma):
+        anchor, _ = block
+        for kind in (FirstOrderProx(gamma), SecondOrderProx(gamma),
+                     Proximal(gamma), LinearBound()):
+            assert kind.evaluate(anchor.w, anchor) == anchor.f_value
+
+    @given(anchored_blocks(), st.floats(1e-4, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_backtracked_gamma_majorizes_at_its_direction(self, block, gamma0):
+        anchor, value_fn = block
+        d, gamma = first_order_direction_backtracked(
+            anchor.w, anchor.grad, gamma0, Unconstrained(), value_fn, anchor.f_value)
+        f_d = value_fn(d)
+        assert FirstOrderProx(gamma).evaluate(d, anchor) >= f_d - 1e-12 * max(1.0, abs(f_d))
 
 
 class TestBacktrackedGamma:
