@@ -17,8 +17,7 @@ import numpy as np
 from .errors import ConfigError, SpecError
 from .functions import ACTIVATIONS, LOSSES, Logistic, Regularizer
 from .gradients import block_gradient, block_objective_fn, fd_gradient
-from .harness import (_coerce, _parse_kind, _resolve_dataset, load_config,
-                      run_experiment)
+from .harness import _parse_kind, _resolve_dataset, load_config, run_experiment
 from .netcore import Dataset, NetworkSpec, Unconstrained, build_network
 from .trainer import SCHEDULES, validate_schedule
 
@@ -29,7 +28,10 @@ def _parse_params(pairs):
         if "=" not in pair:
             raise ConfigError(f"--param expects key=value, got {pair!r}")
         key, val = pair.split("=", 1)
-        out[key] = _coerce(val, float, f"--param {key}")
+        try:
+            out[key] = float(val)
+        except ValueError:
+            raise ConfigError(f"--param {key}: bad value {val!r}") from None
     return out
 
 

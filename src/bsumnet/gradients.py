@@ -251,14 +251,15 @@ def block_hessian(net: Network, data: Dataset, loss, j: int,
     if n > _HESSIAN_SIZE_LIMIT:
         raise SizeError(f"block has {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
     hess = np.zeros((n, n))
-    probe = net.copy()
-    flat = probe.weights[j - 1].reshape(-1)
+    base = NetworkPass(net, data, loss)
+    probe = w.copy()
+    flat = probe.reshape(-1)
     for a in range(n):
         orig = flat[a]
         flat[a] = orig + h
-        g_plus = block_gradient(probe, data, loss, j).reshape(-1)
+        g_plus = base.branch(j, probe).grad(j).reshape(-1)
         flat[a] = orig - h
-        g_minus = block_gradient(probe, data, loss, j).reshape(-1)
+        g_minus = base.branch(j, probe).grad(j).reshape(-1)
         flat[a] = orig
         hess[:, a] = (g_plus - g_minus) / (2.0 * h)
     return (hess + hess.T) / 2.0

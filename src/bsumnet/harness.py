@@ -15,16 +15,17 @@ import inspect
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+import typing
+from dataclasses import dataclass, field, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, IngestError, NonSmoothError, SpecError
 from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
-from .gradients import BatchSampler, NetworkPass
-from .netcore import (FEASIBLE_SETS, Dataset, Network, NetworkSpec,
-                      build_network, forward)
+from .gradients import NetworkPass
+from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
+                      NetworkSpec, build_network, forward)
 from .trainer import (SCHEDULES, TraceRow, TrainConfig, TrainTrace,
                       normalized_mse, stochastic_train)
 from .upperbounds import UPPERBOUNDS
@@ -112,8 +113,8 @@ def load_csv_dataset(path, target_cols, standardize: bool = False) -> Dataset:
     return Dataset(X, Y)
 
 
-def synth_regression(seed: int, n_samples: int = 252, n_features: int = 13,
-                     teacher_dims=None, teacher_activation=None,
+def synth_regression(seed: int = 0, n_samples: int = 252, n_features: int = 13,
+                     teacher_dims: list[int] | None = None, teacher_activation=None,
                      noise_sigma: float = 0.1, return_teacher: bool = False):
     """Gaussian inputs pushed through a seeded teacher network plus noise.
 
@@ -141,6 +142,17 @@ def synth_regression(seed: int, n_samples: int = 252, n_features: int = 13,
 # ---------------------------------------------------------------------------
 # baseline optimizers
 # ---------------------------------------------------------------------------
+
+def _check_baseline(kind: str, rate: float, record_every: int, eps: float = 0.0) -> None:
+    if kind not in ("bp_clr", "adagrad"):
+        raise SpecError(f"unknown baseline {kind!r}")
+    if kind == "bp_clr" and rate < 0:
+        raise SpecError("learning rate must be nonnegative")
+    if kind == "adagrad" and not (rate > 0 and eps > 0):
+        raise SpecError("rate and eps must be positive")
+    if record_every < 1:
+        raise SpecError("record_every must be >= 1")
+
 
 def _baseline(net: Network, data: Dataset, loss, rate: float, step,
               max_iterations: int, record_every: int,
@@ -191,8 +203,7 @@ def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
     Aborts once the objective exceeds the divergence cap. rate = 0 is allowed
     and leaves the weights frozen.
     """
-    if rate < 0:
-        raise SpecError("learning rate must be nonnegative")
+    _check_baseline("bp_clr", rate, record_every)
     return _baseline(net, data, loss, rate, lambda j, w, g: w - rate * g,
                      max_iterations, record_every, grad_norm_tol)
 
@@ -205,8 +216,7 @@ def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
     Accumulators start at zero and grow monotonically; the update is
     rate * g / sqrt(accum + eps).
     """
-    if not (rate > 0 and eps > 0):
-        raise SpecError("rate and eps must be positive")
+    _check_baseline("adagrad", rate, record_every, eps)
     accum = [np.zeros_like(w) for w in net.weights]
 
     def step(j, w, g):
@@ -276,11 +286,14 @@ class MethodSpec:
 @dataclass(frozen=True)
 class BaselineSpec:
     name: str            # "bp_clr" | "adagrad"
-    rate: float
+    rate: float = 0.01
     eps: float = 1e-8
     max_iterations: int = 1000
     record_every: int = 1
     grad_norm_tol: float = 0.0
+
+    def __post_init__(self):
+        _check_baseline(self.name, self.rate, self.record_every, self.eps)
 
 
 @dataclass(frozen=True)
@@ -291,7 +304,7 @@ class ExperimentConfig:
     methods: tuple
     baselines: tuple
     seeds: tuple
-    output_dir: str
+    output_dir: str = "out"
     init: str = "uniform"
     init_scale: float | None = None
 
@@ -300,6 +313,8 @@ class ExperimentConfig:
             raise ConfigError("configure at least one method or baseline")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if self.init not in INIT_SCHEMES:
+            raise ConfigError(f"network.init: unknown scheme {self.init!r}")
 
 
 def _reject_unknown(d: dict, allowed, where: str) -> None:
@@ -314,13 +329,51 @@ def _object(value, where: str) -> dict:
     return dict(value)
 
 
-def _construct(cls, params: dict, where: str):
-    """``cls(**params)``, allowing the keys its constructor takes; a value it
+def _typed(value, hint, where: str):
+    """``value`` checked against a constructor annotation. A bool, str or
+    list needs that JSON type, an int an integral number, a float any number
+    (stored as a float); ``X | None`` also takes null, ``list[X]`` checks
+    each element, and a dataclass is built by _construct. Other
+    annotations take any value."""
+    args = typing.get_args(hint)
+    if type(None) in args:
+        if value is None:
+            return None
+        (hint,) = [a for a in args if a is not type(None)]
+    if typing.get_origin(hint) is list:
+        (elem,) = typing.get_args(hint)
+        return [_typed(v, elem, f"{where}[{i}]")
+                for i, v in enumerate(_typed(value, list, where))]
+    if is_dataclass(hint):
+        return _construct(hint, value, where)
+    if hint in (bool, str, list):
+        ok = isinstance(value, hint)
+    elif hint in (int, float):
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) \
+            and (hint is float or isinstance(value, int) or value.is_integer())
+    else:
+        return value
+    if not ok:
+        raise ConfigError(f"{where}: expected {hint.__name__}, got {value!r}")
+    return hint(value)
+
+
+def _construct(cls, params: dict, where: str, renamed: dict | None = None):
+    """``cls(**params)`` with each value typed by the constructor's
+    annotation. The allowed keys are its parameters, ``renamed`` ones
+    (JSON key -> parameter) under their JSON key; a value the constructor
     rejects is a ConfigError at ``where``."""
     params = _object(params, where)
-    _reject_unknown(params, inspect.signature(cls).parameters, where)
+    renamed = renamed or {}
+    keys = set(inspect.signature(cls).parameters) - set(renamed.values())
+    _reject_unknown(params, keys | set(renamed), where)
+    hints = typing.get_type_hints(cls)
+    kwargs = {}
+    for key, value in params.items():
+        param = renamed.get(key, key)
+        kwargs[param] = _typed(value, hints.get(param), f"{where}.{key}")
     try:
-        return cls(**params)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{where}: {exc} (given {params})") from None
 
@@ -334,18 +387,6 @@ def _parse_kind(value, registry: dict, family: str, where: str):
     return _construct(registry[kind], d, where)
 
 
-def _coerce(value, to, where: str):
-    """``to(value)``; a value it cannot convert is a ConfigError at ``where``."""
-    try:
-        return to(value)
-    except (TypeError, ValueError):
-        raise ConfigError(f"{where}: bad value {value!r}") from None
-
-
-def _int_list(values) -> list:
-    return [int(v) for v in values]
-
-
 def _maybe_list(value, registry, family, where):
     if isinstance(value, list):
         return tuple(_parse_kind(v, registry, family, f"{where}[{i}]")
@@ -353,12 +394,35 @@ def _maybe_list(value, registry, family, where):
     return _parse_kind(value, registry, family, where)
 
 
-def _parse_network(d: dict) -> tuple:
+def _config_fields(d: dict, keys, where: str) -> dict:
+    """Those of ``keys`` set in ``d``, typed as the ExperimentConfig fields."""
+    hints = typing.get_type_hints(ExperimentConfig)
+    return {key: _typed(d[key], hints[key], where + key) for key in keys if key in d}
+
+
+def _parse_dataset(value) -> dict:
+    ds = _object(value, "dataset")
+    kind = ds.get("kind")
+    if kind == "csv":
+        read, keys = load_csv_dataset, ("path", "target_cols", "standardize")
+    elif kind == "synthetic":
+        read, keys = synth_regression, ("seed", "n_samples", "n_features",
+                                        "teacher_dims", "noise_sigma")
+    else:
+        raise ConfigError(f"dataset: unknown kind {kind!r}")
+    _reject_unknown(ds, ("kind", *keys), "dataset")
+    if kind == "csv" and ("path" not in ds or "target_cols" not in ds):
+        raise ConfigError("dataset: csv needs path and target_cols")
+    hints = typing.get_type_hints(read)
+    return {key: _typed(v, hints.get(key), f"dataset.{key}") for key, v in ds.items()}
+
+
+def _parse_network(d: dict) -> dict:
     _reject_unknown(d, ("dims", "activation", "feasible", "regularizer",
                         "init", "init_scale"), "network")
     if "dims" not in d:
         raise ConfigError("network: dims is required")
-    dims = _coerce(d["dims"], _int_list, "network.dims")
+    dims = _typed(d["dims"], list[int], "network.dims")
     depth = len(dims) - 1
 
     def widen(key, default, registry, family):
@@ -372,59 +436,20 @@ def _parse_network(d: dict) -> tuple:
         spec = NetworkSpec(tuple(dims), acts, feas, regs)
     except SpecError as exc:
         raise ConfigError(f"network: {exc}") from None
-    init = d.get("init", "uniform")
-    if init not in ("zeros", "uniform", "gaussian"):
-        raise ConfigError(f"network.init: unknown scheme {init!r}")
-    scale = d.get("init_scale")
-    return spec, init, None if scale is None else _coerce(scale, float, "network.init_scale")
+    return {"spec": spec, **_config_fields(d, ("init", "init_scale"), "network.")}
 
 
 def _parse_method(d: dict, idx: int) -> MethodSpec:
-    allowed = ("name", "upperbound", "schedule", "sampler", "max_iterations",
-               "grad_norm_tol", "record_every", "unit_stepsize", "exact_bcd",
-               "adapt_gamma", "curvature_override")
     where = f"methods[{idx}]"
-    _reject_unknown(d, allowed, where)
-    ub = _maybe_list(d.get("upperbound", "first_order_prox"), UPPERBOUNDS,
-                     "upperbound", f"{where}.upperbound")
-    sched = d.get("schedule")
-    if sched is not None:
-        sched = _maybe_list(sched, SCHEDULES, "schedule", f"{where}.schedule")
-    record_every = d.get("record_every")
-    try:
-        cfg = TrainConfig(
-            upperbound=ub,
-            schedule=sched,
-            sampler=_construct(BatchSampler, d.get("sampler") or {}, f"{where}.sampler"),
-            max_outer_iterations=_coerce(d.get("max_iterations", 1000), int,
-                                         f"{where}.max_iterations"),
-            grad_norm_tol=_coerce(d.get("grad_norm_tol", 1e-8), float,
-                                  f"{where}.grad_norm_tol"),
-            record_every=None if record_every is None else _coerce(
-                record_every, int, f"{where}.record_every"),
-            unit_stepsize=bool(d.get("unit_stepsize", False)),
-            exact_bcd=bool(d.get("exact_bcd", False)),
-            adapt_gamma=bool(d.get("adapt_gamma", True)),
-            curvature_override=bool(d.get("curvature_override", False)),
-        )
-    except SpecError as exc:
-        raise ConfigError(f"{where}: {exc}") from None
-    name = d.get("name", f"prop{idx}")
-    return MethodSpec(str(name), cfg)
-
-
-def _parse_baseline(d: dict, idx: int) -> BaselineSpec:
-    where = f"baselines[{idx}]"
-    _reject_unknown(d, ("kind", "rate", "eps", "max_iterations",
-                        "record_every", "grad_norm_tol"), where)
-    kind = d.get("kind")
-    if kind not in ("bp_clr", "adagrad"):
-        raise ConfigError(f"{where}: unknown baseline {kind!r}")
-    defaults = {"rate": 0.01, "eps": 1e-8, "max_iterations": 1000,
-                "record_every": 1, "grad_norm_tol": 0.0}
-    return BaselineSpec(name=kind, **{
-        key: _coerce(d.get(key, default), type(default), f"{where}.{key}")
-        for key, default in defaults.items()})
+    name = _typed(d.pop("name", f"prop{idx}"), str, f"{where}.name")
+    if "upperbound" in d:
+        d["upperbound"] = _maybe_list(d["upperbound"], UPPERBOUNDS, "upperbound",
+                                      f"{where}.upperbound")
+    if d.get("schedule") is not None:
+        d["schedule"] = _maybe_list(d["schedule"], SCHEDULES, "schedule",
+                                    f"{where}.schedule")
+    train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
+    return MethodSpec(name, train)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
@@ -437,37 +462,21 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"config: {key} is required")
 
-    ds = _object(raw["dataset"], "dataset")
-    kind = ds.get("kind")
-    if kind == "csv":
-        _reject_unknown(ds, ("kind", "path", "target_cols", "standardize"), "dataset")
-        if "path" not in ds or "target_cols" not in ds:
-            raise ConfigError("dataset: csv needs path and target_cols")
-    elif kind == "synthetic":
-        types = {"seed": int, "n_samples": int, "n_features": int,
-                 "teacher_dims": _int_list, "noise_sigma": float}
-        _reject_unknown(ds, ("kind", *types), "dataset")
-        for key in types.keys() & ds.keys():
-            ds[key] = _coerce(ds[key], types[key], f"dataset.{key}")
-    else:
-        raise ConfigError(f"dataset: unknown kind {kind!r}")
-
-    spec, init, init_scale = _parse_network(_object(raw["network"], "network"))
+    dataset = _parse_dataset(raw["dataset"])
+    network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
-    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i)
-                    for i, m in enumerate(raw.get("methods", [])))
-    baselines = tuple(_parse_baseline(_object(b, f"baselines[{i}]"), i)
-                      for i, b in enumerate(raw.get("baselines", [])))
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i) for i, m in
+                    enumerate(_typed(raw.get("methods", []), list, "methods")))
+    baselines = tuple(_construct(BaselineSpec, b, f"baselines[{i}]", {"kind": "name"})
+                      for i, b in enumerate(_typed(raw.get("baselines", []), list,
+                                                   "baselines")))
     names = [m.name for m in methods] + [b.name for b in baselines]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate method/baseline names in {names}")
-    seeds = tuple(_coerce(raw["seeds"], _int_list, "seeds"))
     return ExperimentConfig(
-        dataset=ds, spec=spec, loss=loss, methods=methods,
-        baselines=baselines, seeds=seeds,
-        output_dir=str(raw.get("output_dir", "out")),
-        init=init, init_scale=init_scale,
-    )
+        dataset=dataset, loss=loss, methods=methods, baselines=baselines,
+        seeds=tuple(_typed(raw["seeds"], list[int], "seeds")),
+        **network, **_config_fields(raw, ("output_dir",), ""))
 
 
 def load_config(path) -> ExperimentConfig:
@@ -500,18 +509,11 @@ class ExperimentResult:
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     """The configured dataset; one that cannot be read or built is a
     ConfigError."""
-    ds = cfg.dataset
+    params = dict(cfg.dataset)
     try:
-        if ds["kind"] == "csv":
-            return load_csv_dataset(ds["path"], ds["target_cols"],
-                                    bool(ds.get("standardize", False)))
-        return synth_regression(
-            seed=ds.get("seed", 0),
-            n_samples=ds.get("n_samples", 252),
-            n_features=ds.get("n_features", cfg.spec.dims[0]),
-            teacher_dims=ds.get("teacher_dims"),
-            noise_sigma=ds.get("noise_sigma", 0.1),
-        )
+        if params.pop("kind") == "csv":
+            return load_csv_dataset(**params)
+        return synth_regression(**{"n_features": cfg.spec.dims[0], **params})
     except (IngestError, SpecError) as exc:
         raise ConfigError(f"dataset: {exc}") from None
 
@@ -521,28 +523,26 @@ def _zero_wall(trace: TrainTrace) -> TrainTrace:
     return replace(trace, rows=[replace(r, wall_seconds=0.0) for r in trace.rows])
 
 
-def _run_one(cfg: ExperimentConfig, data: Dataset, name: str, seed: int,
+def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
              net0: Network, out_dir: Path):
+    name = spec.name
     t0 = time.perf_counter()
     status = "ok"
     error = ""
     trace = TrainTrace()
     cycle_div = 1
     try:
-        method = next((m for m in cfg.methods if m.name == name), None)
-        if method is not None:
-            _, trace = stochastic_train(net0.copy(), data, cfg.loss, method.train)
+        if isinstance(spec, MethodSpec):
+            _, trace = stochastic_train(net0.copy(), data, cfg.loss, spec.train)
             cycle_div = cfg.spec.depth
+        elif name == "bp_clr":
+            trace = baseline_bp_clr(net0.copy(), data, cfg.loss, spec.rate,
+                                    spec.max_iterations, spec.record_every,
+                                    spec.grad_norm_tol)
         else:
-            base = next(b for b in cfg.baselines if b.name == name)
-            if base.name == "bp_clr":
-                trace = baseline_bp_clr(net0.copy(), data, cfg.loss, base.rate,
-                                        base.max_iterations, base.record_every,
-                                        base.grad_norm_tol)
-            else:
-                trace = baseline_adagrad(net0.copy(), data, cfg.loss, base.rate,
-                                         base.eps, base.max_iterations,
-                                         base.record_every, base.grad_norm_tol)
+            trace = baseline_adagrad(net0.copy(), data, cfg.loss, spec.rate,
+                                     spec.eps, spec.max_iterations,
+                                     spec.record_every, spec.grad_norm_tol)
         if trace.aborted:
             status = "failed"
             error = trace.abort_reason
@@ -590,13 +590,12 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     use_seeds = tuple(int(s) for s in (seeds if seeds else cfg.seeds))
-    names = [m.name for m in cfg.methods] + [b.name for b in cfg.baselines]
 
     result = ExperimentResult()
     for seed in use_seeds:
         net0 = build_network(cfg.spec, cfg.init, seed=seed, scale=cfg.init_scale)
-        for name in names:
-            curve, summary, status, failure = _run_one(cfg, data, name, seed, net0, out)
+        for spec in cfg.methods + cfg.baselines:
+            curve, summary, status, failure = _run_one(cfg, data, spec, seed, net0, out)
             result.curve_paths.append(curve)
             result.summary_paths.append(summary)
             if status != "ok":

@@ -25,6 +25,7 @@ __all__ = [
     "Toeplitz",
     "FrobeniusBall",
     "FEASIBLE_SETS",
+    "INIT_SCHEMES",
     "NetworkSpec",
     "Network",
     "LayerOutputs",
@@ -256,7 +257,7 @@ class Dataset:
 # operations
 # ---------------------------------------------------------------------------
 
-_INIT_SCHEMES = ("zeros", "uniform", "gaussian")
+INIT_SCHEMES = ("zeros", "uniform", "gaussian")
 
 
 def build_network(spec: NetworkSpec, init: str = "uniform", seed: int = 0,
@@ -268,8 +269,8 @@ def build_network(spec: NetworkSpec, init: str = "uniform", seed: int = 0,
     activations do not saturate. Schemes: "zeros", "uniform" on (-s, s), or
     "gaussian" with standard deviation s.
     """
-    if init not in _INIT_SCHEMES:
-        raise SpecError(f"unknown init scheme {init!r}; options: {_INIT_SCHEMES}")
+    if init not in INIT_SCHEMES:
+        raise SpecError(f"unknown init scheme {init!r}; options: {INIT_SCHEMES}")
     rng = np.random.default_rng(seed)
     weights = []
     for j in range(1, spec.depth + 1):

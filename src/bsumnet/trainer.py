@@ -25,7 +25,7 @@ from .functions import classify_convexity
 from .gradients import (BatchSampler, BatchStream, NetworkPass, block_hessian,
                         block_objective_fn)
 from .netcore import Dataset, Network, Unconstrained
-from .upperbounds import (FirstOrderProx, InnerSolverConfig, LinearBound,
+from .upperbounds import (FirstOrderProx, LinearBound,
                           Proximal, SecondOrderProx,
                           closed_form_linear_block,
                           descent_direction_first_order,
@@ -196,7 +196,6 @@ class TrainConfig:
     exact_bcd: bool = False
     adapt_gamma: bool = True
     curvature_override: bool = False
-    inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
 
     def __post_init__(self):
         if self.max_outer_iterations < 1:
@@ -374,7 +373,7 @@ def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
             return closed_form_linear_block(net, fb.data, j, reg.lam), 0.0, grad
         _require_convex_block(net, loss, j, cfg)
         value_fn, grad_fn = block_objective_fn(net, fb.data, loss, j, cache=fb)
-        d, _ = descent_direction_proximal(value_fn, grad_fn, w, 0.0, feasible, cfg.inner)
+        d, _ = descent_direction_proximal(value_fn, grad_fn, w, 0.0, feasible)
         return d, 0.0, grad
 
     if isinstance(kind, FirstOrderProx):

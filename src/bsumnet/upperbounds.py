@@ -94,16 +94,12 @@ class SecondOrderProx:
 
 @dataclass(frozen=True)
 class Proximal:
-    """``inner`` may be given as a dict of InnerSolverConfig fields."""
-
     gamma: float = 1.0
     inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
     name = "proximal"
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-        if not isinstance(self.inner, InnerSolverConfig):
-            object.__setattr__(self, "inner", InnerSolverConfig(**self.inner))
 
     def evaluate(self, W, anchor):
         if anchor.f_fn is None:

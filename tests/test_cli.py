@@ -55,6 +55,20 @@ MALFORMED = [
     ("dataset.noise_sigma", "x"),
     ("baselines", [{"kind": "bp_clr", "rate": "x"}]),
     ("baselines", [{"kind": "adagrad", "max_iterations": "x"}]),
+    ("methods.0.adapt_gamma", "false"),
+    ("methods.0.max_iterations", 2.5),
+    ("methods.0.record_every", 1.5),
+    ("methods.0.sampler", {"mode": "fixed", "batch_size": 2.5}),
+    ("methods.0.upperbound", {"kind": "proximal", "inner": {"max_iters": 2.5}}),
+    ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": True}),
+    ("network.dims", [3, 2.5, 1]),
+    ("seeds", [0.5]),
+    ("dataset.n_samples", 8.7),
+    ("baselines", [{"kind": "bp_clr", "rate": -1}]),
+    ("baselines", [{"kind": "adagrad", "eps": 0}]),
+    ("baselines", [{"kind": "bp_clr", "record_every": 0}]),
+    ("methods", 5),
+    ("baselines", 5),
 ]
 
 

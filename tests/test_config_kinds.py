@@ -26,6 +26,7 @@ SLOTS = {
     "upperbound": (("methods", 0, "upperbound"),
                    lambda c: c.methods[0].train.upperbound),
     "schedule": (("methods", 0, "schedule"), lambda c: c.methods[0].train.schedule),
+    "dataset": (("dataset",), lambda c: c.dataset),
 }
 
 CASES = [
@@ -121,8 +122,11 @@ def test_cases_cover_every_registered_kind():
     ("regularizer", {"kind": "l2", "lam": "0.1"}),
     ("feasible", {"kind": "frobenius_ball", "radius": "2"}),
     ("upperbound", {"kind": "first_order_prox", "gamma": "0.5"}),
+    ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": [0],
+                 "standardize": "false"}),
 ])
 def test_stricter_inputs_rejected(family, value):
-    # an ignored key and a number given as a string were both accepted once
+    # an ignored key, a number given as a string and a flag given as a string
+    # were all accepted once
     with pytest.raises(ConfigError):
         parse_config(config_with(family, value))

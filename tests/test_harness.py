@@ -341,6 +341,14 @@ class TestConfigParsing:
         assert cfg.spec.activations[0].name == "softplus"
         assert cfg.spec.regularizers[1].kind == "none"
 
+    def test_readme_config_parses(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        block = readme.split("```json\n", 1)[1].split("```", 1)[0]
+        cfg = parse_config(json.loads(block))
+        assert [m.name for m in cfg.methods] == ["prop_invroot", "prop_recursive",
+                                                 "prop_geometric"]
+        assert [b.name for b in cfg.baselines] == ["bp_clr", "adagrad"]
+
 
 class TestRunExperiment:
     def test_single_method_single_seed_cardinality(self, tmp_path):
