@@ -67,6 +67,10 @@ class Activation:
         skip re-evaluating sigma, others ignore it."""
         raise NotImplementedError
 
+    def second_derivative(self, u: np.ndarray, z: np.ndarray | None = None) -> np.ndarray:
+        """sigma''(u); ``z`` as in ``derivative``."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.name
 
@@ -84,6 +88,9 @@ class Identity(Activation):
     def derivative(self, u, z=None):
         return np.ones_like(u, dtype=float)
 
+    def second_derivative(self, u, z=None):
+        return np.zeros_like(u, dtype=float)
+
 
 @dataclass(frozen=True, repr=False)
 class Logistic(Activation):
@@ -97,6 +104,10 @@ class Logistic(Activation):
     def derivative(self, u, z=None):
         s = expit(np.asarray(u, dtype=float)) if z is None else z
         return s * (1.0 - s)
+
+    def second_derivative(self, u, z=None):
+        s = expit(np.asarray(u, dtype=float)) if z is None else z
+        return s * (1.0 - s) * (1.0 - 2.0 * s)
 
 
 @dataclass(frozen=True, repr=False)
@@ -112,6 +123,10 @@ class Tanh(Activation):
         t = np.tanh(u) if z is None else z
         return 1.0 - t * t
 
+    def second_derivative(self, u, z=None):
+        t = np.tanh(u) if z is None else z
+        return -2.0 * t * (1.0 - t * t)
+
 
 @dataclass(frozen=True, repr=False)
 class Softplus(Activation):
@@ -124,6 +139,10 @@ class Softplus(Activation):
 
     def derivative(self, u, z=None):
         return expit(np.asarray(u, dtype=float))
+
+    def second_derivative(self, u, z=None):
+        s = expit(np.asarray(u, dtype=float))
+        return s * (1.0 - s)
 
 
 @dataclass(frozen=True, repr=False)
@@ -151,6 +170,10 @@ class LeakyReluSmooth(Activation):
         u = np.asarray(u, dtype=float)
         return self.alpha + (1.0 - self.alpha) * expit(u)
 
+    def second_derivative(self, u, z=None):
+        s = expit(np.asarray(u, dtype=float))
+        return (1.0 - self.alpha) * s * (1.0 - s)
+
 
 @dataclass(frozen=True, repr=False)
 class BentIdentity(Activation):
@@ -165,6 +188,10 @@ class BentIdentity(Activation):
     def derivative(self, u, z=None):
         u = np.asarray(u, dtype=float)
         return u / (2.0 * np.sqrt(u * u + 1.0)) + 1.0
+
+    def second_derivative(self, u, z=None):
+        u = np.asarray(u, dtype=float)
+        return 0.5 / (u * u + 1.0) ** 1.5
 
 
 ACTIVATIONS = {cls.name: cls for cls in (Identity, Logistic, Tanh, Softplus,
@@ -191,6 +218,13 @@ class Loss:
     def grad_H(self, H: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def curvature_H(self, H: np.ndarray, Y: np.ndarray):
+        """Second derivatives in H as (C, kappa): C[:, :, n] is the dJ x dJ
+        Hessian in column n of H, and the Hessian in vec(H) is
+        blockdiag(C_n) + kappa * g g^T with g = grad_H(H, Y). kappa is 0 for
+        a sum of per-sample terms."""
+        raise NotImplementedError
+
     def __repr__(self):
         return self.name
 
@@ -209,6 +243,9 @@ class L2Loss(Loss):
 
     def grad_H(self, H, Y):
         return (2.0 / H.shape[1]) * (H - Y)
+
+    def curvature_H(self, H, Y):
+        return _diagonal_blocks(np.full(H.shape, 2.0 / H.shape[1])), 0.0
 
 
 @dataclass(frozen=True, repr=False)
@@ -230,21 +267,24 @@ class ExponentialLoss(Loss):
         if not self.c > 0:
             raise DomainError(f"exponential loss needs c > 0, got {self.c}")
 
-    def _exponent(self, H, Y):
+    def _exp(self, H, Y):
         r = Y - H
-        return float(np.sum(r * r)) / (self.c * H.shape[1])
+        q = float(np.sum(r * r)) / (self.c * H.shape[1])
+        if q > _EXP_LIMIT:
+            raise OverflowError(f"exponential-loss exponent {q:.3g} exceeds float64 range")
+        return np.exp(q)
 
     def value(self, H, Y):
-        q = self._exponent(H, Y)
-        if q > _EXP_LIMIT:
-            raise OverflowError(f"exponential-loss exponent {q:.3g} exceeds float64 range")
-        return self.c * float(np.exp(q))
+        return self.c * float(self._exp(H, Y))
 
     def grad_H(self, H, Y):
-        q = self._exponent(H, Y)
-        if q > _EXP_LIMIT:
-            raise OverflowError(f"exponential-loss exponent {q:.3g} exceeds float64 range")
-        return (2.0 / H.shape[1]) * (H - Y) * np.exp(q)
+        return (2.0 / H.shape[1]) * (H - Y) * self._exp(H, Y)
+
+    def curvature_H(self, H, Y):
+        # the exponent couples all samples; its rank-one part is g g^T / loss
+        e = self._exp(H, Y)
+        return _diagonal_blocks(np.full(H.shape, 2.0 * e / H.shape[1])), \
+            1.0 / (self.c * float(e))
 
 
 @dataclass(frozen=True, repr=False)
@@ -281,6 +321,13 @@ class CrossEntropyLoss(Loss):
         h = self._clamped(H)
         return (-Y / h + (1.0 - Y) / (1.0 - h)) / H.shape[1]
 
+    def curvature_H(self, H, Y):
+        self.check_labels(Y)
+        h = self._clamped(H)
+        # grad_H is constant in H where the clamp is active
+        v = np.where(h == H, Y / (h * h) + (1.0 - Y) / ((1.0 - h) * (1.0 - h)), 0.0)
+        return _diagonal_blocks(v / H.shape[1]), 0.0
+
 
 @dataclass(frozen=True, repr=False)
 class SquaredHingeLoss(Loss):
@@ -312,6 +359,11 @@ class SquaredHingeLoss(Loss):
         m = np.maximum(0.0, 1.0 - Y * H)
         return -(Y * m) / (self.c * H.shape[1])
 
+    def curvature_H(self, H, Y):
+        self.check_labels(Y)
+        active = (1.0 - Y * H > 0.0).astype(float)
+        return _diagonal_blocks(active / (self.c * H.shape[1])), 0.0
+
 
 @dataclass(frozen=True, repr=False)
 class LogisticLoss(Loss):
@@ -338,6 +390,18 @@ class LogisticLoss(Loss):
         self.check_labels(Y)
         margins = np.sum(Y * H, axis=0)
         return -(Y * expit(-margins)) / H.shape[1]
+
+    def curvature_H(self, H, Y):
+        # rank one within a sample: sigma(m) sigma(-m) y_n y_n^T / N
+        self.check_labels(Y)
+        margins = np.sum(Y * H, axis=0)
+        w = expit(margins) * expit(-margins) / H.shape[1]
+        return Y[:, None, :] * Y[None, :, :] * w, 0.0
+
+
+def _diagonal_blocks(v: np.ndarray) -> np.ndarray:
+    """(d, d, N) blocks with v[:, n] on the diagonal of block n."""
+    return np.eye(v.shape[0])[:, :, None] * v
 
 
 LOSSES = {cls.name: cls for cls in (L2Loss, ExponentialLoss, CrossEntropyLoss,

@@ -12,6 +12,17 @@ to the block asked for. Logistic and tanh derivatives come from the cached
 Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the network.
 The module functions are views of a fresh pass for callers that hold a plain
 network. Vec orderings here and in the Newton solve are row-major vec(W_j).
+
+Every layer acts on each sample's column separately, so the block Hessian is
+
+    d^2 f / d vec(W_j)^2 = sum_n M_n (x) z_n z_n^T + kappa g g^T + mu I,
+
+with z_n column n of Z_{j-1}, M_n the d_j x d_j curvature of f in column n
+of U_j, g the data-term block gradient, kappa the loss's coupling of the
+samples (1/L for the exponential loss, 0 for the others) and mu the
+regularizer's strong-convexity modulus (2 lam for L2). One R-pass
+(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once gives every M_n,
+and one GEMM, (d_j^2, N) @ (N, d_{j-1}^2), forms the sum.
 """
 
 from __future__ import annotations
@@ -116,6 +127,60 @@ class NetworkPass:
     def grads(self, include_reg: bool = True) -> list:
         return [self.grad(j, include_reg) for j in range(1, self.depth + 1)]
 
+    def hessian(self, j: int) -> np.ndarray:
+        """Exact Hessian of f in row-major vec(W_j), from the cached stages
+        (formula in the module docstring); bitwise symmetric."""
+        z = self.outs.post_activations[j - 1]
+        d_j, d_prev, n = self.net.spec.dims[j], z.shape[0], z.shape[1]
+        m, kappa = self._curvature(j)
+        # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e]
+        hess = m.reshape(d_j * d_j, n) \
+            @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T
+        hess = hess.reshape(d_j, d_j, d_prev, d_prev).transpose(0, 2, 1, 3) \
+            .reshape(d_j * d_prev, d_j * d_prev)
+        if kappa:
+            g = self.grad(j, include_reg=False).reshape(-1)
+            hess += kappa * np.outer(g, g)
+        hess[np.diag_indices_from(hess)] += \
+            self.net.spec.regularizers[j - 1].strong_convexity
+        sym = hess + hess.T
+        sym /= 2.0
+        return sym
+
+    def _curvature(self, j: int) -> tuple:
+        """Per-sample curvature of the data term in U_j, as (M, kappa):
+        M[s, r, n] is d^2 f / dU_j[s, n] dU_j[r, n] without the loss's
+        sample coupling, and kappa that coupling's weight (``curvature_H``).
+
+        The R-pass, forward from U_j and backward from D_J to D_j, carries
+        the d_j directions RU_j = e_r 1^T at once, so its stage tensors
+        have shape (d_i, d_j, N).
+        """
+        outs, deltas = self.outs, self.deltas(j)
+        pre, post = outs.pre_activations, outs.post_activations
+        acts, weights = self.net.spec.activations, self.net.weights
+        d_j, n = pre[j - 1].shape
+        ru = np.broadcast_to(np.eye(d_j)[:, :, None], (d_j, d_j, n))
+        stages = []
+        for i in range(j, self.depth + 1):
+            if i > j:
+                ru = np.tensordot(weights[i - 1], rz, axes=1)
+            slope = acts[i - 1].derivative(pre[i - 1], post[i])[:, None, :]
+            rz = slope * ru
+            stages.append((ru, slope))
+        curv, kappa = self.loss.curvature_H(outs.output, self.data.Y)
+        back = self.loss.grad_H(outs.output, self.data.Y)  # df/dZ_i
+        rd = np.einsum("abn,brn->arn", curv, rz)  # R{df/dZ_i}, then R{D_i}
+        for i in range(self.depth, j - 1, -1):
+            ru, slope = stages.pop()
+            bend = back * acts[i - 1].second_derivative(pre[i - 1], post[i])
+            rd *= slope
+            rd += bend[:, None, :] * ru
+            if i > j:
+                back = weights[i - 1].T @ deltas[i - 1]
+                rd = np.tensordot(weights[i - 1].T, rd, axes=1)
+        return rd, kappa
+
 
 def _check_layer(net: Network, j: int) -> None:
     if not 1 <= j <= net.depth:
@@ -213,7 +278,7 @@ def block_objective_fn(net: Network, data: Dataset, loss, j: int,
 
 
 # ---------------------------------------------------------------------------
-# finite-difference oracles
+# finite differences and the exact block Hessian
 # ---------------------------------------------------------------------------
 
 def fd_gradient(objective, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
@@ -235,34 +300,21 @@ def fd_gradient(objective, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 
 def block_hessian(net: Network, data: Dataset, loss, j: int,
-                  h: float = 1e-5) -> np.ndarray:
-    """Dense Hessian of the objective in block j, via central differences of
-    the analytic gradient.
+                  cache: NetworkPass | None = None) -> np.ndarray:
+    """Exact dense Hessian of the objective in block j (``NetworkPass.hessian``).
 
     Rows and columns are indexed by row-major vec(W_j); the result is
-    symmetrized as (H + H^T)/2. Desk-scale only.
+    bitwise symmetric. ``cache`` is a pass already built on this
+    (net, data, loss). Desk-scale only.
     """
     _check_layer(net, j)
-    reg = net.spec.regularizers[j - 1]
-    if not reg.smooth:
+    if not net.spec.regularizers[j - 1].smooth:
         raise NonSmoothError("block Hessian needs a smooth regularizer")
-    w = net.weights[j - 1]
-    n = w.size
+    n = net.weights[j - 1].size
     if n > _HESSIAN_SIZE_LIMIT:
         raise SizeError(f"block has {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
-    hess = np.zeros((n, n))
-    base = NetworkPass(net, data, loss)
-    probe = w.copy()
-    flat = probe.reshape(-1)
-    for a in range(n):
-        orig = flat[a]
-        flat[a] = orig + h
-        g_plus = base.branch(j, probe).grad(j).reshape(-1)
-        flat[a] = orig - h
-        g_minus = base.branch(j, probe).grad(j).reshape(-1)
-        flat[a] = orig
-        hess[:, a] = (g_plus - g_minus) / (2.0 * h)
-    return (hess + hess.T) / 2.0
+    base = cache if cache is not None else NetworkPass(net, data, loss)
+    return base.hessian(j)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,7 @@ _DIVERGENCE_CAP = 1e12
 # dataset ingestion
 # ---------------------------------------------------------------------------
 
-def load_csv_dataset(path, target_cols, standardize: bool = False) -> Dataset:
+def load_csv_dataset(path: str, target_cols: list, standardize: bool = False) -> Dataset:
     """Read a numeric CSV (header row required) into feature/target matrices.
 
     ``target_cols`` selects target columns by header name or 0-based index;
@@ -586,10 +586,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     the same point. Runs that abort are recorded as failed but do not stop
     the remaining runs.
     """
+    use_seeds = _typed(seeds, list[int], "seeds") if seeds else cfg.seeds
     data = _resolve_dataset(cfg)
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    use_seeds = tuple(int(s) for s in (seeds if seeds else cfg.seeds))
 
     result = ExperimentResult()
     for seed in use_seeds:

@@ -386,7 +386,7 @@ def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
             kind.gamma, grad
 
     if isinstance(kind, SecondOrderProx):
-        hess = block_hessian(net, fb.data, loss, j)
+        hess = block_hessian(net, fb.data, loss, j, cache=fb)
         d = descent_direction_second_order(w, grad, hess, kind.gamma)
         return feasible.project(d), kind.gamma, grad
 

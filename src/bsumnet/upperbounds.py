@@ -297,8 +297,10 @@ def closed_form_linear_block(net: Network, data: Dataset, j: int,
 
     With A the product of the downstream weights and B the upstream image of
     X, the block objective (1/N)||Y - A W B||_F^2 + lam ||W||_F^2 is a ridge
-    problem; the normal equations in row-major vec(W) have coefficient
-    kron(A'A, BB')/N + lam I. Needs lam > 0 or a nonsingular system.
+    problem whose normal equations A'A W BB'/N + lam W = A'Y B'/N are
+    diagonalized by the eigenvectors of A'A and BB': in that basis each
+    entry is divided by its shifted eigenvalue product s_a s_b / N + lam.
+    Needs lam > 0 or nonsingular factors.
     """
     if not 1 <= j <= net.depth:
         raise SpecError(f"layer index {j} outside 1..{net.depth}")
@@ -316,13 +318,13 @@ def closed_form_linear_block(net: Network, data: Dataset, j: int,
         b = w @ b
 
     n = data.n_samples
-    ata = a.T @ a
-    bbt = b @ b.T
-    coeff = np.kron(ata, bbt) / n + lam * np.eye(ata.shape[0] * bbt.shape[0])
-    rhs = (a.T @ data.Y @ b.T).reshape(-1) / n
-    try:
-        sol = np.linalg.solve(coeff, rhs)
-    except np.linalg.LinAlgError as exc:
+    sa, ua = np.linalg.eigh(a.T @ a)
+    sb, ub = np.linalg.eigh(b @ b.T)
+    denom = sa[:, None] * sb[None, :] / n + lam
+    # the eigenvalues of the normal equations; a rank-deficient factor
+    # without a ridge leaves some at rounding level, or slightly negative
+    if not np.all(denom > denom.size * np.finfo(float).eps * np.max(np.abs(denom))):
         raise SingularError(
-            "normal equations singular; use lam > 0 or full-rank factors") from exc
-    return sol.reshape(net.spec.layer_shape(j))
+            "normal equations singular; use lam > 0 or full-rank factors")
+    rhs = ua.T @ (a.T @ data.Y @ b.T / n) @ ub
+    return ua @ (rhs / denom) @ ub.T

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from bsumnet import Dataset, NetworkSpec, Regularizer, build_network
+from bsumnet.gradients import block_gradient
 
 
 def scalar_forward(net, X):
@@ -136,10 +137,11 @@ def ridge_oracle(X, Y, lam):
 
 
 def kron_block_oracle(net, data, j, lam):
-    """Eigendecomposition route to the linear-network block minimizer.
+    """Normal-equation route to the linear-network block minimizer.
 
-    Independent of the library's normal-equation solve: diagonalize A'A and
-    BB', divide by the shifted eigenvalue products, rotate back.
+    Independent of the library's eigendecomposition solve: in row-major
+    vec(W) the block objective (1/N)||Y - A W B||^2 + lam ||W||^2 has the
+    dense coefficient kron(A'A, BB')/N + lam I, solved directly.
     """
     d_out = net.spec.dims[-1]
     a = np.eye(d_out)
@@ -149,13 +151,30 @@ def kron_block_oracle(net, data, j, lam):
     for w in net.weights[:j - 1]:
         b = w @ b
     n = data.n_samples
-    sa, ua = np.linalg.eigh(a.T @ a)
-    sb, ub = np.linalg.eigh(b @ b.T)
-    c = a.T @ data.Y @ b.T / n
-    ct = ua.T @ c @ ub
-    denom = sa[:, None] * sb[None, :] / n + lam
-    wt = ct / denom
-    return ua @ wt @ ub.T
+    ata = a.T @ a
+    bbt = b @ b.T
+    coeff = np.kron(ata, bbt) / n + lam * np.eye(ata.shape[0] * bbt.shape[0])
+    rhs = (a.T @ data.Y @ b.T).reshape(-1) / n
+    return np.linalg.solve(coeff, rhs).reshape(net.spec.layer_shape(j))
+
+
+def fd_block_hessian(net, data, loss, j, h=1e-5):
+    """Block-j Hessian in row-major vec(W_j) from central differences of the
+    analytic block gradient, symmetrized as (H + H^T)/2."""
+    w = net.weights[j - 1]
+    n = w.size
+    hess = np.zeros((n, n))
+    probe = w.copy()
+    flat = probe.reshape(-1)
+    for a in range(n):
+        orig = flat[a]
+        flat[a] = orig + h
+        g_plus = block_gradient(net.with_block(j, probe), data, loss, j).reshape(-1)
+        flat[a] = orig - h
+        g_minus = block_gradient(net.with_block(j, probe), data, loss, j).reshape(-1)
+        flat[a] = orig
+        hess[:, a] = (g_plus - g_minus) / (2.0 * h)
+    return (hess + hess.T) / 2.0
 
 
 def brute_force_prox_scalar(a, tau, lo=-50.0, hi=50.0):

@@ -13,7 +13,8 @@ from pathlib import Path
 import scipy.linalg
 
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
-from bsumnet import FirstOrderProx, InverseRoot, L2Loss, Logistic, train_step
+from bsumnet import (FirstOrderProx, InverseRoot, L2Loss, Logistic,
+                     SecondOrderProx, Tanh, train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
 
@@ -51,3 +52,17 @@ def test_tracer_installs_and_restores_every_attribute():
     after = {(id(ns), key): value for ns in package_namespaces()
              for key, value in vars(ns).items()}
     assert all(after[k] is v for k, v in before.items())
+
+
+def test_newton_step_records_a_block_hessian_span():
+    # the benchmark's per-block Hessian split reads these spans; it goes
+    # blind if the trainer stops calling gradients.block_hessian
+    net, data = make_problem([3, 2, 1], Tanh(), L2Loss(), seed=0)
+    cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True)
+    tracer = Tracer()
+    try:
+        tracer.install()
+        train_step(net, data, L2Loss(), cfg, 1)
+    finally:
+        tracer.uninstall()
+    assert ("gradients.block_hessian", 1) in {(s[0], s[4]) for s in tracer.spans}

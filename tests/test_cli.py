@@ -69,6 +69,8 @@ MALFORMED = [
     ("baselines", [{"kind": "bp_clr", "record_every": 0}]),
     ("methods", 5),
     ("baselines", 5),
+    ("dataset", {"kind": "csv", "path": 5, "target_cols": ["y"]}),
+    ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": 5}),
 ]
 
 
@@ -101,7 +103,11 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("path,value", MALFORMED,
                              ids=[f"{p}={json.dumps(v)}" for p, v in MALFORMED])
-    def test_malformed_value_exit_two(self, tmp_path, capsys, path, value):
+    def test_malformed_value_exit_two(self, tmp_path, capsys, monkeypatch,
+                                      path, value):
+        # a readable CSV, so a csv dataset fails on its malformed value only
+        (tmp_path / "d.csv").write_text("x,y\n1,2\n3,4\n", encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
         raw = base_config(tmp_path)
         keys = [int(k) if k.isdigit() else k for k in path.split(".")]
         node = raw

@@ -66,6 +66,18 @@ class TestActivationDerivativesAgainstFD:
         rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
         assert np.max(rel) <= 1e-6
 
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_second_derivative_central_difference(self, act):
+        rng = np.random.default_rng(124)
+        u = rng.uniform(-6, 6, size=1000)
+        h = 1e-6
+        numeric = (act.derivative(u + h) - act.derivative(u - h)) / (2 * h)
+        analytic = act.second_derivative(u)
+        rel = np.abs(analytic - numeric) / np.maximum(1.0, np.abs(numeric))
+        assert np.max(rel) <= 1e-6
+        # the engine passes the cached output z = sigma(u)
+        assert np.array_equal(act.second_derivative(u, act.value(u)), analytic)
+
 
 class TestActivationTraits:
     """Declared traits must agree with randomized secant probes: a flag means
@@ -172,6 +184,27 @@ class TestLossGradientsAgainstFD:
                 hm[idx] -= h_fd
                 numeric[idx] = (loss_value(loss, hp, Y) - loss_value(loss, hm, Y)) / (2 * h_fd)
             rel = np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric))
+            assert rel <= 1e-6, f"{loss.name}: rel error {rel}"
+
+
+class TestLossCurvatureAgainstFD:
+    @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
+    def test_operator_matches_difference_of_gradient(self, loss):
+        # blockdiag(C_n) V + kappa g <g, V> is the directional derivative
+        # of grad_H along V
+        rng = np.random.default_rng(32)
+        eps = 1e-6
+        for _ in range(100):
+            d, n = int(rng.integers(1, 4)), int(rng.integers(1, 5))
+            H = valid_h(loss, d, n, rng)
+            Y = labels_for(loss, d, n, rng)
+            V = rng.standard_normal((d, n))
+            curv, kappa = loss.curvature_H(H, Y)
+            assert curv.shape == (d, d, n)
+            g = loss.grad_H(H, Y)
+            applied = np.einsum("abn,bn->an", curv, V) + kappa * g * np.sum(g * V)
+            numeric = (loss.grad_H(H + eps * V, Y) - loss.grad_H(H - eps * V, Y)) / (2 * eps)
+            rel = np.linalg.norm(applied - numeric) / max(1.0, np.linalg.norm(numeric))
             assert rel <= 1e-6, f"{loss.name}: rel error {rel}"
 
 

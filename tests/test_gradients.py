@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bsumnet import (BatchSampler, Dataset, ExponentialLoss, Identity, L2Loss,
-                     Logistic, LogisticLoss, NetworkSpec, Network,
-                     NonSmoothError, Regularizer, ShapeError, Softplus,
-                     SpecError, build_network, forward)
-from bsumnet.gradients import (BatchStream, block_gradient,
+from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
+                     ExponentialLoss, Identity, L2Loss, Logistic, LogisticLoss,
+                     NetworkSpec, Network, NonSmoothError, Regularizer,
+                     ShapeError, Softplus, SpecError, Unconstrained,
+                     build_network, forward)
+from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value,
                                stochastic_block_gradient)
-from conftest import make_problem, scalar_block_gradient, scalar_deltas
+from conftest import (fd_block_hessian, labels_for, make_problem,
+                      scalar_block_gradient, scalar_deltas)
 
 
 def rel_err(analytic, numeric):
@@ -232,6 +236,39 @@ class TestBlockHessian:
                                  reg=Regularizer.l1(0.1), seed=21)
         with pytest.raises(NonSmoothError):
             block_hessian(net, data, L2Loss(), 1)
+
+    @pytest.mark.parametrize("loss", [cls() for cls in LOSSES.values()],
+                             ids=lambda l: l.name)
+    @pytest.mark.parametrize("act", [cls() for cls in ACTIVATIONS.values()],
+                             ids=lambda a: a.name)
+    @given(dims=st.lists(st.integers(1, 4), min_size=3, max_size=4),
+           seed=st.integers(0, 2**16), l2=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_exact_matches_fd_oracle(self, act, loss, dims, seed, l2):
+        depth = len(dims) - 1
+        acts = [act] * depth
+        if loss.name == "cross_entropy":
+            acts[-1] = Logistic()  # predictions must lie in [0, 1]
+        reg = Regularizer.l2(0.01) if l2 else Regularizer.none()
+        spec = NetworkSpec(tuple(dims), tuple(acts), (Unconstrained(),) * depth,
+                           (reg,) * depth)
+        net = build_network(spec, "uniform", seed=seed)
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((dims[0], 6)),
+                       labels_for(loss, dims[-1], 6, rng))
+        for j in range(1, depth + 1):
+            hess = block_hessian(net, data, loss, j)
+            oracle = fd_block_hessian(net, data, loss, j)
+            assert np.array_equal(hess, hess.T)
+            scale = max(float(np.max(np.abs(oracle))), 1e-3)
+            assert np.max(np.abs(hess - oracle)) <= 1e-6 * scale, (j, dims)
+
+    def test_cached_pass_gives_the_same_hessian(self):
+        net, data = make_problem([3, 3, 2], Softplus(), LogisticLoss(), seed=23)
+        cache = NetworkPass(net, data, LogisticLoss())
+        for j in (1, 2):
+            assert np.array_equal(block_hessian(net, data, LogisticLoss(), j, cache=cache),
+                                  block_hessian(net, data, LogisticLoss(), j))
 
 
 class TestObjectiveHelpers:

@@ -399,6 +399,12 @@ class TestRunExperiment:
         names = sorted(p.name for p in result.curve_paths)
         assert names == ["prop_seed3.csv", "prop_seed4.csv"]
 
+    def test_seed_override_needs_integers(self, tmp_path):
+        raw = minimal_config(tmp_path, baselines=[])
+        with pytest.raises(ConfigError, match=r"seeds\[0\]: expected int"):
+            run_experiment(parse_config(raw), seeds=[0.5])
+        assert not (tmp_path / "out").exists()
+
     def test_five_curve_benchmark_shape(self, tmp_path):
         # three proposed schedule variants plus two baselines, one seed
         raw = minimal_config(tmp_path)

@@ -393,7 +393,7 @@ class TestClosedFormLinearBlock:
             g = block_gradient(at_opt, data, L2Loss(), j)
             assert np.linalg.norm(g) <= 1e-8
 
-    def test_middle_block_matches_eigen_oracle(self):
+    def test_middle_block_matches_kron_oracle(self):
         rng = np.random.default_rng(23)
         lam = 0.1
         spec = NetworkSpec.homogeneous([3, 3, 3, 2], Identity(),
@@ -426,6 +426,16 @@ class TestClosedFormLinearBlock:
         net = build_network(spec, "uniform", seed=25)
         net.weights[1][:] = 0.0
         data = Dataset(np.eye(2), np.eye(2))
+        with pytest.raises(SingularError):
+            closed_form_linear_block(net, data, 1, 0.0)
+
+    def test_rank_deficient_factor_refused_without_regularization(self):
+        # A is 2x3, so A'A has rank 2: its zero eigenvalue comes out at
+        # rounding level, not exactly zero
+        rng = np.random.default_rng(27)
+        spec = NetworkSpec.homogeneous([3, 3, 2], Identity())
+        net = build_network(spec, "uniform", seed=27)
+        data = Dataset(rng.standard_normal((3, 10)), rng.standard_normal((2, 10)))
         with pytest.raises(SingularError):
             closed_form_linear_block(net, data, 1, 0.0)
 
