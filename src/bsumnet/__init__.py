@@ -17,7 +17,7 @@ from .functions import (ACTIVATIONS, LOSSES, REGULARIZERS, BentIdentity,
                         Softplus, SquaredHingeLoss, Tanh, classify_convexity)
 from .gradients import (BatchSampler, NetworkPass, all_block_gradients,
                         block_gradient, block_hessian, delta_recursion,
-                        fd_gradient, objective_value, stochastic_block_gradient)
+                        fd_gradient, objective_value)
 from .harness import (baseline_adagrad, baseline_bp_clr, emit_curves,
                       load_config, load_csv_dataset, parse_config,
                       parse_curves, run_experiment, synth_regression)

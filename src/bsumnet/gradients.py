@@ -10,8 +10,12 @@ regularizer gradient. ``set_block(j, W)`` keeps Z_0..Z_{j-1}, and the next
 query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
 to the block asked for. Logistic and tanh derivatives come from the cached
 Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the network.
-The module functions are views of a fresh pass for callers that hold a plain
-network. Vec orderings here and in the Newton solve are row-major vec(W_j).
+The pass memoizes its last probe, keyed by the bitwise content of V (shape,
+dtype, bytes; not identity, as finite differences mutate one array in place):
+a probe at the current W_j is the pass itself, a repeat is the memo, and
+``set_block(j, V)`` at the memo's content adopts its stages. The module
+functions are views of a fresh pass for callers that hold a plain network.
+Vec orderings here and in the Newton solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -37,7 +41,7 @@ from .netcore import Dataset, LayerOutputs, Network, forward
 __all__ = [
     "NetworkPass", "BatchSampler", "BatchStream",
     "delta_recursion", "block_gradient", "all_block_gradients",
-    "stochastic_block_gradient", "objective_value", "block_objective_fn",
+    "objective_value", "block_objective_fn",
     "fd_gradient", "block_hessian",
 ]
 
@@ -72,19 +76,34 @@ class NetworkPass:
         self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
         self._deltas = [None] * self.depth
         self._f = None
+        self._memo = None  # (j, content of W_j, pass) of the last probe
 
     def set_block(self, j: int, w: np.ndarray) -> None:
-        """Replace W_j; the stages from layer j on refresh at the next query."""
+        """Replace W_j; the stages from layer j on refresh at the next query,
+        unless the last probe was at this content and already holds them."""
+        memo, self._memo = self._memo, None
+        if memo is not None and memo[:2] == (j, _content(w)):
+            probe = memo[2]
+            self.net.weights[j - 1] = probe.net.weights[j - 1]
+            self._outs, self._stale = probe._outs, probe._stale
+            self._deltas, self._f = probe._deltas, probe._f
+            return
         self.net.weights[j - 1] = np.array(w, dtype=float)
         self._stale = min(self._stale, j)
         self._deltas = [None] * self.depth
         self._f = None
 
-    def branch(self, j: int, w: np.ndarray) -> "NetworkPass":
-        """The pass at W_j = w, sharing this one's Z_0..Z_{j-1}."""
-        other = NetworkPass(self.net, self.data, self.loss, self.outs)
-        other.set_block(j, w)
-        return other
+    def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
+        """The pass at W_j = w: this one when w is the current W_j, else the
+        memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
+        key = _content(w)
+        if key == _content(self.net.weights[j - 1]):
+            return self
+        if self._memo is None or self._memo[:2] != (j, key):
+            other = NetworkPass(self.net, self.data, self.loss, self.outs)
+            other.set_block(j, w)
+            self._memo = (j, key, other)
+        return self._memo[2]
 
     @property
     def outs(self) -> LayerOutputs:
@@ -182,6 +201,11 @@ class NetworkPass:
         return rd, kappa
 
 
+def _content(w) -> tuple:
+    w = np.asarray(w)
+    return w.shape, w.dtype.str, w.tobytes()
+
+
 def _check_layer(net: Network, j: int) -> None:
     if not 1 <= j <= net.depth:
         raise SpecError(f"layer index {j} outside 1..{net.depth}")
@@ -228,22 +252,6 @@ def all_block_gradients(net: Network, data: Dataset, loss,
     return NetworkPass(net, data, loss, outs).grads(include_reg)
 
 
-def stochastic_block_gradient(net: Network, data: Dataset, loss, j: int,
-                              batch, include_reg: bool = True) -> np.ndarray:
-    """Mini-batch gradient over the given sample indices.
-
-    The batch is treated as the whole dataset (losses average over |B|), so
-    for per-sample-separable losses this is the unbiased mini-batch gradient,
-    and with batch = arange(N) the result is bitwise equal to block_gradient.
-    """
-    batch = np.asarray(batch, dtype=int)
-    if batch.size == 0:
-        raise SpecError("mini-batch must be nonempty")
-    if batch.min() < 0 or batch.max() >= data.n_samples:
-        raise SpecError("batch indices out of range")
-    return block_gradient(net, data.restrict(batch), loss, j, include_reg)
-
-
 def objective_value(net: Network, data: Dataset, loss,
                     outs: LayerOutputs | None = None) -> float:
     """Full regularized objective: data loss plus every layer's penalty."""
@@ -268,11 +276,11 @@ def block_objective_fn(net: Network, data: Dataset, loss, j: int,
     base = cache if cache is not None else NetworkPass(net, data, loss)
 
     def value(w):
-        return base.branch(j, w).objective()
+        return base.probe(j, w).objective()
 
     def grad(w):
         _require_smooth(net, j)
-        return base.branch(j, w).grad(j)
+        return base.probe(j, w).grad(j)
 
     return value, grad
 

@@ -24,7 +24,7 @@ from .errors import CurvatureError, NonSmoothError, SpecError
 from .functions import classify_convexity
 from .gradients import (BatchSampler, BatchStream, NetworkPass, block_hessian,
                         block_objective_fn)
-from .netcore import Dataset, Network, Unconstrained
+from .netcore import Dataset, Network, Toeplitz, Unconstrained
 from .upperbounds import (FirstOrderProx, LinearBound,
                           Proximal, SecondOrderProx,
                           closed_form_linear_block,
@@ -273,16 +273,17 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
                     rule: ArmijoRule, max_shrinks: int = 60):
     """Largest alpha_init * shrink^m satisfying the sufficient-decrease test.
 
-    Returns (alpha, accepted). A non-descent direction, or exhausting the
-    shrink budget, yields (0.0, False).
+    The test is at the point the trainer stores, ``_apply_update(W, D,
+    alpha)``. Returns (alpha, accepted); a non-descent or non-finite slope,
+    or exhausting the shrink budget, yields (0.0, False).
     """
     slope = float(np.sum(grad * (D - W)))
-    if slope >= 0:
+    if not slope < 0:
         return 0.0, False
     f0 = f_block(W)
     alpha = rule.alpha_init
     for _ in range(max_shrinks + 1):
-        if f_block(W + alpha * (D - W)) <= f0 + rule.slope * alpha * slope:
+        if f_block(_apply_update(W, D, alpha)) <= f0 + rule.slope * alpha * slope:
             return alpha, True
         alpha *= rule.shrink
     return 0.0, False
@@ -363,6 +364,10 @@ def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
         if not isinstance(kind, FirstOrderProx):
             raise NonSmoothError(
                 "L1-regularized blocks are only supported with the first-order family")
+        if isinstance(feasible, Toeplitz):
+            # one variable per diagonal: the exact prox thresholds its mean
+            a = feasible.project(w - grad / kind.gamma)
+            return prox_l1_step(a, 0.0, kind.gamma, reg.lam), kind.gamma, grad
         d = prox_l1_step(w, grad, kind.gamma, reg.lam)
         return feasible.project(d), kind.gamma, grad
 

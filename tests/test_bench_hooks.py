@@ -13,8 +13,8 @@ from pathlib import Path
 import scipy.linalg
 
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
-from bsumnet import (FirstOrderProx, InverseRoot, L2Loss, Logistic,
-                     SecondOrderProx, Tanh, train_step)
+from bsumnet import (ArmijoRule, FirstOrderProx, InverseRoot, L2Loss, Logistic,
+                     SecondOrderProx, Tanh, Toeplitz, train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
 
@@ -32,11 +32,11 @@ def package_namespaces():
     return mods + list(classes) + [scipy.linalg]
 
 
-def test_tracer_installs_and_restores_every_attribute():
+def traced_step(net, data, cfg):
+    """Run train_step(k=1) under an installed tracer; check that uninstalling
+    restores every attribute and return (tracer, patched attributes)."""
     before = {(id(ns), key): value for ns in package_namespaces()
               for key, value in vars(ns).items()}
-    net, data = make_problem([3, 2, 1], Logistic(), L2Loss(), seed=0)
-    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0))
     tracer = Tracer()
     try:
         tracer.install()
@@ -44,14 +44,21 @@ def test_tracer_installs_and_restores_every_attribute():
         train_step(net, data, L2Loss(), cfg, 1)
     finally:
         tracer.uninstall()
-    assert len(patched) > 20
-    assert {s[0] for s in tracer.spans} >= {"trainer.stepsize", "functions.loss",
-                                            "functions.activation.value"}
     for owner, attr in patched:
         assert vars(owner)[attr] is before[(id(owner), attr)], (owner, attr)
     after = {(id(ns), key): value for ns in package_namespaces()
              for key, value in vars(ns).items()}
     assert all(after[k] is v for k, v in before.items())
+    return tracer, patched
+
+
+def test_tracer_installs_and_restores_every_attribute():
+    net, data = make_problem([3, 2, 1], Logistic(), L2Loss(), seed=0)
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0))
+    tracer, patched = traced_step(net, data, cfg)
+    assert len(patched) > 20
+    assert {s[0] for s in tracer.spans} >= {"trainer.stepsize", "functions.loss",
+                                            "functions.activation.value"}
 
 
 def test_newton_step_records_a_block_hessian_span():
@@ -59,10 +66,18 @@ def test_newton_step_records_a_block_hessian_span():
     # blind if the trainer stops calling gradients.block_hessian
     net, data = make_problem([3, 2, 1], Tanh(), L2Loss(), seed=0)
     cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True)
-    tracer = Tracer()
-    try:
-        tracer.install()
-        train_step(net, data, L2Loss(), cfg, 1)
-    finally:
-        tracer.uninstall()
+    tracer, _ = traced_step(net, data, cfg)
     assert ("gradients.block_hessian", 1) in {(s[0], s[4]) for s in tracer.spans}
+
+
+def test_armijo_step_records_probe_spans():
+    # armijo_probe's per-layer probe and line-search metrics read these
+    # spans; memoized probes still pass through the wrapped closures
+    net, data = make_problem([3, 3, 1], Logistic(), L2Loss(), seed=0,
+                             feasible=Toeplitz())
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=ArmijoRule(),
+                      adapt_gamma=True)
+    tracer, _ = traced_step(net, data, cfg)
+    names = [s[0] for s in tracer.spans]
+    assert "trainer.armijo" in names
+    assert names.count("gradients.probe") >= 3  # gamma search, f(W), f(D)

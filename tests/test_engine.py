@@ -1,22 +1,29 @@
 """Property tests of the cached pass engine against fresh recomputation.
 
 Each drawn problem applies a sequence of block updates to one NetworkPass,
-querying it lazily in between. After every update the cached stages,
-objective, block gradients and block probes must be bitwise equal to a fresh
-``forward`` / ``objective_value`` / ``all_block_gradients`` on the same
-network, and at the end the gradients must match central differences.
+querying it lazily in between. An update either sets a block directly,
+probes it first so that ``set_block`` adopts the memoized probe, probes,
+mutates the probed array in place and probes again, or probes block q before
+and after the update, where the memo must not answer. After every update the
+cached stages, objective, block gradients and block probes must be bitwise
+equal to a fresh ``forward`` / ``objective_value`` / ``all_block_gradients``
+on the same network, and at the end the gradients must match central
+differences.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bsumnet import (ACTIVATIONS, CrossEntropyLoss, Dataset, ExponentialLoss,
-                     L2Loss, Logistic, LogisticLoss, NetworkSpec, Regularizer,
-                     SquaredHingeLoss, Unconstrained, build_network, forward)
+from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
+                     ExponentialLoss, FirstOrderProx, L2Loss, Logistic,
+                     LogisticLoss, NetworkSpec, Regularizer, SquaredHingeLoss,
+                     Toeplitz, Unconstrained, build_network, forward)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
+from bsumnet.netcore import LayerOutputs
+from bsumnet.trainer import TrainConfig, _LoopState, _step
 
 LOSSES = {
     "l2": (L2Loss(), "real"),
@@ -53,7 +60,16 @@ def problems(draw):
     updates = draw(st.lists(st.integers(1, depth), min_size=1, max_size=6))
     queries = draw(st.lists(st.integers(1, depth), min_size=len(updates),
                             max_size=len(updates)))
-    return net, Dataset(X, Y), loss, updates, queries, rng
+    modes = draw(st.lists(st.sampled_from(["set", "adopt", "mutate", "reprobe"]),
+                          min_size=len(updates), max_size=len(updates)))
+    return net, Dataset(X, Y), loss, list(zip(updates, queries, modes)), rng
+
+
+def assert_probe_matches_fresh(fb, net, data, loss, j, v):
+    value_fn, grad_fn = block_objective_fn(net, data, loss, j, cache=fb)
+    moved = net.with_block(j, v)
+    assert value_fn(v) == objective_value(moved, data, loss)
+    assert np.array_equal(grad_fn(v), block_gradient(moved, data, loss, j))
 
 
 def assert_matches_fresh(fb, net, data, loss, rng):
@@ -64,22 +80,30 @@ def assert_matches_fresh(fb, net, data, loss, rng):
     for got, want in zip(fb.grads(), all_block_gradients(net, data, loss)):
         assert np.array_equal(got, want)
     for j in range(1, net.depth + 1):
+        assert_probe_matches_fresh(fb, net, data, loss, j, net.weights[j - 1].copy())
         v = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
-        value_fn, grad_fn = block_objective_fn(net, data, loss, j, cache=fb)
-        moved = net.with_block(j, v)
-        assert value_fn(v) == objective_value(moved, data, loss)
-        assert np.array_equal(grad_fn(v), block_gradient(moved, data, loss, j))
+        assert_probe_matches_fresh(fb, net, data, loss, j, v)
 
 
 @given(problems())
 @settings(max_examples=60, deadline=None)
 def test_cached_pass_equals_fresh_recomputation(problem):
-    net, data, loss, updates, queries, rng = problem
+    net, data, loss, steps, rng = problem
     fb = NetworkPass(net, data, loss)
-    for j, q in zip(updates, queries):
+    for j, q, mode in steps:
         w = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
-        fb.set_block(j, w)
+        v = net.weights[q - 1] + 0.3 * rng.standard_normal(net.weights[q - 1].shape)
+        if mode in ("adopt", "mutate"):
+            assert_probe_matches_fresh(fb, net, data, loss, j, w)
+        if mode == "mutate":
+            w[tuple(rng.integers(0, n) for n in w.shape)] += 0.5
+            assert_probe_matches_fresh(fb, net, data, loss, j, w)
+        if mode == "reprobe":
+            assert_probe_matches_fresh(fb, net, data, loss, q, v)
+        fb.set_block(j, w.copy())
         net = net.with_block(j, w)
+        if mode == "reprobe":
+            assert_probe_matches_fresh(fb, net, data, loss, q, v)
         # a lone query leaves the deltas below block q uncomputed
         assert np.array_equal(fb.grad(q), block_gradient(net, data, loss, q))
         assert_matches_fresh(fb, net, data, loss, rng)
@@ -89,9 +113,9 @@ def test_cached_pass_equals_fresh_recomputation(problem):
 @given(problems())
 @settings(max_examples=40, deadline=None)
 def test_cached_gradients_match_finite_differences(problem):
-    net, data, loss, updates, _, rng = problem
+    net, data, loss, steps, rng = problem
     fb = NetworkPass(net, data, loss)
-    for j in updates:
+    for j, _, _ in steps:
         w = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
         fb.set_block(j, w)
     for j in range(1, net.depth + 1):
@@ -99,3 +123,33 @@ def test_cached_gradients_match_finite_differences(problem):
         numeric = fd_gradient(value_fn, fb.net.weights[j - 1], h=1e-6)
         err = np.linalg.norm(fb.grad(j) - numeric) / max(1.0, np.linalg.norm(numeric))
         assert err <= 1e-6
+
+
+def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
+    # the gamma search probes D, the Armijo test reads f(W) from the pass and
+    # f(D) from the memo, and set_block adopts the probe's stages
+    spec = NetworkSpec.homogeneous([4, 5, 5, 1], Logistic(),
+                                   regularizer=Regularizer.l2(1e-2),
+                                   feasible=Toeplitz())
+    net = build_network(spec, "uniform", seed=3)
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
+    cfg = TrainConfig(upperbound=FirstOrderProx(4.0), schedule=ArmijoRule())
+    state = _LoopState(cfg, net.depth, data.n_samples)
+    full = NetworkPass(net, data, L2Loss())
+    full.objective()
+    calls = []
+    refresh = LayerOutputs.refresh
+
+    def counted(outs, network, start):
+        calls.append(start)
+        return refresh(outs, network, start)
+
+    monkeypatch.setattr(LayerOutputs, "refresh", counted)
+    for k in range(1, 4):
+        calls.clear()
+        j, alpha, gamma, _ = _step(full, cfg, k, state)
+        full.objective()  # a stale pass would refresh here
+        assert (alpha, gamma) == (1.0, 4.0)
+        assert calls == [j]
+        assert_matches_fresh(full, full.net, data, L2Loss(), rng)

@@ -12,8 +12,7 @@ from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
                      build_network, forward)
 from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
                                block_hessian, block_objective_fn,
-                               delta_recursion, fd_gradient, objective_value,
-                               stochastic_block_gradient)
+                               delta_recursion, fd_gradient, objective_value)
 from conftest import (fd_block_hessian, labels_for, make_problem,
                       scalar_block_gradient, scalar_deltas)
 
@@ -121,15 +120,15 @@ class TestStochasticGradient:
                                  seed=10, n=9)
         for j in (1, 2):
             full = block_gradient(net, data, L2Loss(), j)
-            batch = stochastic_block_gradient(net, data, L2Loss(), j,
-                                              np.arange(data.n_samples))
+            batch = block_gradient(net, data.restrict(np.arange(data.n_samples)),
+                                   L2Loss(), j)
             assert np.array_equal(full, batch)
 
     def test_single_sample_gradient(self):
         net, data = make_problem([3, 2, 1], Logistic(), L2Loss(), lam=0.05,
                                  seed=11, n=7)
         n = 3
-        got = stochastic_block_gradient(net, data, L2Loss(), 1, [n])
+        got = block_gradient(net, data.restrict([n]), L2Loss(), 1)
         single = data.restrict([n])
         want = scalar_block_gradient(net, single.X, single.Y, L2Loss(), 1,
                                      reg=net.spec.regularizers[0])
@@ -146,14 +145,14 @@ class TestStochasticGradient:
             acc = np.zeros_like(full)
             for start in range(0, n, batch_size):
                 idx = np.arange(start, min(start + batch_size, n))
-                g = stochastic_block_gradient(net, data, L2Loss(), j, idx)
+                g = block_gradient(net, data.restrict(idx), L2Loss(), j)
                 acc += (len(idx) / n) * g
             np.testing.assert_allclose(acc, full, atol=1e-12, rtol=0)
 
     def test_empty_batch_rejected(self):
         net, data = make_problem([3, 2], Identity(), L2Loss(), seed=13)
         with pytest.raises(SpecError):
-            stochastic_block_gradient(net, data, L2Loss(), 1, [])
+            block_gradient(net, data.restrict([]), L2Loss(), 1)
 
 
 class TestFdGradient:

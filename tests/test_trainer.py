@@ -169,6 +169,28 @@ class TestTrainStep:
         want = np.where(a > 0.3, a - 0.3, np.where(a < -0.3, a + 0.3, 0.0))
         np.testing.assert_array_equal(new_net.weights[0], want)
 
+    def test_l1_toeplitz_block_takes_the_exact_prox(self):
+        # on a Toeplitz block each diagonal is one variable repeated, so the
+        # exact prox soft-thresholds the diagonal's mean of W - G/gamma
+        spec = NetworkSpec.homogeneous([5, 6, 1], Identity(),
+                                       regularizer=Regularizer.l1(0.3),
+                                       feasible=Toeplitz())
+        rng = np.random.default_rng(9)
+        cfg = TrainConfig(upperbound=FirstOrderProx(1.0), unit_stepsize=True,
+                          adapt_gamma=False, max_outer_iterations=1)
+        for seed in range(20):
+            net = build_network(spec, "uniform", seed=seed, scale=1.0)
+            data = Dataset(rng.standard_normal((5, 12)), rng.standard_normal((1, 12)))
+            new_net, _ = train_step(net, data, L2Loss(), cfg, k=1)
+            a = net.weights[0] - block_gradient(net, data, L2Loss(), 1, include_reg=False)
+            want = np.empty_like(a)
+            for off in range(-5, 5):
+                m = np.diagonal(a, off).mean()
+                t = np.sign(m) * max(abs(m) - 0.3, 0.0)
+                rows = np.arange(max(-off, 0), min(6, 5 - off))
+                want[rows, rows + off] = t
+            np.testing.assert_allclose(new_net.weights[0], want, rtol=0, atol=1e-12)
+
 
 class TestArmijo:
     def test_newton_direction_accepted_immediately(self):
@@ -191,6 +213,20 @@ class TestArmijo:
 
         alpha, ok = armijo_stepsize(f, w, w - (a - w), 2 * (w - a), ArmijoRule())
         assert not ok and alpha == 0.0
+
+    def test_non_finite_slope_rejected_without_probes(self):
+        calls = []
+
+        def f(v):
+            calls.append(v)
+            return float(np.sum(v * v))
+
+        w = np.ones((2, 2))
+        d = np.zeros((2, 2))
+        d[0, 1] = np.nan
+        alpha, ok = armijo_stepsize(f, w, d, 2 * w, ArmijoRule())
+        assert (alpha, ok) == (0.0, False)
+        assert calls == []
 
     def test_accepted_alpha_satisfies_sufficient_decrease(self):
         rng = np.random.default_rng(7)
