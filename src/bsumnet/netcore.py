@@ -189,12 +189,6 @@ class Network:
     def copy(self) -> "Network":
         return Network(self.spec, [w.copy() for w in self.weights])
 
-    def with_block(self, j: int, w: np.ndarray) -> "Network":
-        """Copy of the network with layer j (1-based) replaced by ``w``."""
-        weights = [x.copy() for x in self.weights]
-        weights[j - 1] = np.array(w, dtype=float)
-        return Network(self.spec, weights)
-
 
 @dataclass
 class LayerOutputs:

@@ -4,9 +4,9 @@ One outer iteration k touches block j = ((k-1) mod J) + 1: a descent
 direction is produced by the configured surrogate family, then the block
 moves to the convex combination (1-alpha) W_j + alpha D_j. Stepsizes come
 from a diminishing schedule, an Armijo search, or are pinned to 1
-(unit-stepsize / exact block-minimization modes). Stopping is checked at the
-end of every full cycle on the full-batch stationarity residual; a run whose
-objective or residual turns non-finite stops there as aborted.
+(unit-stepsize mode). Stopping is checked at the end of every full cycle on
+the full-batch stationarity residual; a run whose objective or residual
+turns non-finite stops there as aborted.
 
 Each run owns its mutable state (schedule positions, batch stream); networks
 and trace rows it hands out are fresh values, safe to keep or share.
@@ -20,19 +20,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CurvatureError, NonSmoothError, SpecError
-from .functions import classify_convexity
-from .gradients import (BatchSampler, BatchStream, NetworkPass, block_hessian,
-                        block_objective_fn)
-from .netcore import Dataset, Network, Toeplitz, Unconstrained
-from .upperbounds import (FirstOrderProx, LinearBound,
-                          Proximal, SecondOrderProx,
-                          closed_form_linear_block,
-                          descent_direction_first_order,
-                          descent_direction_linear,
-                          descent_direction_proximal,
-                          descent_direction_second_order,
-                          first_order_direction_backtracked, prox_l1_step)
+from .errors import NonSmoothError, SpecError
+from .gradients import BatchSampler, BatchStream, NetworkPass, block_objective_fn
+from .netcore import Dataset, Network
+from .upperbounds import FirstOrderProx, prox_l1_step
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
@@ -178,9 +169,10 @@ class TrainConfig:
 
     ``upperbound`` and ``schedule`` may each be a single object shared by all
     layers or a per-layer tuple. ``record_every`` defaults to one trace row
-    per full cycle (J iterations). ``unit_stepsize`` pins alpha = 1 (gradient
-    descent / Newton special cases); ``exact_bcd`` replaces each block by its
-    exact (or high-accuracy) minimizer. Both exclude a schedule.
+    per full cycle (J iterations). ``unit_stepsize`` pins alpha = 1 and
+    excludes a schedule: with the first-order or second-order family it gives
+    gradient descent or damped Newton, and with ``Proximal(0.0)`` exact block
+    coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
     at the candidate direction (full-batch mode only; mini-batch runs keep
     the configured gamma fixed).
@@ -193,7 +185,6 @@ class TrainConfig:
     grad_norm_tol: float = 1e-8
     record_every: int | None = None
     unit_stepsize: bool = False
-    exact_bcd: bool = False
     adapt_gamma: bool = True
     curvature_override: bool = False
 
@@ -204,10 +195,9 @@ class TrainConfig:
             raise SpecError("grad_norm_tol must be positive")
         if self.record_every is not None and self.record_every < 1:
             raise SpecError("record_every must be >= 1")
-        fixed_alpha = self.unit_stepsize or self.exact_bcd
-        if fixed_alpha and self.schedule is not None:
-            raise SpecError("unit_stepsize/exact_bcd and a schedule are mutually exclusive")
-        if not fixed_alpha and self.schedule is None:
+        if self.unit_stepsize and self.schedule is not None:
+            raise SpecError("unit_stepsize and a schedule are mutually exclusive")
+        if not self.unit_stepsize and self.schedule is None:
             raise SpecError("a stepsize schedule is required unless alpha is pinned to 1")
 
 
@@ -339,80 +329,23 @@ def _full_diagnostics(full: NetworkPass):
     return f_val, norm, normalized_mse(full.outs.output, full.data.Y)
 
 
-def _require_convex_block(net: Network, loss, j: int, cfg: TrainConfig) -> None:
-    curv = classify_convexity(loss, net.spec.activations[j - 1:],
-                              net.spec.regularizers[j - 1])
-    if not curv.is_strongly_convex and not cfg.curvature_override:
-        raise CurvatureError(
-            f"block {j} not certified strongly convex; "
-            "set curvature_override=True to run the proximal family heuristically")
-
-
 def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
-    """Descent direction for block j; returns (D, gamma_used, grad)."""
-    net, loss = fb.net, fb.loss
-    kind = _per_layer(cfg.upperbound, j, net.depth)
-    feasible = net.spec.feasible_sets[j - 1]
-    reg = net.spec.regularizers[j - 1]
-    w = net.weights[j - 1]
+    """Descent direction for block j from its surrogate family; returns
+    (D, gamma_used, grad)."""
+    kind = _per_layer(cfg.upperbound, j, fb.net.depth)
     # data term only on an L1 block: its penalty is absorbed by the prox step
     grad = fb.grad(j)
-
-    if not reg.smooth:
-        if cfg.exact_bcd:
-            raise NonSmoothError("exact_bcd needs smooth regularizers")
-        if not isinstance(kind, FirstOrderProx):
-            raise NonSmoothError(
-                "L1-regularized blocks are only supported with the first-order family")
-        if isinstance(feasible, Toeplitz):
-            # one variable per diagonal: the exact prox thresholds its mean
-            a = feasible.project(w - grad / kind.gamma)
-            return prox_l1_step(a, 0.0, kind.gamma, reg.lam), kind.gamma, grad
-        d = prox_l1_step(w, grad, kind.gamma, reg.lam)
-        return feasible.project(d), kind.gamma, grad
-
-    if cfg.exact_bcd:
-        deep_linear = (all(a.name == "identity" for a in net.spec.activations)
-                       and loss.name == "l2" and isinstance(feasible, Unconstrained))
-        if deep_linear:
-            return closed_form_linear_block(net, fb.data, j, reg.lam), 0.0, grad
-        _require_convex_block(net, loss, j, cfg)
-        value_fn, grad_fn = block_objective_fn(net, fb.data, loss, j, cache=fb)
-        d, _ = descent_direction_proximal(value_fn, grad_fn, w, 0.0, feasible)
-        return d, 0.0, grad
-
-    if isinstance(kind, FirstOrderProx):
-        if cfg.adapt_gamma and adapt_ok:
-            value_fn, _ = block_objective_fn(net, fb.data, loss, j, cache=fb)
-            d, gamma = first_order_direction_backtracked(
-                w, grad, kind.gamma, feasible, value_fn, fb.objective())
-            return d, gamma, grad
-        return descent_direction_first_order(w, grad, kind.gamma, feasible), \
-            kind.gamma, grad
-
-    if isinstance(kind, SecondOrderProx):
-        hess = block_hessian(net, fb.data, loss, j, cache=fb)
-        d = descent_direction_second_order(w, grad, hess, kind.gamma)
-        return feasible.project(d), kind.gamma, grad
-
-    if isinstance(kind, Proximal):
-        _require_convex_block(net, loss, j, cfg)
-        value_fn, grad_fn = block_objective_fn(net, fb.data, loss, j, cache=fb)
-        d, _ = descent_direction_proximal(value_fn, grad_fn, w, kind.gamma,
-                                          feasible, kind.inner)
-        return d, kind.gamma, grad
-
-    if isinstance(kind, LinearBound):
-        curv = classify_convexity(loss, net.spec.activations[j - 1:], reg)
-        d = descent_direction_linear(w, grad, curv, override=cfg.curvature_override)
-        return feasible.project(d), 0.0, grad
-
-    raise SpecError(f"unknown upperbound kind {kind!r}")
+    if not fb.net.spec.regularizers[j - 1].smooth and not isinstance(kind, FirstOrderProx):
+        raise NonSmoothError(
+            "L1-regularized blocks are only supported with the first-order family")
+    d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and adapt_ok,
+                              cfg.curvature_override)
+    return d, gamma, grad
 
 
 def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
                     d, grad, state: _LoopState) -> float:
-    if cfg.unit_stepsize or cfg.exact_bcd:
+    if cfg.unit_stepsize:
         return 1.0
     sched = _per_layer(cfg.schedule, j, fb.net.depth)
     if isinstance(sched, ArmijoRule):
@@ -542,6 +475,4 @@ def stochastic_train(net: Network, data: Dataset, loss, cfg: TrainConfig):
             else [cfg.upperbound]
         if not all(isinstance(kd, FirstOrderProx) for kd in kinds):
             raise SpecError("the stochastic variant is defined for the first-order family")
-        if cfg.exact_bcd:
-            raise SpecError("exact_bcd needs full batches")
     return _train_loop(net, data, loss, cfg)

@@ -1,15 +1,18 @@
 """Convex surrogate families and their block minimizers.
 
-Each family produces, around the current iterate, a strongly convex model of
-the block objective whose minimizer is the descent direction:
+Each family is a strongly convex model of the block objective around the
+current iterate; it owns the model's value (``evaluate``) and its minimizer
+over the block's feasible set (``direction``), the block's descent direction:
 
   first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  Wk - g/gamma
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
   proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  inner solver
   linear           : f + <g, W - Wk>  (concave blocks only)   ->  -g
 
-plus the soft-threshold step that absorbs a non-smooth L1 penalty, and the
-closed-form block solve available when every activation is the identity.
+The proximal model at gamma = 0 is the block objective itself: its minimizer
+is exact block coordinate descent, solved in closed form when every
+activation is the identity under the L2 loss. The first-order family absorbs
+a non-smooth L1 penalty by soft-thresholding.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
-from .functions import BlockCurvature
-from .netcore import Dataset, FeasibleSet, Network, Unconstrained
+from .functions import BlockCurvature, classify_convexity
+from .gradients import NetworkPass, block_hessian, block_objective_fn
+from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
 __all__ = [
     "InnerSolverConfig", "FirstOrderProx", "SecondOrderProx", "Proximal",
@@ -61,6 +65,16 @@ def _check_gamma(gamma: float) -> None:
         raise SpecError(f"gamma must be positive, got {gamma}")
 
 
+def _block(fb: NetworkPass, j: int):
+    """Block j's current weights, feasible set and regularizer."""
+    spec = fb.net.spec
+    return fb.net.weights[j - 1], spec.feasible_sets[j - 1], spec.regularizers[j - 1]
+
+
+# ``direction(fb, j, grad, adapt, override)`` returns the minimizer of a
+# family's model of block j at the pass ``fb``, and the gamma used. ``adapt``
+# allows the first-order gamma search, ``override`` skips curvature checks.
+
 @dataclass(frozen=True)
 class FirstOrderProx:
     gamma: float = 1.0
@@ -73,6 +87,20 @@ class FirstOrderProx:
         """Value of the surrogate at W, anchored at the current iterate."""
         lin, diff = anchor.linear(W)
         return lin + 0.5 * self.gamma * float(np.sum(diff * diff))
+
+    def direction(self, fb, j, grad, adapt, override):
+        w, feasible, reg = _block(fb, j)
+        if not reg.smooth:
+            if isinstance(feasible, Toeplitz):
+                # one variable per diagonal: the exact prox thresholds its mean
+                a = feasible.project(w - grad / self.gamma)
+                return prox_l1_step(a, 0.0, self.gamma, reg.lam), self.gamma
+            return feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam)), self.gamma
+        if adapt:
+            value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
+            return first_order_direction_backtracked(w, grad, self.gamma, feasible,
+                                                     value_fn, fb.objective())
+        return descent_direction_first_order(w, grad, self.gamma, feasible), self.gamma
 
 
 @dataclass(frozen=True)
@@ -91,6 +119,13 @@ class SecondOrderProx:
         return lin + 0.5 * self.gamma * float(np.sum(diff * diff)) \
             + 0.5 * float(d @ anchor.hess @ d)
 
+    def direction(self, fb, j, grad, adapt, override):
+        # projecting the Newton point is exact only on an unconstrained block
+        w, feasible, _ = _block(fb, j)
+        hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
+        d = descent_direction_second_order(w, grad, hess, self.gamma)
+        return feasible.project(d), self.gamma
+
 
 @dataclass(frozen=True)
 class Proximal:
@@ -99,13 +134,30 @@ class Proximal:
     name = "proximal"
 
     def __post_init__(self):
-        _check_gamma(self.gamma)
+        if not self.gamma >= 0:
+            raise SpecError(f"gamma must be >= 0, got {self.gamma}")
 
     def evaluate(self, W, anchor):
         if anchor.f_fn is None:
             raise SpecError("proximal surrogate needs anchor.f_fn")
         _, diff = anchor.linear(W)
         return anchor.f_fn(W) + 0.5 * self.gamma * float(np.sum(diff * diff))
+
+    def direction(self, fb, j, grad, adapt, override):
+        w, feasible, reg = _block(fb, j)
+        acts = fb.net.spec.activations
+        if (self.gamma == 0 and fb.loss.name == "l2" and isinstance(feasible, Unconstrained)
+                and all(a.name == "identity" for a in acts)):
+            return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma
+        curv = classify_convexity(fb.loss, acts[j - 1:], reg)
+        if not curv.is_strongly_convex and not override:
+            raise CurvatureError(
+                f"block {j} not certified strongly convex; "
+                "set curvature_override=True to run the proximal family heuristically")
+        value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
+        d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma,
+                                          feasible, self.inner)
+        return d, self.gamma
 
 
 @dataclass(frozen=True)
@@ -114,6 +166,12 @@ class LinearBound:
 
     def evaluate(self, W, anchor):
         return anchor.linear(W)[0]
+
+    def direction(self, fb, j, grad, adapt, override):
+        w, feasible, reg = _block(fb, j)
+        curv = classify_convexity(fb.loss, fb.net.spec.activations[j - 1:], reg)
+        d = descent_direction_linear(w, grad, curv, override=override)
+        return feasible.project(d), 0.0
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal,
@@ -253,12 +311,10 @@ def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
     the point that matters. Returns (D, gamma).
     """
     _check_gamma(gamma0)
-    gamma = gamma0
+    gamma, anchor = gamma0, Anchor(W, f_anchor, grad)
     for _ in range(max_doublings + 1):
         d = descent_direction_first_order(W, grad, gamma, feasible)
-        diff = d - W
-        g_at_d = (f_anchor + float(np.sum(grad * diff))
-                  + 0.5 * gamma * float(np.sum(diff * diff)))
+        g_at_d = FirstOrderProx(gamma).evaluate(d, anchor)
         try:
             f_at_d = f_block_value(d)
         except OverflowError:

@@ -8,7 +8,7 @@ loops so they can arbitrate the vectorized implementations.
 import numpy as np
 import pytest
 
-from bsumnet import Dataset, NetworkSpec, Regularizer, build_network
+from bsumnet import Dataset, Network, NetworkSpec, Regularizer, build_network
 from bsumnet.gradients import block_gradient
 
 
@@ -158,6 +158,13 @@ def kron_block_oracle(net, data, j, lam):
     return np.linalg.solve(coeff, rhs).reshape(net.spec.layer_shape(j))
 
 
+def with_block(net, j, w):
+    """Copy of ``net`` with layer j (1-based) replaced by ``w``."""
+    weights = [x.copy() for x in net.weights]
+    weights[j - 1] = np.array(w, dtype=float)
+    return Network(net.spec, weights)
+
+
 def fd_block_hessian(net, data, loss, j, h=1e-5):
     """Block-j Hessian in row-major vec(W_j) from central differences of the
     analytic block gradient, symmetrized as (H + H^T)/2."""
@@ -169,9 +176,9 @@ def fd_block_hessian(net, data, loss, j, h=1e-5):
     for a in range(n):
         orig = flat[a]
         flat[a] = orig + h
-        g_plus = block_gradient(net.with_block(j, probe), data, loss, j).reshape(-1)
+        g_plus = block_gradient(with_block(net, j, probe), data, loss, j).reshape(-1)
         flat[a] = orig - h
-        g_minus = block_gradient(net.with_block(j, probe), data, loss, j).reshape(-1)
+        g_minus = block_gradient(with_block(net, j, probe), data, loss, j).reshape(-1)
         flat[a] = orig
         hess[:, a] = (g_plus - g_minus) / (2.0 * h)
     return (hess + hess.T) / 2.0

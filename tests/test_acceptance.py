@@ -149,8 +149,8 @@ def test_criterion_03_deep_linear_exact_bcd():
                                    regularizer=Regularizer.l2(lam))
     net = build_network(spec, "uniform", seed=4)
     data = Dataset(rng.standard_normal((4, 15)), rng.standard_normal((2, 15)))
-    cfg = TrainConfig(exact_bcd=True, max_outer_iterations=1,
-                      grad_norm_tol=1e-15)
+    cfg = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True,
+                      max_outer_iterations=1, grad_norm_tol=1e-15)
     current = net.copy()
     from bsumnet.gradients import objective_value
     fs = [objective_value(current, data, L2Loss())]

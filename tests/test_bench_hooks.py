@@ -10,11 +10,13 @@ attribute it touched.
 import sys
 from pathlib import Path
 
+import pytest
 import scipy.linalg
 
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
-from bsumnet import (ArmijoRule, FirstOrderProx, InverseRoot, L2Loss, Logistic,
-                     SecondOrderProx, Tanh, Toeplitz, train_step)
+from bsumnet import (ArmijoRule, ExponentialLoss, FirstOrderProx, Identity,
+                     InverseRoot, L2Loss, LinearBound, Logistic, Proximal,
+                     SecondOrderProx, Softplus, Tanh, Toeplitz, train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
 
@@ -32,7 +34,7 @@ def package_namespaces():
     return mods + list(classes) + [scipy.linalg]
 
 
-def traced_step(net, data, cfg):
+def traced_step(net, data, cfg, loss=L2Loss()):
     """Run train_step(k=1) under an installed tracer; check that uninstalling
     restores every attribute and return (tracer, patched attributes)."""
     before = {(id(ns), key): value for ns in package_namespaces()
@@ -41,7 +43,7 @@ def traced_step(net, data, cfg):
     try:
         tracer.install()
         patched = [(owner, attr) for owner, attr, _ in tracer._undo]
-        train_step(net, data, L2Loss(), cfg, 1)
+        train_step(net, data, loss, cfg, 1)
     finally:
         tracer.uninstall()
     for owner, attr in patched:
@@ -81,3 +83,23 @@ def test_armijo_step_records_probe_spans():
     names = [s[0] for s in tracer.spans]
     assert "trainer.armijo" in names
     assert names.count("gradients.probe") >= 3  # gamma search, f(W), f(D)
+
+
+EXACT_BCD = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True)
+
+
+@pytest.mark.parametrize("activation,loss,cfg,spans", [
+    # exact BCD is the proximal family at gamma = 0: on a certified-convex
+    # block its inner solver probes the block objective, on a deep linear
+    # net it is the closed-form block solve
+    (Softplus(), ExponentialLoss(1.0), EXACT_BCD,
+     {"upperbounds.direction", "gradients.probe"}),
+    (Identity(), L2Loss(), EXACT_BCD, {"upperbounds.direction"}),
+    (Logistic(), L2Loss(), TrainConfig(upperbound=LinearBound(), schedule=InverseRoot(1.0),
+                                       curvature_override=True),
+     {"upperbounds.direction"}),
+], ids=["exact_bcd", "deep_linear_exact_bcd", "linear_bound"])
+def test_family_step_records_its_spans(activation, loss, cfg, spans):
+    net, data = make_problem([3, 2, 1], activation, loss, lam=0.05, seed=0)
+    tracer, _ = traced_step(net, data, cfg, loss)
+    assert spans <= {s[0] for s in tracer.spans}

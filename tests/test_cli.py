@@ -40,6 +40,8 @@ MALFORMED = [
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": "x"}),
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": 0}),
     ("methods.0.upperbound", {"kind": "proximal", "inner": {"max_iters": 0}}),
+    ("methods.0.upperbound", {"kind": "proximal", "gamma": -1}),
+    ("methods.0.exact_bcd", True),
     ("methods.0.schedule", {"kind": "constant", "c": 2}),
     ("methods.0.sampler", {"mode": "fixed", "batch_size": "x"}),
     ("methods.0.max_iterations", "x"),

@@ -100,6 +100,14 @@ def test_extra_key_rejected(family, value, want):
         parse_config(config_with(family, dict(value, bogus=1)))
 
 
+def test_proximal_gamma_zero_parses():
+    # exact block coordinate descent is the proximal family at gamma = 0
+    got = SLOTS["upperbound"][1](parse_config(config_with(
+        "upperbound", {"kind": "proximal", "gamma": 0})))
+    assert type(got) is Proximal
+    assert got == Proximal(0.0)
+
+
 def test_extra_inner_solver_key_rejected():
     value = {"kind": "proximal", "inner": {"max_iters": 5, "bogus": 1}}
     with pytest.raises(ConfigError, match="bogus"):

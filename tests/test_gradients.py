@@ -14,7 +14,7 @@ from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value)
 from conftest import (fd_block_hessian, labels_for, make_problem,
-                      scalar_block_gradient, scalar_deltas)
+                      scalar_block_gradient, scalar_deltas, with_block)
 
 
 def rel_err(analytic, numeric):
@@ -225,7 +225,7 @@ class TestBlockHessian:
                                        regularizer=Regularizer.l2(0.05))
         data = Dataset(rng.standard_normal((3, 8)), rng.standard_normal((2, 8)))
         a = build_network(spec, "uniform", seed=20)
-        b = a.with_block(1, rng.standard_normal((2, 3)))
+        b = with_block(a, 1, rng.standard_normal((2, 3)))
         ha = block_hessian(a, data, L2Loss(), 1)
         hb = block_hessian(b, data, L2Loss(), 1)
         np.testing.assert_allclose(ha, hb, atol=1e-5)

@@ -14,7 +14,7 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
 from bsumnet.gradients import block_gradient, objective_value
 from bsumnet.trainer import TrainConfig, armijo_stepsize
 from bsumnet.upperbounds import InnerSolverConfig
-from conftest import make_problem
+from conftest import make_problem, with_block
 
 
 class TestStepsizes:
@@ -91,10 +91,6 @@ class TestTrainConfigValidation:
     def test_unit_stepsize_excludes_schedule(self):
         with pytest.raises(SpecError):
             TrainConfig(schedule=Constant(0.5), unit_stepsize=True)
-
-    def test_exact_bcd_excludes_schedule(self):
-        with pytest.raises(SpecError):
-            TrainConfig(schedule=Constant(0.5), exact_bcd=True)
 
 
 def small_problem(seed=0, lam=0.01, n=10):
@@ -238,7 +234,7 @@ class TestArmijo:
             d = w - grad  # gamma=1 direction
 
             def f(v, j=j):
-                return objective_value(net.with_block(j, v), data, L2Loss())
+                return objective_value(with_block(net, j, v), data, L2Loss())
 
             alpha, ok = armijo_stepsize(f, w, d, grad, rule)
             assert ok
@@ -289,8 +285,9 @@ class TestTrainLoop:
                                        regularizer=Regularizer.l2(lam))
         net = build_network(spec, "uniform", seed=12)
         data = Dataset(rng.standard_normal((3, 15)), rng.standard_normal((2, 15)))
-        cfg = TrainConfig(exact_bcd=True, max_outer_iterations=8,
-                          grad_norm_tol=1e-14, record_every=1)
+        cfg = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True,
+                          max_outer_iterations=8, grad_norm_tol=1e-14,
+                          record_every=1)
         current = net.copy()
         fs = [objective_value(current, data, L2Loss())]
         for k in range(1, 9):

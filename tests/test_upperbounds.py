@@ -1,5 +1,7 @@
 """Surrogate families: directions, projections, prox steps, block solves."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,19 @@ from hypothesis import strategies as st
 
 from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
                      ExponentialLoss, FirstOrderProx, FrobeniusBall, Identity,
-                     InnerSolverConfig, L2Loss, LinearBound, NetworkSpec,
-                     Network, Proximal, Regularizer, SecondOrderProx,
-                     SingularError, Softplus, SpecError, Toeplitz,
-                     Unconstrained, build_network, closed_form_linear_block,
+                     InnerSolverConfig, L2Loss, LinearBound, Logistic,
+                     NetworkPass, NetworkSpec, Network, Proximal, Regularizer,
+                     SecondOrderProx, SingularError, Softplus, SpecError, Tanh,
+                     Toeplitz, Unconstrained, build_network,
+                     closed_form_linear_block,
                      descent_direction_first_order, descent_direction_linear,
                      descent_direction_proximal, descent_direction_second_order,
                      prox_l1_step)
 from bsumnet.gradients import (block_gradient, block_hessian, block_objective_fn,
                                fd_gradient, objective_value)
 from bsumnet.upperbounds import first_order_direction_backtracked
-from conftest import brute_force_prox_scalar, kron_block_oracle, make_problem, ridge_oracle
+from conftest import (brute_force_prox_scalar, kron_block_oracle, make_problem,
+                      ridge_oracle, with_block)
 
 
 class TestProjectFeasible:
@@ -351,6 +355,72 @@ class TestSurrogateProperties:
         assert FirstOrderProx(gamma).evaluate(d, anchor) >= f_d - 1e-12 * max(1.0, abs(f_d))
 
 
+SETS = st.sampled_from([Unconstrained(), Toeplitz(), FrobeniusBall(0.5)])
+
+# a family's step minimizes its model over the feasible set, and the current
+# block is feasible, so the model may not rise from W to D beyond the
+# rounding of recomputing it: this tolerance, relative to max(1, |f(W)|)
+MODEL_TOL = 1e-10
+
+
+@st.composite
+def family_steps(draw, activation, loss, sets=SETS):
+    """A small problem with smooth (L2) blocks over a drawn feasible set, a
+    block j, the pass at the current weights and the anchor there."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=depth + 1, max_size=depth + 1))
+    seed = draw(st.integers(0, 2**31 - 1))
+    net, data = make_problem(dims, activation, loss, lam=0.05, seed=seed, n=6,
+                             feasible=draw(sets))
+    j = draw(st.integers(1, depth))
+    fb = NetworkPass(net, data, loss)
+    value_fn, _ = block_objective_fn(net, data, loss, j)
+    anchor = Anchor(w=net.weights[j - 1], f_value=fb.objective(), grad=fb.grad(j),
+                    hess=block_hessian(net, data, loss, j), f_fn=value_fn)
+    return fb, j, anchor
+
+
+def assert_step_minimizes(kind, fb, j, anchor, adapt=False):
+    """Take kind's step on block j; D must be feasible and must not raise
+    the model (at the gamma the step used) above its value at W."""
+    d, gamma = kind.direction(fb, j, anchor.grad, adapt, False)
+    feasible = fb.net.spec.feasible_sets[j - 1]
+    np.testing.assert_allclose(feasible.project(d), d, rtol=0, atol=1e-12)
+    model = replace(kind, gamma=gamma)
+    tol = MODEL_TOL * max(1.0, abs(anchor.f_value))
+    assert model.evaluate(d, anchor) <= model.evaluate(anchor.w, anchor) + tol
+    return gamma
+
+
+class TestFamilyStepMinimizesItsModel:
+    @given(family_steps(Logistic(), L2Loss()), st.floats(1e-3, 1e2), st.booleans())
+    @settings(max_examples=40, deadline=None)
+    def test_first_order(self, problem, gamma, adapt):
+        gamma_used = assert_step_minimizes(FirstOrderProx(gamma), *problem, adapt=adapt)
+        assert gamma_used == gamma or (adapt and gamma_used > gamma)
+
+    @given(family_steps(Softplus(), ExponentialLoss(1.0)),
+           st.one_of(st.just(0.0), st.floats(1e-3, 1e2)))
+    @settings(max_examples=30, deadline=None)
+    def test_proximal_on_certified_convex_blocks(self, problem, gamma):
+        kind = Proximal(gamma, InnerSolverConfig(max_iters=50))
+        assert assert_step_minimizes(kind, *problem) == gamma
+
+    @given(family_steps(Identity(), L2Loss(), sets=st.just(Unconstrained())))
+    @settings(max_examples=30, deadline=None)
+    def test_proximal_at_zero_on_deep_linear_blocks(self, problem):
+        # the closed-form route: no curvature certificate is needed
+        assert assert_step_minimizes(Proximal(0.0), *problem) == 0.0
+
+    @given(family_steps(Tanh(), L2Loss(), sets=st.just(Unconstrained())),
+           st.floats(1e-3, 1e2))
+    @settings(max_examples=30, deadline=None)
+    def test_second_order_on_unconstrained_blocks(self, problem, gamma):
+        # on a non-convex block the solve may damp with a doubled gamma; its
+        # step still lowers the model at the configured gamma, which is checked
+        assert assert_step_minimizes(SecondOrderProx(gamma), *problem) == gamma
+
+
 class TestBacktrackedGamma:
     def test_majorizes_at_accepted_direction(self):
         net, data = make_problem([3, 4, 1], Softplus(), L2Loss(), lam=0.01,
@@ -389,7 +459,7 @@ class TestClosedFormLinearBlock:
         data = Dataset(rng.standard_normal((3, 20)), rng.standard_normal((2, 20)))
         for j in (1, 2):
             w_star = closed_form_linear_block(net, data, j, lam)
-            at_opt = net.with_block(j, w_star)
+            at_opt = with_block(net, j, w_star)
             g = block_gradient(at_opt, data, L2Loss(), j)
             assert np.linalg.norm(g) <= 1e-8
 
