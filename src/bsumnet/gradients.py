@@ -25,12 +25,16 @@ with z_n column n of Z_{j-1}, M_n the d_j x d_j curvature of f in column n
 of U_j, g the data-term block gradient, kappa the loss's coupling of the
 samples (1/L for the exponential loss, 0 for the others) and mu the
 regularizer's strong-convexity modulus (2 lam for L2). One R-pass
-(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once gives every M_n,
-and one GEMM, (d_j^2, N) @ (N, d_{j-1}^2), forms the sum.
+(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once gives every M_n.
+The sum is one GEMM over unordered pairs, (d_j(d_j+1)/2, N) @ (N,
+d_{j-1}(d_{j-1}+1)/2), of rows (M_n[s,r] + M_n[r,s])/2 and z_n[c] z_n[e],
+c <= e, gathered into vec(W_j) order: H is bitwise symmetric, as entries
+(s,c),(r,e) and (r,e),(s,c) gather the same product entry.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,21 +154,17 @@ class NetworkPass:
         """Exact Hessian of f in row-major vec(W_j), from the cached stages
         (formula in the module docstring); bitwise symmetric."""
         z = self.outs.post_activations[j - 1]
-        d_j, d_prev, n = self.net.spec.dims[j], z.shape[0], z.shape[1]
         m, kappa = self._curvature(j)
-        # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e]
-        hess = m.reshape(d_j * d_j, n) \
-            @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T
-        hess = hess.reshape(d_j, d_j, d_prev, d_prev).transpose(0, 2, 1, 3) \
-            .reshape(d_j * d_prev, d_j * d_prev)
+        rows, cols, gather = _pair_layout(m.shape[0], z.shape[0])
+        # H[(s,c),(r,e)] = sum_n (M_n[s,r] + M_n[r,s])/2 z_n[c] z_n[e]
+        pairs = (m[rows] + m[rows[::-1]]) * 0.5
+        hess = np.take(pairs @ (z[cols[0]] * z[cols[1]]).T, gather)
         if kappa:
             g = self.grad(j, include_reg=False).reshape(-1)
             hess += kappa * np.outer(g, g)
         hess[np.diag_indices_from(hess)] += \
             self.net.spec.regularizers[j - 1].strong_convexity
-        sym = hess + hess.T
-        sym /= 2.0
-        return sym
+        return hess
 
     def _curvature(self, j: int) -> tuple:
         """Per-sample curvature of the data term in U_j, as (M, kappa):
@@ -199,6 +199,18 @@ class NetworkPass:
                 back = weights[i - 1].T @ deltas[i - 1]
                 rd = np.tensordot(weights[i - 1].T, rd, axes=1)
         return rd, kappa
+
+
+@functools.lru_cache(maxsize=4)
+def _pair_layout(d_j: int, d_prev: int) -> tuple:
+    """Row pairs s <= r and column pairs c <= e of W_j, and the flat index of
+    H in their product; one entry per Hessian entry, kept for four shapes."""
+    rows, cols = np.triu_indices(d_j), np.triu_indices(d_prev)
+    row_pair, col_pair = np.empty((d_j, d_j), np.intp), np.empty((d_prev, d_prev), np.intp)
+    row_pair[rows] = row_pair[rows[::-1]] = np.arange(len(rows[0]))
+    col_pair[cols] = col_pair[cols[::-1]] = np.arange(len(cols[0]))
+    gather = row_pair[:, None, :, None] * len(cols[0]) + col_pair[None, :, None, :]
+    return rows, cols, gather.reshape(d_j * d_prev, d_j * d_prev)
 
 
 def _content(w) -> tuple:

@@ -47,6 +47,11 @@ class FeasibleSet:
     def project(self, w: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def kernel_index(self, shape: tuple) -> np.ndarray | None:
+        """For a subspace of tied entries, each entry's coordinate (row-major)
+        in the kernel v, the members being v[index]; else None."""
+        return None
+
     def distance(self, w: np.ndarray) -> float:
         """Frobenius distance from ``w`` to the set."""
         return float(np.linalg.norm(w - self.project(w)))
@@ -67,23 +72,27 @@ class Unconstrained(FeasibleSet):
 class Toeplitz(FeasibleSet):
     """Matrices constant along every diagonal (circular-convolution weights).
 
-    An affine subspace; the orthogonal projection under the Frobenius inner
-    product replaces each diagonal by its mean. A diagonal that is already
-    constant keeps its value exactly (a summed mean can be an ulp off), so
-    the projection is bitwise idempotent.
+    A subspace whose kernel is its rows + cols - 1 diagonal values; the
+    Frobenius-orthogonal projection replaces each diagonal by its mean. A
+    diagonal that is already constant keeps its value exactly (a summed mean
+    can be an ulp off), so the projection is bitwise idempotent.
     """
 
     name = "toeplitz"
 
+    def kernel_index(self, shape: tuple) -> np.ndarray:
+        """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2."""
+        rows, cols = shape
+        return (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+
     def project(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        rows, cols = w.shape
-        offsets = np.arange(-(rows - 1), cols)
-        key = (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+        offsets = np.arange(1 - w.shape[0], w.shape[1])
+        key = self.kernel_index(w.shape)
         first = w[np.maximum(-offsets, 0), np.maximum(offsets, 0)]
         mean = np.bincount(key, weights=w.ravel()) / np.bincount(key)
         varies = np.bincount(key, weights=(w.ravel() != first[key]))
-        return np.where(varies > 0, mean, first)[key].reshape(rows, cols)
+        return np.where(varies > 0, mean, first)[key].reshape(w.shape)
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,9 @@ over the block's feasible set (``direction``), the block's descent direction:
 The proximal model at gamma = 0 is the block objective itself: its minimizer
 is exact block coordinate descent, solved in closed form when every
 activation is the identity under the L2 loss. The first-order family absorbs
-a non-smooth L1 penalty by soft-thresholding.
+a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
+unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
+the projected Newton point.
 """
 
 from __future__ import annotations
@@ -120,11 +122,11 @@ class SecondOrderProx:
             + 0.5 * float(d @ anchor.hess @ d)
 
     def direction(self, fb, j, grad, adapt, override):
-        # projecting the Newton point is exact only on an unconstrained block
+        # exact on an unconstrained block and, in its kernel coordinates, on a
+        # Toeplitz one; on a ball the step is still the projected Newton point
         w, feasible, _ = _block(fb, j)
         hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
-        d = descent_direction_second_order(w, grad, hess, self.gamma)
-        return feasible.project(d), self.gamma
+        return descent_direction_second_order(w, grad, hess, self.gamma, feasible), self.gamma
 
 
 @dataclass(frozen=True)
@@ -212,8 +214,12 @@ def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
+                                   feasible: FeasibleSet = Unconstrained(),
                                    max_doublings: int = 50) -> np.ndarray:
-    """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space.
+    """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
+    projected onto the feasible set, or exact in a set's kernel coordinates
+    (``kernel_index``): W - P (P'HP + gamma P'P)^{-1} P'grad, with P the 0/1
+    map from kernel to block and P'P its diagonal of tie counts.
 
     The damped system is solved by Cholesky; if it is not positive definite,
     gamma is doubled and the solve retried, Levenberg-Marquardt style.
@@ -222,15 +228,23 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     n = W.size
     if hess.shape != (n, n):
         raise SpecError(f"Hessian shape {hess.shape} incompatible with block size {n}")
-    rhs = grad.reshape(-1)
+    index = feasible.kernel_index(W.shape)
+    rhs, damping = grad.reshape(-1), np.ones(n)
+    if index is not None:
+        damping = np.bincount(index)
+        k = len(damping)
+        hess = np.bincount((index[:, None] * k + index).ravel(), weights=hess.ravel()).reshape(k, k)
+        rhs = np.bincount(index, weights=rhs)
     for _ in range(max_doublings + 1):
         try:
-            factor = scipy.linalg.cho_factor(hess + gamma * np.eye(n))
+            factor = scipy.linalg.cho_factor(hess + gamma * np.diag(damping))
         except np.linalg.LinAlgError:
             gamma *= 2.0
             continue
         step = scipy.linalg.cho_solve(factor, rhs)
-        return W - step.reshape(W.shape)
+        if index is None:
+            return feasible.project(W - step.reshape(W.shape))
+        return W - step[index].reshape(W.shape)
     raise CurvatureError(
         f"damped Hessian not positive definite after {max_doublings} gamma doublings")
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bsumnet import Dataset, Network, NetworkSpec, Regularizer, build_network
-from bsumnet.gradients import block_gradient
+from bsumnet.gradients import NetworkPass, block_gradient
 
 
 def scalar_forward(net, X):
@@ -181,6 +181,26 @@ def fd_block_hessian(net, data, loss, j, h=1e-5):
         g_minus = block_gradient(with_block(net, j, probe), data, loss, j).reshape(-1)
         flat[a] = orig
         hess[:, a] = (g_plus - g_minus) / (2.0 * h)
+    return (hess + hess.T) / 2.0
+
+
+def dense_block_hessian(net, data, loss, j):
+    """Block-j Hessian assembled over ordered pairs: the full
+    (d_j^2, N) @ (N, d_{j-1}^2) product of the per-sample curvature M_n with
+    z_n z_n^T, a transpose into row-major vec(W_j), then (H + H^T)/2. Shares
+    only the R-pass (``NetworkPass._curvature``) with the library."""
+    fb = NetworkPass(net, data, loss)
+    z = fb.outs.post_activations[j - 1]
+    d_j, d_prev, n = net.spec.dims[j], z.shape[0], z.shape[1]
+    m, kappa = fb._curvature(j)
+    hess = m.reshape(d_j * d_j, n) \
+        @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T
+    hess = hess.reshape(d_j, d_j, d_prev, d_prev).transpose(0, 2, 1, 3) \
+        .reshape(d_j * d_prev, d_j * d_prev)
+    if kappa:
+        g = fb.grad(j, include_reg=False).reshape(-1)
+        hess += kappa * np.outer(g, g)
+    hess[np.diag_indices_from(hess)] += net.spec.regularizers[j - 1].strong_convexity
     return (hess + hess.T) / 2.0
 
 

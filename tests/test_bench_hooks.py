@@ -72,6 +72,18 @@ def test_newton_step_records_a_block_hessian_span():
     assert ("gradients.block_hessian", 1) in {(s[0], s[4]) for s in tracer.spans}
 
 
+def test_newton_step_on_a_toeplitz_block_is_traced():
+    # curvature's Toeplitz block: its Hessian, kernel solve and Cholesky
+    # must still reach the spans and counters the benchmark reads
+    net, data = make_problem([3, 3, 1], Tanh(), L2Loss(), seed=0, feasible=Toeplitz())
+    cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True)
+    tracer, _ = traced_step(net, data, cfg)
+    spans = {(s[0], s[4]) for s in tracer.spans}
+    assert ("gradients.block_hessian", 1) in spans
+    assert "upperbounds.direction" in {name for name, _ in spans}
+    assert tracer.counts["cholesky_calls"] >= 1
+
+
 def test_armijo_step_records_probe_spans():
     # armijo_probe's per-layer probe and line-search metrics read these
     # spans; memoized probes still pass through the wrapped closures

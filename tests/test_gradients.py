@@ -13,7 +13,7 @@ from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
 from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value)
-from conftest import (fd_block_hessian, labels_for, make_problem,
+from conftest import (dense_block_hessian, fd_block_hessian, labels_for, make_problem,
                       scalar_block_gradient, scalar_deltas, with_block)
 
 
@@ -261,6 +261,33 @@ class TestBlockHessian:
             assert np.array_equal(hess, hess.T)
             scale = max(float(np.max(np.abs(oracle))), 1e-3)
             assert np.max(np.abs(hess - oracle)) <= 1e-6 * scale, (j, dims)
+
+    @pytest.mark.parametrize("loss", [cls() for cls in LOSSES.values()],
+                             ids=lambda l: l.name)
+    @pytest.mark.parametrize("act", [cls() for cls in ACTIVATIONS.values()],
+                             ids=lambda a: a.name)
+    @given(dims=st.lists(st.integers(1, 4), min_size=3, max_size=4),
+           seed=st.integers(0, 2**16), l2=st.booleans())
+    @settings(max_examples=15, deadline=None)
+    def test_pair_assembly_matches_dense_oracle(self, act, loss, dims, seed, l2):
+        # the pair GEMM averages M_n[s,r] and M_n[r,s] before the product, the
+        # oracle averages H and H^T after it: equal up to rounding
+        depth = len(dims) - 1
+        acts = [act] * depth
+        if loss.name == "cross_entropy":
+            acts[-1] = Logistic()  # predictions must lie in [0, 1]
+        reg = Regularizer.l2(0.01) if l2 else Regularizer.none()
+        spec = NetworkSpec(tuple(dims), tuple(acts), (Unconstrained(),) * depth,
+                           (reg,) * depth)
+        net = build_network(spec, "uniform", seed=seed)
+        rng = np.random.default_rng(seed)
+        data = Dataset(rng.standard_normal((dims[0], 6)),
+                       labels_for(loss, dims[-1], 6, rng))
+        for j in range(1, depth + 1):
+            hess = block_hessian(net, data, loss, j)
+            oracle = dense_block_hessian(net, data, loss, j)
+            assert np.array_equal(hess, hess.T)
+            assert np.max(np.abs(hess - oracle)) <= 1e-13 * np.max(np.abs(oracle)), (j, dims)
 
     def test_cached_pass_gives_the_same_hessian(self):
         net, data = make_problem([3, 3, 2], Softplus(), LogisticLoss(), seed=23)

@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
@@ -13,7 +13,7 @@ from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
                      NetworkPass, NetworkSpec, Network, Proximal, Regularizer,
                      SecondOrderProx, SingularError, Softplus, SpecError, Tanh,
                      Toeplitz, Unconstrained, build_network,
-                     closed_form_linear_block,
+                     closed_form_linear_block, synth_regression,
                      descent_direction_first_order, descent_direction_linear,
                      descent_direction_proximal, descent_direction_second_order,
                      prox_l1_step)
@@ -115,6 +115,18 @@ class TestSecondOrderDirection:
         with pytest.raises(CurvatureError):
             descent_direction_second_order(np.zeros((1, 1)), np.ones((1, 1)),
                                            hess, 1e-10, max_doublings=3)
+
+    def test_unit_step_on_a_toeplitz_block_does_not_raise_f(self):
+        # [13,10,10,1] tanh net, Toeplitz middle block, gamma = 1e-3: the
+        # projected Newton point raised f at the unit step at seed 6
+        dims = (13, 10, 10, 1)
+        spec = NetworkSpec(dims, (Tanh(),) * 3, (Unconstrained(), Toeplitz(), Unconstrained()),
+                           (Regularizer.l2(1e-2),) * 3)
+        for seed in range(30):
+            fb = NetworkPass(build_network(spec, "uniform", seed=seed),
+                             synth_regression(seed=seed), L2Loss())
+            d, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), False, False)
+            assert fb.probe(2, d).objective() <= fb.objective(), seed
 
 
 class TestProximalDirection:
@@ -380,6 +392,17 @@ def family_steps(draw, activation, loss, sets=SETS):
     return fb, j, anchor
 
 
+def toeplitz_basis(rows, cols):
+    """0/1 matrix whose column k marks, in row-major vec(W), the entries of
+    the k-th diagonal from the bottom-left."""
+    flat = np.arange(rows * cols).reshape(rows, cols)
+    offsets = range(1 - rows, cols)
+    basis = np.zeros((rows * cols, len(offsets)))
+    for k, offset in enumerate(offsets):
+        basis[np.diagonal(flat, offset), k] = 1.0
+    return basis
+
+
 def assert_step_minimizes(kind, fb, j, anchor, adapt=False):
     """Take kind's step on block j; D must be feasible and must not raise
     the model (at the gamma the step used) above its value at W."""
@@ -412,6 +435,9 @@ class TestFamilyStepMinimizesItsModel:
         # the closed-form route: no curvature certificate is needed
         assert assert_step_minimizes(Proximal(0.0), *problem) == 0.0
 
+    # the second-order tests leave FrobeniusBall out: its step is the
+    # projected Newton point, which need not minimize the model over the ball
+
     @given(family_steps(Tanh(), L2Loss(), sets=st.just(Unconstrained())),
            st.floats(1e-3, 1e2))
     @settings(max_examples=30, deadline=None)
@@ -419,6 +445,27 @@ class TestFamilyStepMinimizesItsModel:
         # on a non-convex block the solve may damp with a doubled gamma; its
         # step still lowers the model at the configured gamma, which is checked
         assert assert_step_minimizes(SecondOrderProx(gamma), *problem) == gamma
+
+    @given(family_steps(Tanh(), L2Loss(), sets=st.just(Toeplitz())),
+           st.floats(1e-3, 1e2))
+    @settings(max_examples=40, deadline=None)
+    def test_second_order_on_toeplitz_blocks(self, problem, gamma):
+        fb, j, anchor = problem
+        w, grad, hess = anchor.w, anchor.grad, anchor.hess
+        basis = toeplitz_basis(*w.shape)
+        reduced = basis.T @ (hess + gamma * np.eye(w.size)) @ basis
+        assume(np.linalg.eigvalsh(reduced)[0] > 0)  # else the model is unbounded below
+        model = SecondOrderProx(gamma)
+        assert assert_step_minimizes(model, fb, j, anchor) == gamma
+        d, _ = model.direction(fb, j, grad, False, False)
+        for offset in range(1 - w.shape[0], w.shape[1]):
+            diagonal = np.diagonal(d, offset)
+            assert np.all(diagonal == diagonal[0])
+        oracle = w - (basis @ np.linalg.solve(reduced, basis.T @ grad.reshape(-1))).reshape(w.shape)
+        projected = Toeplitz().project(descent_direction_second_order(w, grad, hess, gamma))
+        tol = MODEL_TOL * max(1.0, abs(anchor.f_value))
+        assert model.evaluate(d, anchor) <= model.evaluate(oracle, anchor) + tol
+        assert model.evaluate(d, anchor) <= model.evaluate(projected, anchor) + tol
 
 
 class TestBacktrackedGamma:
