@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestError, NonSmoothError, SpecError
-from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
+from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic, sqnorm
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
@@ -167,7 +167,7 @@ def _baseline(net: Network, data: Dataset, loss, rate: float, step,
     fb = NetworkPass(net, data, loss)
     grads = fb.grads()
     trace.initial_f = f_val = fb.objective()
-    trace.initial_grad_norm = norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+    trace.initial_grad_norm = norm = math.sqrt(sum(sqnorm(g) for g in grads))
     for k in range(1, max_iterations + 1):
         try:
             grads = fb.grads()
@@ -177,7 +177,7 @@ def _baseline(net: Network, data: Dataset, loss, rate: float, step,
         except OverflowError as exc:
             trace.abort(str(exc))
             break
-        norm = math.sqrt(sum(float(np.sum(g * g)) for g in grads))
+        norm = math.sqrt(sum(sqnorm(g) for g in grads))
         trace.iterations_run = k
         if k % record_every == 0:
             trace.rows.append(TraceRow(k, 0, f_val, normalized_mse(fb.outs.output, data.Y),

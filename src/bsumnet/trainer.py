@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonSmoothError, SpecError
+from .functions import sqnorm
 from .gradients import BatchSampler, BatchStream, NetworkPass, block_objective_fn
 from .netcore import Dataset, Network
 from .upperbounds import FirstOrderProx, prox_l1_step
@@ -249,9 +250,8 @@ class TrainTrace:
 
 def normalized_mse(H: np.ndarray, Y: np.ndarray) -> float:
     """Training MSE divided by the target variance energy ||Y - Ybar||_F^2."""
-    resid = float(np.sum((Y - H) ** 2))
-    ybar = Y.mean(axis=1, keepdims=True)
-    denom = float(np.sum((Y - ybar) ** 2))
+    resid = sqnorm(Y - H)
+    denom = sqnorm(Y - Y.mean(axis=1, keepdims=True))
     return resid / denom if denom > 0 else resid
 
 
@@ -311,15 +311,8 @@ def _block_residual_norm(net: Network, grads: list) -> float:
     """Norm of the stacked stationarity residuals: plain gradients on smooth
     layers, prox-gradient residuals (with unit curvature) on L1 layers."""
     total = 0.0
-    for j in range(1, net.depth + 1):
-        reg = net.spec.regularizers[j - 1]
-        g = grads[j - 1]
-        if reg.smooth:
-            total += float(np.sum(g * g))
-        else:
-            w = net.weights[j - 1]
-            r = w - prox_l1_step(w, g, 1.0, reg.lam)
-            total += float(np.sum(r * r))
+    for reg, w, g in zip(net.spec.regularizers, net.weights, grads):
+        total += sqnorm(g if reg.smooth else w - prox_l1_step(w, g, 1.0, reg.lam))
     return math.sqrt(total)
 
 
@@ -374,7 +367,7 @@ def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
     d, gamma, grad = _direction(fb, cfg, j, full_batch)
     alpha = _alpha_for_step(fb, cfg, j, k, d, grad, state)
     full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))
-    return j, alpha, gamma, float(np.linalg.norm(grad))
+    return j, alpha, gamma, math.sqrt(sqnorm(grad))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
-from .functions import BlockCurvature, classify_convexity
+from .functions import BlockCurvature, classify_convexity, sqnorm
 from .gradients import NetworkPass, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
@@ -88,7 +88,7 @@ class FirstOrderProx:
     def evaluate(self, W: np.ndarray, anchor: "Anchor") -> float:
         """Value of the surrogate at W, anchored at the current iterate."""
         lin, diff = anchor.linear(W)
-        return lin + 0.5 * self.gamma * float(np.sum(diff * diff))
+        return lin + 0.5 * self.gamma * sqnorm(diff)
 
     def direction(self, fb, j, grad, adapt, override):
         w, feasible, reg = _block(fb, j)
@@ -118,7 +118,7 @@ class SecondOrderProx:
             raise SpecError("second-order surrogate needs anchor.hess")
         lin, diff = anchor.linear(W)
         d = diff.reshape(-1)
-        return lin + 0.5 * self.gamma * float(np.sum(diff * diff)) \
+        return lin + 0.5 * self.gamma * sqnorm(diff) \
             + 0.5 * float(d @ anchor.hess @ d)
 
     def direction(self, fb, j, grad, adapt, override):
@@ -143,7 +143,7 @@ class Proximal:
         if anchor.f_fn is None:
             raise SpecError("proximal surrogate needs anchor.f_fn")
         _, diff = anchor.linear(W)
-        return anchor.f_fn(W) + 0.5 * self.gamma * float(np.sum(diff * diff))
+        return anchor.f_fn(W) + 0.5 * self.gamma * sqnorm(diff)
 
     def direction(self, fb, j, grad, adapt, override):
         w, feasible, reg = _block(fb, j)
@@ -264,7 +264,7 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
     center = np.asarray(W, dtype=float)
 
     def phi(v):
-        pen = 0.5 * gamma * float(np.sum((v - center) ** 2))
+        pen = 0.5 * gamma * sqnorm(v - center)
         try:
             return value_fn(v) + pen
         except OverflowError:

@@ -1,14 +1,21 @@
 """Activation/loss/regularizer catalog: values, derivatives, declared traits."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import expit
 
 from bsumnet import (ACTIVATIONS, LOSSES, BentIdentity, CrossEntropyLoss,
                      Dataset, DomainError, ExponentialLoss, Identity, L2Loss,
                      LeakyReluSmooth, Logistic, LogisticLoss, NetworkSpec,
                      NonSmoothError, Regularizer, Softplus, SquaredHingeLoss,
                      Tanh, build_network, classify_convexity, forward)
-from bsumnet.functions import loss_grad_H, loss_value
+from bsumnet.functions import (L2Regularizer, _sigmoid, loss_grad_H, loss_value,
+                               sqnorm)
+from bsumnet.trainer import normalized_mse
 from bsumnet.gradients import block_hessian
 from conftest import labels_for
 
@@ -53,6 +60,47 @@ class TestActivationValues:
     def test_leaky_alpha_domain(self):
         with pytest.raises(DomainError):
             LeakyReluSmooth(1.5)
+
+
+class TestSigmoidKernel:
+    """The one logistic kernel against scipy's scalar expit, the oracle: 4 ulp
+    where u >= -708; below, the capped exponent leaves an absolute error of
+    at most 1.3e-308 (sigma(-709) = 1.2e-308 is subnormal)."""
+
+    SPECIALS = [np.inf, -np.inf, np.nan, 709.0, -709.0, 745.0, -745.0,
+                1e308, -1e308, -0.0]
+
+    @staticmethod
+    def assert_matches_expit(kernel, u):
+        want = expit(np.asarray(u, dtype=float))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = kernel(u)
+        assert np.shape(got) == np.shape(want)
+        u = np.asarray(u, dtype=float)
+        nan = np.isnan(u)
+        assert np.array_equal(np.isnan(got), nan)
+        hi, lo = u >= -708.0, u < -708.0
+        assert np.all(np.abs(got[hi] - want[hi]) <= 4 * np.spacing(want[hi]))
+        assert np.all(np.abs(got[lo] - want[lo]) <= 1.3e-308)
+
+    @pytest.mark.parametrize("kernel", [_sigmoid, Logistic().value],
+                             ids=["_sigmoid", "Logistic.value"])
+    def test_random_and_special_inputs(self, kernel):
+        u = np.random.default_rng(125).uniform(-40, 40, size=(10, 252))
+        u[0, :len(self.SPECIALS)] = self.SPECIALS
+        before = u.copy()
+        self.assert_matches_expit(kernel, u)
+        self.assert_matches_expit(kernel, u.T)
+        assert np.array_equal(u, before, equal_nan=True)
+        assert kernel(np.inf) == 1.0 and np.isnan(kernel(np.nan))
+
+    @pytest.mark.parametrize("u", [0.3, -2.5, [1, -2, 0, 700], np.array(-1.7)],
+                             ids=["float", "negative float", "int list", "0-d array"])
+    @pytest.mark.parametrize("kernel", [_sigmoid, Logistic().value],
+                             ids=["_sigmoid", "Logistic.value"])
+    def test_scalars_lists_and_0d_arrays(self, kernel, u):
+        self.assert_matches_expit(kernel, u)
 
 
 class TestActivationDerivativesAgainstFD:
@@ -377,3 +425,49 @@ class TestLossConvexityTraits:
             chord = (loss_value(loss, h1, y) + loss_value(loss, h2, y)) / 2
             assert mid <= chord + 1e-10
         assert loss.convex_in_H
+
+
+# ---------------------------------------------------------------------------
+# squared norms
+# ---------------------------------------------------------------------------
+
+@st.composite
+def blocks(draw):
+    """Arrays from 1x1 to 16x300, C-ordered or as a transposed view."""
+    rows, cols = draw(st.integers(1, 16)), draw(st.integers(1, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    if draw(st.booleans()):
+        return scale * rng.standard_normal((cols, rows)).T
+    return scale * rng.standard_normal((rows, cols))
+
+
+class TestSquaredNorm:
+    """The BLAS squared norm against np.sum(x * x), the oracle. Either
+    order of summation is within n * eps * sum(x^2) of the exact value."""
+
+    @given(blocks())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_elementwise_sum(self, x):
+        bound = x.size * np.finfo(float).eps * np.sum(x * x)
+        assert abs(sqnorm(x) - np.sum(x * x)) <= bound
+
+    @given(blocks(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_l2_loss_and_regularizer_match_sum_forms(self, H, seed):
+        Y = np.random.default_rng(seed).standard_normal(H.shape)
+        eps = np.finfo(float).eps
+        want = np.sum((Y - H) ** 2) / H.shape[1]
+        assert abs(L2Loss().value(H, Y) - want) <= H.size * eps * want
+        want = 0.3 * np.sum(H * H)
+        assert abs(L2Regularizer(0.3).value(H) - want) <= H.size * eps * want
+
+    @given(blocks(), st.integers(0, 2**31 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_normalized_mse_matches_sum_form(self, H, seed):
+        Y = np.random.default_rng(seed).standard_normal(H.shape)
+        resid = np.sum((Y - H) ** 2)
+        denom = np.sum((Y - Y.mean(axis=1, keepdims=True)) ** 2)
+        want = resid / denom if denom > 0 else resid
+        # numerator and denominator each within n * eps relative
+        assert abs(normalized_mse(H, Y) - want) <= 2 * H.size * np.finfo(float).eps * want

@@ -1,15 +1,19 @@
 """Training loop: schedules, special-case equivalences, loop invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      Dataset, ExponentialLoss, FirstOrderProx, FrobeniusBall,
                      Geometric, Identity, InverseRoot, L2Loss, Logistic,
                      NetworkSpec, Network, Proximal, Recursive, Regularizer,
-                     SecondOrderProx, Softplus, SpecError, Toeplitz,
-                     build_network, closed_form_linear_block, forward,
-                     normalized_mse, stepsize_next, stochastic_train,
+                     SecondOrderProx, Softplus, SpecError, Tanh, Toeplitz,
+                     Unconstrained, build_network, closed_form_linear_block,
+                     forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step, validate_schedule)
 from bsumnet.gradients import block_gradient, objective_value
 from bsumnet.trainer import TrainConfig, armijo_stepsize
@@ -466,6 +470,45 @@ class TestStochasticTrain:
                           adapt_gamma=False)
         _, trace = stochastic_train(net, data, L2Loss(), cfg)
         assert trace.iterations_run == 40
+
+
+@st.composite
+def first_order_runs(draw):
+    """Small first-order problems: depth 1-3, logistic / tanh / softplus,
+    unconstrained or Toeplitz layers, fixed or adaptive gamma, and an
+    inverse-root, recursive or Armijo stepsize."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    act = draw(st.sampled_from([Logistic(), Tanh(), Softplus()]))
+    sets = tuple(draw(st.sampled_from([Unconstrained(), Toeplitz()])) for _ in range(depth))
+    spec = NetworkSpec(tuple(dims), (act,) * depth, sets, (Regularizer.l2(1e-2),) * depth)
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 8))
+    data = Dataset(rng.standard_normal((dims[0], n)), rng.standard_normal((dims[-1], n)))
+    schedule = draw(st.sampled_from([InverseRoot(1.0), Recursive(0.9, 0.5), ArmijoRule()]))
+    cfg = TrainConfig(upperbound=FirstOrderProx(draw(st.sampled_from([0.1, 1.0]))),
+                      schedule=schedule, max_outer_iterations=draw(st.integers(1, 12)),
+                      record_every=1, grad_norm_tol=1e-13,
+                      adapt_gamma=draw(st.booleans()))
+    return build_network(spec, "uniform", seed=seed), data, cfg
+
+
+def _without_clock(row):
+    return dataclasses.replace(row, wall_seconds=0.0)
+
+
+class TestFullSamplerEquivalence:
+    @given(first_order_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_full_sampler_is_bitwise_train(self, run):
+        net, data, cfg = run
+        net_batch, t_batch = train(net, data, L2Loss(), cfg)
+        net_full, t_full = stochastic_train(
+            net, data, L2Loss(), dataclasses.replace(cfg, sampler=BatchSampler("full")))
+        assert [_without_clock(r) for r in t_batch.rows] == \
+            [_without_clock(r) for r in t_full.rows]
+        assert all(np.array_equal(a, b) for a, b in zip(net_batch.weights, net_full.weights))
 
 
 class TestNormalizedMse:
