@@ -8,14 +8,16 @@ Z_j = sigma_j(U_j) and the error matrices of the backward recursion
 with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
 regularizer gradient. ``set_block(j, W)`` keeps Z_0..Z_{j-1}, and the next
 query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
-to the block asked for. Logistic and tanh derivatives come from the cached
-Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the network.
-The pass memoizes its last probe, keyed by the bitwise content of V (shape,
-dtype, bytes; not identity, as finite differences mutate one array in place):
-a probe at the current W_j is the pass itself, a repeat is the memo, and
-``set_block(j, V)`` at the memo's content adopts its stages. The module
-functions are views of a fresh pass for callers that hold a plain network.
-Vec orderings here and in the Newton solve are row-major vec(W_j).
+to the block asked for, and a block gradient with its smooth regularizer is
+kept until the next update. Logistic and tanh derivatives come from the
+cached Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the
+network. The pass memoizes its last probe, keyed by the bitwise content of V
+(shape, dtype, bytes; not identity, as finite differences mutate one array
+in place): a probe at the current W_j is the pass itself, a repeat is the
+memo, and ``set_block(j, V)`` at the memo's content adopts its stages,
+deltas and gradients. The module functions are views of a fresh pass for
+callers that hold a plain network. Vec orderings here and in the Newton
+solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -79,6 +81,7 @@ class NetworkPass:
         self.depth = net.depth
         self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
         self._deltas = [None] * self.depth
+        self._grads = [None] * self.depth
         self._f = None
         self._memo = None  # (j, content of W_j, pass) of the last probe
 
@@ -90,11 +93,12 @@ class NetworkPass:
             probe = memo[2]
             self.net.weights[j - 1] = probe.net.weights[j - 1]
             self._outs, self._stale = probe._outs, probe._stale
-            self._deltas, self._f = probe._deltas, probe._f
+            self._deltas, self._grads, self._f = probe._deltas, probe._grads, probe._f
             return
         self.net.weights[j - 1] = np.array(w, dtype=float)
         self._stale = min(self._stale, j)
         self._deltas = [None] * self.depth
+        self._grads = [None] * self.depth
         self._f = None
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
@@ -140,11 +144,13 @@ class NetworkPass:
     def grad(self, j: int, include_reg: bool = True) -> np.ndarray:
         """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
         regularizer gradient when it is smooth (an L1 penalty is left to the
-        prox step)."""
+        prox step); that sum is cached, and callers must not write to it."""
+        if include_reg and self._grads[j - 1] is not None:
+            return self._grads[j - 1]
         g = self.deltas(j)[j - 1] @ self.outs.post_activations[j - 1].T
         reg = self.net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:
-            g = g + reg.grad(self.net.weights[j - 1])
+            g = self._grads[j - 1] = g + reg.grad(self.net.weights[j - 1])
         return g
 
     def grads(self, include_reg: bool = True) -> list:

@@ -4,8 +4,9 @@ An experiment is a JSON config naming a dataset (CSV file or seeded synthetic
 generator), a network, a loss, one or more proposed-method variants, and
 optional baseline optimizers. Every (method, seed) pair trains from the same
 seed-determined initial network and produces one curve CSV plus one JSON
-summary. Curve files are byte-reproducible: the wall_seconds column is zeroed
-on emission (real timings live in the summaries).
+summary; the baselines are steps run by the trainer's loop. Curve files are
+byte-reproducible: the wall_seconds column is zeroed on emission (real
+timings live in the summaries).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import csv
 import inspect
 import json
 import math
+import re
 import time
 import typing
 from dataclasses import dataclass, field, is_dataclass, replace
@@ -26,8 +28,7 @@ from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic, sqnorm
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
-from .trainer import (SCHEDULES, TraceRow, TrainConfig, TrainTrace,
-                      normalized_mse, stochastic_train)
+from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, stochastic_train
 from .upperbounds import UPPERBOUNDS
 
 __all__ = [
@@ -154,43 +155,24 @@ def _check_baseline(kind: str, rate: float, record_every: int, eps: float = 0.0)
         raise SpecError("record_every must be >= 1")
 
 
-def _baseline(net: Network, data: Dataset, loss, rate: float, step,
+def _baseline(net: Network, data: Dataset, loss, rate: float, update,
               max_iterations: int, record_every: int,
               grad_norm_tol: float) -> TrainTrace:
-    """Simultaneous update W_j <- step(j, W_j, G_j) of every layer, one pass
-    per iteration: the pass at the new weights gives the row's f and the next
-    gradients. Aborts once f is non-finite or over the divergence cap."""
+    """Simultaneous update W_j <- update(j, W_j, G_j) of every layer, all
+    from the gradients at the same iterate, stepped on one pass by the
+    trainer's loop (``run_loop``) with a cycle of one iteration."""
     if any(not r.smooth for r in net.spec.regularizers):
         raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
-    trace = TrainTrace()
-    t0 = time.perf_counter()
-    fb = NetworkPass(net, data, loss)
-    grads = fb.grads()
-    trace.initial_f = f_val = fb.objective()
-    trace.initial_grad_norm = norm = math.sqrt(sum(sqnorm(g) for g in grads))
-    for k in range(1, max_iterations + 1):
-        try:
-            grads = fb.grads()
-            weights = [step(j, w, g) for j, (w, g) in enumerate(zip(fb.net.weights, grads))]
-            fb = NetworkPass(Network(net.spec, weights), data, loss)
-            f_val = fb.objective()
-        except OverflowError as exc:
-            trace.abort(str(exc))
-            break
-        norm = math.sqrt(sum(sqnorm(g) for g in grads))
-        trace.iterations_run = k
-        if k % record_every == 0:
-            trace.rows.append(TraceRow(k, 0, f_val, normalized_mse(fb.outs.output, data.Y),
-                                       norm, norm, rate, 0.0, time.perf_counter() - t0))
-        if not math.isfinite(f_val) or f_val > _DIVERGENCE_CAP:
-            trace.abort(f"objective diverged to {f_val:.3g}")
-            break
-        if grad_norm_tol > 0 and norm <= grad_norm_tol:
-            trace.converged = True
-            break
-    trace.final_f = f_val
-    trace.final_grad_norm = norm
-    return trace
+    full = NetworkPass(net, data, loss)
+
+    def step(k):
+        grads = full.grads()
+        for j, g in enumerate(grads):
+            full.set_block(j + 1, update(j, full.net.weights[j], g))
+        return 0, rate, 0.0, math.sqrt(sum(sqnorm(g) for g in grads))
+
+    return run_loop(full, step, max_iterations, 1, record_every, grad_norm_tol,
+                    _DIVERGENCE_CAP)
 
 
 def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
@@ -200,8 +182,9 @@ def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
 
     All layers step simultaneously from gradients taken at the same iterate
     (one iteration here is a full-cycle equivalent of the block methods).
-    Aborts once the objective exceeds the divergence cap. rate = 0 is allowed
-    and leaves the weights frozen.
+    Row k has f and the residual at W_k; the run converges at the first W_k
+    with residual <= ``grad_norm_tol`` (with 0, only at a zero gradient) and
+    aborts once f exceeds the divergence cap. rate = 0 freezes the weights.
     """
     _check_baseline("bp_clr", rate, record_every)
     return _baseline(net, data, loss, rate, lambda j, w, g: w - rate * g,
@@ -214,16 +197,16 @@ def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
     """Backprop scaled per entry by accumulated squared gradients.
 
     Accumulators start at zero and grow monotonically; the update is
-    rate * g / sqrt(accum + eps).
+    rate * g / sqrt(accum + eps). Rows and stopping as in ``baseline_bp_clr``.
     """
     _check_baseline("adagrad", rate, record_every, eps)
     accum = [np.zeros_like(w) for w in net.weights]
 
-    def step(j, w, g):
+    def update(j, w, g):
         accum[j] += g * g
         return w - rate * g / np.sqrt(accum[j] + eps)
 
-    return _baseline(net, data, loss, rate, step, max_iterations, record_every,
+    return _baseline(net, data, loss, rate, update, max_iterations, record_every,
                      grad_norm_tol)
 
 
@@ -387,8 +370,12 @@ def _parse_kind(value, registry: dict, family: str, where: str):
     return _construct(registry[kind], d, where)
 
 
-def _maybe_list(value, registry, family, where):
+def _maybe_list(value, registry, family, where, depth):
+    """One kind object, or from a list one per layer of the network."""
     if isinstance(value, list):
+        if len(value) != depth:
+            raise ConfigError(f"{where}: {len(value)} per-layer entries, "
+                              f"the network has {depth} layers")
         return tuple(_parse_kind(v, registry, family, f"{where}[{i}]")
                      for i, v in enumerate(value))
     return _parse_kind(value, registry, family, where)
@@ -426,7 +413,8 @@ def _parse_network(d: dict) -> dict:
     depth = len(dims) - 1
 
     def widen(key, default, registry, family):
-        parsed = _maybe_list(d.get(key, default), registry, family, f"network.{key}")
+        parsed = _maybe_list(d.get(key, default), registry, family, f"network.{key}",
+                             depth)
         return parsed if isinstance(parsed, tuple) else (parsed,) * depth
 
     acts = widen("activation", "logistic", ACTIVATIONS, "activation")
@@ -439,15 +427,18 @@ def _parse_network(d: dict) -> dict:
     return {"spec": spec, **_config_fields(d, ("init", "init_scale"), "network.")}
 
 
-def _parse_method(d: dict, idx: int) -> MethodSpec:
+def _parse_method(d: dict, idx: int, depth: int) -> MethodSpec:
     where = f"methods[{idx}]"
     name = _typed(d.pop("name", f"prop{idx}"), str, f"{where}.name")
+    if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name):
+        raise ConfigError(f"{where}.name: {name!r} is not a file stem of letters, "
+                          "digits, '_', '-' and '.' (not starting with '.')")
     if "upperbound" in d:
         d["upperbound"] = _maybe_list(d["upperbound"], UPPERBOUNDS, "upperbound",
-                                      f"{where}.upperbound")
+                                      f"{where}.upperbound", depth)
     if d.get("schedule") is not None:
         d["schedule"] = _maybe_list(d["schedule"], SCHEDULES, "schedule",
-                                    f"{where}.schedule")
+                                    f"{where}.schedule", depth)
     train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
     return MethodSpec(name, train)
 
@@ -465,8 +456,8 @@ def parse_config(raw: dict) -> ExperimentConfig:
     dataset = _parse_dataset(raw["dataset"])
     network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
-    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i) for i, m in
-                    enumerate(_typed(raw.get("methods", []), list, "methods")))
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"].depth)
+                    for i, m in enumerate(_typed(raw.get("methods", []), list, "methods")))
     baselines = tuple(_construct(BaselineSpec, b, f"baselines[{i}]", {"kind": "name"})
                       for i, b in enumerate(_typed(raw.get("baselines", []), list,
                                                    "baselines")))

@@ -4,9 +4,11 @@ One outer iteration k touches block j = ((k-1) mod J) + 1: a descent
 direction is produced by the configured surrogate family, then the block
 moves to the convex combination (1-alpha) W_j + alpha D_j. Stepsizes come
 from a diminishing schedule, an Armijo search, or are pinned to 1
-(unit-stepsize mode). Stopping is checked at the end of every full cycle on
-the full-batch stationarity residual; a run whose objective or residual
-turns non-finite stops there as aborted.
+(unit-stepsize mode). ``run_loop`` steps a ``NetworkPass`` and keeps the
+trace, for the block trainer (cycle J) and the harness's backprop baselines
+(cycle 1, every layer per step): stopping is checked at each cycle's end on
+the full-batch stationarity residual, and a non-finite objective or residual
+aborts the run.
 
 Each run owns its mutable state (schedule positions, batch stream); networks
 and trace rows it hands out are fresh values, safe to keep or share.
@@ -30,7 +32,7 @@ __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
     "SCHEDULES", "ScheduleReport", "stepsize_next", "validate_schedule",
     "TrainConfig", "TraceRow", "TrainTrace", "normalized_mse",
-    "armijo_stepsize", "train_step", "train", "stochastic_train",
+    "armijo_stepsize", "train_step", "run_loop", "train", "stochastic_train",
 ]
 
 # stepsizes are clipped into [0, 1) as the convex-combination update requires
@@ -396,55 +398,55 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
     return full.net, row
 
 
-def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    depth = net.depth
-    record_every = cfg.record_every if cfg.record_every is not None else depth
-    state = _LoopState(cfg, depth, data.n_samples)
-    full = NetworkPass(net.copy(), data, loss)
+def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
+             record_every: int, tol: float, cap: float | None = None) -> TrainTrace:
+    """Call ``step(k)``, which updates ``full`` and returns (block, alpha,
+    gamma, gradient norm), for k = 1..iterations. f and the residual are
+    taken at each cycle's end, recorded row and last k; the run converges
+    when a cycle ends at a residual <= ``tol`` and aborts on a non-finite
+    value, on f over ``cap`` or on an overflow."""
     trace = TrainTrace()
     t0 = time.perf_counter()
-
+    f_val = norm = math.nan
     try:
-        f_val, full_norm, _ = _full_diagnostics(full)
-    except OverflowError as exc:
-        trace.abort(str(exc))
-        return full.net, trace
-    trace.initial_f = trace.final_f = f_val
-    trace.initial_grad_norm = trace.final_grad_norm = full_norm
-    if not (math.isfinite(f_val) and math.isfinite(full_norm)):
-        trace.abort(f"non-finite objective {f_val} or residual {full_norm} at the start")
-        return full.net, trace
-
-    for k in range(1, cfg.max_outer_iterations + 1):
-        try:
-            j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
-        except OverflowError as exc:
-            trace.abort(str(exc))
-            break
-        trace.iterations_run = k
-
-        cycle_end = (k % depth == 0)
-        record_due = (k % record_every == 0)
-        if cycle_end or record_due or k == cfg.max_outer_iterations:
-            try:
-                f_val, full_norm, nmse = _full_diagnostics(full)
-            except OverflowError as exc:
-                trace.abort(str(exc))
-                break
+        f_val, norm, _ = _full_diagnostics(full)
+        trace.initial_f, trace.initial_grad_norm = f_val, norm
+        if not (math.isfinite(f_val) and math.isfinite(norm)):
+            trace.abort(f"non-finite objective {f_val} or residual {norm} at the start")
+            iterations = 0  # no step from a non-finite start
+        for k in range(1, iterations + 1):
+            j, alpha, gamma, grad_norm = step(k)
+            trace.iterations_run = k
+            cycle_end = (k % cycle == 0)
+            record_due = (k % record_every == 0)
+            if not (cycle_end or record_due or k == iterations):
+                continue
+            f_val, norm, nmse = _full_diagnostics(full)
             if record_due:
-                trace.rows.append(TraceRow(
-                    k, j, f_val, nmse, grad_norm, full_norm, alpha, gamma,
-                    time.perf_counter() - t0))
-            if not (math.isfinite(f_val) and math.isfinite(full_norm)):
-                trace.abort(f"non-finite objective {f_val} or residual {full_norm} "
+                trace.rows.append(TraceRow(k, j, f_val, nmse, grad_norm, norm, alpha,
+                                           gamma, time.perf_counter() - t0))
+            if cap is not None and not f_val <= cap:
+                trace.abort(f"objective diverged to {f_val:.3g}")
+                break
+            if not (math.isfinite(f_val) and math.isfinite(norm)):
+                trace.abort(f"non-finite objective {f_val} or residual {norm} "
                             f"after iteration {k}")
                 break
-            if cycle_end and full_norm <= cfg.grad_norm_tol:
+            if cycle_end and norm <= tol:
                 trace.converged = True
                 break
+    except OverflowError as exc:
+        trace.abort(str(exc))
+    trace.final_f, trace.final_grad_norm = f_val, norm
+    return trace
 
-    trace.final_f = f_val
-    trace.final_grad_norm = full_norm
+
+def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
+    state = _LoopState(cfg, net.depth, data.n_samples)
+    full = NetworkPass(net.copy(), data, loss)
+    record_every = cfg.record_every if cfg.record_every is not None else net.depth
+    trace = run_loop(full, lambda k: _step(full, cfg, k, state), cfg.max_outer_iterations,
+                     net.depth, record_every, cfg.grad_norm_tol)
     return full.net, trace
 
 

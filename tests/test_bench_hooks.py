@@ -16,7 +16,8 @@ import scipy.linalg
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
 from bsumnet import (ArmijoRule, ExponentialLoss, FirstOrderProx, Identity,
                      InverseRoot, L2Loss, LinearBound, Logistic, Proximal,
-                     SecondOrderProx, Softplus, Tanh, Toeplitz, train_step)
+                     SecondOrderProx, Softplus, Tanh, Toeplitz, harness,
+                     train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
 
@@ -35,7 +36,12 @@ def package_namespaces():
 
 
 def traced_step(net, data, cfg, loss=L2Loss()):
-    """Run train_step(k=1) under an installed tracer; check that uninstalling
+    """Run train_step(k=1) under an installed tracer; see traced_run."""
+    return traced_run(lambda: train_step(net, data, loss, cfg, 1))
+
+
+def traced_run(run):
+    """Call run() under an installed tracer; check that uninstalling
     restores every attribute and return (tracer, patched attributes)."""
     before = {(id(ns), key): value for ns in package_namespaces()
               for key, value in vars(ns).items()}
@@ -43,7 +49,7 @@ def traced_step(net, data, cfg, loss=L2Loss()):
     try:
         tracer.install()
         patched = [(owner, attr) for owner, attr, _ in tracer._undo]
-        train_step(net, data, loss, cfg, 1)
+        run()
     finally:
         tracer.uninstall()
     for owner, attr in patched:
@@ -115,3 +121,13 @@ def test_family_step_records_its_spans(activation, loss, cfg, spans):
     net, data = make_problem([3, 2, 1], activation, loss, lam=0.05, seed=0)
     tracer, _ = traced_step(net, data, cfg, loss)
     assert spans <= {s[0] for s in tracer.spans}
+
+
+def test_baseline_records_its_span():
+    # readme_cli's harness.baseline.self_s reads this span; each baseline is
+    # looked up on the module while traced, where the tracer patched it
+    net, data = make_problem([3, 2, 1], Logistic(), L2Loss(), seed=0)
+    for name in ("baseline_bp_clr", "baseline_adagrad"):
+        tracer, _ = traced_run(
+            lambda: getattr(harness, name)(net, data, L2Loss(), 0.1, max_iterations=3))
+        assert [s[0] for s in tracer.spans].count("harness.baseline") == 1, name

@@ -73,6 +73,12 @@ MALFORMED = [
     ("baselines", 5),
     ("dataset", {"kind": "csv", "path": 5, "target_cols": ["y"]}),
     ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": 5}),
+    # per-layer lists need one entry per layer of the [3, 2, 1] network
+    ("methods.0.schedule", [{"kind": "constant", "c": 0.5}] * 3),
+    ("methods.0.upperbound", ["first_order_prox"] * 3),
+    # a method name is the stem of its output files
+    ("methods.0.name", "../escaped"),
+    ("methods.0.name", "a,b"),
 ]
 
 

@@ -8,7 +8,9 @@ and after the update, where the memo must not answer. After every update the
 cached stages, objective, block gradients and block probes must be bitwise
 equal to a fresh ``forward`` / ``objective_value`` / ``all_block_gradients``
 on the same network, and at the end the gradients must match central
-differences.
+differences. Every block's gradient is queried before and after each
+update, so a cached gradient that outlives its weights, or an adopted probe
+whose gradients are not taken over, shows as a mismatch.
 """
 
 import numpy as np
@@ -73,6 +75,14 @@ def assert_probe_matches_fresh(fb, net, data, loss, j, v):
     assert np.array_equal(grad_fn(v), block_gradient(moved, data, loss, j))
 
 
+def assert_gradients_match_fresh(fb, net, data, loss):
+    # every block's gradient, cached from its first query on, stays bitwise
+    # a fresh recomputation at the pass's weights
+    for j in range(1, net.depth + 1):
+        assert np.array_equal(fb.grad(j), block_gradient(net, data, loss, j))
+        assert fb.grad(j) is fb.grad(j)
+
+
 def assert_matches_fresh(fb, net, data, loss, rng):
     fresh = forward(net, data.X)
     for got, want in zip(fb.outs.post_activations, fresh.post_activations):
@@ -94,8 +104,12 @@ def test_cached_pass_equals_fresh_recomputation(problem):
     for j, q, mode in steps:
         w = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
         v = net.weights[q - 1] + 0.3 * rng.standard_normal(net.weights[q - 1].shape)
+        assert_gradients_match_fresh(fb, net, data, loss)
         if mode in ("adopt", "mutate"):
             assert_probe_matches_fresh(fb, net, data, loss, j, w)
+        if mode == "adopt":
+            # the probe's gradients, which set_block takes over with it
+            assert_gradients_match_fresh(fb.probe(j, w), with_block(net, j, w), data, loss)
         if mode == "mutate":
             w[tuple(rng.integers(0, n) for n in w.shape)] += 0.5
             assert_probe_matches_fresh(fb, net, data, loss, j, w)
@@ -107,6 +121,7 @@ def test_cached_pass_equals_fresh_recomputation(problem):
             assert_probe_matches_fresh(fb, net, data, loss, q, v)
         # a lone query leaves the deltas below block q uncomputed
         assert np.array_equal(fb.grad(q), block_gradient(net, data, loss, q))
+        assert_gradients_match_fresh(fb, net, data, loss)
         assert_matches_fresh(fb, net, data, loss, rng)
     assert all(np.array_equal(a, b) for a, b in zip(fb.net.weights, net.weights))
 

@@ -17,6 +17,7 @@ from bsumnet import (ConfigError, Dataset, Identity, IngestError, L2Loss,
                      baseline_bp_clr, build_network, emit_curves, forward,
                      load_csv_dataset, parse_config, parse_curves,
                      run_experiment, synth_regression)
+from bsumnet.functions import sqnorm
 from bsumnet.gradients import all_block_gradients
 from bsumnet.harness import CURVE_HEADER, _zero_wall, load_config
 from bsumnet.trainer import TraceRow, TrainTrace
@@ -154,6 +155,53 @@ class TestBaselines:
         from bsumnet.gradients import objective_value
         assert trace.rows[0].f == pytest.approx(
             objective_value(got_net, data, L2Loss()))
+
+    def _logistic_problem(self):
+        rng = np.random.default_rng(1)
+        spec = NetworkSpec.homogeneous([4, 3, 2], Logistic(),
+                                       regularizer=Regularizer.l2(0.01))
+        net = build_network(spec, "uniform", seed=1)
+        data = Dataset(rng.standard_normal((4, 10)), rng.standard_normal((2, 10)))
+        return net, data
+
+    @staticmethod
+    def _residual_after_one_step(net, data, rate):
+        grads = all_block_gradients(net, data, L2Loss())
+        stepped = Network(net.spec, [w - rate * g for w, g in zip(net.weights, grads)])
+        return math.sqrt(sum(sqnorm(g) for g in all_block_gradients(stepped, data, L2Loss())))
+
+    def test_row_reports_the_residual_after_its_step(self):
+        # row k's grad_norm is taken at W_k, as the block methods' rows are
+        net, data = self._logistic_problem()
+        want = self._residual_after_one_step(net, data, 0.1)
+        trace = baseline_bp_clr(net, data, L2Loss(), rate=0.1, max_iterations=1)
+        assert trace.rows[0].full_grad_norm == want
+        assert want != trace.initial_grad_norm
+
+    def test_converges_at_the_first_iterate_within_tolerance(self):
+        net, data = self._logistic_problem()
+        tol = self._residual_after_one_step(net, data, 0.1)
+        trace = baseline_bp_clr(net, data, L2Loss(), rate=0.1, max_iterations=5,
+                                grad_norm_tol=tol)
+        assert trace.converged
+        assert trace.iterations_run == 1
+        assert trace.final_grad_norm == tol
+
+    def test_zero_tolerance_stops_only_at_a_zero_gradient(self):
+        net, data, _ = self._ridge_problem()
+        trace = baseline_bp_clr(net, data, L2Loss(), rate=0.01, max_iterations=5)
+        assert not trace.converged
+        assert trace.iterations_run == 5
+        # Y = W X bitwise, so the gradient at the start and after it is 0
+        rng = np.random.default_rng(3)
+        w = rng.standard_normal((2, 3))
+        X = rng.standard_normal((3, 12))
+        net = Network(NetworkSpec.homogeneous([3, 2], Identity()), [w])
+        trace = baseline_bp_clr(net, Dataset(X, w @ X), L2Loss(), rate=0.5,
+                                max_iterations=10)
+        assert trace.converged
+        assert trace.iterations_run == 1
+        assert trace.final_grad_norm == 0.0
 
     def test_adagrad_first_step_scaling(self):
         net, data, _ = self._ridge_problem(seed=2)
