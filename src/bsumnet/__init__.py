@@ -27,7 +27,7 @@ from .netcore import (FEASIBLE_SETS, Dataset, FrobeniusBall, Network,
 from .trainer import (SCHEDULES, ArmijoRule, Constant, Geometric, InverseRoot,
                       Recursive, TrainConfig, TrainTrace, armijo_stepsize,
                       normalized_mse, stepsize_next, stochastic_train, train,
-                      train_step, validate_schedule)
+                      train_step)
 from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx,
                           InnerSolverConfig, LinearBound, Proximal,
                           SecondOrderProx, closed_form_linear_block,

@@ -19,7 +19,7 @@ from .functions import ACTIVATIONS, LOSSES, Logistic, Regularizer
 from .gradients import block_gradient, block_objective_fn, fd_gradient
 from .harness import _parse_kind, _resolve_dataset, load_config, run_experiment
 from .netcore import Dataset, NetworkSpec, Unconstrained, build_network
-from .trainer import SCHEDULES, validate_schedule
+from .trainer import SCHEDULES
 
 
 def _parse_params(pairs):
@@ -53,10 +53,9 @@ def _cmd_validate_schedule(args) -> int:
     kind = args.kind.replace("-", "_")
     schedule = _parse_kind({"kind": kind, **_parse_params(args.param)},
                            SCHEDULES, "schedule", "--kind")
-    report = validate_schedule(schedule)
-    verdict = "true" if report.satisfies_eq7 else "false"
+    verdict = "true" if schedule.satisfies_eq7 else "false"
     print(f"{kind}: satisfies stepsize conditions = {verdict}")
-    print(f"  {report.witness}")
+    print(f"  {schedule.witness}")
     return 0
 
 

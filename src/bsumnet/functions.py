@@ -228,6 +228,7 @@ class Loss:
 
     name = "base"
     convex_in_H = False
+    concave_in_H = False
     monotone = "none"  # "nondecreasing" | "nonincreasing" | "none"
 
     def check_labels(self, Y: np.ndarray) -> None:
@@ -579,8 +580,7 @@ def classify_convexity(loss: Loss, activations, reg: Regularizer) -> BlockCurvat
     if (c1 or c2) and reg.strong_convexity > 0:
         return BlockCurvature.strongly_convex(reg.strong_convexity)
 
-    loss_concave = getattr(loss, "concave_in_H", False)
-    if all_cvx_nondec and loss_concave and loss.monotone == "nonincreasing" \
+    if all_cvx_nondec and loss.concave_in_H and loss.monotone == "nonincreasing" \
             and reg.name == "none":
         return BlockCurvature.concave()
 

@@ -24,11 +24,11 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, IngestError, NonSmoothError, SpecError
-from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic, sqnorm
+from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
-from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, stochastic_train
+from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, train
 from .upperbounds import UPPERBOUNDS
 
 __all__ = [
@@ -165,11 +165,10 @@ def _baseline(net: Network, data: Dataset, loss, rate: float, update,
         raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
     full = NetworkPass(net, data, loss)
 
-    def step(k):
-        grads = full.grads()
-        for j, g in enumerate(grads):
+    def step(k, residual):
+        for j, g in enumerate(full.grads()):
             full.set_block(j + 1, update(j, full.net.weights[j], g))
-        return 0, rate, 0.0, math.sqrt(sum(sqnorm(g) for g in grads))
+        return 0, rate, 0.0, residual
 
     return run_loop(full, step, max_iterations, 1, record_every, grad_norm_tol,
                     _DIVERGENCE_CAP)
@@ -524,7 +523,7 @@ def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
     cycle_div = 1
     try:
         if isinstance(spec, MethodSpec):
-            _, trace = stochastic_train(net0.copy(), data, cfg.loss, spec.train)
+            _, trace = train(net0.copy(), data, cfg.loss, spec.train)
             cycle_div = cfg.spec.depth
         elif name == "bp_clr":
             trace = baseline_bp_clr(net0.copy(), data, cfg.loss, spec.rate,

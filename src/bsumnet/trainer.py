@@ -30,7 +30,7 @@ from .upperbounds import FirstOrderProx, prox_l1_step
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
-    "SCHEDULES", "ScheduleReport", "stepsize_next", "validate_schedule",
+    "SCHEDULES", "stepsize_next",
     "TrainConfig", "TraceRow", "TrainTrace", "normalized_mse",
     "armijo_stepsize", "train_step", "run_loop", "train", "stochastic_train",
 ]
@@ -149,19 +149,6 @@ def stepsize_next(schedule, k: int, state: dict | None = None) -> float:
     return min(max(schedule.alpha(k, state), 0.0), _ALPHA_CAP)
 
 
-@dataclass(frozen=True)
-class ScheduleReport:
-    satisfies_eq7: bool
-    witness: str
-
-
-def validate_schedule(schedule) -> ScheduleReport:
-    """Classify a schedule against the diminishing-stepsize conditions
-    (alpha in [0,1), alpha -> 0, divergent sum, summable squares), with a
-    one-line justification string."""
-    return ScheduleReport(schedule.satisfies_eq7, schedule.witness)
-
-
 # ---------------------------------------------------------------------------
 # configuration and trace types
 # ---------------------------------------------------------------------------
@@ -178,7 +165,8 @@ class TrainConfig:
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
     at the candidate direction (full-batch mode only; mini-batch runs keep
-    the configured gamma fixed).
+    the configured gamma fixed). A mini-batch ``sampler`` needs the
+    first-order family on every layer.
     """
 
     upperbound: object = field(default_factory=FirstOrderProx)
@@ -202,6 +190,11 @@ class TrainConfig:
             raise SpecError("unit_stepsize and a schedule are mutually exclusive")
         if not self.unit_stepsize and self.schedule is None:
             raise SpecError("a stepsize schedule is required unless alpha is pinned to 1")
+        kinds = self.upperbound if isinstance(self.upperbound, (list, tuple)) \
+            else [self.upperbound]
+        if self.sampler.mode != "full" and \
+                not all(isinstance(kd, FirstOrderProx) for kd in kinds):
+            raise SpecError("mini-batch samplers are defined for the first-order family")
 
 
 @dataclass(frozen=True)
@@ -210,7 +203,8 @@ class TraceRow:
 
     ``f``, ``normalized_mse`` and ``full_grad_norm`` describe the updated
     network on the full dataset; ``block_grad_norm`` is the norm of the
-    gradient the direction was built from (mini-batch in stochastic mode).
+    gradient the direction was built from (on the batch with a mini-batch
+    sampler).
     """
 
     k: int
@@ -294,19 +288,14 @@ def _per_layer(value, j: int, depth: int):
 
 
 class _LoopState:
-    """Mutable machinery owned by one training run: schedule states and the
-    mini-batch index stream. A shared schedule advances one shared state; a
-    per-layer tuple advances each layer's own state."""
+    """Mutable machinery owned by one training run: one schedule state per
+    block (the same dict for all blocks when the schedule is shared, so it
+    advances once per iteration) and the mini-batch index stream."""
 
     def __init__(self, cfg: TrainConfig, depth: int, n_samples: int):
-        self.per_layer = [{} for _ in range(depth)]
-        self.shared: dict = {}
+        per_layer = isinstance(cfg.schedule, (list, tuple))
+        self.sched = [{} for _ in range(depth)] if per_layer else [{}] * depth
         self.stream = BatchStream(cfg.sampler, n_samples)
-
-    def sched_state(self, cfg: TrainConfig, j: int) -> dict:
-        if isinstance(cfg.schedule, (list, tuple)):
-            return self.per_layer[j - 1]
-        return self.shared
 
 
 def _block_residual_norm(net: Network, grads: list) -> float:
@@ -349,7 +338,7 @@ def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
         value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         alpha, _ = armijo_stepsize(value_fn, fb.net.weights[j - 1], d, grad, sched)
         return alpha
-    return stepsize_next(sched, k, state.sched_state(cfg, j))
+    return stepsize_next(sched, k, state.sched[j - 1])
 
 
 def _apply_update(w, d, alpha: float):
@@ -400,8 +389,9 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
 
 def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
              record_every: int, tol: float, cap: float | None = None) -> TrainTrace:
-    """Call ``step(k)``, which updates ``full`` and returns (block, alpha,
-    gamma, gradient norm), for k = 1..iterations. f and the residual are
+    """Call ``step(k, residual)``, which updates ``full`` and returns (block,
+    alpha, gamma, gradient norm), for k = 1..iterations; ``residual`` is the
+    last one taken, at W_{k-1} when ``cycle`` is 1. f and the residual are
     taken at each cycle's end, recorded row and last k; the run converges
     when a cycle ends at a residual <= ``tol`` and aborts on a non-finite
     value, on f over ``cap`` or on an overflow."""
@@ -415,7 +405,7 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
             trace.abort(f"non-finite objective {f_val} or residual {norm} at the start")
             iterations = 0  # no step from a non-finite start
         for k in range(1, iterations + 1):
-            j, alpha, gamma, grad_norm = step(k)
+            j, alpha, gamma, grad_norm = step(k, norm)
             trace.iterations_run = k
             cycle_end = (k % cycle == 0)
             record_due = (k % record_every == 0)
@@ -445,29 +435,19 @@ def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
     state = _LoopState(cfg, net.depth, data.n_samples)
     full = NetworkPass(net.copy(), data, loss)
     record_every = cfg.record_every if cfg.record_every is not None else net.depth
-    trace = run_loop(full, lambda k: _step(full, cfg, k, state), cfg.max_outer_iterations,
+    trace = run_loop(full, lambda k, _: _step(full, cfg, k, state), cfg.max_outer_iterations,
                      net.depth, record_every, cfg.grad_norm_tol)
     return full.net, trace
 
 
 def train(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    """Full-batch cyclic training; see stochastic_train for mini-batch runs."""
-    if cfg.sampler.mode != "full":
-        raise SpecError("train() is the batch path; use stochastic_train for mini-batches")
+    """Cyclic block training with ``cfg.sampler``. With a mini-batch sampler
+    the direction and stepsize are computed on the batch; the recorded f /
+    residual-norm diagnostics always use the full dataset. Returns (trained
+    network, TrainTrace)."""
     return _train_loop(net, data, loss, cfg)
 
 
 def stochastic_train(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    """Mini-batch variant of the first-order update.
-
-    With a full sampler this runs exactly the batch code path, so the trace
-    is bitwise identical to train(). In mini-batch mode the direction and
-    stepsize are computed on the batch; the recorded f / residual-norm
-    diagnostics always use the full dataset.
-    """
-    if cfg.sampler.mode != "full":
-        kinds = cfg.upperbound if isinstance(cfg.upperbound, (list, tuple)) \
-            else [cfg.upperbound]
-        if not all(isinstance(kd, FirstOrderProx) for kd in kinds):
-            raise SpecError("the stochastic variant is defined for the first-order family")
+    """The same run as ``train``, under the name the benchmark looks up."""
     return _train_loop(net, data, loss, cfg)

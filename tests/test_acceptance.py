@@ -17,8 +17,7 @@ from bsumnet import (Anchor, BatchSampler, BentIdentity, Constant,
                      Regularizer, SecondOrderProx, Softplus, SquaredHingeLoss,
                      Tanh, Toeplitz, Unconstrained, build_network,
                      forward, prox_l1_step,
-                     stochastic_train, synth_regression, train, train_step,
-                     validate_schedule)
+                     stochastic_train, synth_regression, train, train_step)
 from bsumnet.gradients import (block_gradient, block_hessian,
                                block_objective_fn, fd_gradient)
 from bsumnet.trainer import TrainConfig, _LoopState
@@ -217,7 +216,7 @@ def test_criterion_06_stepsize_classification():
         "constant": (Constant(0.5), False),
         "geometric": (Geometric(1.0), False),
     }
-    ok = all(validate_schedule(s).satisfies_eq7 is want
+    ok = all(s.satisfies_eq7 is want
              for s, want in table.values())
     _report(6, "stepsize classification (inverse-root/recursive vs constant/geometric)",
             ok)

@@ -128,6 +128,16 @@ class TestTrainCommand:
         assert "config error" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_mini_batch_needs_first_order_family(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["methods"][0].update(sampler={"mode": "fixed", "batch_size": 4},
+                                 upperbound="second_order_prox")
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["train", "--config", str(p)]) == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_exit_one(self, tmp_path, capsys):
         raw = {
             "dataset": {"kind": "synthetic", "seed": 0, "n_samples": 16,

@@ -203,6 +203,15 @@ class TestBaselines:
         assert trace.iterations_run == 1
         assert trace.final_grad_norm == 0.0
 
+    @pytest.mark.parametrize("baseline", [baseline_bp_clr, baseline_adagrad])
+    def test_step_norm_is_the_residual_it_stepped_from(self, baseline):
+        # both are at W_{k-1}: row k's step norm is row k-1's residual, bitwise
+        net, data = self._logistic_problem()
+        trace = baseline(net, data, L2Loss(), rate=0.1, max_iterations=6)
+        before = [trace.initial_grad_norm] + [r.full_grad_norm for r in trace.rows[:-1]]
+        assert len(trace.rows) == 6
+        assert [r.block_grad_norm for r in trace.rows] == before
+
     def test_adagrad_first_step_scaling(self):
         net, data, _ = self._ridge_problem(seed=2)
         rate, eps = 0.5, 1e-8

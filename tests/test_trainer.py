@@ -14,9 +14,9 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      SecondOrderProx, Softplus, SpecError, Tanh, Toeplitz,
                      Unconstrained, build_network, closed_form_linear_block,
                      forward, normalized_mse, stepsize_next, stochastic_train,
-                     synth_regression, train, train_step, validate_schedule)
+                     synth_regression, train, train_step)
 from bsumnet.gradients import block_gradient, objective_value
-from bsumnet.trainer import TrainConfig, armijo_stepsize
+from bsumnet.trainer import TrainConfig, _LoopState, armijo_stepsize
 from bsumnet.upperbounds import InnerSolverConfig
 from conftest import make_problem, with_block
 
@@ -60,16 +60,16 @@ class TestStepsizes:
 
 class TestValidateSchedule:
     def test_classification_table(self):
-        assert validate_schedule(InverseRoot(1.0)).satisfies_eq7 is True
-        assert validate_schedule(Recursive(1.0, 0.99)).satisfies_eq7 is True
-        assert validate_schedule(Constant(0.5)).satisfies_eq7 is False
-        assert validate_schedule(Geometric(2.0)).satisfies_eq7 is False
-        assert validate_schedule(ArmijoRule()).satisfies_eq7 is False
+        assert InverseRoot(1.0).satisfies_eq7 is True
+        assert Recursive(1.0, 0.99).satisfies_eq7 is True
+        assert Constant(0.5).satisfies_eq7 is False
+        assert Geometric(2.0).satisfies_eq7 is False
+        assert ArmijoRule().satisfies_eq7 is False
 
     def test_witness_strings_nonempty(self):
         for sched in (InverseRoot(1.0), Recursive(), Constant(0.2),
                       Geometric(), ArmijoRule()):
-            assert validate_schedule(sched).witness
+            assert sched.witness
 
     def test_numeric_partial_sums(self):
         # the flagged-true schedules keep growing their sum while their
@@ -446,12 +446,24 @@ class TestStochasticTrain:
             assert a.alpha == b.alpha and a.gamma == b.gamma
 
     def test_requires_first_order_family(self):
-        net, data = small_problem(seed=23)
-        cfg = TrainConfig(upperbound=SecondOrderProx(1.0), schedule=Constant(0.5),
-                          sampler=BatchSampler("fixed", batch_size=4, seed=0),
-                          max_outer_iterations=4, adapt_gamma=False)
         with pytest.raises(SpecError):
-            stochastic_train(net, data, L2Loss(), cfg)
+            TrainConfig(upperbound=SecondOrderProx(1.0), schedule=Constant(0.5),
+                        sampler=BatchSampler("fixed", batch_size=4, seed=0),
+                        max_outer_iterations=4, adapt_gamma=False)
+
+    @pytest.mark.parametrize("sampler", [BatchSampler("fixed", batch_size=4, seed=1),
+                                         BatchSampler("increasing", seed=2)],
+                             ids=["fixed", "increasing"])
+    def test_train_takes_every_sampler(self, sampler):
+        net, data = small_problem(seed=23, n=12)
+        cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0),
+                          sampler=sampler, max_outer_iterations=20, record_every=1,
+                          grad_norm_tol=1e-13, adapt_gamma=False)
+        net_t, t_train = train(net, data, L2Loss(), cfg)
+        net_s, t_stoch = stochastic_train(net, data, L2Loss(), cfg)
+        assert [_without_clock(r) for r in t_train.rows] == \
+            [_without_clock(r) for r in t_stoch.rows]
+        assert all(np.array_equal(a, b) for a, b in zip(net_t.weights, net_s.weights))
 
     def test_fixed_batch_run_descends(self):
         net, data = small_problem(seed=24, n=30)
@@ -473,24 +485,27 @@ class TestStochasticTrain:
 
 
 @st.composite
-def first_order_runs(draw):
+def first_order_runs(draw, schedules=(InverseRoot(1.0), Recursive(0.9, 0.5), ArmijoRule())):
     """Small first-order problems: depth 1-3, logistic / tanh / softplus,
-    unconstrained or Toeplitz layers, fixed or adaptive gamma, and an
-    inverse-root, recursive or Armijo stepsize."""
+    unconstrained, Toeplitz or Frobenius-ball layers, L2 1e-2, and a
+    stepsize from ``schedules`` with fixed or adaptive gamma (None: unit
+    stepsize with adaptive gamma)."""
     depth = draw(st.integers(1, 3))
     dims = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
     act = draw(st.sampled_from([Logistic(), Tanh(), Softplus()]))
-    sets = tuple(draw(st.sampled_from([Unconstrained(), Toeplitz()])) for _ in range(depth))
+    sets = tuple(draw(st.sampled_from([Unconstrained(), Toeplitz(), FrobeniusBall(0.5)]))
+                 for _ in range(depth))
     spec = NetworkSpec(tuple(dims), (act,) * depth, sets, (Regularizer.l2(1e-2),) * depth)
     seed = draw(st.integers(0, 2**31 - 1))
     rng = np.random.default_rng(seed)
     n = draw(st.integers(1, 8))
     data = Dataset(rng.standard_normal((dims[0], n)), rng.standard_normal((dims[-1], n)))
-    schedule = draw(st.sampled_from([InverseRoot(1.0), Recursive(0.9, 0.5), ArmijoRule()]))
+    schedule = draw(st.sampled_from(schedules))
     cfg = TrainConfig(upperbound=FirstOrderProx(draw(st.sampled_from([0.1, 1.0]))),
-                      schedule=schedule, max_outer_iterations=draw(st.integers(1, 12)),
+                      schedule=schedule, unit_stepsize=schedule is None,
+                      max_outer_iterations=draw(st.integers(1, 12)),
                       record_every=1, grad_norm_tol=1e-13,
-                      adapt_gamma=draw(st.booleans()))
+                      adapt_gamma=schedule is None or draw(st.booleans()))
     return build_network(spec, "uniform", seed=seed), data, cfg
 
 
@@ -509,6 +524,30 @@ class TestFullSamplerEquivalence:
         assert [_without_clock(r) for r in t_batch.rows] == \
             [_without_clock(r) for r in t_full.rows]
         assert all(np.array_equal(a, b) for a, b in zip(net_batch.weights, net_full.weights))
+
+
+def _is_feasible(feasible, w) -> bool:
+    if isinstance(feasible, Toeplitz):
+        diagonals = (np.diagonal(w, o) for o in range(1 - w.shape[0], w.shape[1]))
+        return all(np.all(d == d[0]) for d in diagonals)
+    if isinstance(feasible, FrobeniusBall):
+        return np.linalg.norm(w) <= feasible.radius * (1.0 + 1e-14)
+    return True
+
+
+class TestRunProperties:
+    @given(first_order_runs(schedules=(ArmijoRule(), None)))
+    @settings(max_examples=150, deadline=None)
+    def test_f_never_rises_and_iterates_stay_feasible(self, run):
+        net, data, cfg = run
+        _, trace = train(net, data, L2Loss(), cfg)
+        fs = [trace.initial_f] + trace.f_values()
+        assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
+        state = _LoopState(cfg, net.depth, data.n_samples)
+        for k in range(1, trace.iterations_run + 1):
+            net, _ = train_step(net, data, L2Loss(), cfg, k, state)
+            assert all(_is_feasible(s, w)
+                       for s, w in zip(net.spec.feasible_sets, net.weights))
 
 
 class TestNormalizedMse:
