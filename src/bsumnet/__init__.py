@@ -28,9 +28,8 @@ from .trainer import (SCHEDULES, ArmijoRule, Constant, Geometric, InverseRoot,
                       Recursive, TrainConfig, TrainTrace, armijo_stepsize,
                       normalized_mse, stepsize_next, stochastic_train, train,
                       train_step)
-from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx,
-                          InnerSolverConfig, LinearBound, Proximal,
-                          SecondOrderProx, closed_form_linear_block,
+from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx, LinearBound,
+                          Proximal, SecondOrderProx, closed_form_linear_block,
                           descent_direction_first_order,
                           descent_direction_linear,
                           descent_direction_proximal,

@@ -1,10 +1,11 @@
 """Catalog of activations, losses, and regularizers with their analytic traits.
 
 Every activation is an elementwise map with a hand-derived derivative and a
-set of declared traits (convex / concave / nondecreasing / smooth / bounded)
-that the test suite verifies against randomized secant probes. Losses map a
-prediction batch H (dJ x N) and targets Y to a scalar, excluding any
-regularization, and expose the gradient with respect to H.
+set of declared traits (convex / concave / nondecreasing) that the test
+suite verifies against randomized secant probes. Losses map a prediction
+batch H (dJ x N) and targets Y to a scalar, excluding any regularization,
+and expose the gradient with respect to H. Each loss declares the targets it
+accepts (``labels``), checked where targets enter, not in its own methods.
 
 Monotonicity of a loss is declared with respect to H for real-target losses
 and with respect to the margin Y*H for the +/-1-label classification losses
@@ -77,8 +78,6 @@ class Activation:
     convex = False
     concave = False
     nondecreasing = False
-    smooth = True
-    bounded = False
 
     def value(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -118,7 +117,6 @@ class Identity(Activation):
 class Logistic(Activation):
     name = "logistic"
     nondecreasing = True
-    bounded = True
 
     def value(self, u):
         return _sigmoid(u)
@@ -136,7 +134,6 @@ class Logistic(Activation):
 class Tanh(Activation):
     name = "tanh"
     nondecreasing = True
-    bounded = True
 
     def value(self, u):
         return np.tanh(u)
@@ -230,9 +227,12 @@ class Loss:
     convex_in_H = False
     concave_in_H = False
     monotone = "none"  # "nondecreasing" | "nonincreasing" | "none"
+    labels = None  # the accepted target values; None takes any real target
 
     def check_labels(self, Y: np.ndarray) -> None:
         """Raise DomainError when targets are outside the loss's label set."""
+        if self.labels is not None and not np.all(np.isin(Y, self.labels)):
+            raise DomainError(f"{self.name} targets must be one of {self.labels}")
 
     def value(self, H: np.ndarray, Y: np.ndarray) -> float:
         raise NotImplementedError
@@ -320,10 +320,7 @@ class CrossEntropyLoss(Loss):
     name = "cross_entropy"
     convex_in_H = True
     monotone = "none"
-
-    def check_labels(self, Y):
-        if not np.all((Y == 0.0) | (Y == 1.0)):
-            raise DomainError("cross-entropy targets must be 0 or 1")
+    labels = (0.0, 1.0)
 
     def _clamped(self, H):
         if np.any(H < 0.0) or np.any(H > 1.0):
@@ -331,18 +328,15 @@ class CrossEntropyLoss(Loss):
         return np.clip(H, _CE_CLAMP, 1.0 - _CE_CLAMP)
 
     def value(self, H, Y):
-        self.check_labels(Y)
         h = self._clamped(H)
         terms = Y * np.log(h) + (1.0 - Y) * np.log(1.0 - h)
         return -float(np.sum(terms)) / H.shape[1]
 
     def grad_H(self, H, Y):
-        self.check_labels(Y)
         h = self._clamped(H)
         return (-Y / h + (1.0 - Y) / (1.0 - h)) / H.shape[1]
 
     def curvature_H(self, H, Y):
-        self.check_labels(Y)
         h = self._clamped(H)
         # grad_H is constant in H where the clamp is active
         v = np.where(h == H, Y / (h * h) + (1.0 - Y) / ((1.0 - h) * (1.0 - h)), 0.0)
@@ -360,26 +354,20 @@ class SquaredHingeLoss(Loss):
     name = "squared_hinge"
     convex_in_H = True
     monotone = "nonincreasing"
+    labels = (-1.0, 1.0)
 
     def __post_init__(self):
         if not self.c > 0:
             raise DomainError(f"squared hinge needs c > 0, got {self.c}")
 
-    def check_labels(self, Y):
-        if not np.all(np.abs(Y) == 1.0):
-            raise DomainError("squared-hinge targets must be -1 or +1")
-
     def value(self, H, Y):
-        self.check_labels(Y)
         return sqnorm(np.maximum(0.0, 1.0 - Y * H)) / (2.0 * self.c * H.shape[1])
 
     def grad_H(self, H, Y):
-        self.check_labels(Y)
         m = np.maximum(0.0, 1.0 - Y * H)
         return -(Y * m) / (self.c * H.shape[1])
 
     def curvature_H(self, H, Y):
-        self.check_labels(Y)
         active = (1.0 - Y * H > 0.0).astype(float)
         return _diagonal_blocks(active / (self.c * H.shape[1])), 0.0
 
@@ -395,24 +383,18 @@ class LogisticLoss(Loss):
     name = "logistic"
     convex_in_H = True
     monotone = "nonincreasing"
-
-    def check_labels(self, Y):
-        if not np.all(np.abs(Y) == 1.0):
-            raise DomainError("logistic-loss targets must be -1 or +1")
+    labels = (-1.0, 1.0)
 
     def value(self, H, Y):
-        self.check_labels(Y)
         margins = np.sum(Y * H, axis=0)
         return float(np.sum(np.logaddexp(0.0, -margins))) / H.shape[1]
 
     def grad_H(self, H, Y):
-        self.check_labels(Y)
         margins = np.sum(Y * H, axis=0)
         return -(Y * _sigmoid(-margins)) / H.shape[1]
 
     def curvature_H(self, H, Y):
         # rank one within a sample: sigma(m) sigma(-m) y_n y_n^T / N
-        self.check_labels(Y)
         margins = np.sum(Y * H, axis=0)
         w = _sigmoid(margins) * _sigmoid(-margins) / H.shape[1]
         return Y[:, None, :] * Y[None, :, :] * w, 0.0
@@ -427,23 +409,24 @@ LOSSES = {cls.name: cls for cls in (L2Loss, ExponentialLoss, CrossEntropyLoss,
                                     SquaredHingeLoss, LogisticLoss)}
 
 
-def _check_pair(H, Y):
+def _check_pair(kind: Loss, H, Y):
     H = np.asarray(H, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if H.shape != Y.shape:
         raise DomainError(f"H shape {H.shape} != Y shape {Y.shape}")
+    kind.check_labels(Y)
     return H, Y
 
 
 def loss_value(kind: Loss, H: np.ndarray, Y: np.ndarray) -> float:
     """Scalar data-fit loss, excluding all regularization."""
-    H, Y = _check_pair(H, Y)
+    H, Y = _check_pair(kind, H, Y)
     return kind.value(H, Y)
 
 
 def loss_grad_H(kind: Loss, H: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Gradient of loss_value with respect to H, shape dJ x N."""
-    H, Y = _check_pair(H, Y)
+    H, Y = _check_pair(kind, H, Y)
     return kind.grad_H(H, Y)
 
 

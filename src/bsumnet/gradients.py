@@ -63,7 +63,8 @@ class NetworkPass:
 
     The pass owns its weight list; the arrays in it are shared with the
     network it was built from and are never written to. ``outs`` may hand in
-    a forward pass already run on the same network and inputs.
+    a forward pass already run on the same network and inputs. Targets
+    outside the loss's label set are a DomainError here.
     """
 
     def __init__(self, net: Network, data: Dataset, loss,
@@ -71,6 +72,7 @@ class NetworkPass:
         if data.Y.shape[0] != net.spec.dims[-1]:
             raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
                              f"has d_J = {net.spec.dims[-1]}")
+        loss.check_labels(data.Y)
         self.net = Network(net.spec, list(net.weights))
         self.data = data
         self.loss = loss
@@ -272,7 +274,8 @@ def all_block_gradients(net: Network, data: Dataset, loss,
 
 def objective_value(net: Network, data: Dataset, loss,
                     outs: LayerOutputs | None = None) -> float:
-    """Full regularized objective: data loss plus every layer's penalty."""
+    """Full regularized objective: data loss plus every layer's penalty.
+    With ``outs`` the targets are not checked; a pass checks them when built."""
     if outs is None:
         return NetworkPass(net, data, loss).objective()
     val = loss.value(outs.output, data.Y)

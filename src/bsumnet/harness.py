@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, IngestError, NonSmoothError, SpecError
+from .errors import ConfigError, DomainError, IngestError, NonSmoothError, SpecError
 from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
@@ -115,9 +115,9 @@ def load_csv_dataset(path: str, target_cols: list, standardize: bool = False) ->
 
 
 def synth_regression(seed: int = 0, n_samples: int = 252, n_features: int = 13,
-                     teacher_dims: list[int] | None = None, teacher_activation=None,
+                     teacher_dims: list[int] | None = None,
                      noise_sigma: float = 0.1, return_teacher: bool = False):
-    """Gaussian inputs pushed through a seeded teacher network plus noise.
+    """Gaussian inputs through a seeded logistic teacher network plus noise.
 
     Defaults mirror the benchmark scale (N=252, 13 features, one target).
     Deterministic in all arguments.
@@ -130,8 +130,7 @@ def synth_regression(seed: int = 0, n_samples: int = 252, n_features: int = 13,
         else [n_features, 10, 10, 10, 1]
     if dims[0] != n_features:
         raise SpecError(f"teacher dims start at {dims[0]}, expected {n_features}")
-    act = teacher_activation if teacher_activation is not None else Logistic()
-    spec = NetworkSpec.homogeneous(dims, act)
+    spec = NetworkSpec.homogeneous(dims, Logistic())
     teacher = build_network(spec, "gaussian", seed=int(rng.integers(2 ** 31)))
     Y = forward(teacher, X).output
     if noise_sigma > 0:
@@ -497,15 +496,18 @@ class ExperimentResult:
 
 
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    """The configured dataset; one that cannot be read or built is a
-    ConfigError."""
+    """The configured dataset; one that cannot be read or built, or whose
+    targets the loss does not accept, is a ConfigError."""
     params = dict(cfg.dataset)
     try:
         if params.pop("kind") == "csv":
-            return load_csv_dataset(**params)
-        return synth_regression(**{"n_features": cfg.spec.dims[0], **params})
-    except (IngestError, SpecError) as exc:
+            data = load_csv_dataset(**params)
+        else:
+            data = synth_regression(**{"n_features": cfg.spec.dims[0], **params})
+        cfg.loss.check_labels(data.Y)
+    except (IngestError, SpecError, DomainError) as exc:
         raise ConfigError(f"dataset: {exc}") from None
+    return data
 
 
 def _zero_wall(trace: TrainTrace) -> TrainTrace:

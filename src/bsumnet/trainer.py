@@ -256,19 +256,19 @@ def normalized_mse(H: np.ndarray, Y: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
-                    rule: ArmijoRule, max_shrinks: int = 60):
+                    rule: ArmijoRule):
     """Largest alpha_init * shrink^m satisfying the sufficient-decrease test.
 
     The test is at the point the trainer stores, ``_apply_update(W, D,
     alpha)``. Returns (alpha, accepted); a non-descent or non-finite slope,
-    or exhausting the shrink budget, yields (0.0, False).
+    or no pass for any m <= 60, yields (0.0, False).
     """
     slope = float(np.sum(grad * (D - W)))
     if not slope < 0:
         return 0.0, False
     f0 = f_block(W)
     alpha = rule.alpha_init
-    for _ in range(max_shrinks + 1):
+    for _ in range(61):
         if f_block(_apply_update(W, D, alpha)) <= f0 + rule.slope * alpha * slope:
             return alpha, True
         alpha *= rule.shrink

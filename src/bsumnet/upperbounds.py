@@ -6,7 +6,7 @@ over the block's feasible set (``direction``), the block's descent direction:
 
   first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  Wk - g/gamma
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
-  proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  inner solver
+  proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  projected gradient
   linear           : f + <g, W - Wk>  (concave blocks only)   ->  -g
 
 The proximal model at gamma = 0 is the block objective itself: its minimizer
@@ -20,7 +20,7 @@ the projected Newton point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -31,7 +31,7 @@ from .gradients import NetworkPass, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
 __all__ = [
-    "InnerSolverConfig", "FirstOrderProx", "SecondOrderProx", "Proximal",
+    "FirstOrderProx", "SecondOrderProx", "Proximal",
     "LinearBound", "UPPERBOUNDS", "Anchor",
     "descent_direction_first_order", "descent_direction_second_order",
     "descent_direction_proximal", "descent_direction_linear",
@@ -41,26 +41,8 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# configuration types
+# surrogate families
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class InnerSolverConfig:
-    """Projected-gradient settings for the proximal subproblem."""
-
-    max_iters: int = 500
-    grad_tol: float = 1e-8
-    shrink: float = 0.5
-    slope: float = 1e-4
-    step_init: float = 1.0
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise SpecError("inner solver needs max_iters >= 1")
-        if not (self.grad_tol > 0 and 0 < self.shrink < 1 and 0 < self.slope < 1
-                and self.step_init > 0):
-            raise SpecError("inner solver tolerances/backtracking params out of range")
-
 
 def _check_gamma(gamma: float) -> None:
     if not gamma > 0:
@@ -132,12 +114,15 @@ class SecondOrderProx:
 @dataclass(frozen=True)
 class Proximal:
     gamma: float = 1.0
-    inner: InnerSolverConfig = field(default_factory=InnerSolverConfig)
+    max_iters: int = 500
+    grad_tol: float = 1e-8
     name = "proximal"
 
     def __post_init__(self):
         if not self.gamma >= 0:
             raise SpecError(f"gamma must be >= 0, got {self.gamma}")
+        if self.max_iters < 1 or not self.grad_tol > 0:
+            raise SpecError("inner solver needs max_iters >= 1 and grad_tol > 0")
 
     def evaluate(self, W, anchor):
         if anchor.f_fn is None:
@@ -157,8 +142,8 @@ class Proximal:
                 f"block {j} not certified strongly convex; "
                 "set curvature_override=True to run the proximal family heuristically")
         value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
-        d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma,
-                                          feasible, self.inner)
+        d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
+                                          self.max_iters, self.grad_tol)
         return d, self.gamma
 
 
@@ -251,13 +236,15 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
 
 def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
                                feasible: FeasibleSet = Unconstrained(),
-                               cfg: InnerSolverConfig = InnerSolverConfig()):
+                               max_iters: int = 500, grad_tol: float = 1e-8):
     """Approximate prox of the block objective: argmin f(V) + (gamma/2)||V - W||^2.
 
-    Projected gradient with backtracking from the warm start V = W. Returns
-    (point, converged); the point never has a worse prox objective than W
-    itself, so every outer step built on it is a descent step. gamma = 0 is
-    allowed and minimizes the block objective itself (exact BCD).
+    Projected gradient from the warm start V = W, at most ``max_iters`` steps,
+    each halved to a 1e-4 sufficient decrease; it has converged once a step
+    moves V by at most ``grad_tol`` per unit step. Returns (point, converged);
+    the point never has a worse prox objective than W itself, so every outer
+    step built on it is a descent step. gamma = 0 is allowed and minimizes
+    the block objective itself (exact BCD).
     """
     if gamma < 0:
         raise SpecError(f"gamma must be >= 0, got {gamma}")
@@ -273,27 +260,27 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
     v = feasible.project(center)
     phi_v = phi(v)
     best, best_val = v, phi_v
-    step = cfg.step_init
+    step = 1.0
     converged = False
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         g = grad_fn(v) + gamma * (v - center)
-        step = min(step / cfg.shrink, 1e6)  # let the step grow back
+        step = min(2.0 * step, 1e6)  # let the step grow back
         accepted = False
         while step > 1e-18:
             cand = feasible.project(v - step * g)
             decrease = float(np.sum(g * (cand - v)))
             cand_phi = phi(cand)
-            if cand_phi <= phi_v + cfg.slope * decrease and math.isfinite(cand_phi):
+            if cand_phi <= phi_v + 1e-4 * decrease and math.isfinite(cand_phi):
                 accepted = True
                 break
-            step *= cfg.shrink
+            step *= 0.5
         if not accepted:
             break
         move = float(np.linalg.norm(cand - v)) / step
         v, phi_v = cand, cand_phi
         if phi_v < best_val:
             best, best_val = v, phi_v
-        if move <= cfg.grad_tol:
+        if move <= grad_tol:
             converged = True
             break
     return best, converged
@@ -316,17 +303,16 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray,
 
 def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
                                       gamma0: float, feasible: FeasibleSet,
-                                      f_block_value, f_anchor: float,
-                                      max_doublings: int = 50):
+                                      f_block_value, f_anchor: float):
     """First-order direction with gamma doubled until the surrogate majorizes.
 
-    Accepts the smallest gamma = gamma0 * 2^m whose candidate direction D
-    satisfies g(D) >= f_j(D), so the surrogate is a true local upper bound at
-    the point that matters. Returns (D, gamma).
+    Accepts the smallest gamma = gamma0 * 2^m, m <= 50, whose candidate
+    direction D satisfies g(D) >= f_j(D), so the surrogate is a true local
+    upper bound at the point that matters. Returns (D, gamma).
     """
     _check_gamma(gamma0)
     gamma, anchor = gamma0, Anchor(W, f_anchor, grad)
-    for _ in range(max_doublings + 1):
+    for _ in range(51):
         d = descent_direction_first_order(W, grad, gamma, feasible)
         g_at_d = FirstOrderProx(gamma).evaluate(d, anchor)
         try:
@@ -339,7 +325,7 @@ def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
             return d, gamma
         gamma *= 2.0
     raise CurvatureError(
-        f"no majorizing gamma found after {max_doublings} doublings from {gamma0}")
+        f"no majorizing gamma found after 50 doublings from {gamma0}")
 
 
 def prox_l1_step(W: np.ndarray, grad_smooth: np.ndarray, gamma: float,

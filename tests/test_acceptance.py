@@ -21,8 +21,7 @@ from bsumnet import (Anchor, BatchSampler, BentIdentity, Constant,
 from bsumnet.gradients import (block_gradient, block_hessian,
                                block_objective_fn, fd_gradient)
 from bsumnet.trainer import TrainConfig, _LoopState
-from bsumnet.upperbounds import (InnerSolverConfig,
-                                 first_order_direction_backtracked)
+from bsumnet.upperbounds import first_order_direction_backtracked
 from conftest import brute_force_prox_scalar, kron_block_oracle, labels_for, ridge_oracle
 
 BENCH_DIMS = [13, 10, 10, 10, 1]
@@ -179,7 +178,7 @@ def test_criterion_04_convex_block_monotonicity():
     Y = forward(teacher, X).output + 0.05 * rng.standard_normal((1, 25))
     data = Dataset(X, Y)
     cfg = TrainConfig(
-        upperbound=Proximal(1.0, InnerSolverConfig(max_iters=150, grad_tol=1e-9)),
+        upperbound=Proximal(1.0, max_iters=150, grad_tol=1e-9),
         unit_stepsize=True, max_outer_iterations=2000, record_every=1,
         grad_norm_tol=1e-14, adapt_gamma=False)
     _, trace = train(net, data, ExponentialLoss(1.0), cfg)

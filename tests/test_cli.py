@@ -39,7 +39,7 @@ MALFORMED = [
     ("network.feasible", {"kind": "frobenius_ball", "radius": -1}),
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": "x"}),
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": 0}),
-    ("methods.0.upperbound", {"kind": "proximal", "inner": {"max_iters": 0}}),
+    ("methods.0.upperbound", {"kind": "proximal", "max_iters": 0}),
     ("methods.0.upperbound", {"kind": "proximal", "gamma": -1}),
     ("methods.0.exact_bcd", True),
     ("methods.0.schedule", {"kind": "constant", "c": 2}),
@@ -61,7 +61,7 @@ MALFORMED = [
     ("methods.0.max_iterations", 2.5),
     ("methods.0.record_every", 1.5),
     ("methods.0.sampler", {"mode": "fixed", "batch_size": 2.5}),
-    ("methods.0.upperbound", {"kind": "proximal", "inner": {"max_iters": 2.5}}),
+    ("methods.0.upperbound", {"kind": "proximal", "max_iters": 2.5}),
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": True}),
     ("network.dims", [3, 2.5, 1]),
     ("seeds", [0.5]),
@@ -138,6 +138,18 @@ class TestTrainCommand:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["train", "gradcheck"])
+    def test_targets_outside_the_loss_labels_exit_two(self, tmp_path, capsys, command):
+        # the synthetic dataset has real-valued targets, not -1/+1 labels
+        raw = base_config(tmp_path)
+        raw["loss"] = "logistic"
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main([command, "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: dataset: logistic targets must be one of" in err
+        assert not (tmp_path / "out").exists()
+
     def test_failed_run_exit_one(self, tmp_path, capsys):
         raw = {
             "dataset": {"kind": "synthetic", "seed": 0, "n_samples": 16,
@@ -188,6 +200,17 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert "relative error" in out
         assert "FAIL" not in out
+
+    def test_l1_layers_are_skipped(self, tmp_path, capsys):
+        raw = base_config(tmp_path)
+        raw["network"]["regularizer"] = [{"kind": "l1", "lam": 0.01},
+                                         {"kind": "l2", "lam": 0.01}]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["gradcheck", "--config", str(p)]) == 0
+        out = capsys.readouterr().out
+        assert "skip l2 layer 1: L1 regularizer has no gradient" in out
+        assert "ok   l2 layer 2: relative error" in out
 
     def test_catalog_sweep(self, config_path, capsys):
         code = main(["gradcheck", "--config", str(config_path), "--catalog"])

@@ -12,7 +12,7 @@ from bsumnet import (ACTIVATIONS, FEASIBLE_SETS, LOSSES, REGULARIZERS,
                      SCHEDULES, UPPERBOUNDS, ArmijoRule, BentIdentity,
                      ConfigError, Constant, CrossEntropyLoss, ExponentialLoss,
                      FirstOrderProx, FrobeniusBall, Geometric, Identity,
-                     InnerSolverConfig, InverseRoot, L2Loss, LeakyReluSmooth,
+                     InverseRoot, L2Loss, LeakyReluSmooth,
                      LinearBound, Logistic, LogisticLoss, Proximal, Recursive,
                      Regularizer, SecondOrderProx, Softplus, SquaredHingeLoss,
                      Tanh, Toeplitz, Unconstrained, parse_config)
@@ -49,9 +49,8 @@ CASES = [
     ("regularizer", {"kind": "l1", "lam": 0.2}, Regularizer.l1(0.2)),
     ("upperbound", {"kind": "first_order_prox", "gamma": 0.5}, FirstOrderProx(0.5)),
     ("upperbound", {"kind": "second_order_prox", "gamma": 2.0}, SecondOrderProx(2.0)),
-    ("upperbound", {"kind": "proximal", "gamma": 0.3,
-                    "inner": {"max_iters": 7, "grad_tol": 1e-6}},
-     Proximal(0.3, InnerSolverConfig(max_iters=7, grad_tol=1e-6))),
+    ("upperbound", {"kind": "proximal", "gamma": 0.3, "max_iters": 7, "grad_tol": 1e-6},
+     Proximal(0.3, max_iters=7, grad_tol=1e-6)),
     ("upperbound", {"kind": "linear"}, LinearBound()),
     ("schedule", {"kind": "inverse_root", "c": 2.0}, InverseRoot(2.0)),
     ("schedule", {"kind": "geometric", "c": 0.5}, Geometric(0.5)),
@@ -109,7 +108,7 @@ def test_proximal_gamma_zero_parses():
 
 
 def test_extra_inner_solver_key_rejected():
-    value = {"kind": "proximal", "inner": {"max_iters": 5, "bogus": 1}}
+    value = {"kind": "proximal", "max_iters": 5, "bogus": 1}
     with pytest.raises(ConfigError, match="bogus"):
         parse_config(config_with("upperbound", value))
 

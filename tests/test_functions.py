@@ -8,16 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from bsumnet import (ACTIVATIONS, LOSSES, BentIdentity, CrossEntropyLoss,
-                     Dataset, DomainError, ExponentialLoss, Identity, L2Loss,
-                     LeakyReluSmooth, Logistic, LogisticLoss, NetworkSpec,
-                     NonSmoothError, Regularizer, Softplus, SquaredHingeLoss,
-                     Tanh, build_network, classify_convexity, forward)
+from bsumnet import (ACTIVATIONS, LOSSES, ArmijoRule, BentIdentity,
+                     CrossEntropyLoss, Dataset, DomainError, ExponentialLoss,
+                     Identity, L2Loss, LeakyReluSmooth, Logistic, LogisticLoss,
+                     NetworkPass, NetworkSpec, NonSmoothError, Regularizer,
+                     Softplus, SquaredHingeLoss, Tanh, TrainConfig,
+                     build_network, classify_convexity, forward, train)
 from bsumnet.functions import (L2Regularizer, _sigmoid, loss_grad_H, loss_value,
                                sqnorm)
 from bsumnet.trainer import normalized_mse
 from bsumnet.gradients import block_hessian
-from conftest import labels_for
+from conftest import labels_for, make_problem
 
 ALL_ACTIVATIONS = [Identity(), Logistic(), Tanh(), Softplus(),
                    LeakyReluSmooth(0.1), BentIdentity()]
@@ -213,6 +214,58 @@ class TestLossValues:
     def test_shape_mismatch(self):
         with pytest.raises(DomainError):
             loss_value(L2Loss(), np.zeros((1, 2)), np.zeros((2, 1)))
+
+
+class TestLabelSets:
+    @pytest.mark.parametrize("name", sorted(LOSSES))
+    def test_declared_labels_are_checked_where_targets_enter(self, name):
+        loss = LOSSES[name]()
+        rng = np.random.default_rng(3)
+        # the test suite's own table of valid targets agrees with the declaration
+        drawn = np.unique(labels_for(loss, 2, 64, rng))
+        if loss.labels is None:
+            assert drawn.size == 128  # real-valued draws
+        else:
+            assert set(drawn) == set(loss.labels)
+        net = build_network(NetworkSpec.homogeneous([2, 1], Logistic()), "uniform", seed=1)
+        X = rng.standard_normal((2, 4))
+        H = forward(net, X).output
+        accepted = loss.labels if loss.labels is not None else (-2.5, 0.0, 0.3, 7.0)
+        for y in accepted:
+            Y = np.full((1, 4), y)
+            assert np.isfinite(loss_value(loss, H, Y))
+            assert np.all(np.isfinite(loss_grad_H(loss, H, Y)))
+            assert np.isfinite(NetworkPass(net, Dataset(X, Y), loss).objective())
+        outside = [] if loss.labels is None else \
+            [y for y in (-1.0, 0.0, 0.5, 1.0, 2.0, np.nan) if y not in loss.labels]
+        for y in outside:
+            Y = np.array([[accepted[0]] * 3 + [y]])
+            with pytest.raises(DomainError):
+                loss_value(loss, H, Y)
+            with pytest.raises(DomainError):
+                loss_grad_H(loss, H, Y)
+            with pytest.raises(DomainError):
+                NetworkPass(net, Dataset(X, Y), loss)
+
+    def test_targets_are_checked_once_per_pass_built(self, monkeypatch):
+        net, data = make_problem([3, 4, 1], Logistic(), LogisticLoss(), seed=4)
+        counts = {"checks": 0, "passes": 0}
+        check, init = LogisticLoss.check_labels, NetworkPass.__init__
+
+        def counted_check(self, Y):
+            counts["checks"] += 1
+            return check(self, Y)
+
+        def counted_init(self, *args, **kwargs):
+            counts["passes"] += 1
+            return init(self, *args, **kwargs)
+
+        monkeypatch.setattr(LogisticLoss, "check_labels", counted_check)
+        monkeypatch.setattr(NetworkPass, "__init__", counted_init)
+        train(net, data, LogisticLoss(), TrainConfig(schedule=ArmijoRule(),
+                                                      max_outer_iterations=20))
+        assert counts["passes"] > 1
+        assert counts["checks"] == counts["passes"]
 
 
 class TestLossGradientsAgainstFD:

@@ -17,7 +17,6 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      synth_regression, train, train_step)
 from bsumnet.gradients import block_gradient, objective_value
 from bsumnet.trainer import TrainConfig, _LoopState, armijo_stepsize
-from bsumnet.upperbounds import InnerSolverConfig
 from conftest import make_problem, with_block
 
 
@@ -313,7 +312,7 @@ class TestTrainLoop:
         X = rng.standard_normal((4, 20))
         Y = forward(teacher, X).output + 0.05 * rng.standard_normal((1, 20))
         data = Dataset(X, Y)
-        cfg = TrainConfig(upperbound=Proximal(1.0, InnerSolverConfig(max_iters=100)),
+        cfg = TrainConfig(upperbound=Proximal(1.0, max_iters=100),
                           unit_stepsize=True, max_outer_iterations=60,
                           record_every=1, grad_norm_tol=1e-14, adapt_gamma=False)
         _, trace = train(net, data, ExponentialLoss(1.0), cfg)

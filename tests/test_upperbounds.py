@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from bsumnet import (Anchor, BlockCurvature, CurvatureError, Dataset,
                      ExponentialLoss, FirstOrderProx, FrobeniusBall, Identity,
-                     InnerSolverConfig, L2Loss, LinearBound, Logistic,
+                     L2Loss, LinearBound, Logistic,
                      NetworkPass, NetworkSpec, Network, Proximal, Regularizer,
                      SecondOrderProx, SingularError, Softplus, SpecError, Tanh,
                      Toeplitz, Unconstrained, build_network,
@@ -159,7 +159,7 @@ class TestProximalDirection:
 
         gamma = 1.5
         d, _ = descent_direction_proximal(value, grad, w, gamma,
-                                          cfg=InnerSolverConfig(max_iters=3))
+                                          max_iters=3)
         phi_d = value(d) + 0.5 * gamma * float(np.sum((d - w) ** 2))
         assert phi_d <= value(w) + 1e-12
 
@@ -170,10 +170,10 @@ class TestProximalDirection:
         w = net.weights[1]
         fast, _ = descent_direction_proximal(
             value_fn, grad_fn, w, 1.0,
-            cfg=InnerSolverConfig(max_iters=500, grad_tol=1e-8))
+            max_iters=500, grad_tol=1e-8)
         slow, _ = descent_direction_proximal(
             value_fn, grad_fn, w, 1.0,
-            cfg=InnerSolverConfig(max_iters=5000, grad_tol=1e-11))
+            max_iters=5000, grad_tol=1e-11)
         assert np.max(np.abs(fast - slow)) <= 1e-6
 
     def test_projected_variant_stays_feasible(self):
@@ -426,7 +426,7 @@ class TestFamilyStepMinimizesItsModel:
            st.one_of(st.just(0.0), st.floats(1e-3, 1e2)))
     @settings(max_examples=30, deadline=None)
     def test_proximal_on_certified_convex_blocks(self, problem, gamma):
-        kind = Proximal(gamma, InnerSolverConfig(max_iters=50))
+        kind = Proximal(gamma, max_iters=50)
         assert assert_step_minimizes(kind, *problem) == gamma
 
     @given(family_steps(Identity(), L2Loss(), sets=st.just(Unconstrained())))
