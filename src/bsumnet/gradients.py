@@ -27,16 +27,19 @@ with z_n column n of Z_{j-1}, M_n the d_j x d_j curvature of f in column n
 of U_j, g the data-term block gradient, kappa the loss's coupling of the
 samples (1/L for the exponential loss, 0 for the others) and mu the
 regularizer's strong-convexity modulus (2 lam for L2). One R-pass
-(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once gives every M_n.
-The sum is one GEMM over unordered pairs, (d_j(d_j+1)/2, N) @ (N,
-d_{j-1}(d_{j-1}+1)/2), of rows (M_n[s,r] + M_n[r,s])/2 and z_n[c] z_n[e],
-c <= e, gathered into vec(W_j) order: H is bitwise symmetric, as entries
-(s,c),(r,e) and (r,e),(s,c) gather the same product entry.
+(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once, started
+implicitly at layer j, gives every M_n. The sum is one GEMM over unordered
+pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows (M_n[s,r] +
+M_n[r,s])/2 and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order: H is
+bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the same
+product entry. The stage tensors and gathers go to a scratch the pass owns,
+flat buffers kept by role and grown on demand.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,6 +76,10 @@ class NetworkPass:
             raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
                              f"has d_J = {net.spec.dims[-1]}")
         loss.check_labels(data.Y)
+        self._start(net, data, loss, outs)
+
+    def _start(self, net, data, loss, outs) -> None:
+        """The pass's state from inputs whose shapes and targets are checked."""
         self.net = Network(net.spec, list(net.weights))
         self.data = data
         self.loss = loss
@@ -86,6 +93,7 @@ class NetworkPass:
         self._grads = [None] * self.depth
         self._f = None
         self._memo = None  # (j, content of W_j, pass) of the last probe
+        self._scratch = {}  # role -> flat float64 buffer, see _buf
 
     def set_block(self, j: int, w: np.ndarray) -> None:
         """Replace W_j; the stages from layer j on refresh at the next query,
@@ -110,7 +118,8 @@ class NetworkPass:
         if key == _content(self.net.weights[j - 1]):
             return self
         if self._memo is None or self._memo[:2] != (j, key):
-            other = NetworkPass(self.net, self.data, self.loss, self.outs)
+            other = object.__new__(NetworkPass)  # on targets this pass checked
+            other._start(self.net, self.data, self.loss, self.outs)
             other.set_block(j, w)
             self._memo = (j, key, other)
         return self._memo[2]
@@ -160,65 +169,92 @@ class NetworkPass:
 
     def hessian(self, j: int) -> np.ndarray:
         """Exact Hessian of f in row-major vec(W_j), from the cached stages
-        (formula in the module docstring); bitwise symmetric."""
+        (formula in the module docstring); bitwise symmetric and the caller's to keep."""
         z = self.outs.post_activations[j - 1]
         m, kappa = self._curvature(j)
-        rows, cols, gather = _pair_layout(m.shape[0], z.shape[0])
+        rows, rows_t, cols, cols_t, gather = _pair_layout(self.net.spec.dims[j], len(z))
         # H[(s,c),(r,e)] = sum_n (M_n[s,r] + M_n[r,s])/2 z_n[c] z_n[e]
-        pairs = (m[rows] + m[rows[::-1]]) * 0.5
-        hess = np.take(pairs @ (z[cols[0]] * z[cols[1]]).T, gather)
+        pairs = self._take(("rd", (j + 1) % 2), m, rows)
+        pairs += self._take("zz", m, rows_t)
+        pairs *= 0.5
+        zz = self._take("zz", z, cols)
+        zz *= self._take(("rd", j % 2), z, cols_t)  # M's buffer, free once paired
+        prod = np.matmul(pairs, zz.T, out=self._buf(("rd", j % 2), len(rows), len(cols)))
+        hess = np.take(prod, gather, out=np.empty(gather.shape), mode="clip")
         if kappa:
             g = self.grad(j, include_reg=False).reshape(-1)
             hess += kappa * np.outer(g, g)
-        hess[np.diag_indices_from(hess)] += \
-            self.net.spec.regularizers[j - 1].strong_convexity
+        hess.reshape(-1)[::len(hess) + 1] += self.net.spec.regularizers[j - 1].strong_convexity
         return hess
 
     def _curvature(self, j: int) -> tuple:
         """Per-sample curvature of the data term in U_j, as (M, kappa):
-        M[s, r, n] is d^2 f / dU_j[s, n] dU_j[r, n] without the loss's
+        M[s * d_j + r, n] is d^2 f / dU_j[s, n] dU_j[r, n] without the loss's
         sample coupling, and kappa that coupling's weight (``curvature_H``).
 
         The R-pass, forward from U_j and backward from D_J to D_j, carries
         the d_j directions RU_j = e_r 1^T at once, so its stage tensors
-        have shape (d_i, d_j, N).
+        have shape (d_i, d_j, N); the scratch keeps RU_i as role ("ru", i)
+        and R{D_i} as ("rd", i % 2). It starts at RU_{j+1} = W_{j+1}
+        diag(sigma'_j) and adds layer j's bend term on M's diagonal only.
         """
         outs, deltas = self.outs, self.deltas(j)
         pre, post = outs.pre_activations, outs.post_activations
-        acts, weights = self.net.spec.activations, self.net.weights
+        acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
         d_j, n = pre[j - 1].shape
-        ru = np.broadcast_to(np.eye(d_j)[:, :, None], (d_j, d_j, n))
-        stages = []
-        for i in range(j, self.depth + 1):
-            if i > j:
-                ru = np.tensordot(weights[i - 1], rz, axes=1)
-            slope = acts[i - 1].derivative(pre[i - 1], post[i])[:, None, :]
-            rz = slope * ru
-            stages.append((ru, slope))
+        slopes = [acts[i - 1].derivative(pre[i - 1], post[i]) for i in range(j, depth + 1)]
+        rz = None  # RZ_i, in the buffer that R{df/dZ_J} leaves free
+        for i in range(j + 1, depth + 1):
+            ru = self._buf(("ru", i), len(pre[i - 1]), d_j, n)
+            if rz is None:
+                np.multiply(weights[j][:, :, None], slopes[0], out=ru)
+            else:
+                np.matmul(weights[i - 1], rz.reshape(len(rz), -1), out=ru.reshape(len(ru), -1))
+            rz = np.multiply(slopes[i - j][:, None, :], ru,
+                             out=self._buf(("rd", (depth + 1) % 2), *ru.shape))
         curv, kappa = self.loss.curvature_H(outs.output, self.data.Y)
         back = self.loss.grad_H(outs.output, self.data.Y)  # df/dZ_i
-        rd = np.einsum("abn,brn->arn", curv, rz)  # R{df/dZ_i}, then R{D_i}
-        for i in range(self.depth, j - 1, -1):
-            ru, slope = stages.pop()
-            bend = back * acts[i - 1].second_derivative(pre[i - 1], post[i])
-            rd *= slope
-            rd += bend[:, None, :] * ru
-            if i > j:
-                back = weights[i - 1].T @ deltas[i - 1]
-                rd = np.tensordot(weights[i - 1].T, rd, axes=1)
-        return rd, kappa
+        rd = self._buf(("rd", depth % 2), len(curv), d_j, n)  # R{df/dZ_i}, then R{D_i}
+        if rz is None:
+            np.multiply(curv, slopes[0], out=rd)
+        else:
+            np.einsum("abn,brn->arn", curv, rz, out=rd)
+        for i in range(depth, j, -1):
+            ru = self._buf(("ru", i), len(pre[i - 1]), d_j, n)  # as the forward sweep left it
+            ru *= (back * acts[i - 1].second_derivative(pre[i - 1], post[i]))[:, None, :]
+            rd *= slopes[i - j][:, None, :]
+            rd += ru
+            back = weights[i - 1].T @ deltas[i - 1]
+            out = self._buf(("rd", (i - 1) % 2), len(pre[i - 2]), d_j * n)
+            rd = np.matmul(weights[i - 1].T, rd.reshape(len(rd), -1), out=out).reshape(-1, d_j, n)
+        rd *= slopes[0][:, None, :]
+        m = rd.reshape(d_j * d_j, n)
+        m[::d_j + 1] += back * acts[j - 1].second_derivative(pre[j - 1], post[j])
+        return m, kappa
+
+    def _buf(self, role, *shape) -> np.ndarray:
+        # an array of this shape on the role's scratch buffer, grown on demand
+        size = math.prod(shape)
+        if len(self._scratch.get(role, ())) < size:
+            self._scratch[role] = np.empty(size)
+        return self._scratch[role][:size].reshape(shape)
+
+    def _take(self, role, a: np.ndarray, index: np.ndarray) -> np.ndarray:
+        out = self._buf(role, len(index), a.shape[1])
+        return np.take(a, index, axis=0, out=out, mode="clip")  # "raise" buffers first
 
 
 @functools.lru_cache(maxsize=4)
 def _pair_layout(d_j: int, d_prev: int) -> tuple:
-    """Row pairs s <= r and column pairs c <= e of W_j, and the flat index of
-    H in their product; one entry per Hessian entry, kept for four shapes."""
+    """Flat indices of entries (s,r) and (r,s), s <= r, of M_n, rows c and e of
+    pairs c <= e, and the flat index of H in their product; cached for four shapes."""
     rows, cols = np.triu_indices(d_j), np.triu_indices(d_prev)
     row_pair, col_pair = np.empty((d_j, d_j), np.intp), np.empty((d_prev, d_prev), np.intp)
     row_pair[rows] = row_pair[rows[::-1]] = np.arange(len(rows[0]))
     col_pair[cols] = col_pair[cols[::-1]] = np.arange(len(cols[0]))
     gather = row_pair[:, None, :, None] * len(cols[0]) + col_pair[None, :, None, :]
-    return rows, cols, gather.reshape(d_j * d_prev, d_j * d_prev)
+    return (rows[0] * d_j + rows[1], rows[1] * d_j + rows[0], *cols,
+            gather.reshape(d_j * d_prev, d_j * d_prev))
 
 
 def _content(w) -> tuple:

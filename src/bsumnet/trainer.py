@@ -246,9 +246,15 @@ class TrainTrace:
 
 def normalized_mse(H: np.ndarray, Y: np.ndarray) -> float:
     """Training MSE divided by the target variance energy ||Y - Ybar||_F^2."""
-    resid = sqnorm(Y - H)
-    denom = sqnorm(Y - Y.mean(axis=1, keepdims=True))
-    return resid / denom if denom > 0 else resid
+    return _scaled_mse(sqnorm(Y - H), _target_energy(Y))
+
+
+def _target_energy(Y: np.ndarray) -> float:
+    return sqnorm(Y - Y.mean(axis=1, keepdims=True))
+
+
+def _scaled_mse(resid: float, energy: float) -> float:
+    return resid / energy if energy > 0 else resid
 
 
 # ---------------------------------------------------------------------------
@@ -307,10 +313,10 @@ def _block_residual_norm(net: Network, grads: list) -> float:
     return math.sqrt(total)
 
 
-def _full_diagnostics(full: NetworkPass):
+def _full_diagnostics(full: NetworkPass, energy: float):
     f_val = full.objective()
     norm = _block_residual_norm(full.net, full.grads())
-    return f_val, norm, normalized_mse(full.outs.output, full.data.Y)
+    return f_val, norm, _scaled_mse(sqnorm(full.data.Y - full.outs.output), energy)
 
 
 def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
@@ -381,7 +387,7 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
     t0 = time.perf_counter()
     full = NetworkPass(net.copy(), data, loss)
     j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
-    f_val, full_norm, nmse = _full_diagnostics(full)
+    f_val, full_norm, nmse = _full_diagnostics(full, _target_energy(data.Y))
     row = TraceRow(k, j, f_val, nmse, grad_norm, full_norm, alpha, gamma,
                    time.perf_counter() - t0)
     return full.net, row
@@ -398,8 +404,9 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
     trace = TrainTrace()
     t0 = time.perf_counter()
     f_val = norm = math.nan
+    energy = _target_energy(full.data.Y)
     try:
-        f_val, norm, _ = _full_diagnostics(full)
+        f_val, norm, _ = _full_diagnostics(full, energy)
         trace.initial_f, trace.initial_grad_norm = f_val, norm
         if not (math.isfinite(f_val) and math.isfinite(norm)):
             trace.abort(f"non-finite objective {f_val} or residual {norm} at the start")
@@ -411,7 +418,7 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
             record_due = (k % record_every == 0)
             if not (cycle_end or record_due or k == iterations):
                 continue
-            f_val, norm, nmse = _full_diagnostics(full)
+            f_val, norm, nmse = _full_diagnostics(full, energy)
             if record_due:
                 trace.rows.append(TraceRow(k, j, f_val, nmse, grad_norm, norm, alpha,
                                            gamma, time.perf_counter() - t0))

@@ -19,6 +19,7 @@ the projected Newton point.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -214,15 +215,18 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     if hess.shape != (n, n):
         raise SpecError(f"Hessian shape {hess.shape} incompatible with block size {n}")
     index = feasible.kernel_index(W.shape)
-    rhs, damping = grad.reshape(-1), np.ones(n)
+    rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
         damping = np.bincount(index)
-        k = len(damping)
-        hess = np.bincount((index[:, None] * k + index).ravel(), weights=hess.ravel()).reshape(k, k)
+        tied = _tied_pairs(feasible, W.shape)
+        hess = np.bincount(tied, weights=hess.ravel()).reshape(len(damping), -1)
         rhs = np.bincount(index, weights=rhs)
+    h = np.empty(hess.shape, order="F")  # the solver's copy, factored in place
     for _ in range(max_doublings + 1):
+        np.copyto(h, hess)  # a failed factorization overwrote h's leading columns
+        h.reshape(-1, order="F")[::len(h) + 1] += gamma * damping
         try:
-            factor = scipy.linalg.cho_factor(hess + gamma * np.diag(damping))
+            factor = scipy.linalg.cho_factor(h, overwrite_a=True)
         except np.linalg.LinAlgError:
             gamma *= 2.0
             continue
@@ -232,6 +236,14 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
         return W - step[index].reshape(W.shape)
     raise CurvatureError(
         f"damped Hessian not positive definite after {max_doublings} gamma doublings")
+
+
+@functools.lru_cache(maxsize=4)
+def _tied_pairs(feasible: FeasibleSet, shape: tuple) -> np.ndarray:
+    """Kernel coordinates of each row-major Hessian entry's pair, as one
+    index; kept for four (set, shape) pairs."""
+    index = feasible.kernel_index(shape)
+    return (index[:, None] * (index.max() + 1) + index).ravel()
 
 
 def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,

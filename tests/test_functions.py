@@ -248,24 +248,26 @@ class TestLabelSets:
                 NetworkPass(net, Dataset(X, Y), loss)
 
     def test_targets_are_checked_once_per_pass_built(self, monkeypatch):
+        # probes are built from their parent's checked state, so one train
+        # call checks its targets once however many probes its Armijo steps take
         net, data = make_problem([3, 4, 1], Logistic(), LogisticLoss(), seed=4)
-        counts = {"checks": 0, "passes": 0}
-        check, init = LogisticLoss.check_labels, NetworkPass.__init__
+        counts = {"checks": 0, "probes": 0}
+        check, probe = LogisticLoss.check_labels, NetworkPass.probe
 
         def counted_check(self, Y):
             counts["checks"] += 1
             return check(self, Y)
 
-        def counted_init(self, *args, **kwargs):
-            counts["passes"] += 1
-            return init(self, *args, **kwargs)
+        def counted_probe(self, *args):
+            counts["probes"] += 1
+            return probe(self, *args)
 
         monkeypatch.setattr(LogisticLoss, "check_labels", counted_check)
-        monkeypatch.setattr(NetworkPass, "__init__", counted_init)
+        monkeypatch.setattr(NetworkPass, "probe", counted_probe)
         train(net, data, LogisticLoss(), TrainConfig(schedule=ArmijoRule(),
                                                       max_outer_iterations=20))
-        assert counts["passes"] > 1
-        assert counts["checks"] == counts["passes"]
+        assert counts["probes"] > 1
+        assert counts["checks"] == 1
 
 
 class TestLossGradientsAgainstFD:

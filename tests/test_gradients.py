@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
                      ExponentialLoss, Identity, L2Loss, Logistic, LogisticLoss,
                      NetworkSpec, Network, NonSmoothError, Regularizer,
-                     ShapeError, Softplus, SpecError, Unconstrained,
+                     ShapeError, Softplus, SpecError, Tanh, Unconstrained,
                      build_network, forward)
 from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
                                block_hessian, block_objective_fn,
@@ -295,6 +295,26 @@ class TestBlockHessian:
         for j in (1, 2):
             assert np.array_equal(block_hessian(net, data, LogisticLoss(), j, cache=cache),
                                   block_hessian(net, data, LogisticLoss(), j))
+
+    @pytest.mark.parametrize("loss", [L2Loss(), ExponentialLoss(1.0)], ids=lambda l: l.name)
+    def test_scratch_reuse_in_any_block_order_is_bitwise(self, loss):
+        # widths that rise and fall, so each scratch role grows and is
+        # reused at smaller shapes; the exponential loss adds the kappa term
+        net, data = make_problem([3, 5, 2, 4, 1], Tanh(), loss, lam=1e-2, seed=29, n=9)
+        fresh = {j: NetworkPass(net, data, loss).hessian(j) for j in range(1, net.depth + 1)}
+        fb = NetworkPass(net, data, loss)
+        order = list(range(1, net.depth + 1))
+        for j in order + order[::-1]:
+            assert np.array_equal(fb.hessian(j), fresh[j]), j
+
+    def test_returned_hessian_is_not_overwritten_by_later_calls(self):
+        net, data = make_problem([3, 4, 4, 1], Tanh(), L2Loss(), lam=1e-2, seed=30)
+        fb = NetworkPass(net, data, L2Loss())
+        first = block_hessian(net, data, L2Loss(), 2, cache=fb)
+        kept = first.copy()
+        for j in (1, 2, 3, 2):
+            block_hessian(net, data, L2Loss(), j, cache=fb)
+        assert np.array_equal(first, kept)
 
 
 class TestObjectiveHelpers:

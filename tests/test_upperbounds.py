@@ -1,5 +1,6 @@
 """Surrogate families: directions, projections, prox steps, block solves."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -115,6 +116,72 @@ class TestSecondOrderDirection:
         with pytest.raises(CurvatureError):
             descent_direction_second_order(np.zeros((1, 1)), np.ones((1, 1)),
                                            hess, 1e-10, max_doublings=3)
+
+    @staticmethod
+    def late_failing_hessian(k, rng):
+        # L L^T with the last diagonal entry lowered past its pivot: every
+        # leading minor but the full one is positive, so the Cholesky
+        # factorization fails at the last pivot, after it has written the others
+        low = np.tril(rng.standard_normal((k, k)), -1) + np.diag(rng.uniform(1.0, 2.0, k))
+        hess = low @ low.T
+        hess[-1, -1] -= low[-1, -1] ** 2 + 3.0
+        return hess
+
+    @staticmethod
+    def accepted_gamma(kernel_hess, ties, gamma):
+        while np.linalg.eigvalsh(kernel_hess + gamma * np.diag(ties)).min() <= 0:
+            gamma *= 2.0
+        return gamma
+
+    def test_gamma_retry_solves_from_the_undamped_hessian(self):
+        rng = np.random.default_rng(41)
+        w, g = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
+        hess = self.late_failing_hessian(6, rng)
+        kept = hess.copy()
+        gamma = self.accepted_gamma(hess, np.ones(6), 0.01)
+        assert gamma >= 0.04  # at least two failed factorizations first
+        d = descent_direction_second_order(w, g, hess, 0.01)
+        want = w - np.linalg.solve(hess + gamma * np.eye(6), g.reshape(-1)).reshape(w.shape)
+        np.testing.assert_allclose(d, want, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(hess, kept)
+
+    def test_gamma_retry_on_a_toeplitz_block(self):
+        # H = P T^{-1} R T^{-1} P' has kernel Hessian P'HP = R, with P the
+        # diagonal map of a 3x3 Toeplitz block and T = P'P its tie counts
+        rng = np.random.default_rng(42)
+        index = Toeplitz().kernel_index((3, 3))
+        ties = np.bincount(index).astype(float)
+        p_map = np.eye(len(ties))[index] / ties
+        kernel_hess = self.late_failing_hessian(len(ties), rng)
+        hess = p_map @ kernel_hess @ p_map.T
+        hess = (hess + hess.T) / 2
+        kept = hess.copy()
+        w, g = Toeplitz().project(rng.standard_normal((3, 3))), rng.standard_normal((3, 3))
+        gamma = self.accepted_gamma(kernel_hess, ties, 0.01)
+        assert gamma >= 0.04
+        v = np.linalg.solve(kernel_hess + gamma * np.diag(ties), np.bincount(index, g.ravel()))
+        d = descent_direction_second_order(w, g, hess, 0.01, Toeplitz())
+        np.testing.assert_allclose(d, w - v[index].reshape(3, 3), rtol=1e-10, atol=1e-12)
+        assert np.array_equal(hess, kept)
+
+    def test_warm_newton_step_allocates_no_stage_tensors(self):
+        # the curvature benchmark's problem; a step that allocated every
+        # R-pass stage tensor and pair gather afresh peaked at 1,740, 1,430
+        # and 543 KB on blocks 1-3
+        dims = (13, 16, 16, 1)
+        spec = NetworkSpec(dims, (Tanh(),) * 3, (Unconstrained(), Toeplitz(), Unconstrained()),
+                           (Regularizer.l2(1e-2),) * 3)
+        data = synth_regression(seed=0, n_samples=252, n_features=13, teacher_dims=dims)
+        fb = NetworkPass(build_network(spec, "uniform", seed=0), data, L2Loss())
+        for j, old_kb in ((1, 1740), (2, 1430), (3, 543)):
+            SecondOrderProx(0.1).direction(fb, j, fb.grad(j), False, False)
+            tracemalloc.start()
+            try:
+                SecondOrderProx(0.1).direction(fb, j, fb.grad(j), False, False)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < old_kb * 1024 / 2, (j, peak // 1024)
 
     def test_unit_step_on_a_toeplitz_block_does_not_raise_f(self):
         # [13,10,10,1] tanh net, Toeplitz middle block, gamma = 1e-3: the
