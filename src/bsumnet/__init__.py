@@ -11,10 +11,10 @@ from .errors import (ConfigError, CurvatureError, DomainError, IngestError,
                      NonSmoothError, ShapeError, SingularError, SizeError,
                      SpecError)
 from .functions import (ACTIVATIONS, LOSSES, REGULARIZERS, BentIdentity,
-                        BlockCurvature, CrossEntropyLoss, ExponentialLoss,
-                        Identity, L1Regularizer, L2Loss, L2Regularizer,
-                        LeakyReluSmooth, Logistic, LogisticLoss, Regularizer,
-                        Softplus, SquaredHingeLoss, Tanh, classify_convexity)
+                        CrossEntropyLoss, ExponentialLoss, Identity,
+                        L1Regularizer, L2Loss, L2Regularizer, LeakyReluSmooth,
+                        Logistic, LogisticLoss, Regularizer, Softplus,
+                        SquaredHingeLoss, Tanh, classify_convexity)
 from .gradients import (BatchSampler, NetworkPass, all_block_gradients,
                         block_gradient, block_hessian, delta_recursion,
                         fd_gradient, objective_value)

@@ -59,11 +59,6 @@ def _cmd_validate_schedule(args) -> int:
     return 0
 
 
-def _relative_error(analytic, numeric) -> float:
-    diff = np.linalg.norm(analytic - numeric)
-    return float(diff / max(1.0, np.linalg.norm(numeric)))
-
-
 def _gradcheck_net(net, data, loss, tol: float, label: str) -> bool:
     """Central-difference check of each block gradient; L1 blocks are skipped."""
     ok, fb = True, NetworkPass(net, data, loss)
@@ -74,7 +69,7 @@ def _gradcheck_net(net, data, loss, tol: float, label: str) -> bool:
         analytic = fb.grad(j)
         numeric = fd_gradient(lambda w: fb.probe(j, w).objective(),
                               net.weights[j - 1], h=1e-6)
-        err = _relative_error(analytic, numeric)
+        err = float(np.linalg.norm(analytic - numeric) / max(1.0, np.linalg.norm(numeric)))
         status = "ok  " if err <= tol else "FAIL"
         print(f"  {status} {label} layer {j}: relative error {err:.3e}")
         ok = ok and err <= tol

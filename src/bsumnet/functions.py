@@ -11,7 +11,8 @@ Monotonicity of a loss is declared with respect to H for real-target losses
 and with respect to the margin Y*H for the +/-1-label classification losses
 (squared hinge, logistic), whose direction in raw H flips with the label.
 Cross-entropy has no single direction in either parameterization, so it is
-declared non-monotone.
+declared non-monotone. ``classify_convexity`` reads these traits and names a
+block objective's class: "strongly_convex", "concave" or "unknown".
 
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
@@ -36,7 +37,7 @@ __all__ = [
     "Loss", "L2Loss", "ExponentialLoss", "CrossEntropyLoss",
     "SquaredHingeLoss", "LogisticLoss", "LOSSES",
     "Regularizer", "L2Regularizer", "L1Regularizer",
-    "REGULARIZERS", "BlockCurvature", "loss_value", "loss_grad_H",
+    "REGULARIZERS", "loss_value", "loss_grad_H",
     "classify_convexity", "sqnorm",
 ]
 
@@ -516,38 +517,11 @@ REGULARIZERS = {cls.name: cls for cls in (Regularizer, L2Regularizer, L1Regulari
 # block curvature classification
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class BlockCurvature:
-    """What is known about a block objective's curvature from declared traits."""
+def classify_convexity(loss: Loss, activations, reg: Regularizer) -> str:
+    """Classify a block objective's curvature from the trait tables:
+    "strongly_convex", "concave" or "unknown".
 
-    kind: str  # "strongly_convex" | "concave" | "unknown"
-    modulus: float = 0.0
-
-    @classmethod
-    def strongly_convex(cls, modulus: float):
-        return cls("strongly_convex", modulus)
-
-    @classmethod
-    def concave(cls):
-        return cls("concave")
-
-    @classmethod
-    def unknown(cls):
-        return cls("unknown")
-
-    @property
-    def is_strongly_convex(self) -> bool:
-        return self.kind == "strongly_convex"
-
-    @property
-    def is_concave(self) -> bool:
-        return self.kind == "concave"
-
-
-def classify_convexity(loss: Loss, activations, reg: Regularizer) -> BlockCurvature:
-    """Classify each block objective's curvature from the trait tables.
-
-    Strongly convex (modulus = the regularizer's) when either
+    Strongly convex (modulus ``reg.strong_convexity``) when either
       - all activations convex nondecreasing and the loss convex nondecreasing, or
       - all activations concave nondecreasing and the loss convex nonincreasing,
     and the regularizer is strongly convex. Concave when all activations are
@@ -561,10 +535,10 @@ def classify_convexity(loss: Loss, activations, reg: Regularizer) -> BlockCurvat
     c1 = all_cvx_nondec and loss.convex_in_H and loss.monotone == "nondecreasing"
     c2 = all_ccv_nondec and loss.convex_in_H and loss.monotone == "nonincreasing"
     if (c1 or c2) and reg.strong_convexity > 0:
-        return BlockCurvature.strongly_convex(reg.strong_convexity)
+        return "strongly_convex"
 
     if all_cvx_nondec and loss.concave_in_H and loss.monotone == "nonincreasing" \
             and reg.name == "none":
-        return BlockCurvature.concave()
+        return "concave"
 
-    return BlockCurvature.unknown()
+    return "unknown"

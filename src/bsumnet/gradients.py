@@ -118,11 +118,16 @@ class NetworkPass:
         if key == _content(self.net.weights[j - 1]):
             return self
         if self._memo is None or self._memo[:2] != (j, key):
-            other = object.__new__(NetworkPass)  # on targets this pass checked
-            other._start(self.net, self.data, self.loss, self.outs)
+            other = self._on(self.data, self.outs)
             other.set_block(j, w)
             self._memo = (j, key, other)
         return self._memo[2]
+
+    def _on(self, data: Dataset, outs: LayerOutputs | None = None) -> "NetworkPass":
+        """This network and loss on ``data``, targets this pass checked."""
+        other = object.__new__(NetworkPass)
+        other._start(self.net, data, self.loss, outs)
+        return other
 
     @property
     def outs(self) -> LayerOutputs:

@@ -28,7 +28,8 @@ from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
-from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, train
+from .trainer import (SCHEDULES, TrainConfig, TrainTrace, _check_nonsmooth, run_loop,
+                      train)
 from .upperbounds import UPPERBOUNDS
 
 __all__ = [
@@ -154,14 +155,18 @@ def _check_baseline(kind: str, rate: float, record_every: int, eps: float = 0.0)
         raise SpecError("record_every must be >= 1")
 
 
+def _check_smooth(spec: NetworkSpec) -> None:
+    if any(not r.smooth for r in spec.regularizers):
+        raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
+
+
 def _baseline(net: Network, data: Dataset, loss, rate: float, update,
               max_iterations: int, record_every: int,
               grad_norm_tol: float) -> TrainTrace:
     """Simultaneous update W_j <- update(j, W_j, G_j) of every layer, all
     from the gradients at the same iterate, stepped on one pass by the
     trainer's loop (``run_loop``) with a cycle of one iteration."""
-    if any(not r.smooth for r in net.spec.regularizers):
-        raise NonSmoothError("baseline optimizers need smooth regularizers everywhere")
+    _check_smooth(net.spec)
     full = NetworkPass(net, data, loss)
 
     def step(k, residual):
@@ -425,7 +430,7 @@ def _parse_network(d: dict) -> dict:
     return {"spec": spec, **_config_fields(d, ("init", "init_scale"), "network.")}
 
 
-def _parse_method(d: dict, idx: int, depth: int) -> MethodSpec:
+def _parse_method(d: dict, idx: int, spec: NetworkSpec) -> MethodSpec:
     where = f"methods[{idx}]"
     name = _typed(d.pop("name", f"prop{idx}"), str, f"{where}.name")
     if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name):
@@ -433,11 +438,16 @@ def _parse_method(d: dict, idx: int, depth: int) -> MethodSpec:
                           "digits, '_', '-' and '.' (not starting with '.')")
     if "upperbound" in d:
         d["upperbound"] = _maybe_list(d["upperbound"], UPPERBOUNDS, "upperbound",
-                                      f"{where}.upperbound", depth)
+                                      f"{where}.upperbound", spec.depth)
     if d.get("schedule") is not None:
         d["schedule"] = _maybe_list(d["schedule"], SCHEDULES, "schedule",
-                                    f"{where}.schedule", depth)
+                                    f"{where}.schedule", spec.depth)
     train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
+    try:
+        for j in range(1, spec.depth + 1):
+            _check_nonsmooth(train, spec, j)
+    except NonSmoothError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
     return MethodSpec(name, train)
 
 
@@ -454,11 +464,16 @@ def parse_config(raw: dict) -> ExperimentConfig:
     dataset = _parse_dataset(raw["dataset"])
     network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
-    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"].depth)
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"])
                     for i, m in enumerate(_typed(raw.get("methods", []), list, "methods")))
     baselines = tuple(_construct(BaselineSpec, b, f"baselines[{i}]", {"kind": "name"})
                       for i, b in enumerate(_typed(raw.get("baselines", []), list,
                                                    "baselines")))
+    if baselines:
+        try:
+            _check_smooth(network["spec"])
+        except NonSmoothError as exc:
+            raise ConfigError(f"baselines: {exc}") from None
     names = [m.name for m in methods] + [b.name for b in baselines]
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate method/baseline names in {names}")
@@ -490,10 +505,6 @@ class ExperimentResult:
     summary_paths: list = field(default_factory=list)
     failures: list = field(default_factory=list)
 
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
 
 def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
     """The configured dataset; one that cannot be read or built, or whose
@@ -519,14 +530,11 @@ def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
              net0: Network, out_dir: Path):
     name = spec.name
     t0 = time.perf_counter()
-    status = "ok"
-    error = ""
     trace = TrainTrace()
-    cycle_div = 1
+    cycle = cfg.spec.depth if isinstance(spec, MethodSpec) else 1
     try:
         if isinstance(spec, MethodSpec):
             _, trace = train(net0.copy(), data, cfg.loss, spec.train)
-            cycle_div = cfg.spec.depth
         elif name == "bp_clr":
             trace = baseline_bp_clr(net0.copy(), data, cfg.loss, spec.rate,
                                     spec.max_iterations, spec.record_every,
@@ -535,12 +543,8 @@ def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
             trace = baseline_adagrad(net0.copy(), data, cfg.loss, spec.rate,
                                      spec.eps, spec.max_iterations,
                                      spec.record_every, spec.grad_norm_tol)
-        if trace.aborted:
-            status = "failed"
-            error = trace.abort_reason
     except Exception as exc:  # noqa: BLE001 - surfaced in the summary
-        status = "failed"
-        error = f"{type(exc).__name__}: {exc}"
+        trace.abort(f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
 
     curve_path = out_dir / f"{name}_seed{seed}.csv"
@@ -553,14 +557,14 @@ def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
     summary = {
         "method": name,
         "seed": seed,
-        "status": status,
-        "error": error,
+        "status": "failed" if trace.aborted else "ok",
+        "error": trace.abort_reason,
         "final_f": num(trace.final_f),
         "final_grad_norm": num(trace.final_grad_norm),
         "initial_f": num(trace.initial_f),
         "initial_grad_norm": num(trace.initial_grad_norm),
         "iterations": trace.iterations_run,
-        "cycle_equivalents": trace.iterations_run // max(cycle_div, 1),
+        "cycle_equivalents": trace.iterations_run // cycle,
         "converged": trace.converged,
         "wall_time_seconds": wall,
     }
@@ -568,7 +572,7 @@ def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
     with open(summary_path, "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return curve_path, summary_path, status, f"{name} seed {seed}: {error}"
+    return curve_path, summary_path, trace
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> ExperimentResult:
@@ -587,9 +591,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     for seed in use_seeds:
         net0 = build_network(cfg.spec, cfg.init, seed=seed, scale=cfg.init_scale)
         for spec in cfg.methods + cfg.baselines:
-            curve, summary, status, failure = _run_one(cfg, data, spec, seed, net0, out)
+            curve, summary, trace = _run_one(cfg, data, spec, seed, net0, out)
             result.curve_paths.append(curve)
             result.summary_paths.append(summary)
-            if status != "ok":
-                result.failures.append(failure)
+            if trace.aborted:
+                result.failures.append(f"{spec.name} seed {seed}: {trace.abort_reason}")
     return result

@@ -52,13 +52,6 @@ class FeasibleSet:
         in the kernel v, the members being v[index]; else None."""
         return None
 
-    def distance(self, w: np.ndarray) -> float:
-        """Frobenius distance from ``w`` to the set."""
-        return float(np.linalg.norm(w - self.project(w)))
-
-    def contains(self, w: np.ndarray, tol: float = 1e-12) -> bool:
-        return self.distance(w) <= tol
-
 
 @dataclass(frozen=True)
 class Unconstrained(FeasibleSet):

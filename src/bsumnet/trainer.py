@@ -236,9 +236,6 @@ class TrainTrace:
     aborted: bool = False
     abort_reason: str = ""
 
-    def f_values(self):
-        return [r.f for r in self.rows]
-
     def abort(self, reason: str) -> None:
         self.aborted = True
         self.abort_reason = reason
@@ -319,15 +316,23 @@ def _full_diagnostics(full: NetworkPass, energy: float):
     return f_val, norm, _scaled_mse(sqnorm(full.data.Y - full.outs.output), energy)
 
 
+def _check_nonsmooth(cfg: TrainConfig, spec, j: int) -> None:
+    """An L1 block j needs the first-order family and no Armijo search."""
+    if spec.regularizers[j - 1].smooth:
+        return
+    if not isinstance(_per_layer(cfg.upperbound, j, spec.depth), FirstOrderProx):
+        raise NonSmoothError(
+            "L1-regularized blocks are only supported with the first-order family")
+    if isinstance(_per_layer(cfg.schedule, j, spec.depth), ArmijoRule):
+        raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
+
+
 def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
     """Descent direction for block j from its surrogate family; returns
     (D, gamma_used, grad)."""
     kind = _per_layer(cfg.upperbound, j, fb.net.depth)
     # data term only on an L1 block: its penalty is absorbed by the prox step
     grad = fb.grad(j)
-    if not fb.net.spec.regularizers[j - 1].smooth and not isinstance(kind, FirstOrderProx):
-        raise NonSmoothError(
-            "L1-regularized blocks are only supported with the first-order family")
     d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and adapt_ok,
                               cfg.curvature_override)
     return d, gamma, grad
@@ -339,8 +344,6 @@ def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
         return 1.0
     sched = _per_layer(cfg.schedule, j, fb.net.depth)
     if isinstance(sched, ArmijoRule):
-        if not fb.net.spec.regularizers[j - 1].smooth:
-            raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
         value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         alpha, _ = armijo_stepsize(value_fn, fb.net.weights[j - 1], d, grad, sched)
         return alpha
@@ -358,9 +361,9 @@ def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
     (``full`` itself with a full sampler), then W_j of ``full`` is replaced.
     Returns (j, alpha, gamma, block gradient norm)."""
     j = ((k - 1) % full.net.depth) + 1
+    _check_nonsmooth(cfg, full.net.spec, j)
     full_batch = cfg.sampler.mode == "full"
-    fb = full if full_batch else NetworkPass(
-        full.net, full.data.restrict(state.stream.next(k)), full.loss)
+    fb = full if full_batch else full._on(full.data.restrict(state.stream.next(k)))
     d, gamma, grad = _direction(fb, cfg, j, full_batch)
     alpha = _alpha_for_step(fb, cfg, j, k, d, grad, state)
     full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))

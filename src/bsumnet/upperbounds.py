@@ -27,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
-from .functions import BlockCurvature, classify_convexity, sqnorm
+from .functions import classify_convexity, sqnorm
 from .gradients import NetworkPass, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
@@ -137,8 +137,8 @@ class Proximal:
         if (self.gamma == 0 and fb.loss.name == "l2" and isinstance(feasible, Unconstrained)
                 and all(a.name == "identity" for a in acts)):
             return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma
-        curv = classify_convexity(fb.loss, acts[j - 1:], reg)
-        if not curv.is_strongly_convex and not override:
+        if classify_convexity(fb.loss, acts[j - 1:], reg) != "strongly_convex" \
+                and not override:
             raise CurvatureError(
                 f"block {j} not certified strongly convex; "
                 "set curvature_override=True to run the proximal family heuristically")
@@ -298,16 +298,16 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
     return best, converged
 
 
-def descent_direction_linear(W: np.ndarray, grad: np.ndarray,
-                             curvature: BlockCurvature,
+def descent_direction_linear(W: np.ndarray, grad: np.ndarray, curvature: str,
                              override: bool = False) -> np.ndarray:
     """Direction from the linear surrogate on concave blocks: -grad.
 
     The trainer's convex-combination update then reads
-    (1-alpha) W - alpha * grad. Using it on a block not flagged concave is an
-    error unless explicitly overridden.
+    (1-alpha) W - alpha * grad. Using it on a block whose ``curvature``
+    (from ``classify_convexity``) is not "concave" is an error unless
+    explicitly overridden.
     """
-    if not curvature.is_concave and not override:
+    if curvature != "concave" and not override:
         raise CurvatureError(
             "linear surrogate requires a concave block (or override=True)")
     return -np.asarray(grad, dtype=float)

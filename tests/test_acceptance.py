@@ -182,7 +182,7 @@ def test_criterion_04_convex_block_monotonicity():
         unit_stepsize=True, max_outer_iterations=2000, record_every=1,
         grad_norm_tol=1e-14, adapt_gamma=False)
     _, trace = train(net, data, ExponentialLoss(1.0), cfg)
-    fs = [trace.initial_f] + trace.f_values()
+    fs = [trace.initial_f] + [r.f for r in trace.rows]
     rises = sum(1 for a, b in zip(fs, fs[1:]) if b > a + 1e-12)
     _report(4, "exponential+softplus proximal training monotone over 2000 it",
             rises == 0 and len(fs) >= 2000,
@@ -331,7 +331,7 @@ def test_criterion_09_constraint_preservation():
     worst_t = 0.0
     for k in range(1, 1001):
         current, _ = train_step(current, data, L2Loss(), cfg, k, state)
-        worst_t = max(worst_t, max(Toeplitz().distance(w)
+        worst_t = max(worst_t, max(np.linalg.norm(w - Toeplitz().project(w))
                                    for w in current.weights))
 
     rho = 0.8

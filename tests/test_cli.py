@@ -138,6 +138,26 @@ class TestTrainCommand:
         assert "config error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("change,rule", [
+        ({"upperbound": "second_order_prox"}, "only supported with the first-order family"),
+        ({"schedule": {"kind": "armijo"}}, "Armijo search needs a smooth regularizer"),
+        ({"baselines": [{"kind": "bp_clr", "rate": 0.1}]}, "need smooth regularizers"),
+    ], ids=["second_order", "armijo", "baseline"])
+    def test_l1_combination_the_trainer_refuses_exit_two(self, tmp_path, capsys,
+                                                          change, rule):
+        raw = base_config(tmp_path)
+        raw["network"]["regularizer"] = {"kind": "l1", "lam": 0.01}
+        if "baselines" in change:
+            raw.update(change)
+        else:
+            raw["methods"][0].update(change)
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["train", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "config error:" in err and rule in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("command", ["train", "gradcheck"])
     def test_targets_outside_the_loss_labels_exit_two(self, tmp_path, capsys, command):
         # the synthetic dataset has real-valued targets, not -1/+1 labels

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from bsumnet import (ACTIVATIONS, LOSSES, ArmijoRule, BentIdentity,
+from bsumnet import (ACTIVATIONS, LOSSES, ArmijoRule, BatchSampler, BentIdentity,
                      CrossEntropyLoss, Dataset, DomainError, ExponentialLoss,
                      Identity, L2Loss, LeakyReluSmooth, Logistic, LogisticLoss,
                      NetworkPass, NetworkSpec, NonSmoothError, Regularizer,
@@ -248,8 +248,9 @@ class TestLabelSets:
                 NetworkPass(net, Dataset(X, Y), loss)
 
     def test_targets_are_checked_once_per_pass_built(self, monkeypatch):
-        # probes are built from their parent's checked state, so one train
-        # call checks its targets once however many probes its Armijo steps take
+        # probes and mini-batch passes are built from the run's checked state,
+        # so one train call checks its targets once with any sampler, however
+        # many probes its Armijo steps take
         net, data = make_problem([3, 4, 1], Logistic(), LogisticLoss(), seed=4)
         counts = {"checks": 0, "probes": 0}
         check, probe = LogisticLoss.check_labels, NetworkPass.probe
@@ -264,10 +265,13 @@ class TestLabelSets:
 
         monkeypatch.setattr(LogisticLoss, "check_labels", counted_check)
         monkeypatch.setattr(NetworkPass, "probe", counted_probe)
-        train(net, data, LogisticLoss(), TrainConfig(schedule=ArmijoRule(),
-                                                      max_outer_iterations=20))
-        assert counts["probes"] > 1
-        assert counts["checks"] == 1
+        for sampler in (BatchSampler(), BatchSampler("fixed", 4),
+                        BatchSampler("increasing")):
+            counts.update(checks=0, probes=0)
+            train(net, data, LogisticLoss(), TrainConfig(
+                schedule=ArmijoRule(), sampler=sampler, max_outer_iterations=20))
+            assert counts["probes"] > 1, sampler.mode
+            assert counts["checks"] == 1, sampler.mode
 
 
 class TestLossGradientsAgainstFD:
@@ -395,36 +399,34 @@ class TestClassifyConvexity:
     def test_exponential_softplus_is_strongly_convex(self):
         curv = classify_convexity(ExponentialLoss(1.0), [Softplus(), Softplus()],
                                   Regularizer.l2(0.1))
-        assert curv.is_strongly_convex
-        assert curv.modulus == pytest.approx(0.2)
+        assert curv == "strongly_convex"
 
     def test_logistic_activation_breaks_both_premises(self):
         curv = classify_convexity(L2Loss(), [Logistic()], Regularizer.l2(0.1))
-        assert curv.kind == "unknown"
+        assert curv == "unknown"
 
     def test_cross_entropy_identity_is_unknown(self):
         curv = classify_convexity(CrossEntropyLoss(), [Identity()],
                                   Regularizer.l2(0.1))
-        assert curv.kind == "unknown"
+        assert curv == "unknown"
 
     def test_margin_loss_identity_fires_c2(self):
         curv = classify_convexity(SquaredHingeLoss(1.0), [Identity()],
                                   Regularizer.l2(0.3))
-        assert curv.is_strongly_convex
-        assert curv.modulus == pytest.approx(0.6)
+        assert curv == "strongly_convex"
 
     def test_weak_regularizer_blocks_certificate(self):
         curv = classify_convexity(ExponentialLoss(1.0), [Softplus()],
                                   Regularizer.none())
-        assert curv.kind == "unknown"
+        assert curv == "unknown"
 
     def test_concave_branch(self):
         curv = classify_convexity(_ConcaveToyLoss(), [Softplus()],
                                   Regularizer.none())
-        assert curv.is_concave
+        assert curv == "concave"
         curv2 = classify_convexity(_ConcaveToyLoss(), [Softplus()],
                                    Regularizer.l2(0.1))
-        assert not curv2.is_concave
+        assert curv2 != "concave"
 
     def test_certificates_survive_hessian_probe(self):
         """Soundness spot-check: on 10 random configurations drawn from the
@@ -455,7 +457,7 @@ class TestClassifyConvexity:
             data = Dataset(X, Y)
             for j in range(1, net.depth + 1):
                 curv = classify_convexity(loss, spec.activations[j - 1:], reg)
-                if not curv.is_strongly_convex:
+                if curv != "strongly_convex":
                     continue
                 hess = block_hessian(net, data, loss, j)
                 min_eig = float(np.linalg.eigvalsh(hess).min())

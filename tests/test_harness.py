@@ -413,7 +413,7 @@ class TestRunExperiment:
         result = run_experiment(parse_config(raw))
         assert len(result.curve_paths) == 1
         assert len(result.summary_paths) == 1
-        assert result.ok
+        assert not result.failures
         assert result.curve_paths[0].exists()
 
     def test_identical_config_bitwise_identical_curves(self, tmp_path):
@@ -445,9 +445,26 @@ class TestRunExperiment:
             "max_iterations": 30, "adapt_gamma": False})
         raw["dataset"]["noise_sigma"] = 3.0
         result = run_experiment(parse_config(raw))
-        assert not result.ok
+        assert result.failures
         assert any("explosive" in f for f in result.failures)
         assert len(result.curve_paths) == 3  # all runs still wrote files
+
+    def test_run_that_raises_is_summarized(self, tmp_path):
+        # logistic blocks are not certified strongly convex, so the proximal
+        # family raises on the first step; the summary and curve still appear
+        raw = minimal_config(tmp_path, baselines=[])
+        raw["methods"][0]["upperbound"] = "proximal"
+        result = run_experiment(parse_config(raw))
+        message = ("CurvatureError: block 1 not certified strongly convex; set "
+                   "curvature_override=True to run the proximal family heuristically")
+        assert result.failures == [f"prop seed 0: {message}"]
+        summary = json.loads(result.summary_paths[0].read_text(encoding="utf-8"))
+        del summary["wall_time_seconds"]
+        assert summary == {"method": "prop", "seed": 0, "status": "failed",
+                           "error": message, "final_f": None, "final_grad_norm": None,
+                           "initial_f": None, "initial_grad_norm": None,
+                           "iterations": 0, "cycle_equivalents": 0, "converged": False}
+        assert result.curve_paths[0].read_text(encoding="utf-8") == CURVE_HEADER + "\n"
 
     def test_seed_override(self, tmp_path):
         raw = minimal_config(tmp_path, baselines=[])
@@ -482,7 +499,7 @@ class TestRunExperiment:
         ]
         result = run_experiment(parse_config(raw))
         assert len(result.curve_paths) == 5
-        assert result.ok
+        assert not result.failures
         methods = set()
         for p in result.curve_paths:
             for row in parse_curves(p):

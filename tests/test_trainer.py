@@ -316,7 +316,7 @@ class TestTrainLoop:
                           unit_stepsize=True, max_outer_iterations=60,
                           record_every=1, grad_norm_tol=1e-14, adapt_gamma=False)
         _, trace = train(net, data, ExponentialLoss(1.0), cfg)
-        fs = [trace.initial_f] + trace.f_values()
+        fs = [trace.initial_f] + [r.f for r in trace.rows]
         assert all(b <= a + 1e-12 for a, b in zip(fs, fs[1:]))
 
     def test_proximal_kind_requires_certificate(self):
@@ -356,7 +356,7 @@ class TestTrainLoop:
         for k in range(1, 51):
             current, _ = train_step(current, data, L2Loss(), cfg, k, state)
             for fs, w in zip(spec.feasible_sets, current.weights):
-                assert fs.distance(w) <= 1e-12
+                assert np.linalg.norm(w - fs.project(w)) <= 1e-12
 
     def test_frobenius_ball_iterates_stay_inside(self):
         rho = 0.8
@@ -540,7 +540,7 @@ class TestRunProperties:
     def test_f_never_rises_and_iterates_stay_feasible(self, run):
         net, data, cfg = run
         _, trace = train(net, data, L2Loss(), cfg)
-        fs = [trace.initial_f] + trace.f_values()
+        fs = [trace.initial_f] + [r.f for r in trace.rows]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
         state = _LoopState(cfg, net.depth, data.n_samples)
         for k in range(1, trace.iterations_run + 1):
