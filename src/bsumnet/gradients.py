@@ -11,13 +11,16 @@ query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
 to the block asked for, and a block gradient with its smooth regularizer is
 kept until the next update. Logistic and tanh derivatives come from the
 cached Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the
-network. The pass memoizes its last probe, keyed by the bitwise content of V
-(shape, dtype, bytes; not identity, as finite differences mutate one array
-in place): a probe at the current W_j is the pass itself, a repeat is the
-memo, and ``set_block(j, V)`` at the memo's content adopts its stages,
-deltas and gradients. The module functions are views of a fresh pass for
-callers that hold a plain network. Vec orderings here and in the Newton
-solve are row-major vec(W_j).
+network. Blocks are told apart by their bitwise content (shape, dtype,
+bytes; not identity, as finite differences mutate one array in place), whose
+key the pass keeps per block. ``set_block(j, W)`` at the current content
+changes nothing, as the stages, deltas, gradients, f and probe memo are
+functions of those bits: an update that leaves its block as it was costs
+no forward or backward pass. The last probe is memoized: a probe at the
+current W_j is the pass itself, a repeat is the memo, and ``set_block(j,
+V)`` at the memo's content adopts its stages, deltas and gradients. The
+module functions are views of a fresh pass for callers that hold a plain
+network. Vec orderings here and in the Newton solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -78,8 +81,9 @@ class NetworkPass:
         loss.check_labels(data.Y)
         self._start(net, data, loss, outs)
 
-    def _start(self, net, data, loss, outs) -> None:
-        """The pass's state from inputs whose shapes and targets are checked."""
+    def _start(self, net, data, loss, outs, keys=None) -> None:
+        """The pass's state from inputs whose shapes and targets are checked;
+        ``keys`` are the content keys of ``net``'s blocks, when known."""
         self.net = Network(net.spec, list(net.weights))
         self.data = data
         self.loss = loss
@@ -93,19 +97,33 @@ class NetworkPass:
         self._grads = [None] * self.depth
         self._f = None
         self._memo = None  # (j, content of W_j, pass) of the last probe
+        self._keys = list(keys) if keys is not None else [_content(w) for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
 
     def set_block(self, j: int, w: np.ndarray) -> None:
-        """Replace W_j; the stages from layer j on refresh at the next query,
-        unless the last probe was at this content and already holds them."""
+        """Replace W_j (a ShapeError unless it has the spec's shape). Content
+        bitwise equal to the current W_j's changes nothing; otherwise the stages
+        from layer j on refresh at the next query, unless the last probe was at
+        this content and already holds them."""
+        w = np.asarray(w, dtype=float)
+        key = _content(w)
+        if key != self._keys[j - 1]:
+            self._replace(j, w, key)
+
+    def _replace(self, j: int, w: np.ndarray, key: tuple) -> None:
+        # every new W_j enters here; one keyed as the current W_j has its shape
+        if w.shape != self.net.weights[j - 1].shape:
+            raise ShapeError(f"W_{j} has shape {w.shape}, spec wants "
+                             f"{self.net.spec.layer_shape(j)}")
         memo, self._memo = self._memo, None
-        if memo is not None and memo[:2] == (j, _content(w)):
+        self._keys[j - 1] = key
+        if memo is not None and memo[:2] == (j, key):
             probe = memo[2]
             self.net.weights[j - 1] = probe.net.weights[j - 1]
             self._outs, self._stale = probe._outs, probe._stale
             self._deltas, self._grads, self._f = probe._deltas, probe._grads, probe._f
             return
-        self.net.weights[j - 1] = np.array(w, dtype=float)
+        self.net.weights[j - 1] = np.array(w)
         self._stale = min(self._stale, j)
         self._deltas = [None] * self.depth
         self._grads = [None] * self.depth
@@ -114,19 +132,20 @@ class NetworkPass:
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
         """The pass at W_j = w: this one when w is the current W_j, else the
         memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
+        w = np.asarray(w, dtype=float)
         key = _content(w)
-        if key == _content(self.net.weights[j - 1]):
+        if key == self._keys[j - 1]:
             return self
         if self._memo is None or self._memo[:2] != (j, key):
             other = self._on(self.data, self.outs)
-            other.set_block(j, w)
+            other._replace(j, w, key)
             self._memo = (j, key, other)
         return self._memo[2]
 
     def _on(self, data: Dataset, outs: LayerOutputs | None = None) -> "NetworkPass":
         """This network and loss on ``data``, targets this pass checked."""
         other = object.__new__(NetworkPass)
-        other._start(self.net, data, self.loss, outs)
+        other._start(self.net, data, self.loss, outs, self._keys)
         return other
 
     @property
@@ -262,9 +281,8 @@ def _pair_layout(d_j: int, d_prev: int) -> tuple:
             gather.reshape(d_j * d_prev, d_j * d_prev))
 
 
-def _content(w) -> tuple:
-    w = np.asarray(w)
-    return w.shape, w.dtype.str, w.tobytes()
+def _content(w: np.ndarray) -> tuple:
+    return w.shape, w.dtype, w.tobytes()
 
 
 def _check_layer(net: Network, j: int) -> None:
@@ -410,6 +428,11 @@ class BatchSampler:
         if self.mode == "fixed" and self.batch_size < 1:
             raise SpecError("fixed sampler needs batch_size >= 1")
 
+    def check_size(self, n_samples: int) -> None:
+        """A fixed batch larger than the dataset is a SpecError."""
+        if self.mode == "fixed" and self.batch_size > n_samples:
+            raise SpecError(f"batch_size {self.batch_size} exceeds N={n_samples}")
+
 
 class BatchStream:
     """Deterministic index stream: seeded per-epoch shuffles, chunked batches.
@@ -419,9 +442,7 @@ class BatchStream:
     """
 
     def __init__(self, sampler: BatchSampler, n_samples: int):
-        if sampler.mode == "fixed" and sampler.batch_size > n_samples:
-            raise SpecError(
-                f"batch_size {sampler.batch_size} exceeds N={n_samples}")
+        sampler.check_size(n_samples)
         self.sampler = sampler
         self.n = n_samples
         self._rng = np.random.default_rng(sampler.seed)

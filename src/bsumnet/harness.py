@@ -584,6 +584,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     """
     use_seeds = _typed(seeds, list[int], "seeds") if seeds else cfg.seeds
     data = _resolve_dataset(cfg)
+    for i, method in enumerate(cfg.methods):
+        try:
+            method.train.sampler.check_size(data.n_samples)
+        except SpecError as exc:
+            raise ConfigError(f"methods[{i}].sampler: {exc}") from None
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 

@@ -352,7 +352,10 @@ def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
 
 def _apply_update(w, d, alpha: float):
     # alpha == 1 assigns D directly so the gradient-descent / Newton special
-    # cases reproduce their textbook updates bitwise
+    # cases reproduce their textbook updates bitwise; alpha == 0 (a rejected
+    # Armijo search) keeps W, whatever D holds
+    if alpha == 0.0:
+        return w
     return d if alpha == 1.0 else (1.0 - alpha) * w + alpha * d
 
 

@@ -61,6 +61,8 @@ MALFORMED = [
     ("methods.0.max_iterations", 2.5),
     ("methods.0.record_every", 1.5),
     ("methods.0.sampler", {"mode": "fixed", "batch_size": 2.5}),
+    # a fixed batch larger than the dataset's 20 samples
+    ("methods.0.sampler", {"mode": "fixed", "batch_size": 1000}),
     ("methods.0.upperbound", {"kind": "proximal", "max_iters": 2.5}),
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": True}),
     ("network.dims", [3, 2.5, 1]),

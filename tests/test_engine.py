@@ -3,14 +3,16 @@
 Each drawn problem applies a sequence of block updates to one NetworkPass,
 querying it lazily in between. An update either sets a block directly,
 probes it first so that ``set_block`` adopts the memoized probe, probes,
-mutates the probed array in place and probes again, or probes block q before
-and after the update, where the memo must not answer. After every update the
-cached stages, objective, block gradients and block probes must be bitwise
-equal to a fresh ``forward`` / ``objective_value`` / ``all_block_gradients``
-on the same network, and at the end the gradients must match central
-differences. Every block's gradient is queried before and after each
-update, so a cached gradient that outlives its weights, or an adopted probe
-whose gradients are not taken over, shows as a mismatch.
+mutates the probed array in place and probes again, probes block q before
+and after the update, where the memo must not answer, or sets the block to a
+copy of its own content, which must leave every cached gradient and block
+q's memo in place. After every update the cached stages, objective, block
+gradients and block probes must be bitwise equal to a fresh ``forward`` /
+``objective_value`` / ``all_block_gradients`` on the same network, and at
+the end the gradients must match central differences. Every block's
+gradient is queried before and after each update, so a cached gradient that
+outlives its weights, or an adopted probe whose gradients are not taken
+over, shows as a mismatch.
 """
 
 import numpy as np
@@ -18,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
-                     ExponentialLoss, FirstOrderProx, L2Loss, Logistic,
+                     ExponentialLoss, FirstOrderProx, Geometric, L2Loss, Logistic,
                      LogisticLoss, NetworkSpec, Regularizer, SquaredHingeLoss,
                      Toeplitz, Unconstrained, build_network, forward)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
@@ -63,7 +65,7 @@ def problems(draw):
     updates = draw(st.lists(st.integers(1, depth), min_size=1, max_size=6))
     queries = draw(st.lists(st.integers(1, depth), min_size=len(updates),
                             max_size=len(updates)))
-    modes = draw(st.lists(st.sampled_from(["set", "adopt", "mutate", "reprobe"]),
+    modes = draw(st.lists(st.sampled_from(["set", "adopt", "mutate", "reprobe", "same"]),
                           min_size=len(updates), max_size=len(updates)))
     return net, Dataset(X, Y), loss, list(zip(updates, queries, modes)), rng
 
@@ -115,10 +117,17 @@ def test_cached_pass_equals_fresh_recomputation(problem):
             assert_probe_matches_fresh(fb, net, data, loss, j, w)
         if mode == "reprobe":
             assert_probe_matches_fresh(fb, net, data, loss, q, v)
+        if mode == "same":
+            w = net.weights[j - 1].copy()
+            memo, grads = fb.probe(q, v), fb.grads()
         fb.set_block(j, w.copy())
         net = with_block(net, j, w)
         if mode == "reprobe":
             assert_probe_matches_fresh(fb, net, data, loss, q, v)
+        if mode == "same":
+            # nothing changed, so nothing is recomputed
+            assert fb.probe(q, v) is memo
+            assert all(a is b for a, b in zip(fb.grads(), grads))
         # a lone query leaves the deltas below block q uncomputed
         assert np.array_equal(fb.grad(q), block_gradient(net, data, loss, q))
         assert_gradients_match_fresh(fb, net, data, loss)
@@ -141,6 +150,19 @@ def test_cached_gradients_match_finite_differences(problem):
         assert err <= 1e-6
 
 
+def counted_refreshes(monkeypatch) -> list:
+    """The start layer of every ``LayerOutputs.refresh`` call from now on."""
+    calls = []
+    refresh = LayerOutputs.refresh
+
+    def counted(outs, network, start):
+        calls.append(start)
+        return refresh(outs, network, start)
+
+    monkeypatch.setattr(LayerOutputs, "refresh", counted)
+    return calls
+
+
 def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
     # the gamma search probes D, the Armijo test reads f(W) from the pass and
     # f(D) from the memo, and set_block adopts the probe's stages
@@ -154,14 +176,7 @@ def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
     state = _LoopState(cfg, net.depth, data.n_samples)
     full = NetworkPass(net, data, L2Loss())
     full.objective()
-    calls = []
-    refresh = LayerOutputs.refresh
-
-    def counted(outs, network, start):
-        calls.append(start)
-        return refresh(outs, network, start)
-
-    monkeypatch.setattr(LayerOutputs, "refresh", counted)
+    calls = counted_refreshes(monkeypatch)
     for k in range(1, 4):
         calls.clear()
         j, alpha, gamma, _ = _step(full, cfg, k, state)
@@ -169,3 +184,49 @@ def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
         assert (alpha, gamma) == (1.0, 4.0)
         assert calls == [j]
         assert_matches_fresh(full, full.net, data, L2Loss(), rng)
+
+
+def test_negative_zero_is_a_change(monkeypatch):
+    # bitwise content, not ==: -0.0 and 0.0 compare equal but differ in bits
+    net = build_network(NetworkSpec.homogeneous([3, 4, 1], Logistic()), "uniform", seed=2)
+    rng = np.random.default_rng(2)
+    data = Dataset(rng.standard_normal((3, 8)), rng.standard_normal((1, 8)))
+    w = net.weights[0].copy()
+    w[0, 0] = 0.0
+    fb = NetworkPass(net, data, L2Loss())
+    fb.set_block(1, w)
+    grads = fb.grads()
+    calls = counted_refreshes(monkeypatch)
+    w[0, 0] = -0.0
+    fb.set_block(1, w)
+    assert np.signbit(fb.net.weights[0][0, 0])
+    assert all(a is not b for a, b in zip(fb.grads(), grads))
+    assert calls == [1]
+    assert_matches_fresh(fb, with_block(net, 1, w), data, L2Loss(), rng)
+
+
+def test_stalled_geometric_steps_run_no_forward(monkeypatch):
+    # alpha_k = 2^-k: past the stall (1 - alpha) W + alpha D rounds to W bit
+    # for bit, and set_block keeps the pass, f and every gradient
+    spec = NetworkSpec.homogeneous([4, 5, 5, 1], Logistic(),
+                                   regularizer=Regularizer.l2(1e-2))
+    net = build_network(spec, "uniform", seed=4)
+    rng = np.random.default_rng(4)
+    data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
+    cfg = TrainConfig(upperbound=FirstOrderProx(1.0), schedule=Geometric(1.0),
+                      adapt_gamma=False)
+    state = _LoopState(cfg, net.depth, data.n_samples)
+    full = NetworkPass(net, data, L2Loss())
+    for k in range(1, 121):
+        _step(full, cfg, k, state)
+    full.grads()
+    weights = [w.copy() for w in full.net.weights]
+    calls = counted_refreshes(monkeypatch)
+    for k in range(121, 181):
+        _, alpha, _, _ = _step(full, cfg, k, state)
+        full.objective()
+        full.grads()
+        assert alpha > 0.0
+    assert calls == []
+    assert all(np.array_equal(a, b) for a, b in zip(full.net.weights, weights))
+    assert_matches_fresh(full, full.net, data, L2Loss(), rng)

@@ -393,3 +393,15 @@ class TestBudgetsAndGuards:
     def test_fd_gradient_needs_positive_step(self):
         with pytest.raises(SpecError):
             fd_gradient(lambda v: 0.0, np.zeros((1, 1)), h=0.0)
+
+    def test_wrongly_shaped_block_is_a_shape_error(self):
+        # W_2 of [2, 3, 1] is (1, 3); a (2, 3) block would broadcast its
+        # (2, N) output against the (1, N) targets
+        net, data = make_problem([2, 3, 1], Logistic(), L2Loss(), seed=0)
+        value_fn, grad_fn = block_objective_fn(net, data, L2Loss(), 2)
+        fb = NetworkPass(net, data, L2Loss())
+        for call in (value_fn, grad_fn, lambda w: fb.probe(2, w),
+                     lambda w: fb.set_block(2, w)):
+            with pytest.raises(ShapeError, match=r"W_2 has shape \(2, 3\), spec wants \(1, 3\)"):
+                call(np.zeros((2, 3)))
+        assert fb.net.weights[1].shape == (1, 3)

@@ -1,6 +1,7 @@
 """Training loop: schedules, special-case equivalences, loop invariants."""
 
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      Unconstrained, build_network, closed_form_linear_block,
                      forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step)
-from bsumnet.gradients import block_gradient, objective_value
+from bsumnet import trainer
+from bsumnet.gradients import NetworkPass, block_gradient, objective_value
 from bsumnet.trainer import TrainConfig, _LoopState, armijo_stepsize
 from conftest import make_problem, with_block
 
@@ -109,6 +111,29 @@ class TestTrainStep:
         new_net, row = train_step(net, data, L2Loss(), cfg, k=2001)
         assert row.alpha == 0.0
         assert np.array_equal(new_net.weights[0], net.weights[0])
+
+    def test_rejected_armijo_step_keeps_the_block_whatever_the_direction(self, monkeypatch):
+        # an inf in D, signed as the gradient, gives the slope +inf, so the
+        # search returns alpha 0; 0.0 * inf must not reach W_j
+        net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=3)
+        direction = trainer._direction
+
+        def poisoned(*args):
+            d, gamma, grad = direction(*args)
+            d = d.copy()
+            d[0, 0] = np.copysign(np.inf, grad[0, 0])
+            return d, gamma, grad
+
+        monkeypatch.setattr(trainer, "_direction", poisoned)
+        cfg = TrainConfig(schedule=ArmijoRule(), adapt_gamma=False)
+        full = NetworkPass(net, data, L2Loss())
+        w = full.net.weights[0].copy()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, alpha, _, _ = trainer._step(full, cfg, 1,
+                                           _LoopState(cfg, net.depth, data.n_samples))
+        assert alpha == 0.0
+        assert full.net.weights[0].tobytes() == w.tobytes()
 
     def test_bp_special_case_matches_direct_step(self):
         # gamma=1 first-order family + schedule alpha == W - alpha * grad
