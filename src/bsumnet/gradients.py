@@ -37,6 +37,9 @@ M_n[r,s])/2 and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order: H is
 bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the same
 product entry. The stage tensors and gathers go to a scratch the pass owns,
 flat buffers kept by role and grown on demand.
+
+The contractions W^T X of the deltas and the R-pass go through
+``_wt_matmul``, a broadcast product through a one-row W (d_J = 1).
 """
 
 from __future__ import annotations
@@ -172,7 +175,7 @@ class NetworkPass:
             deltas[-1] = grad_h * acts[-1].derivative(pre[-1], post[-1])
         for i in range(self.depth - 1, j - 1, -1):
             if deltas[i - 1] is None:
-                back = self.net.weights[i].T @ deltas[i]
+                back = _wt_matmul(self.net.weights[i], deltas[i])
                 deltas[i - 1] = back * acts[i - 1].derivative(pre[i - 1], post[i])
         return deltas
 
@@ -248,9 +251,9 @@ class NetworkPass:
             ru *= (back * acts[i - 1].second_derivative(pre[i - 1], post[i]))[:, None, :]
             rd *= slopes[i - j][:, None, :]
             rd += ru
-            back = weights[i - 1].T @ deltas[i - 1]
+            back = _wt_matmul(weights[i - 1], deltas[i - 1])
             out = self._buf(("rd", (i - 1) % 2), len(pre[i - 2]), d_j * n)
-            rd = np.matmul(weights[i - 1].T, rd.reshape(len(rd), -1), out=out).reshape(-1, d_j, n)
+            rd = _wt_matmul(weights[i - 1], rd.reshape(len(rd), -1), out).reshape(-1, d_j, n)
         rd *= slopes[0][:, None, :]
         m = rd.reshape(d_j * d_j, n)
         m[::d_j + 1] += back * acts[j - 1].second_derivative(pre[j - 1], post[j])
@@ -266,6 +269,18 @@ class NetworkPass:
     def _take(self, role, a: np.ndarray, index: np.ndarray) -> np.ndarray:
         out = self._buf(role, len(index), a.shape[1])
         return np.take(a, index, axis=0, out=out, mode="clip")  # "raise" buffers first
+
+
+def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """W^T X, bitwise equal to ``np.matmul(w.T, x, out=out)``. With one row
+    in W and X (an output layer, d_i = 1) each entry is a single product, and
+    a broadcast multiply forms them several times faster than the GEMM;
+    matmul's sum starts at +0.0, so adding +0.0 gives a zero product its sign."""
+    if len(w) != 1 or len(x) != 1:
+        return np.matmul(w.T, x, out=out)
+    out = np.multiply(w.T, x, out=out)
+    out += 0.0
+    return out
 
 
 @functools.lru_cache(maxsize=4)

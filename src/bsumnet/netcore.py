@@ -12,6 +12,7 @@ block convention used by the trainer; internal lists are 0-based.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -74,9 +75,9 @@ class Toeplitz(FeasibleSet):
     name = "toeplitz"
 
     def kernel_index(self, shape: tuple) -> np.ndarray:
-        """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2."""
-        rows, cols = shape
-        return (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+        """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2; one
+        read-only array per shape."""
+        return _diagonal_index(*shape)
 
     def project(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
@@ -86,6 +87,13 @@ class Toeplitz(FeasibleSet):
         mean = np.bincount(key, weights=w.ravel()) / np.bincount(key)
         varies = np.bincount(key, weights=(w.ravel() != first[key]))
         return np.where(varies > 0, mean, first)[key].reshape(w.shape)
+
+
+@functools.lru_cache(maxsize=8)
+def _diagonal_index(rows: int, cols: int) -> np.ndarray:
+    index = (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+    index.flags.writeable = False
+    return index
 
 
 @dataclass(frozen=True)

@@ -267,7 +267,7 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
     or no pass for any m <= 60, yields (0.0, False).
     """
     slope = float(np.sum(grad * (D - W)))
-    if not slope < 0:
+    if not -math.inf < slope < 0:
         return 0.0, False
     f0 = f_block(W)
     alpha = rule.alpha_init

@@ -14,7 +14,9 @@ is exact block coordinate descent, solved in closed form when every
 activation is the identity under the L2 loss. The first-order family absorbs
 a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
 unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
-the projected Newton point.
+the projected Newton point. It factors with scipy's ``cho_factor`` and
+solves with LAPACK's ``dpotrs`` on that factor; a Toeplitz block's tied
+pairs and tie counts are kept per shape.
 """
 
 from __future__ import annotations
@@ -208,7 +210,8 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     map from kernel to block and P'P its diagonal of tie counts.
 
     The damped system is solved by Cholesky; if it is not positive definite,
-    gamma is doubled and the solve retried, Levenberg-Marquardt style.
+    gamma is doubled and the solve retried, Levenberg-Marquardt style. A
+    Hessian or gradient with infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
     n = W.size
@@ -217,20 +220,24 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     index = feasible.kernel_index(W.shape)
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
-        damping = np.bincount(index)
-        tied = _tied_pairs(feasible, W.shape)
+        tied, damping = _tied_pairs(feasible, W.shape)
         hess = np.bincount(tied, weights=hess.ravel()).reshape(len(damping), -1)
         rhs = np.bincount(index, weights=rhs)
+    if not np.isfinite(rhs).all():
+        raise ValueError("gradient must not contain infs or NaNs")
     h = np.empty(hess.shape, order="F")  # the solver's copy, factored in place
     for _ in range(max_doublings + 1):
         np.copyto(h, hess)  # a failed factorization overwrote h's leading columns
         h.reshape(-1, order="F")[::len(h) + 1] += gamma * damping
         try:
-            factor = scipy.linalg.cho_factor(h, overwrite_a=True)
+            # checks h for infs and NaNs; the triangular solve reuses its factor
+            factor, lower = scipy.linalg.cho_factor(h, overwrite_a=True)
         except np.linalg.LinAlgError:
             gamma *= 2.0
             continue
-        step = scipy.linalg.cho_solve(factor, rhs)
+        step, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=lower)
+        if info:
+            raise ValueError(f"dpotrs: illegal value in argument {-info}")
         if index is None:
             return feasible.project(W - step.reshape(W.shape))
         return W - step[index].reshape(W.shape)
@@ -239,11 +246,15 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
 
 
 @functools.lru_cache(maxsize=4)
-def _tied_pairs(feasible: FeasibleSet, shape: tuple) -> np.ndarray:
+def _tied_pairs(feasible: FeasibleSet, shape: tuple) -> tuple:
     """Kernel coordinates of each row-major Hessian entry's pair, as one
-    index; kept for four (set, shape) pairs."""
+    index, and the tie count of each kernel coordinate; kept for four (set,
+    shape) pairs. The counts are read-only; the pair index is not, as
+    ``np.bincount`` copies a read-only index (512 KB on a 16x16 block)."""
     index = feasible.kernel_index(shape)
-    return (index[:, None] * (index.max() + 1) + index).ravel()
+    ties = np.bincount(index)
+    ties.flags.writeable = False
+    return (index[:, None] * len(ties) + index).ravel(), ties
 
 
 def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
                      ExponentialLoss, Identity, L2Loss, Logistic, LogisticLoss,
                      NetworkSpec, Network, NonSmoothError, Regularizer,
                      ShapeError, Softplus, SpecError, Tanh, Unconstrained,
                      build_network, forward)
-from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient,
+from bsumnet.gradients import (BatchStream, NetworkPass, _wt_matmul, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value)
 from conftest import (dense_block_hessian, fd_block_hessian, labels_for, make_problem,
@@ -315,6 +316,23 @@ class TestBlockHessian:
         for j in (1, 2, 3, 2):
             block_hessian(net, data, L2Loss(), j, cache=fb)
         assert np.array_equal(first, kept)
+
+
+class TestTransposeProduct:
+    # zeros of both signs: a zero product is -0.0 from a multiply, +0.0 from matmul
+    entries = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-1e6, 1e6))
+
+    @given(data=st.data(), rows=st.integers(1, 3), cols=st.integers(1, 6),
+           n=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_bitwise_equal_to_matmul(self, data, rows, cols, n):
+        w = data.draw(arrays(float, (rows, cols), elements=self.entries))
+        x = data.draw(arrays(float, (rows, n), elements=self.entries))
+        want = np.matmul(w.T, x).tobytes()
+        assert _wt_matmul(w, x).tobytes() == want
+        out = np.full((cols, n), np.nan)
+        assert _wt_matmul(w, x, out) is out
+        assert out.tobytes() == want
 
 
 class TestObjectiveHelpers:

@@ -178,6 +178,14 @@ class TestFeasibleSets:
         w = np.array([[1.0, 2.0, 3.0], [4.0, 1.0, 2.0], [5.0, 4.0, 1.0]])
         assert np.array_equal(Toeplitz().project(w), w)
 
+    def test_toeplitz_kernel_index_is_one_read_only_array_per_shape(self):
+        index = Toeplitz().kernel_index((3, 4))
+        assert Toeplitz().kernel_index((3, 4)) is index
+        np.testing.assert_array_equal(index.reshape(3, 4),
+                                      [[2, 3, 4, 5], [1, 2, 3, 4], [0, 1, 2, 3]])
+        with pytest.raises(ValueError):
+            index[0] = 1
+
     def test_ball_scaling_hits_radius(self):
         w = np.array([[2.0, 0.0], [0.0, 0.0]])
         got = FrobeniusBall(1.0).project(w)

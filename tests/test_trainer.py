@@ -246,11 +246,12 @@ class TestArmijo:
             return float(np.sum(v * v))
 
         w = np.ones((2, 2))
-        d = np.zeros((2, 2))
-        d[0, 1] = np.nan
-        alpha, ok = armijo_stepsize(f, w, d, 2 * w, ArmijoRule())
-        assert (alpha, ok) == (0.0, False)
-        assert calls == []
+        for bad in (np.nan, -np.inf, np.inf):
+            d = np.zeros((2, 2))
+            d[0, 1] = bad
+            alpha, ok = armijo_stepsize(f, w, d, 2 * w, ArmijoRule())
+            assert (alpha, ok) == (0.0, False)
+            assert calls == [], bad
 
     def test_accepted_alpha_satisfies_sufficient_decrease(self):
         rng = np.random.default_rng(7)

@@ -164,6 +164,21 @@ class TestSecondOrderDirection:
         np.testing.assert_allclose(d, w - v[index].reshape(3, 3), rtol=1e-10, atol=1e-12)
         assert np.array_equal(hess, kept)
 
+    @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()], ids=["dense", "toeplitz"])
+    @pytest.mark.parametrize("operand", ["hess", "grad"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_is_a_value_error(self, feasible, operand, bad):
+        rng = np.random.default_rng(43)
+        w, g = feasible.project(rng.standard_normal((3, 3))), rng.standard_normal((3, 3))
+        low = rng.standard_normal((9, 9))
+        hess = low @ low.T + np.eye(9)
+        # the lower triangle, which the factorization does not read
+        (hess[5:, 2:] if operand == "hess" else g)[0, 0] = bad
+        kept = hess.copy()
+        with pytest.raises(ValueError):
+            descent_direction_second_order(w, g, hess, 0.1, feasible)
+        assert np.array_equal(hess, kept, equal_nan=True)
+
     def test_warm_newton_step_allocates_no_stage_tensors(self):
         # the curvature benchmark's problem; a step that allocated every
         # R-pass stage tensor and pair gather afresh peaked at 1,740, 1,430
