@@ -28,8 +28,7 @@ from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
-from .trainer import (SCHEDULES, TrainConfig, TrainTrace, _check_nonsmooth, run_loop,
-                      train)
+from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, train
 from .upperbounds import UPPERBOUNDS
 
 __all__ = [
@@ -373,12 +372,9 @@ def _parse_kind(value, registry: dict, family: str, where: str):
     return _construct(registry[kind], d, where)
 
 
-def _maybe_list(value, registry, family, where, depth):
-    """One kind object, or from a list one per layer of the network."""
+def _maybe_list(value, registry, family, where):
+    """One kind object, or from a list one per layer (its consumer checks the length)."""
     if isinstance(value, list):
-        if len(value) != depth:
-            raise ConfigError(f"{where}: {len(value)} per-layer entries, "
-                              f"the network has {depth} layers")
         return tuple(_parse_kind(v, registry, family, f"{where}[{i}]")
                      for i, v in enumerate(value))
     return _parse_kind(value, registry, family, where)
@@ -416,8 +412,7 @@ def _parse_network(d: dict) -> dict:
     depth = len(dims) - 1
 
     def widen(key, default, registry, family):
-        parsed = _maybe_list(d.get(key, default), registry, family, f"network.{key}",
-                             depth)
+        parsed = _maybe_list(d.get(key, default), registry, family, f"network.{key}")
         return parsed if isinstance(parsed, tuple) else (parsed,) * depth
 
     acts = widen("activation", "logistic", ACTIVATIONS, "activation")
@@ -436,17 +431,13 @@ def _parse_method(d: dict, idx: int, spec: NetworkSpec) -> MethodSpec:
     if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name):
         raise ConfigError(f"{where}.name: {name!r} is not a file stem of letters, "
                           "digits, '_', '-' and '.' (not starting with '.')")
-    if "upperbound" in d:
-        d["upperbound"] = _maybe_list(d["upperbound"], UPPERBOUNDS, "upperbound",
-                                      f"{where}.upperbound", spec.depth)
-    if d.get("schedule") is not None:
-        d["schedule"] = _maybe_list(d["schedule"], SCHEDULES, "schedule",
-                                    f"{where}.schedule", spec.depth)
+    for key, registry in (("upperbound", UPPERBOUNDS), ("schedule", SCHEDULES)):
+        if d.get(key) is not None:
+            d[key] = _maybe_list(d[key], registry, key, f"{where}.{key}")
     train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
     try:
-        for j in range(1, spec.depth + 1):
-            _check_nonsmooth(train, spec, j)
-    except NonSmoothError as exc:
+        train.blocks(spec)
+    except (SpecError, NonSmoothError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return MethodSpec(name, train)
 

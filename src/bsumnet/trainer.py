@@ -196,6 +196,23 @@ class TrainConfig:
                 not all(isinstance(kd, FirstOrderProx) for kd in kinds):
             raise SpecError("mini-batch samplers are defined for the first-order family")
 
+    def blocks(self, spec) -> tuple:
+        """Each block's (surrogate family, stepsize schedule) for a run on
+        ``spec``; the schedule is None under ``unit_stepsize``. The one place
+        the per-block rules are checked: a per-layer tuple needs one non-None
+        entry per block (a SpecError), and an L1 block needs the first-order
+        family and no Armijo search (a NonSmoothError)."""
+        kinds = _per_layer(self.upperbound, spec.depth)
+        scheds = (None,) * spec.depth if self.unit_stepsize \
+            else _per_layer(self.schedule, spec.depth)
+        for j, (reg, kind, sched) in enumerate(zip(spec.regularizers, kinds, scheds), 1):
+            if not reg.smooth and not isinstance(kind, FirstOrderProx):
+                raise NonSmoothError(
+                    "L1-regularized blocks are only supported with the first-order family")
+            if not reg.smooth and isinstance(sched, ArmijoRule):
+                raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
+        return tuple(zip(kinds, scheds))
+
 
 @dataclass(frozen=True)
 class TraceRow:
@@ -282,22 +299,22 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
 # loop internals
 # ---------------------------------------------------------------------------
 
-def _per_layer(value, j: int, depth: int):
-    if isinstance(value, (list, tuple)):
-        if len(value) != depth:
-            raise SpecError(f"per-layer setting has length {len(value)}, expected {depth}")
-        return value[j - 1]
-    return value
+def _per_layer(value, depth: int) -> tuple:
+    values = tuple(value) if isinstance(value, (list, tuple)) else (value,) * depth
+    if len(values) != depth or any(v is None for v in values):
+        raise SpecError(f"need {depth} per-layer entries, none of them None; got {value!r}")
+    return values
 
 
 class _LoopState:
-    """Mutable machinery owned by one training run: one schedule state per
-    block (the same dict for all blocks when the schedule is shared, so it
-    advances once per iteration) and the mini-batch index stream."""
+    """Mutable machinery owned by one training run: ``cfg.blocks``, one
+    schedule state per block (one dict for all when the schedule is shared,
+    so it advances once per iteration) and the mini-batch index stream."""
 
-    def __init__(self, cfg: TrainConfig, depth: int, n_samples: int):
+    def __init__(self, cfg: TrainConfig, spec, n_samples: int):
+        self.blocks = cfg.blocks(spec)
         per_layer = isinstance(cfg.schedule, (list, tuple))
-        self.sched = [{} for _ in range(depth)] if per_layer else [{}] * depth
+        self.sched = [{} for _ in range(spec.depth)] if per_layer else [{}] * spec.depth
         self.stream = BatchStream(cfg.sampler, n_samples)
 
 
@@ -316,21 +333,9 @@ def _full_diagnostics(full: NetworkPass, energy: float):
     return f_val, norm, _scaled_mse(sqnorm(full.data.Y - full.outs.output), energy)
 
 
-def _check_nonsmooth(cfg: TrainConfig, spec, j: int) -> None:
-    """An L1 block j needs the first-order family and no Armijo search."""
-    if spec.regularizers[j - 1].smooth:
-        return
-    if not isinstance(_per_layer(cfg.upperbound, j, spec.depth), FirstOrderProx):
-        raise NonSmoothError(
-            "L1-regularized blocks are only supported with the first-order family")
-    if isinstance(_per_layer(cfg.schedule, j, spec.depth), ArmijoRule):
-        raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
-
-
-def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
-    """Descent direction for block j from its surrogate family; returns
-    (D, gamma_used, grad)."""
-    kind = _per_layer(cfg.upperbound, j, fb.net.depth)
+def _direction(fb: NetworkPass, cfg: TrainConfig, kind, j: int, adapt_ok: bool):
+    """Descent direction for block j from its surrogate family ``kind``;
+    returns (D, gamma_used, grad)."""
     # data term only on an L1 block: its penalty is absorbed by the prox step
     grad = fb.grad(j)
     d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and adapt_ok,
@@ -338,11 +343,10 @@ def _direction(fb: NetworkPass, cfg: TrainConfig, j: int, adapt_ok: bool):
     return d, gamma, grad
 
 
-def _alpha_for_step(fb: NetworkPass, cfg: TrainConfig, j: int, k: int,
-                    d, grad, state: _LoopState) -> float:
-    if cfg.unit_stepsize:
+def _alpha_for_step(fb: NetworkPass, sched, j: int, k: int, d, grad,
+                    state: _LoopState) -> float:
+    if sched is None:
         return 1.0
-    sched = _per_layer(cfg.schedule, j, fb.net.depth)
     if isinstance(sched, ArmijoRule):
         value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         alpha, _ = armijo_stepsize(value_fn, fb.net.weights[j - 1], d, grad, sched)
@@ -364,11 +368,11 @@ def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
     (``full`` itself with a full sampler), then W_j of ``full`` is replaced.
     Returns (j, alpha, gamma, block gradient norm)."""
     j = ((k - 1) % full.net.depth) + 1
-    _check_nonsmooth(cfg, full.net.spec, j)
+    kind, sched = state.blocks[j - 1]
     full_batch = cfg.sampler.mode == "full"
     fb = full if full_batch else full._on(full.data.restrict(state.stream.next(k)))
-    d, gamma, grad = _direction(fb, cfg, j, full_batch)
-    alpha = _alpha_for_step(fb, cfg, j, k, d, grad, state)
+    d, gamma, grad = _direction(fb, cfg, kind, j, full_batch)
+    alpha = _alpha_for_step(fb, sched, j, k, d, grad, state)
     full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))
     return j, alpha, gamma, math.sqrt(sqnorm(grad))
 
@@ -389,7 +393,7 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
     if k < 1:
         raise SpecError("iteration index starts at 1")
     if state is None:
-        state = _LoopState(cfg, net.depth, data.n_samples)
+        state = _LoopState(cfg, net.spec, data.n_samples)
     t0 = time.perf_counter()
     full = NetworkPass(net.copy(), data, loss)
     j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
@@ -445,7 +449,7 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
 
 
 def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    state = _LoopState(cfg, net.depth, data.n_samples)
+    state = _LoopState(cfg, net.spec, data.n_samples)
     full = NetworkPass(net.copy(), data, loss)
     record_every = cfg.record_every if cfg.record_every is not None else net.depth
     trace = run_loop(full, lambda k, _: _step(full, cfg, k, state), cfg.max_outer_iterations,

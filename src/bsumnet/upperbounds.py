@@ -42,6 +42,9 @@ __all__ = [
     "prox_l1_step", "closed_form_linear_block",
 ]
 
+# gamma doublings before the majorization search or the Newton solve gives up
+_MAX_DOUBLINGS = 50
+
 
 # ---------------------------------------------------------------------------
 # surrogate families
@@ -152,6 +155,9 @@ class Proximal:
 
 @dataclass(frozen=True)
 class LinearBound:
+    """Certified on concave blocks only; no catalog loss sets ``concave_in_H``,
+    so with catalog losses it runs only under ``curvature_override``."""
+
     name = "linear"
 
     def evaluate(self, W, anchor):
@@ -202,8 +208,7 @@ def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
-                                   feasible: FeasibleSet = Unconstrained(),
-                                   max_doublings: int = 50) -> np.ndarray:
+                                   feasible: FeasibleSet = Unconstrained()) -> np.ndarray:
     """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
     projected onto the feasible set, or exact in a set's kernel coordinates
     (``kernel_index``): W - P (P'HP + gamma P'P)^{-1} P'grad, with P the 0/1
@@ -226,7 +231,7 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     if not np.isfinite(rhs).all():
         raise ValueError("gradient must not contain infs or NaNs")
     h = np.empty(hess.shape, order="F")  # the solver's copy, factored in place
-    for _ in range(max_doublings + 1):
+    for _ in range(_MAX_DOUBLINGS + 1):
         np.copyto(h, hess)  # a failed factorization overwrote h's leading columns
         h.reshape(-1, order="F")[::len(h) + 1] += gamma * damping
         try:
@@ -242,7 +247,7 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
             return feasible.project(W - step.reshape(W.shape))
         return W - step[index].reshape(W.shape)
     raise CurvatureError(
-        f"damped Hessian not positive definite after {max_doublings} gamma doublings")
+        f"damped Hessian not positive definite after {_MAX_DOUBLINGS} gamma doublings")
 
 
 @functools.lru_cache(maxsize=4)
@@ -313,10 +318,10 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray, curvature: str,
                              override: bool = False) -> np.ndarray:
     """Direction from the linear surrogate on concave blocks: -grad.
 
-    The trainer's convex-combination update then reads
-    (1-alpha) W - alpha * grad. Using it on a block whose ``curvature``
-    (from ``classify_convexity``) is not "concave" is an error unless
-    explicitly overridden.
+    The trainer's update then reads (1-alpha) W - alpha * grad. A block
+    whose ``curvature`` (from ``classify_convexity``) is not "concave", as
+    with every catalog loss (none sets ``concave_in_H``), is an error
+    unless explicitly overridden.
     """
     if curvature != "concave" and not override:
         raise CurvatureError(
@@ -329,13 +334,13 @@ def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
                                       f_block_value, f_anchor: float):
     """First-order direction with gamma doubled until the surrogate majorizes.
 
-    Accepts the smallest gamma = gamma0 * 2^m, m <= 50, whose candidate
-    direction D satisfies g(D) >= f_j(D), so the surrogate is a true local
-    upper bound at the point that matters. Returns (D, gamma).
+    Accepts the smallest gamma = gamma0 * 2^m, m <= _MAX_DOUBLINGS, whose
+    candidate direction D satisfies g(D) >= f_j(D), so the surrogate is a
+    true local upper bound at the point that matters. Returns (D, gamma).
     """
     _check_gamma(gamma0)
     gamma, anchor = gamma0, Anchor(W, f_anchor, grad)
-    for _ in range(51):
+    for _ in range(_MAX_DOUBLINGS + 1):
         d = descent_direction_first_order(W, grad, gamma, feasible)
         g_at_d = FirstOrderProx(gamma).evaluate(d, anchor)
         try:
@@ -348,7 +353,7 @@ def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
             return d, gamma
         gamma *= 2.0
     raise CurvatureError(
-        f"no majorizing gamma found after 50 doublings from {gamma0}")
+        f"no majorizing gamma found after {_MAX_DOUBLINGS} doublings from {gamma0}")
 
 
 def prox_l1_step(W: np.ndarray, grad_smooth: np.ndarray, gamma: float,

@@ -153,7 +153,7 @@ def test_criterion_03_deep_linear_exact_bcd():
     from bsumnet.gradients import objective_value
     fs = [objective_value(current, data, L2Loss())]
     worst_block = 0.0
-    state = _LoopState(cfg, current.depth, data.n_samples)
+    state = _LoopState(cfg, current.spec, data.n_samples)
     for k in range(1, 13):
         j = ((k - 1) % current.depth) + 1
         oracle = kron_block_oracle(current, data, j, lam)
@@ -326,7 +326,7 @@ def test_criterion_09_constraint_preservation():
     cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0),
                       max_outer_iterations=1, grad_norm_tol=1e-16,
                       adapt_gamma=False)
-    state = _LoopState(cfg, net.depth, data.n_samples)
+    state = _LoopState(cfg, net.spec, data.n_samples)
     current = net.copy()
     worst_t = 0.0
     for k in range(1, 1001):
@@ -340,7 +340,7 @@ def test_criterion_09_constraint_preservation():
                                      feasible=FrobeniusBall(rho))
     net_b = build_network(spec_b, "uniform", seed=11)
     data_b = Dataset(rng.standard_normal((4, 16)), rng.standard_normal((1, 16)))
-    state_b = _LoopState(cfg, net_b.depth, data_b.n_samples)
+    state_b = _LoopState(cfg, net_b.spec, data_b.n_samples)
     current_b = net_b.copy()
     worst_b = 0.0
     for k in range(1, 1001):

@@ -78,6 +78,8 @@ MALFORMED = [
     # per-layer lists need one entry per layer of the [3, 2, 1] network
     ("methods.0.schedule", [{"kind": "constant", "c": 0.5}] * 3),
     ("methods.0.upperbound", ["first_order_prox"] * 3),
+    ("network.activation", ["logistic"] * 3),
+    ("methods.0.upperbound", None),
     # a method name is the stem of its output files
     ("methods.0.name", "../escaped"),
     ("methods.0.name", "a,b"),

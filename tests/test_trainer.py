@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      Dataset, ExponentialLoss, FirstOrderProx, FrobeniusBall,
                      Geometric, Identity, InverseRoot, L2Loss, Logistic,
-                     NetworkSpec, Network, Proximal, Recursive, Regularizer,
-                     SecondOrderProx, Softplus, SpecError, Tanh, Toeplitz,
+                     NetworkSpec, Network, NonSmoothError, Proximal, Recursive,
+                     Regularizer, SecondOrderProx, Softplus, SpecError, Tanh, Toeplitz,
                      Unconstrained, build_network, closed_form_linear_block,
                      forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step)
@@ -97,6 +97,50 @@ class TestTrainConfigValidation:
         with pytest.raises(SpecError):
             TrainConfig(schedule=Constant(0.5), unit_stepsize=True)
 
+    def test_blocks_pairs_each_block_with_its_family_and_schedule(self):
+        net, _ = small_problem()
+        cfg = TrainConfig(upperbound=(FirstOrderProx(1.0), SecondOrderProx(2.0)),
+                          schedule=Constant(0.5))
+        assert cfg.blocks(net.spec) == ((FirstOrderProx(1.0), Constant(0.5)),
+                                        (SecondOrderProx(2.0), Constant(0.5)))
+        newton = TrainConfig(upperbound=SecondOrderProx(), unit_stepsize=True)
+        assert newton.blocks(net.spec) == ((SecondOrderProx(), None),) * 2
+
+    @staticmethod
+    def steps_taken(monkeypatch, net, data, cfg, error):
+        """Run ``train`` expecting ``error``; the number of steps entered."""
+        entered = []
+        step = trainer._step
+        monkeypatch.setattr(trainer, "_step", lambda *a: entered.append(a) or step(*a))
+        with pytest.raises(error):
+            train(net, data, L2Loss(), cfg)
+        return len(entered)
+
+    @pytest.mark.parametrize("settings,error", [
+        ({"upperbound": SecondOrderProx(), "schedule": Constant(0.5)}, NonSmoothError),
+        ({"schedule": ArmijoRule()}, NonSmoothError),
+        ({"schedule": (Constant(0.5),)}, SpecError),
+    ], ids=["second_order", "armijo", "one_entry_schedule"])
+    def test_run_rules_raise_before_the_first_step(self, monkeypatch, settings, error):
+        # L1 on block 2 only: block 1 would take a step if the rules were
+        # checked block by block
+        net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=4)
+        spec = dataclasses.replace(net.spec, regularizers=(Regularizer.l2(0.01),
+                                                           Regularizer.l1(0.01)))
+        net = Network(spec, net.weights)
+        cfg = TrainConfig(max_outer_iterations=4, **settings)
+        assert self.steps_taken(monkeypatch, net, data, cfg, error) == 0
+
+    @pytest.mark.parametrize("settings", [
+        {"schedule": (Constant(0.5), None)},
+        {"upperbound": (FirstOrderProx(1.0), None), "schedule": Constant(0.5)},
+    ], ids=["schedule", "upperbound"])
+    def test_none_per_layer_entry_is_a_spec_error(self, monkeypatch, settings):
+        # never read as unit stepsize, nor left to fail on its block's turn
+        net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=4)
+        cfg = TrainConfig(max_outer_iterations=4, **settings)
+        assert self.steps_taken(monkeypatch, net, data, cfg, SpecError) == 0
+
 
 def small_problem(seed=0, lam=0.01, n=10):
     return make_problem([3, 4, 2], Logistic(), L2Loss(), lam=lam, seed=seed, n=n)
@@ -131,7 +175,7 @@ class TestTrainStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             _, alpha, _, _ = trainer._step(full, cfg, 1,
-                                           _LoopState(cfg, net.depth, data.n_samples))
+                                           _LoopState(cfg, net.spec, data.n_samples))
         assert alpha == 0.0
         assert full.net.weights[0].tobytes() == w.tobytes()
 
@@ -378,7 +422,7 @@ class TestTrainLoop:
         state = None
         current = net.copy()
         from bsumnet.trainer import _LoopState
-        state = _LoopState(cfg, current.depth, data.n_samples)
+        state = _LoopState(cfg, current.spec, data.n_samples)
         for k in range(1, 51):
             current, _ = train_step(current, data, L2Loss(), cfg, k, state)
             for fs, w in zip(spec.feasible_sets, current.weights):
@@ -409,6 +453,19 @@ class TestTrainLoop:
         _, trace = train(net, data, L2Loss(), cfg)
         assert trace.rows[0].gamma == 1.0 and trace.rows[0].alpha == 0.5
         assert trace.rows[1].gamma == 2.0 and trace.rows[1].alpha == 0.25
+
+    @pytest.mark.parametrize("per_layer", [False, True], ids=["shared", "per_layer"])
+    def test_recursive_schedule_state(self, per_layer):
+        # a shared schedule advances one state every iteration; a per-layer
+        # tuple advances each block's own state once per visit of its block
+        net, data = small_problem(seed=23)
+        cfg = TrainConfig(schedule=(Recursive(), Recursive()) if per_layer else Recursive(),
+                          max_outer_iterations=12, record_every=1, grad_norm_tol=1e-300)
+        _, trace = train(net, data, L2Loss(), cfg)
+        states = [{}, {}]
+        want = [stepsize_next(Recursive(), k, states[(k - 1) % 2 if per_layer else 0])
+                for k in range(1, 13)]
+        assert [r.alpha for r in trace.rows] == want
 
     def test_armijo_schedule_in_loop(self):
         net, data = small_problem(seed=20, n=16)
@@ -568,7 +625,7 @@ class TestRunProperties:
         _, trace = train(net, data, L2Loss(), cfg)
         fs = [trace.initial_f] + [r.f for r in trace.rows]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
-        state = _LoopState(cfg, net.depth, data.n_samples)
+        state = _LoopState(cfg, net.spec, data.n_samples)
         for k in range(1, trace.iterations_run + 1):
             net, _ = train_step(net, data, L2Loss(), cfg, k, state)
             assert all(_is_feasible(s, w)

@@ -107,7 +107,7 @@ class TestSecondOrderDirection:
         w = np.zeros((1, 2))
         g = np.ones((1, 2))
         hess = np.diag([-1.0, -1.0])
-        d = descent_direction_second_order(w, g, hess, 0.5, max_doublings=10)
+        d = descent_direction_second_order(w, g, hess, 0.5)
         # first PD damping is gamma = 2 (0.5 and 1.0 leave it singular/indefinite)
         np.testing.assert_allclose(d, w - g / (hess[0, 0] + 2.0), atol=1e-12)
 
@@ -115,7 +115,7 @@ class TestSecondOrderDirection:
         hess = np.diag([-1e30])
         with pytest.raises(CurvatureError):
             descent_direction_second_order(np.zeros((1, 1)), np.ones((1, 1)),
-                                           hess, 1e-10, max_doublings=3)
+                                           hess, 1e-10)
 
     @staticmethod
     def late_failing_hessian(k, rng):
