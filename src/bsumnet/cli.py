@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ConfigError, SpecError
 from .functions import ACTIVATIONS, LOSSES, Logistic, Regularizer
 from .gradients import NetworkPass, fd_gradient
-from .harness import _parse_kind, _resolve_dataset, load_config, run_experiment
+from .harness import _parse_kind, load_config, run_experiment
 from .netcore import Dataset, NetworkSpec, Unconstrained, build_network
 from .trainer import SCHEDULES
 
@@ -78,15 +78,14 @@ def _gradcheck_net(net, data, loss, tol: float, label: str) -> bool:
 
 def _cmd_gradcheck(args) -> int:
     cfg = load_config(args.config)
-    data = _resolve_dataset(cfg)
     net = build_network(cfg.spec, cfg.init, seed=cfg.seeds[0], scale=cfg.init_scale)
     print(f"configured problem ({cfg.loss.name} loss):")
-    ok = _gradcheck_net(net, data, cfg.loss, args.fd_tol, cfg.loss.name)
+    ok = _gradcheck_net(net, cfg.data, cfg.loss, args.fd_tol, cfg.loss.name)
 
     if args.catalog:
         rng = np.random.default_rng(0)
         dims = cfg.spec.dims
-        n = min(data.n_samples, 16)
+        n = min(cfg.data.n_samples, 16)
         X = rng.standard_normal((dims[0], n))
         for loss_name, loss_cls in sorted(LOSSES.items()):
             loss = loss_cls()

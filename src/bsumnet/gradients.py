@@ -442,6 +442,8 @@ class BatchSampler:
             raise SpecError(f"unknown sampler mode {self.mode!r}")
         if self.mode == "fixed" and self.batch_size < 1:
             raise SpecError("fixed sampler needs batch_size >= 1")
+        if self.seed < 0:
+            raise SpecError(f"sampler seed must be >= 0, got {self.seed}")
 
     def check_size(self, n_samples: int) -> None:
         """A fixed batch larger than the dataset is a SpecError."""

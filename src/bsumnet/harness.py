@@ -2,11 +2,12 @@
 
 An experiment is a JSON config naming a dataset (CSV file or seeded synthetic
 generator), a network, a loss, one or more proposed-method variants, and
-optional baseline optimizers. Every (method, seed) pair trains from the same
-seed-determined initial network and produces one curve CSV plus one JSON
-summary; the baselines are steps run by the trainer's loop. Curve files are
-byte-reproducible: the wall_seconds column is zeroed on emission (real
-timings live in the summaries).
+optional baseline optimizers. ``parse_config`` checks it all and reads the
+dataset, so a config that loads can run. Every (method, seed) pair trains
+from the same seed-determined initial network and produces one curve CSV
+plus one JSON summary; the baselines are steps run by the trainer's loop.
+Curve files are byte-reproducible: the wall_seconds column is zeroed on
+emission (real timings live in the summaries).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, IngestError, NonSmoothError, SpecError
+from .errors import (ConfigError, DomainError, IngestError, NonSmoothError, SizeError,
+                     SpecError)
 from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
@@ -122,8 +124,9 @@ def synth_regression(seed: int = 0, n_samples: int = 252, n_features: int = 13,
     Defaults mirror the benchmark scale (N=252, 13 features, one target).
     Deterministic in all arguments.
     """
-    if n_samples < 1:
-        raise SpecError("need at least one sample")
+    if n_samples < 1 or seed < 0 or not noise_sigma >= 0:
+        raise SpecError(f"need n_samples >= 1, seed >= 0 and noise_sigma >= 0, "
+                        f"got {n_samples}, {seed} and {noise_sigma}")
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n_features, n_samples))
     dims = list(teacher_dims) if teacher_dims is not None \
@@ -143,15 +146,16 @@ def synth_regression(seed: int = 0, n_samples: int = 252, n_features: int = 13,
 # baseline optimizers
 # ---------------------------------------------------------------------------
 
-def _check_baseline(kind: str, rate: float, record_every: int, eps: float = 0.0) -> None:
+def _check_baseline(kind: str, rate: float, max_iterations: int, record_every: int,
+                    eps: float | None = None) -> None:
     if kind not in ("bp_clr", "adagrad"):
         raise SpecError(f"unknown baseline {kind!r}")
-    if kind == "bp_clr" and rate < 0:
-        raise SpecError("learning rate must be nonnegative")
-    if kind == "adagrad" and not (rate > 0 and eps > 0):
+    if kind == "bp_clr" and not (rate >= 0 and eps is None):
+        raise SpecError("bp_clr takes a nonnegative learning rate and no eps")
+    if kind == "adagrad" and not (rate > 0 and (eps is None or eps > 0)):
         raise SpecError("rate and eps must be positive")
-    if record_every < 1:
-        raise SpecError("record_every must be >= 1")
+    if max_iterations < 1 or record_every < 1:
+        raise SpecError("max_iterations and record_every must be >= 1")
 
 
 def _check_smooth(spec: NetworkSpec) -> None:
@@ -188,7 +192,7 @@ def baseline_bp_clr(net: Network, data: Dataset, loss, rate: float,
     with residual <= ``grad_norm_tol`` (with 0, only at a zero gradient) and
     aborts once f exceeds the divergence cap. rate = 0 freezes the weights.
     """
-    _check_baseline("bp_clr", rate, record_every)
+    _check_baseline("bp_clr", rate, max_iterations, record_every)
     return _baseline(net, data, loss, rate, lambda j, w, g: w - rate * g,
                      max_iterations, record_every, grad_norm_tol)
 
@@ -201,7 +205,7 @@ def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
     Accumulators start at zero and grow monotonically; the update is
     rate * g / sqrt(accum + eps). Rows and stopping as in ``baseline_bp_clr``.
     """
-    _check_baseline("adagrad", rate, record_every, eps)
+    _check_baseline("adagrad", rate, max_iterations, record_every, eps)
     accum = [np.zeros_like(w) for w in net.weights]
 
     def update(j, w, g):
@@ -272,18 +276,18 @@ class MethodSpec:
 class BaselineSpec:
     name: str            # "bp_clr" | "adagrad"
     rate: float = 0.01
-    eps: float = 1e-8
+    eps: float | None = None  # adagrad only; None keeps baseline_adagrad's default
     max_iterations: int = 1000
     record_every: int = 1
     grad_norm_tol: float = 0.0
 
     def __post_init__(self):
-        _check_baseline(self.name, self.rate, self.record_every, self.eps)
+        _check_baseline(self.name, self.rate, self.max_iterations, self.record_every, self.eps)
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    dataset: dict
+    data: Dataset
     spec: NetworkSpec
     loss: object
     methods: tuple
@@ -296,10 +300,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.methods and not self.baselines:
             raise ConfigError("configure at least one method or baseline")
-        if not self.seeds:
-            raise ConfigError("at least one seed is required")
+        if not self.seeds or min(self.seeds) < 0 or len(set(self.seeds)) < len(self.seeds):
+            raise ConfigError(f"seeds: need distinct integers >= 0, got {list(self.seeds)}")
         if self.init not in INIT_SCHEMES:
             raise ConfigError(f"network.init: unknown scheme {self.init!r}")
+        if not (self.init_scale is None or self.init_scale > 0):
+            raise ConfigError(f"network.init_scale: must be > 0, got {self.init_scale}")
 
 
 def _reject_unknown(d: dict, allowed, where: str) -> None:
@@ -386,21 +392,29 @@ def _config_fields(d: dict, keys, where: str) -> dict:
     return {key: _typed(d[key], hints[key], where + key) for key in keys if key in d}
 
 
-def _parse_dataset(value) -> dict:
+def _read_dataset(value, n_features: int, loss) -> Dataset:
+    """The dataset read from its CSV file or built by the synthetic generator
+    (``n_features`` by default); one that cannot be read or built, or whose
+    targets the loss does not accept, is a ConfigError."""
     ds = _object(value, "dataset")
-    kind = ds.get("kind")
+    kind = ds.pop("kind", None)
     if kind == "csv":
         read, keys = load_csv_dataset, ("path", "target_cols", "standardize")
     elif kind == "synthetic":
         read, keys = synth_regression, ("seed", "n_samples", "n_features",
                                         "teacher_dims", "noise_sigma")
+        ds = {"n_features": n_features, **ds}
     else:
         raise ConfigError(f"dataset: unknown kind {kind!r}")
-    _reject_unknown(ds, ("kind", *keys), "dataset")
-    if kind == "csv" and ("path" not in ds or "target_cols" not in ds):
-        raise ConfigError("dataset: csv needs path and target_cols")
+    _reject_unknown(ds, keys, "dataset")
     hints = typing.get_type_hints(read)
-    return {key: _typed(v, hints.get(key), f"dataset.{key}") for key, v in ds.items()}
+    params = {key: _typed(v, hints.get(key), f"dataset.{key}") for key, v in ds.items()}
+    try:
+        data = read(**params)
+        loss.check_labels(data.Y)
+    except (TypeError, IngestError, SpecError, DomainError) as exc:
+        raise ConfigError(f"dataset: {exc}") from None
+    return data
 
 
 def _parse_network(d: dict) -> dict:
@@ -425,7 +439,7 @@ def _parse_network(d: dict) -> dict:
     return {"spec": spec, **_config_fields(d, ("init", "init_scale"), "network.")}
 
 
-def _parse_method(d: dict, idx: int, spec: NetworkSpec) -> MethodSpec:
+def _parse_method(d: dict, idx: int, spec: NetworkSpec, n_samples: int) -> MethodSpec:
     where = f"methods[{idx}]"
     name = _typed(d.pop("name", f"prop{idx}"), str, f"{where}.name")
     if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name):
@@ -437,13 +451,14 @@ def _parse_method(d: dict, idx: int, spec: NetworkSpec) -> MethodSpec:
     train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
     try:
         train.blocks(spec)
-    except (SpecError, NonSmoothError) as exc:
+        train.sampler.check_size(n_samples)
+    except (SpecError, NonSmoothError, SizeError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return MethodSpec(name, train)
 
 
 def parse_config(raw: dict) -> ExperimentConfig:
-    """Validate a config dict; unknown keys anywhere are rejected."""
+    """Validate a config dict and read its dataset; unknown keys are rejected."""
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _reject_unknown(raw, ("dataset", "network", "loss", "methods",
@@ -452,10 +467,11 @@ def parse_config(raw: dict) -> ExperimentConfig:
         if key not in raw:
             raise ConfigError(f"config: {key} is required")
 
-    dataset = _parse_dataset(raw["dataset"])
     network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
-    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"])
+    data = _read_dataset(raw["dataset"], network["spec"].dims[0], loss)
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"],
+                                  data.n_samples)
                     for i, m in enumerate(_typed(raw.get("methods", []), list, "methods")))
     baselines = tuple(_construct(BaselineSpec, b, f"baselines[{i}]", {"kind": "name"})
                       for i, b in enumerate(_typed(raw.get("baselines", []), list,
@@ -469,7 +485,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     if len(set(names)) != len(names):
         raise ConfigError(f"duplicate method/baseline names in {names}")
     return ExperimentConfig(
-        dataset=dataset, loss=loss, methods=methods, baselines=baselines,
+        data=data, loss=loss, methods=methods, baselines=baselines,
         seeds=tuple(_typed(raw["seeds"], list[int], "seeds")),
         **network, **_config_fields(raw, ("output_dir",), ""))
 
@@ -497,43 +513,23 @@ class ExperimentResult:
     failures: list = field(default_factory=list)
 
 
-def _resolve_dataset(cfg: ExperimentConfig) -> Dataset:
-    """The configured dataset; one that cannot be read or built, or whose
-    targets the loss does not accept, is a ConfigError."""
-    params = dict(cfg.dataset)
-    try:
-        if params.pop("kind") == "csv":
-            data = load_csv_dataset(**params)
-        else:
-            data = synth_regression(**{"n_features": cfg.spec.dims[0], **params})
-        cfg.loss.check_labels(data.Y)
-    except (IngestError, SpecError, DomainError) as exc:
-        raise ConfigError(f"dataset: {exc}") from None
-    return data
-
-
 def _zero_wall(trace: TrainTrace) -> TrainTrace:
     # byte-identical reruns: timings stay in the JSON summaries only
     return replace(trace, rows=[replace(r, wall_seconds=0.0) for r in trace.rows])
 
 
-def _run_one(cfg: ExperimentConfig, data: Dataset, spec, seed: int,
-             net0: Network, out_dir: Path):
+def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Path):
     name = spec.name
     t0 = time.perf_counter()
     trace = TrainTrace()
     cycle = cfg.spec.depth if isinstance(spec, MethodSpec) else 1
     try:
         if isinstance(spec, MethodSpec):
-            _, trace = train(net0.copy(), data, cfg.loss, spec.train)
-        elif name == "bp_clr":
-            trace = baseline_bp_clr(net0.copy(), data, cfg.loss, spec.rate,
-                                    spec.max_iterations, spec.record_every,
-                                    spec.grad_norm_tol)
+            _, trace = train(net0.copy(), cfg.data, cfg.loss, spec.train)
         else:
-            trace = baseline_adagrad(net0.copy(), data, cfg.loss, spec.rate,
-                                     spec.eps, spec.max_iterations,
-                                     spec.record_every, spec.grad_norm_tol)
+            run = baseline_bp_clr if name == "bp_clr" else baseline_adagrad
+            options = {k: v for k, v in vars(spec).items() if k != "name" and v is not None}
+            trace = run(net0.copy(), cfg.data, cfg.loss, **options)
     except Exception as exc:  # noqa: BLE001 - surfaced in the summary
         trace.abort(f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
@@ -571,23 +567,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
 
     All methods share the seed's initial network, so comparisons start from
     the same point. Runs that abort are recorded as failed but do not stop
-    the remaining runs.
+    the remaining runs. ``seeds`` replaces cfg.seeds and is checked alike.
     """
-    use_seeds = _typed(seeds, list[int], "seeds") if seeds else cfg.seeds
-    data = _resolve_dataset(cfg)
-    for i, method in enumerate(cfg.methods):
-        try:
-            method.train.sampler.check_size(data.n_samples)
-        except SpecError as exc:
-            raise ConfigError(f"methods[{i}].sampler: {exc}") from None
+    if seeds:
+        cfg = replace(cfg, seeds=tuple(_typed(seeds, list[int], "seeds")))
     out = Path(out_dir if out_dir is not None else cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     result = ExperimentResult()
-    for seed in use_seeds:
+    for seed in cfg.seeds:
         net0 = build_network(cfg.spec, cfg.init, seed=seed, scale=cfg.init_scale)
         for spec in cfg.methods + cfg.baselines:
-            curve, summary, trace = _run_one(cfg, data, spec, seed, net0, out)
+            curve, summary, trace = _run_one(cfg, spec, seed, net0, out)
             result.curve_paths.append(curve)
             result.summary_paths.append(summary)
             if trace.aborted:

@@ -268,13 +268,15 @@ def build_network(spec: NetworkSpec, init: str = "uniform", seed: int = 0,
                   scale: float | None = None) -> Network:
     """Draw weights per scheme, then project each layer onto its feasible set.
 
-    Deterministic in (spec, init, seed, scale). The default per-layer scale is
-    1/sqrt(d_{j-1}), which keeps pre-activations O(1) at the start so bounded
-    activations do not saturate. Schemes: "zeros", "uniform" on (-s, s), or
-    "gaussian" with standard deviation s.
+    Deterministic in (spec, init, seed >= 0, scale > 0). The default per-layer
+    scale is 1/sqrt(d_{j-1}), which keeps pre-activations O(1) at the start so
+    bounded activations do not saturate. Schemes: "zeros", "uniform" on
+    (-s, s), or "gaussian" with standard deviation s.
     """
     if init not in INIT_SCHEMES:
         raise SpecError(f"unknown init scheme {init!r}; options: {INIT_SCHEMES}")
+    if seed < 0 or not (scale is None or scale > 0):
+        raise SpecError(f"need seed >= 0 and scale None or > 0, got {seed} and {scale}")
     rng = np.random.default_rng(seed)
     weights = []
     for j in range(1, spec.depth + 1):

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonSmoothError, SpecError
+from .errors import NonSmoothError, SizeError, SpecError
 from .functions import sqnorm
-from .gradients import BatchSampler, BatchStream, NetworkPass, block_objective_fn
+from .gradients import (_HESSIAN_SIZE_LIMIT, BatchSampler, BatchStream, NetworkPass,
+                        block_objective_fn)
 from .netcore import Dataset, Network
-from .upperbounds import FirstOrderProx, prox_l1_step
+from .upperbounds import FirstOrderProx, SecondOrderProx, prox_l1_step
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
@@ -200,8 +201,9 @@ class TrainConfig:
         """Each block's (surrogate family, stepsize schedule) for a run on
         ``spec``; the schedule is None under ``unit_stepsize``. The one place
         the per-block rules are checked: a per-layer tuple needs one non-None
-        entry per block (a SpecError), and an L1 block needs the first-order
-        family and no Armijo search (a NonSmoothError)."""
+        entry per block (a SpecError), an L1 block needs the first-order
+        family and no Armijo search (a NonSmoothError), and a second-order
+        block at most ``block_hessian``'s size budget (a SizeError)."""
         kinds = _per_layer(self.upperbound, spec.depth)
         scheds = (None,) * spec.depth if self.unit_stepsize \
             else _per_layer(self.schedule, spec.depth)
@@ -211,6 +213,9 @@ class TrainConfig:
                     "L1-regularized blocks are only supported with the first-order family")
             if not reg.smooth and isinstance(sched, ArmijoRule):
                 raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
+            n = math.prod(spec.layer_shape(j))
+            if isinstance(kind, SecondOrderProx) and n > _HESSIAN_SIZE_LIMIT:
+                raise SizeError(f"block {j}: {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
         return tuple(zip(kinds, scheds))
 
 

@@ -83,6 +83,20 @@ MALFORMED = [
     # a method name is the stem of its output files
     ("methods.0.name", "../escaped"),
     ("methods.0.name", "a,b"),
+    # negative or repeated seeds: numpy's ValueError, or the same files twice
+    ("seeds", [-1]),
+    ("seeds", [0, 0]),
+    ("dataset.seed", -2),
+    ("methods.0.sampler", {"mode": "fixed", "batch_size": 4, "seed": -1}),
+    # an init scale or a noise level out of range
+    ("network.init_scale", -1),
+    ("network.init_scale", 0),
+    ("network", {"dims": [3, 2, 1], "init": "gaussian", "init_scale": -1}),
+    ("dataset.noise_sigma", -1),
+    # a baseline setting that is never read, or an empty baseline run
+    ("baselines", [{"kind": "bp_clr", "eps": 123}]),
+    ("baselines", [{"kind": "bp_clr", "max_iterations": 0}]),
+    ("baselines", [{"kind": "adagrad", "max_iterations": -3}]),
 ]
 
 
@@ -130,6 +144,28 @@ class TestTrainCommand:
         p.write_text(json.dumps(raw), encoding="utf-8")
         assert main(["train", "--config", str(p)]) == 2
         assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", [["-3"], ["1", "1"]], ids=["negative", "repeated"])
+    def test_bad_seed_override_exit_two(self, config_path, tmp_path, capsys, seeds):
+        args = [arg for seed in seeds for arg in ("--seed", seed)]
+        assert main(["train", "--config", str(config_path), *args]) == 2
+        assert "config error: seeds: need distinct integers >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_newton_block_over_the_hessian_budget_exit_two(self, tmp_path, capsys):
+        # the 101 x 101 middle block has 10,201 parameters: once block 1
+        # stepped and block 2 failed the run mid-way with exit 1
+        raw = base_config(tmp_path)
+        raw["dataset"] = {"kind": "synthetic", "seed": 0, "n_samples": 8}
+        raw["network"] = {"dims": [2, 101, 101, 1], "activation": "tanh"}
+        raw["methods"] = [{"name": "newton", "upperbound": "second_order_prox",
+                           "unit_stepsize": True, "max_iterations": 3}]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(raw), encoding="utf-8")
+        assert main(["train", "--config", str(p)]) == 2
+        assert ("config error: methods[0]: block 2: 10201 parameters, over the 10000 budget"
+                in capsys.readouterr().err)
         assert not (tmp_path / "out").exists()
 
     def test_mini_batch_needs_first_order_family(self, tmp_path, capsys):

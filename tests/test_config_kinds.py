@@ -26,7 +26,7 @@ SLOTS = {
     "upperbound": (("methods", 0, "upperbound"),
                    lambda c: c.methods[0].train.upperbound),
     "schedule": (("methods", 0, "schedule"), lambda c: c.methods[0].train.schedule),
-    "dataset": (("dataset",), lambda c: c.dataset),
+    "dataset": (("dataset",), lambda c: c.data),
 }
 
 CASES = [
@@ -86,9 +86,20 @@ def case_id(case):
     return f"{case[0]}-{case[1]['kind']}"
 
 
+def label_dataset(tmp_path, labels):
+    """A CSV dataset for the [3, 2, 1] network whose targets are ``labels``."""
+    rows = ["a,b,c,y"] + [f"{i},{-i},{i % 3},{labels[i % 2]}" for i in range(8)]
+    (tmp_path / "labels.csv").write_text("\n".join(rows) + "\n", encoding="utf-8")
+    return {"kind": "csv", "path": str(tmp_path / "labels.csv"), "target_cols": ["y"]}
+
+
 @pytest.mark.parametrize("family,value,want", CASES, ids=[case_id(c) for c in CASES])
-def test_kind_parses_to_direct_constructor(family, value, want):
-    got = SLOTS[family][1](parse_config(config_with(family, dict(value))))
+def test_kind_parses_to_direct_constructor(family, value, want, tmp_path):
+    raw = config_with(family, dict(value))
+    if family == "loss" and want.labels is not None:
+        # the synthetic targets are real numbers, which a label loss refuses
+        raw["dataset"] = label_dataset(tmp_path, want.labels)
+    got = SLOTS[family][1](parse_config(raw))
     assert type(got) is type(want)
     assert got == want
 

@@ -393,6 +393,10 @@ class TestBatchStream:
         sizes = [len(stream.next(k)) for k in range(1, 10)]
         assert sizes == [1, 2, 3, 4, 5, 6, 6, 6, 6]
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(SpecError, match="sampler seed must be >= 0"):
+            BatchSampler("fixed", batch_size=4, seed=-1)
+
     def test_oversized_fixed_batch_rejected(self):
         with pytest.raises(SpecError):
             BatchStream(BatchSampler("fixed", batch_size=11, seed=0), 10)

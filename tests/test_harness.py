@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 
 from bsumnet import (ConfigError, Dataset, Identity, IngestError, L2Loss,
                      Logistic, NetworkSpec, Network, NonSmoothError,
-                     Regularizer, baseline_adagrad,
+                     Regularizer, SpecError, baseline_adagrad,
                      baseline_bp_clr, build_network, emit_curves, forward,
                      load_csv_dataset, parse_config, parse_curves,
                      run_experiment, synth_regression)
 from bsumnet.functions import sqnorm
 from bsumnet.gradients import all_block_gradients
-from bsumnet.harness import CURVE_HEADER, _zero_wall, load_config
+from bsumnet.harness import CURVE_HEADER, BaselineSpec, _zero_wall, load_config
 from bsumnet.trainer import TraceRow, TrainTrace
 
 
@@ -102,6 +102,13 @@ class TestSynthRegression:
         data = synth_regression(seed=0)
         assert data.X.shape == (13, 252)
         assert data.Y.shape == (1, 252)
+
+    @pytest.mark.parametrize("kwargs", [{"seed": -2}, {"noise_sigma": -1.0}])
+    def test_negative_seed_or_noise_rejected(self, kwargs):
+        # a negative seed was numpy's ValueError; a negative noise_sigma
+        # silently gave noiseless targets
+        with pytest.raises(SpecError, match="seed >= 0 and noise_sigma >= 0"):
+            synth_regression(n_samples=8, n_features=3, **kwargs)
 
 
 class TestBaselines:
@@ -246,6 +253,20 @@ class TestBaselines:
                                  max_iterations=80)
         assert trace.final_f < trace.initial_f
 
+    @pytest.mark.parametrize("baseline", [baseline_bp_clr, baseline_adagrad])
+    @pytest.mark.parametrize("iterations", [0, -3])
+    def test_no_iterations_rejected(self, baseline, iterations):
+        # once an empty run reported status ok
+        net, data, _ = self._ridge_problem()
+        with pytest.raises(SpecError, match="max_iterations and record_every must be >= 1"):
+            baseline(net, data, L2Loss(), rate=0.1, max_iterations=iterations)
+
+    def test_bp_clr_takes_no_eps(self):
+        # its eps was once accepted and never read
+        assert BaselineSpec("adagrad", eps=1e-6).eps == 1e-6
+        with pytest.raises(SpecError, match="no eps"):
+            BaselineSpec("bp_clr", eps=1e-8)
+
     def test_l1_regularizer_refused(self):
         rng = np.random.default_rng(5)
         spec = NetworkSpec.homogeneous([3, 2], Identity(),
@@ -383,6 +404,41 @@ class TestConfigParsing:
         with pytest.raises(ConfigError):
             parse_config(raw)
 
+    @pytest.mark.parametrize("seeds", [[-1], [0, 0], [2, 1, 2]])
+    def test_seeds_distinct_and_nonnegative(self, tmp_path, seeds):
+        # a repeated seed wrote the same files twice
+        with pytest.raises(ConfigError, match=r"seeds: need distinct integers >= 0"):
+            parse_config(minimal_config(tmp_path, seeds=seeds))
+
+    def test_data_is_what_the_reader_returns(self, tmp_path):
+        csv_path = write_csv(tmp_path / "d.csv", "a,b,y,c\n1,2,0.5,3\n4,6,1.5,5\n7,9,2.5,8\n")
+        raw = minimal_config(tmp_path)
+        del raw["dataset"]["n_features"]  # defaults to network dims[0]
+        want = synth_regression(seed=0, n_samples=24, n_features=4, teacher_dims=[4, 3, 1],
+                                noise_sigma=0.05)
+        got = parse_config(raw).data
+        raw["dataset"] = {"kind": "csv", "path": str(csv_path), "target_cols": ["y"],
+                          "standardize": True}
+        want_csv = load_csv_dataset(csv_path, ["y"], standardize=True)
+        got_csv = parse_config(raw).data
+        for got, want in ((got, want), (got_csv, want_csv)):
+            for a, b in ((got.X, want.X), (got.Y, want.Y)):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dataset,message", [
+        ({"kind": "csv", "path": "missing.csv", "target_cols": ["y"]},
+         "dataset: dataset file not found: missing.csv"),
+        ({"kind": "csv", "target_cols": ["y"]},
+         "dataset: load_csv_dataset() missing 1 required positional argument: 'path'"),
+        ({"kind": "synthetic", "noise_sigma": -1},
+         "dataset: need n_samples >= 1, seed >= 0 and noise_sigma >= 0"),
+    ], ids=["missing_file", "missing_path", "negative_noise"])
+    def test_dataset_errors_at_load(self, tmp_path, monkeypatch, dataset, message):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ConfigError) as exc:
+            parse_config(minimal_config(tmp_path, dataset=dataset))
+        assert str(exc.value).startswith(message)
+
     def test_load_config_bad_json(self, tmp_path):
         p = tmp_path / "c.json"
         p.write_text("{not json", encoding="utf-8")
@@ -478,6 +534,27 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match=r"seeds\[0\]: expected int"):
             run_experiment(parse_config(raw), seeds=[0.5])
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("seeds", [[-3], [1, 1]])
+    def test_seed_override_checked_as_config_seeds(self, tmp_path, seeds):
+        raw = minimal_config(tmp_path, baselines=[])
+        with pytest.raises(ConfigError, match=r"seeds: need distinct integers >= 0"):
+            run_experiment(parse_config(raw), seeds=seeds)
+        assert not (tmp_path / "out").exists()
+
+    def test_csv_config_runs_after_its_file_is_gone(self, tmp_path):
+        # the dataset is read once, when the config loads
+        data = synth_regression(seed=1, n_samples=12, n_features=4, teacher_dims=[4, 3, 1])
+        rows = [",".join(["a", "b", "c", "d", "y"])]
+        rows += [",".join(repr(float(v)) for v in col) for col in np.vstack([data.X, data.Y]).T]
+        csv_path = write_csv(tmp_path / "d.csv", "\n".join(rows) + "\n")
+        raw = minimal_config(tmp_path)
+        raw["dataset"] = {"kind": "csv", "path": str(csv_path), "target_cols": ["y"]}
+        cfg = parse_config(raw)
+        csv_path.unlink()
+        result = run_experiment(cfg)
+        assert not result.failures
+        assert len(result.curve_paths) == 2
 
     def test_five_curve_benchmark_shape(self, tmp_path):
         # three proposed schedule variants plus two baselines, one seed

@@ -62,6 +62,14 @@ class TestBuildNetwork:
         with pytest.raises(SpecError):
             build_network(spec_of([2, 2], Identity()), "xavier", seed=0)
 
+    @pytest.mark.parametrize("init", ["uniform", "gaussian"])
+    @pytest.mark.parametrize("seed,scale", [(-1, None), (0, 0.0), (0, -1.0)])
+    def test_negative_seed_and_nonpositive_scale_rejected(self, init, seed, scale):
+        # numpy once raised its own ValueError for these, and a zero scale
+        # gave all-zero weights, which the "zeros" scheme is for
+        with pytest.raises(SpecError, match="need seed >= 0 and scale None or > 0"):
+            build_network(spec_of([2, 2], Identity()), init, seed=seed, scale=scale)
+
     def test_default_scale_is_inv_sqrt_fanin(self):
         spec = spec_of([100, 3], Identity())
         net = build_network(spec, "uniform", seed=0)

@@ -12,8 +12,8 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      Dataset, ExponentialLoss, FirstOrderProx, FrobeniusBall,
                      Geometric, Identity, InverseRoot, L2Loss, Logistic,
                      NetworkSpec, Network, NonSmoothError, Proximal, Recursive,
-                     Regularizer, SecondOrderProx, Softplus, SpecError, Tanh, Toeplitz,
-                     Unconstrained, build_network, closed_form_linear_block,
+                     Regularizer, SecondOrderProx, SizeError, Softplus, SpecError, Tanh,
+                     Toeplitz, Unconstrained, build_network, closed_form_linear_block,
                      forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step)
 from bsumnet import trainer
@@ -130,6 +130,21 @@ class TestTrainConfigValidation:
         net = Network(spec, net.weights)
         cfg = TrainConfig(max_outer_iterations=4, **settings)
         assert self.steps_taken(monkeypatch, net, data, cfg, error) == 0
+
+    def test_newton_block_over_the_hessian_budget_raises_before_the_first_step(
+            self, monkeypatch):
+        # 2 x 101 and 101 x 1 fit the 10,000-entry budget, 101 x 101 does not;
+        # block 1 would take a step if the budget were checked on block 2's turn
+        net, data = make_problem([2, 101, 101, 1], Tanh(), L2Loss(), seed=4, n=4)
+        cfg = TrainConfig(upperbound=SecondOrderProx(), unit_stepsize=True,
+                          max_outer_iterations=3)
+        assert self.steps_taken(monkeypatch, net, data, cfg, SizeError) == 0
+        with pytest.raises(SizeError, match="block 2: 10201 parameters, over the 10000"):
+            cfg.blocks(net.spec)
+        first_order = TrainConfig(upperbound=FirstOrderProx(), unit_stepsize=True)
+        assert len(first_order.blocks(net.spec)) == 3
+        at_budget = NetworkSpec.homogeneous([1, 100, 100, 1], Tanh())
+        assert len(cfg.blocks(at_budget)) == 3
 
     @pytest.mark.parametrize("settings", [
         {"schedule": (Constant(0.5), None)},
