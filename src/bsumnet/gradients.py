@@ -30,13 +30,17 @@ with z_n column n of Z_{j-1}, M_n the d_j x d_j curvature of f in column n
 of U_j, g the data-term block gradient, kappa the loss's coupling of the
 samples (1/L for the exponential loss, 0 for the others) and mu the
 regularizer's strong-convexity modulus (2 lam for L2). One R-pass
-(Pearlmutter, 1994) from RU_j = e_r 1^T for all r at once, started
-implicitly at layer j, gives every M_n. The sum is one GEMM over unordered
-pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows (M_n[s,r] +
-M_n[r,s])/2 and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order: H is
-bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the same
-product entry. The stage tensors and gathers go to a scratch the pass owns,
-flat buffers kept by role and grown on demand.
+(Pearlmutter, 1994) from the unit directions RZ_j = e_r 1^T for all r at
+once gives M~_n, and
+
+    M_n[s,r] = sigma'_j[s] sigma'_j[r] M~_n[s,r] + [s = r] b_j[s],
+
+with b_j = df/dZ_j (.) sigma''_j layer j's bend. The sum is one GEMM over
+unordered pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows
+M_n[s,r], s <= r, and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order:
+H is bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the
+same product entry. The stage tensors and gathers go to a scratch the pass
+owns, flat buffers kept by role and grown on demand.
 
 The contractions W^T X of the deltas and the R-pass go through
 ``_wt_matmul``, a broadcast product through a one-row W (d_J = 1).
@@ -198,14 +202,17 @@ class NetworkPass:
         """Exact Hessian of f in row-major vec(W_j), from the cached stages
         (formula in the module docstring); bitwise symmetric and the caller's to keep."""
         z = self.outs.post_activations[j - 1]
-        m, kappa = self._curvature(j)
-        rows, rows_t, cols, cols_t, gather = _pair_layout(self.net.spec.dims[j], len(z))
-        # H[(s,c),(r,e)] = sum_n (M_n[s,r] + M_n[r,s])/2 z_n[c] z_n[e]
+        m, slope, bend, kappa = self._curvature(j)
+        rows, row_s, row_r, cols, cols_t, gather = _pair_layout(self.net.spec.dims[j], len(z))
+        # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e], M_n[s,r] from s <= r,
+        # the d_j rows s = r first
         pairs = self._take(("rd", (j + 1) % 2), m, rows)
-        pairs += self._take("zz", m, rows_t)
-        pairs *= 0.5
+        scale = self._take("zz", slope, row_s)
+        scale *= self._take(("rd", j % 2), slope, row_r)  # M's buffer, free once taken
+        pairs *= scale
+        pairs[:len(bend)] += bend
         zz = self._take("zz", z, cols)
-        zz *= self._take(("rd", j % 2), z, cols_t)  # M's buffer, free once paired
+        zz *= self._take(("rd", j % 2), z, cols_t)
         prod = np.matmul(pairs, zz.T, out=self._buf(("rd", j % 2), len(rows), len(cols)))
         hess = np.take(prod, gather, out=np.empty(gather.shape), mode="clip")
         if kappa:
@@ -215,49 +222,62 @@ class NetworkPass:
         return hess
 
     def _curvature(self, j: int) -> tuple:
-        """Per-sample curvature of the data term in U_j, as (M, kappa):
-        M[s * d_j + r, n] is d^2 f / dU_j[s, n] dU_j[r, n] without the loss's
-        sample coupling, and kappa that coupling's weight (``curvature_H``).
+        """Per-sample curvature of the data term in U_j, as (M~, slope, bend,
+        kappa): d^2 f / dU_j[s, n] dU_j[r, n] without the loss's sample
+        coupling is slope[s, n] slope[r, n] M~[s * d_j + r, n] + [s = r]
+        bend[s, n], with slope = sigma'_j and bend = df/dZ_j (.) sigma''_j,
+        and kappa is that coupling's weight (``curvature_H``).
 
-        The R-pass, forward from U_j and backward from D_J to D_j, carries
-        the d_j directions RU_j = e_r 1^T at once, so its stage tensors
-        have shape (d_i, d_j, N); the scratch keeps RU_i as role ("ru", i)
-        and R{D_i} as ("rd", i % 2). It starts at RU_{j+1} = W_{j+1}
-        diag(sigma'_j) and adds layer j's bend term on M's diagonal only.
+        M~ is the R-pass from the unit directions RZ_j = e_r 1^T, carried at
+        once, so its stage tensors have shape (d_i, d_j, N); the scratch keeps
+        RU_i as role ("ru", i) and R{D_i} as ("rd", i % 2). RU_{j+1} = W_{j+1}
+        is constant in n and never stored: RU_{j+2} is one GEMM through
+        W_{j+2} diag(sigma'_{j+1}) W_{j+1}, and layer j+1's bend term
+        W_{j+1} (.) b_{j+1} takes RU_{j+1}'s buffer. The backward sweep starts
+        at R{D_J} = G_n RU_J, with G_n the curvature of f in column n of U_J.
         """
         outs, deltas = self.outs, self.deltas(j)
         pre, post = outs.pre_activations, outs.post_activations
         acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
         d_j, n = pre[j - 1].shape
         slopes = [acts[i - 1].derivative(pre[i - 1], post[i]) for i in range(j, depth + 1)]
-        rz = None  # RZ_i, in the buffer that R{df/dZ_J} leaves free
-        for i in range(j + 1, depth + 1):
-            ru = self._buf(("ru", i), len(pre[i - 1]), d_j, n)
-            if rz is None:
-                np.multiply(weights[j][:, :, None], slopes[0], out=ru)
-            else:
-                np.matmul(weights[i - 1], rz.reshape(len(rz), -1), out=ru.reshape(len(ru), -1))
-            rz = np.multiply(slopes[i - j][:, None, :], ru,
-                             out=self._buf(("rd", (depth + 1) % 2), *ru.shape))
         curv, kappa = self.loss.curvature_H(outs.output, self.data.Y)
         back = self.loss.grad_H(outs.output, self.data.Y)  # df/dZ_i
-        rd = self._buf(("rd", depth % 2), len(curv), d_j, n)  # R{df/dZ_i}, then R{D_i}
-        if rz is None:
-            np.multiply(curv, slopes[0], out=rd)
-        else:
-            np.einsum("abn,brn->arn", curv, rz, out=rd)
-        for i in range(depth, j, -1):
-            ru = self._buf(("ru", i), len(pre[i - 1]), d_j, n)  # as the forward sweep left it
-            ru *= (back * acts[i - 1].second_derivative(pre[i - 1], post[i]))[:, None, :]
-            rd *= slopes[i - j][:, None, :]
-            rd += ru
-            back = _wt_matmul(weights[i - 1], deltas[i - 1])
+        bend = back * acts[-1].second_derivative(pre[-1], post[-1])
+        if j == depth:
+            return curv.reshape(d_j * d_j, n), slopes[0], bend, kappa
+        ru = [weights[j][:, :, None]]  # RU_i for i = j+1..J
+        for i in range(j + 2, depth + 1):
+            out = self._buf(("ru", i), len(pre[i - 1]), d_j, n)
+            if i == j + 2:  # through[b, r, a] = W_{j+2}[b, a] W_{j+1}[a, r]
+                through = weights[j + 1][:, None, :] * weights[j].T
+                np.matmul(through.reshape(-1, len(weights[j])), slopes[1], out=out.reshape(-1, n))
+            else:
+                rz = np.multiply(slopes[i - 1 - j][:, None, :], ru[-1],
+                                 out=self._buf(("rd", (depth + 1) % 2), *ru[-1].shape))
+                np.matmul(weights[i - 1], rz.reshape(len(rz), -1), out=out.reshape(len(out), -1))
+            ru.append(out)
+        g = curv * slopes[-1] * slopes[-1][:, None, :]  # G_n, column n's curvature in U_J
+        g.reshape(-1, n)[::len(g) + 1] += bend
+        rd = self._buf(("rd", depth % 2), len(g), d_j, n)
+        # R{D_J}[a] = sum_b G_n[a, b] RU_J[b], a single product at d_J = 1
+        np.multiply(g[:, :1], ru[-1][:1], out=rd)
+        for b in range(1, len(g)):
+            rd += g[:, b:b + 1] * ru[-1][b:b + 1]
+        for i in range(depth, j + 1, -1):
+            # R{D_{i-1}} = sigma'_{i-1} (.) W_i^T R{D_i} + b_{i-1} (.) RU_{i-1}
             out = self._buf(("rd", (i - 1) % 2), len(pre[i - 2]), d_j * n)
             rd = _wt_matmul(weights[i - 1], rd.reshape(len(rd), -1), out).reshape(-1, d_j, n)
-        rd *= slopes[0][:, None, :]
-        m = rd.reshape(d_j * d_j, n)
-        m[::d_j + 1] += back * acts[j - 1].second_derivative(pre[j - 1], post[j])
-        return m, kappa
+            rd *= slopes[i - 1 - j][:, None, :]
+            back = _wt_matmul(weights[i - 1], deltas[i - 1])
+            bend = back * acts[i - 2].second_derivative(pre[i - 2], post[i - 1])
+            # einsum broadcasts RU_{j+1} = W_{j+1} about twice as fast as multiply
+            rd += np.einsum("arn,an->arn", ru[i - 2 - j], bend,
+                            out=self._buf(("ru", i - 1), *rd.shape))
+        m = _wt_matmul(weights[j], rd.reshape(len(rd), -1), self._buf(("rd", j % 2), d_j, d_j * n))
+        back = _wt_matmul(weights[j], deltas[j])
+        bend = back * acts[j - 1].second_derivative(pre[j - 1], post[j])
+        return m.reshape(d_j * d_j, n), slopes[0], bend, kappa
 
     def _buf(self, role, *shape) -> np.ndarray:
         # an array of this shape on the role's scratch buffer, grown on demand
@@ -285,15 +305,16 @@ def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> n
 
 @functools.lru_cache(maxsize=4)
 def _pair_layout(d_j: int, d_prev: int) -> tuple:
-    """Flat indices of entries (s,r) and (r,s), s <= r, of M_n, rows c and e of
-    pairs c <= e, and the flat index of H in their product; cached for four shapes."""
-    rows, cols = np.triu_indices(d_j), np.triu_indices(d_prev)
+    """Flat indices of entries (s,r), s <= r, of M_n, the d_j with s = r
+    first, and their s and r; rows c and e of pairs c <= e; and the flat
+    index of H in their product; cached for four shapes."""
+    rows = tuple(np.concatenate((np.arange(d_j), side)) for side in np.triu_indices(d_j, 1))
+    cols = np.triu_indices(d_prev)
     row_pair, col_pair = np.empty((d_j, d_j), np.intp), np.empty((d_prev, d_prev), np.intp)
     row_pair[rows] = row_pair[rows[::-1]] = np.arange(len(rows[0]))
     col_pair[cols] = col_pair[cols[::-1]] = np.arange(len(cols[0]))
     gather = row_pair[:, None, :, None] * len(cols[0]) + col_pair[None, :, None, :]
-    return (rows[0] * d_j + rows[1], rows[1] * d_j + rows[0], *cols,
-            gather.reshape(d_j * d_prev, d_j * d_prev))
+    return (rows[0] * d_j + rows[1], *rows, *cols, gather.reshape(d_j * d_prev, d_j * d_prev))
 
 
 def _content(w: np.ndarray) -> tuple:

@@ -88,6 +88,8 @@ def load_csv_dataset(path: str, target_cols: list, standardize: bool = False) ->
 
     t_idx = []
     for col in target_cols:
+        if isinstance(col, bool):
+            raise IngestError(f"target column {col!r} is neither a header name nor an index")
         if isinstance(col, int):
             if not 0 <= col < len(header):
                 raise IngestError(f"target column index {col} outside 0..{len(header) - 1}")
@@ -392,10 +394,12 @@ def _config_fields(d: dict, keys, where: str) -> dict:
     return {key: _typed(d[key], hints[key], where + key) for key in keys if key in d}
 
 
-def _read_dataset(value, n_features: int, loss) -> Dataset:
+def _read_dataset(value, dims: tuple, loss) -> Dataset:
     """The dataset read from its CSV file or built by the synthetic generator
-    (``n_features`` by default); one that cannot be read or built, or whose
-    targets the loss does not accept, is a ConfigError."""
+    (with the network's ``dims[0]`` features by default); one that cannot be
+    read or built, whose feature or target count differs from the network's
+    input or output width, or whose targets the loss does not accept, is a
+    ConfigError."""
     ds = _object(value, "dataset")
     kind = ds.pop("kind", None)
     if kind == "csv":
@@ -403,7 +407,7 @@ def _read_dataset(value, n_features: int, loss) -> Dataset:
     elif kind == "synthetic":
         read, keys = synth_regression, ("seed", "n_samples", "n_features",
                                         "teacher_dims", "noise_sigma")
-        ds = {"n_features": n_features, **ds}
+        ds = {"n_features": dims[0], **ds}
     else:
         raise ConfigError(f"dataset: unknown kind {kind!r}")
     _reject_unknown(ds, keys, "dataset")
@@ -414,6 +418,9 @@ def _read_dataset(value, n_features: int, loss) -> Dataset:
         loss.check_labels(data.Y)
     except (TypeError, IngestError, SpecError, DomainError) as exc:
         raise ConfigError(f"dataset: {exc}") from None
+    if (len(data.X), len(data.Y)) != (dims[0], dims[-1]):
+        raise ConfigError(f"dataset: {len(data.X)} features and {len(data.Y)} targets, "
+                          f"the network takes {dims[0]} and outputs {dims[-1]}")
     return data
 
 
@@ -469,7 +476,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
 
     network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
-    data = _read_dataset(raw["dataset"], network["spec"].dims[0], loss)
+    data = _read_dataset(raw["dataset"], network["spec"].dims, loss)
     methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"],
                                   data.n_samples)
                     for i, m in enumerate(_typed(raw.get("methods", []), list, "methods")))

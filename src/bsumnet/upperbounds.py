@@ -14,9 +14,11 @@ is exact block coordinate descent, solved in closed form when every
 activation is the identity under the L2 loss. The first-order family absorbs
 a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
 unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
-the projected Newton point. It factors with scipy's ``cho_factor`` and
-solves with LAPACK's ``dpotrs`` on that factor; a Toeplitz block's tied
-pairs and tie counts are kept per shape.
+the projected Newton point. It reads the upper triangle of the Hessian it
+is given: a contiguous copy of H^T is factored on its lower triangle by
+scipy's ``cho_factor`` and solved with LAPACK's ``dpotrs`` on that factor;
+a Toeplitz block's tie counts and the bins that sum that triangle into the
+kernel Hessian are kept per shape.
 """
 
 from __future__ import annotations
@@ -214,9 +216,10 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     (``kernel_index``): W - P (P'HP + gamma P'P)^{-1} P'grad, with P the 0/1
     map from kernel to block and P'P its diagonal of tie counts.
 
-    The damped system is solved by Cholesky; if it is not positive definite,
-    gamma is doubled and the solve retried, Levenberg-Marquardt style. A
-    Hessian or gradient with infs or NaNs is a ValueError.
+    Only the upper triangle of ``hess`` enters the step. The damped system
+    is solved by Cholesky; if it is not positive definite, gamma is doubled
+    and the solve retried, Levenberg-Marquardt style. A Hessian (either
+    triangle) or gradient with infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
     n = W.size
@@ -226,17 +229,24 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
         tied, damping = _tied_pairs(feasible, W.shape)
-        hess = np.bincount(tied, weights=hess.ravel()).reshape(len(damping), -1)
+        k = len(damping)
+        sums = np.bincount(tied, weights=hess.ravel(), minlength=k * (2 * k + 1))
+        if not np.isfinite(sums[k * (k + 1):]).all():
+            raise ValueError("Hessian must not contain infs or NaNs")
+        upper = sums[:k * k].reshape(k, k)
+        hess = upper + upper.T  # P'HP
+        hess.reshape(-1)[::k + 1] += sums[k * k:k * (k + 1)]
         rhs = np.bincount(index, weights=rhs)
     if not np.isfinite(rhs).all():
         raise ValueError("gradient must not contain infs or NaNs")
     h = np.empty(hess.shape, order="F")  # the solver's copy, factored in place
     for _ in range(_MAX_DOUBLINGS + 1):
-        np.copyto(h, hess)  # a failed factorization overwrote h's leading columns
+        np.copyto(h.T, hess)  # a failed factorization overwrote h's leading columns
         h.reshape(-1, order="F")[::len(h) + 1] += gamma * damping
         try:
-            # checks h for infs and NaNs; the triangular solve reuses its factor
-            factor, lower = scipy.linalg.cho_factor(h, overwrite_a=True)
+            # the lower factor of hess^T reads hess's upper triangle; checks h
+            # for infs and NaNs; the triangular solve reuses the factor
+            factor, lower = scipy.linalg.cho_factor(h, lower=True, overwrite_a=True)
         except np.linalg.LinAlgError:
             gamma *= 2.0
             continue
@@ -252,14 +262,22 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
 
 @functools.lru_cache(maxsize=4)
 def _tied_pairs(feasible: FeasibleSet, shape: tuple) -> tuple:
-    """Kernel coordinates of each row-major Hessian entry's pair, as one
-    index, and the tie count of each kernel coordinate; kept for four (set,
-    shape) pairs. The counts are read-only; the pair index is not, as
+    """Bins that sum a row-major Hessian H's upper triangle into P'HP, and the
+    tie count of each kernel coordinate; kept for four (set, shape) pairs.
+    With k kernel coordinates, entry (a, b) at coordinates (p, q) goes to bin
+    p*k + q when a < b, the upper part S of P'HP = S + S' + the diagonal's
+    sums, and to bin k*k + p when a = b; an entry a > b goes to bin
+    k*(k+1) + p*k + q, only checked for infs and NaNs (one shared bin would
+    serialize half the sum). The counts are read-only; the bins are not, as
     ``np.bincount`` copies a read-only index (512 KB on a 16x16 block)."""
     index = feasible.kernel_index(shape)
     ties = np.bincount(index)
     ties.flags.writeable = False
-    return (index[:, None] * len(ties) + index).ravel(), ties
+    k, n = len(ties), len(index)
+    bins = np.add.outer(k * index, index)
+    np.add(bins, k * (k + 1), out=bins, where=np.tri(n, k=-1, dtype=bool))
+    bins.flat[::n + 1] = k * k + index
+    return bins.ravel(), ties
 
 
 def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,

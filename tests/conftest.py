@@ -187,12 +187,15 @@ def fd_block_hessian(net, data, loss, j, h=1e-5):
 def dense_block_hessian(net, data, loss, j):
     """Block-j Hessian assembled over ordered pairs: the full
     (d_j^2, N) @ (N, d_{j-1}^2) product of the per-sample curvature M_n with
-    z_n z_n^T, a transpose into row-major vec(W_j), then (H + H^T)/2. Shares
-    only the R-pass (``NetworkPass._curvature``) with the library."""
+    z_n z_n^T, a transpose into row-major vec(W_j), then (H + H^T)/2. M_n is
+    rebuilt from the R-pass's parts as sigma'_j sigma'_j^T (.) M~_n + diag(bend);
+    the R-pass (``NetworkPass._curvature``) is all it shares with the library."""
     fb = NetworkPass(net, data, loss)
     z = fb.outs.post_activations[j - 1]
     d_j, d_prev, n = net.spec.dims[j], z.shape[0], z.shape[1]
-    m, kappa = fb._curvature(j)
+    m, slope, bend, kappa = fb._curvature(j)
+    m = slope[:, None, :] * slope[None, :, :] * m.reshape(d_j, d_j, n)
+    m[np.arange(d_j), np.arange(d_j)] += bend
     hess = m.reshape(d_j * d_j, n) \
         @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T
     hess = hess.reshape(d_j, d_j, d_prev, d_prev).transpose(0, 2, 1, 3) \

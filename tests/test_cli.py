@@ -75,6 +75,10 @@ MALFORMED = [
     ("baselines", 5),
     ("dataset", {"kind": "csv", "path": 5, "target_cols": ["y"]}),
     ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": 5}),
+    ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": [True]}),
+    # a dataset the [3, 2, 1] network cannot read: two targets, one feature
+    ("dataset.teacher_dims", [3, 2, 2]),
+    ("dataset", {"kind": "csv", "path": "d.csv", "target_cols": ["y"]}),
     # per-layer lists need one entry per layer of the [3, 2, 1] network
     ("methods.0.schedule", [{"kind": "constant", "c": 0.5}] * 3),
     ("methods.0.upperbound", ["first_order_prox"] * 3),

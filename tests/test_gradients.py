@@ -271,8 +271,8 @@ class TestBlockHessian:
            seed=st.integers(0, 2**16), l2=st.booleans())
     @settings(max_examples=15, deadline=None)
     def test_pair_assembly_matches_dense_oracle(self, act, loss, dims, seed, l2):
-        # the pair GEMM averages M_n[s,r] and M_n[r,s] before the product, the
-        # oracle averages H and H^T after it: equal up to rounding
+        # the pair GEMM reads M_n's entries s <= r only, the oracle all ordered
+        # pairs and averages H and H^T after the product: equal up to rounding
         depth = len(dims) - 1
         acts = [act] * depth
         if loss.name == "cross_entropy":
@@ -307,6 +307,27 @@ class TestBlockHessian:
         order = list(range(1, net.depth + 1))
         for j in order + order[::-1]:
             assert np.array_equal(fb.hessian(j), fresh[j]), j
+
+    @pytest.mark.parametrize("dims", [(3, 4, 3, 1), (2, 3, 2, 3, 2)], ids=["d_J=1", "d_J=2"])
+    def test_hessian_after_set_block_matches_a_fresh_pass(self, dims):
+        net, data = make_problem(list(dims), Tanh(), L2Loss(), lam=1e-2, seed=31, n=9)
+        rng = np.random.default_rng(31)
+        fb = NetworkPass(net, data, L2Loss())
+        for j in range(1, net.depth + 1):
+            fb.hessian(j)
+        for k, w in enumerate(net.weights, start=1):
+            fb.set_block(k, w + 0.1 * rng.standard_normal(w.shape))
+            fresh = NetworkPass(Network(net.spec, list(fb.net.weights)), data, L2Loss())
+            for j in range(1, net.depth + 1):
+                assert np.array_equal(fb.hessian(j), fresh.hessian(j)), (k, j)
+
+    def test_deep_net_matches_fd_oracle(self):
+        # depth 4: block 1's R-pass runs the forward GEMMs past RU_{j+2}
+        net, data = make_problem([2, 3, 2, 3, 2], Softplus(), ExponentialLoss(2.0), seed=32, n=7)
+        for j in range(1, net.depth + 1):
+            hess = block_hessian(net, data, ExponentialLoss(2.0), j)
+            oracle = fd_block_hessian(net, data, ExponentialLoss(2.0), j)
+            assert np.max(np.abs(hess - oracle)) <= 1e-6 * np.max(np.abs(oracle)), j
 
     def test_returned_hessian_is_not_overwritten_by_later_calls(self):
         net, data = make_problem([3, 4, 4, 1], Tanh(), L2Loss(), lam=1e-2, seed=30)

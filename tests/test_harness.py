@@ -411,7 +411,8 @@ class TestConfigParsing:
             parse_config(minimal_config(tmp_path, seeds=seeds))
 
     def test_data_is_what_the_reader_returns(self, tmp_path):
-        csv_path = write_csv(tmp_path / "d.csv", "a,b,y,c\n1,2,0.5,3\n4,6,1.5,5\n7,9,2.5,8\n")
+        csv_path = write_csv(tmp_path / "d.csv",
+                             "a,b,y,c,d\n1,2,0.5,3,1\n4,6,1.5,5,0\n7,9,2.5,8,2\n")
         raw = minimal_config(tmp_path)
         del raw["dataset"]["n_features"]  # defaults to network dims[0]
         want = synth_regression(seed=0, n_samples=24, n_features=4, teacher_dims=[4, 3, 1],

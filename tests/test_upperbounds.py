@@ -179,6 +179,17 @@ class TestSecondOrderDirection:
             descent_direction_second_order(w, g, hess, 0.1, feasible)
         assert np.array_equal(hess, kept, equal_nan=True)
 
+    @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()], ids=["dense", "toeplitz"])
+    def test_only_the_upper_triangle_is_read(self, feasible):
+        rng = np.random.default_rng(44)
+        w, g = feasible.project(rng.standard_normal((3, 4))), rng.standard_normal((3, 4))
+        low = rng.standard_normal((12, 12))
+        hess = low @ low.T + np.eye(12)
+        want = descent_direction_second_order(w, g, hess, 0.1, feasible)
+        below = np.tril_indices(12, -1)
+        hess[below] = 1e3 * rng.standard_normal(len(below[0]))
+        assert np.array_equal(descent_direction_second_order(w, g, hess, 0.1, feasible), want)
+
     def test_warm_newton_step_allocates_no_stage_tensors(self):
         # the curvature benchmark's problem; a step that allocated every
         # R-pass stage tensor and pair gather afresh peaked at 1,740, 1,430
