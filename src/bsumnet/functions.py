@@ -1,18 +1,13 @@
-"""Catalog of activations, losses, and regularizers with their analytic traits.
+"""Catalog of activations, losses, and regularizers.
 
-Every activation is an elementwise map with a hand-derived derivative and a
-set of declared traits (convex / concave / nondecreasing) that the test
-suite verifies against randomized secant probes. Losses map a prediction
-batch H (dJ x N) and targets Y to a scalar, excluding any regularization,
-and expose the gradient with respect to H. Each loss declares the targets it
-accepts (``labels``), checked where targets enter, not in its own methods.
-
-Monotonicity of a loss is declared with respect to H for real-target losses
-and with respect to the margin Y*H for the +/-1-label classification losses
-(squared hinge, logistic), whose direction in raw H flips with the label.
-Cross-entropy has no single direction in either parameterization, so it is
-declared non-monotone. ``classify_convexity`` reads these traits and names a
-block objective's class: "strongly_convex", "concave" or "unknown".
+Every activation is an elementwise map with a hand-derived derivative.
+Losses map a prediction batch H (dJ x N) and targets Y to a scalar,
+excluding any regularization, and expose the gradient with respect to H.
+Each loss declares whether it is convex (or concave) in H, and the targets
+it accepts (``labels``), checked where targets enter, not in its own
+methods. ``classify_convexity`` names a block objective's class from one
+fact, whether every activation from the block up is the identity:
+"strongly_convex", "concave" or "unknown".
 
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
@@ -73,12 +68,9 @@ def sqnorm(x: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 class Activation:
-    """Elementwise activation with declared analytic traits."""
+    """Elementwise activation with its first two derivatives."""
 
     name = "base"
-    convex = False
-    concave = False
-    nondecreasing = False
 
     def value(self, u: np.ndarray) -> np.ndarray:
         raise NotImplementedError
@@ -100,9 +92,6 @@ class Activation:
 @dataclass(frozen=True, repr=False)
 class Identity(Activation):
     name = "identity"
-    convex = True
-    concave = True
-    nondecreasing = True
 
     def value(self, u):
         return np.array(u, dtype=float)
@@ -117,7 +106,6 @@ class Identity(Activation):
 @dataclass(frozen=True, repr=False)
 class Logistic(Activation):
     name = "logistic"
-    nondecreasing = True
 
     def value(self, u):
         return _sigmoid(u)
@@ -134,7 +122,6 @@ class Logistic(Activation):
 @dataclass(frozen=True, repr=False)
 class Tanh(Activation):
     name = "tanh"
-    nondecreasing = True
 
     def value(self, u):
         return np.tanh(u)
@@ -151,8 +138,6 @@ class Tanh(Activation):
 @dataclass(frozen=True, repr=False)
 class Softplus(Activation):
     name = "softplus"
-    convex = True
-    nondecreasing = True
 
     def value(self, u):
         return _softplus(np.asarray(u, dtype=float))
@@ -169,14 +154,11 @@ class Softplus(Activation):
 class LeakyReluSmooth(Activation):
     """Smooth surrogate for leaky ReLU: alpha*u + (1-alpha)*softplus(u).
 
-    Slope tends to alpha far left and 1 far right; convex and increasing for
-    alpha in (0, 1).
+    Slope tends to alpha far left and 1 far right.
     """
 
     alpha: float = 0.1
     name = "leaky_relu_smooth"
-    convex = True
-    nondecreasing = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < 1.0:
@@ -197,8 +179,6 @@ class LeakyReluSmooth(Activation):
 @dataclass(frozen=True, repr=False)
 class BentIdentity(Activation):
     name = "bent_identity"
-    convex = True
-    nondecreasing = True
 
     def value(self, u):
         u = np.asarray(u, dtype=float)
@@ -227,7 +207,6 @@ class Loss:
     name = "base"
     convex_in_H = False
     concave_in_H = False
-    monotone = "none"  # "nondecreasing" | "nonincreasing" | "none"
     labels = None  # the accepted target values; None takes any real target
 
     def check_labels(self, Y: np.ndarray) -> None:
@@ -258,7 +237,6 @@ class L2Loss(Loss):
 
     name = "l2"
     convex_in_H = True
-    monotone = "none"
 
     def value(self, H, Y):
         return sqnorm(Y - H) / H.shape[1]
@@ -274,16 +252,13 @@ class L2Loss(Loss):
 class ExponentialLoss(Loss):
     """c * exp((1/c) * (1/N) * ||Y - H||_F^2).
 
-    Convex and increasing in the residual energy, which is the monotonicity
-    that matters for block-convexity when composed with convex nondecreasing
-    activations. Raises OverflowError (instead of returning inf) when the
-    exponent exceeds the float64 range.
+    Raises OverflowError (instead of returning inf) when the exponent
+    exceeds the float64 range.
     """
 
     c: float = 1.0
     name = "exponential"
     convex_in_H = True
-    monotone = "nondecreasing"
 
     def __post_init__(self):
         if not self.c > 0:
@@ -314,13 +289,11 @@ class CrossEntropyLoss(Loss):
 
     Predictions must lie in [0, 1]; values within _CE_CLAMP of the boundary
     are clamped before the log, anything outside [0, 1] is a domain error.
-    Targets must be 0/1. Direction in H flips with the label, so the loss is
-    declared non-monotone.
+    Targets must be 0/1.
     """
 
     name = "cross_entropy"
     convex_in_H = True
-    monotone = "none"
     labels = (0.0, 1.0)
 
     def _clamped(self, H):
@@ -346,15 +319,11 @@ class CrossEntropyLoss(Loss):
 
 @dataclass(frozen=True, repr=False)
 class SquaredHingeLoss(Loss):
-    """(1/(2cN)) * sum((1 - Y*H)_+^2) with labels in {-1, +1}.
-
-    Nonincreasing in the margin Y*H.
-    """
+    """(1/(2cN)) * sum((1 - Y*H)_+^2) with labels in {-1, +1}."""
 
     c: float = 1.0
     name = "squared_hinge"
     convex_in_H = True
-    monotone = "nonincreasing"
     labels = (-1.0, 1.0)
 
     def __post_init__(self):
@@ -377,13 +346,11 @@ class SquaredHingeLoss(Loss):
 class LogisticLoss(Loss):
     """(1/N) * sum_n log(1 + exp(-y_n . h_n)) with labels in {-1, +1}.
 
-    The inner product couples the dJ outputs of each sample; nonincreasing in
-    the per-sample margin.
+    The inner product couples the dJ outputs of each sample.
     """
 
     name = "logistic"
     convex_in_H = True
-    monotone = "nonincreasing"
     labels = (-1.0, 1.0)
 
     def value(self, H, Y):
@@ -518,27 +485,20 @@ REGULARIZERS = {cls.name: cls for cls in (Regularizer, L2Regularizer, L1Regulari
 # ---------------------------------------------------------------------------
 
 def classify_convexity(loss: Loss, activations, reg: Regularizer) -> str:
-    """Classify a block objective's curvature from the trait tables:
-    "strongly_convex", "concave" or "unknown".
+    """Curvature class of the objective in block j, given the activations
+    of layers j..J: "strongly_convex", "concave" or "unknown".
 
-    Strongly convex (modulus ``reg.strong_convexity``) when either
-      - all activations convex nondecreasing and the loss convex nondecreasing, or
-      - all activations concave nondecreasing and the loss convex nonincreasing,
-    and the regularizer is strongly convex. Concave when all activations are
-    convex nondecreasing, the loss concave nonincreasing, and no regularizer
-    is present. Everything else is unknown.
+    When every one of them is the identity, the output is affine in W_j and
+    the block objective is the loss of an affine map plus the penalty. It is
+    then strongly convex (modulus ``reg.strong_convexity``) under a loss
+    convex in H and an L2 penalty, and concave under a loss concave in H and
+    no penalty. Any other block is unknown: a nonlinear layer from j up can
+    make the block objective indefinite in W_j, whatever the loss.
     """
-    acts = list(activations)
-    all_cvx_nondec = all(a.convex and a.nondecreasing for a in acts)
-    all_ccv_nondec = all(a.concave and a.nondecreasing for a in acts)
-
-    c1 = all_cvx_nondec and loss.convex_in_H and loss.monotone == "nondecreasing"
-    c2 = all_ccv_nondec and loss.convex_in_H and loss.monotone == "nonincreasing"
-    if (c1 or c2) and reg.strong_convexity > 0:
+    if not all(isinstance(a, Identity) for a in activations):
+        return "unknown"
+    if loss.convex_in_H and reg.strong_convexity > 0:
         return "strongly_convex"
-
-    if all_cvx_nondec and loss.concave_in_H and loss.monotone == "nonincreasing" \
-            and reg.name == "none":
+    if loss.concave_in_H and reg.name == "none":
         return "concave"
-
     return "unknown"

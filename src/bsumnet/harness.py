@@ -24,8 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ConfigError, DomainError, IngestError, NonSmoothError, SizeError,
-                     SpecError)
+from .errors import (ConfigError, CurvatureError, DomainError, IngestError, NonSmoothError,
+                     SizeError, SpecError)
 from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
@@ -446,7 +446,7 @@ def _parse_network(d: dict) -> dict:
     return {"spec": spec, **_config_fields(d, ("init", "init_scale"), "network.")}
 
 
-def _parse_method(d: dict, idx: int, spec: NetworkSpec, n_samples: int) -> MethodSpec:
+def _parse_method(d: dict, idx: int, spec: NetworkSpec, loss, n_samples: int) -> MethodSpec:
     where = f"methods[{idx}]"
     name = _typed(d.pop("name", f"prop{idx}"), str, f"{where}.name")
     if not re.fullmatch(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*", name):
@@ -457,9 +457,9 @@ def _parse_method(d: dict, idx: int, spec: NetworkSpec, n_samples: int) -> Metho
             d[key] = _maybe_list(d[key], registry, key, f"{where}.{key}")
     train = _construct(TrainConfig, d, where, {"max_iterations": "max_outer_iterations"})
     try:
-        train.blocks(spec)
+        train.blocks(spec, loss)
         train.sampler.check_size(n_samples)
-    except (SpecError, NonSmoothError, SizeError) as exc:
+    except (SpecError, NonSmoothError, SizeError, CurvatureError) as exc:
         raise ConfigError(f"{where}: {exc}") from None
     return MethodSpec(name, train)
 
@@ -477,7 +477,7 @@ def parse_config(raw: dict) -> ExperimentConfig:
     network = _parse_network(_object(raw["network"], "network"))
     loss = _parse_kind(raw.get("loss", "l2"), LOSSES, "loss", "loss")
     data = _read_dataset(raw["dataset"], network["spec"].dims, loss)
-    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"],
+    methods = tuple(_parse_method(_object(m, f"methods[{i}]"), i, network["spec"], loss,
                                   data.n_samples)
                     for i, m in enumerate(_typed(raw.get("methods", []), list, "methods")))
     baselines = tuple(_construct(BaselineSpec, b, f"baselines[{i}]", {"kind": "name"})

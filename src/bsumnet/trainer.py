@@ -22,12 +22,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonSmoothError, SizeError, SpecError
-from .functions import sqnorm
+from .errors import CurvatureError, NonSmoothError, SizeError, SpecError
+from .functions import classify_convexity, sqnorm
 from .gradients import (_HESSIAN_SIZE_LIMIT, BatchSampler, BatchStream, NetworkPass,
                         block_objective_fn)
 from .netcore import Dataset, Network
-from .upperbounds import FirstOrderProx, SecondOrderProx, prox_l1_step
+from .upperbounds import FirstOrderProx, Proximal, SecondOrderProx, prox_l1_step
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
@@ -166,8 +166,8 @@ class TrainConfig:
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
     at the candidate direction (full-batch mode only; mini-batch runs keep
-    the configured gamma fixed). A mini-batch ``sampler`` needs the
-    first-order family on every layer.
+    the configured gamma fixed). ``curvature_override`` runs the proximal
+    and linear families on blocks not certified for them.
     """
 
     upperbound: object = field(default_factory=FirstOrderProx)
@@ -191,23 +191,23 @@ class TrainConfig:
             raise SpecError("unit_stepsize and a schedule are mutually exclusive")
         if not self.unit_stepsize and self.schedule is None:
             raise SpecError("a stepsize schedule is required unless alpha is pinned to 1")
-        kinds = self.upperbound if isinstance(self.upperbound, (list, tuple)) \
-            else [self.upperbound]
-        if self.sampler.mode != "full" and \
-                not all(isinstance(kd, FirstOrderProx) for kd in kinds):
-            raise SpecError("mini-batch samplers are defined for the first-order family")
 
-    def blocks(self, spec) -> tuple:
+    def blocks(self, spec, loss) -> tuple:
         """Each block's (surrogate family, stepsize schedule) for a run on
-        ``spec``; the schedule is None under ``unit_stepsize``. The one place
-        the per-block rules are checked: a per-layer tuple needs one non-None
-        entry per block (a SpecError), an L1 block needs the first-order
-        family and no Armijo search (a NonSmoothError), and a second-order
-        block at most ``block_hessian``'s size budget (a SizeError)."""
+        ``spec`` under ``loss``; the schedule is None under ``unit_stepsize``.
+        The one place the per-block rules are checked: a per-layer tuple
+        needs one non-None entry per block and a mini-batch sampler the
+        first-order family (a SpecError), an L1 block needs the first-order
+        family and no Armijo search (a NonSmoothError), a second-order block
+        at most ``block_hessian``'s size budget (a SizeError), and a family's
+        ``certificate`` must match ``classify_convexity`` (a CurvatureError)
+        unless ``curvature_override`` is set or the step is in closed form."""
         kinds = _per_layer(self.upperbound, spec.depth)
         scheds = (None,) * spec.depth if self.unit_stepsize \
             else _per_layer(self.schedule, spec.depth)
         for j, (reg, kind, sched) in enumerate(zip(spec.regularizers, kinds, scheds), 1):
+            if self.sampler.mode != "full" and not isinstance(kind, FirstOrderProx):
+                raise SpecError("mini-batch samplers are defined for the first-order family")
             if not reg.smooth and not isinstance(kind, FirstOrderProx):
                 raise NonSmoothError(
                     "L1-regularized blocks are only supported with the first-order family")
@@ -216,6 +216,13 @@ class TrainConfig:
             n = math.prod(spec.layer_shape(j))
             if isinstance(kind, SecondOrderProx) and n > _HESSIAN_SIZE_LIMIT:
                 raise SizeError(f"block {j}: {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
+            need = kind.certificate
+            if need and not self.curvature_override \
+                    and not (isinstance(kind, Proximal) and kind.closed_form(loss, spec, j)) \
+                    and classify_convexity(loss, spec.activations[j - 1:], reg) != need:
+                raise CurvatureError(
+                    f"block {j} not certified {need.replace('_', ' ')}; set "
+                    f"curvature_override=True to run the {kind.name} family heuristically")
         return tuple(zip(kinds, scheds))
 
 
@@ -316,8 +323,8 @@ class _LoopState:
     schedule state per block (one dict for all when the schedule is shared,
     so it advances once per iteration) and the mini-batch index stream."""
 
-    def __init__(self, cfg: TrainConfig, spec, n_samples: int):
-        self.blocks = cfg.blocks(spec)
+    def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
+        self.blocks = cfg.blocks(spec, loss)
         per_layer = isinstance(cfg.schedule, (list, tuple))
         self.sched = [{} for _ in range(spec.depth)] if per_layer else [{}] * spec.depth
         self.stream = BatchStream(cfg.sampler, n_samples)
@@ -336,16 +343,6 @@ def _full_diagnostics(full: NetworkPass, energy: float):
     f_val = full.objective()
     norm = _block_residual_norm(full.net, full.grads())
     return f_val, norm, _scaled_mse(sqnorm(full.data.Y - full.outs.output), energy)
-
-
-def _direction(fb: NetworkPass, cfg: TrainConfig, kind, j: int, adapt_ok: bool):
-    """Descent direction for block j from its surrogate family ``kind``;
-    returns (D, gamma_used, grad)."""
-    # data term only on an L1 block: its penalty is absorbed by the prox step
-    grad = fb.grad(j)
-    d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and adapt_ok,
-                              cfg.curvature_override)
-    return d, gamma, grad
 
 
 def _alpha_for_step(fb: NetworkPass, sched, j: int, k: int, d, grad,
@@ -376,7 +373,8 @@ def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
     kind, sched = state.blocks[j - 1]
     full_batch = cfg.sampler.mode == "full"
     fb = full if full_batch else full._on(full.data.restrict(state.stream.next(k)))
-    d, gamma, grad = _direction(fb, cfg, kind, j, full_batch)
+    grad = fb.grad(j)  # data term only on an L1 block: the prox step absorbs its penalty
+    d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and full_batch)
     alpha = _alpha_for_step(fb, sched, j, k, d, grad, state)
     full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))
     return j, alpha, gamma, math.sqrt(sqnorm(grad))
@@ -398,7 +396,7 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
     if k < 1:
         raise SpecError("iteration index starts at 1")
     if state is None:
-        state = _LoopState(cfg, net.spec, data.n_samples)
+        state = _LoopState(cfg, net.spec, loss, data.n_samples)
     t0 = time.perf_counter()
     full = NetworkPass(net.copy(), data, loss)
     j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
@@ -454,7 +452,7 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
 
 
 def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    state = _LoopState(cfg, net.spec, data.n_samples)
+    state = _LoopState(cfg, net.spec, loss, data.n_samples)
     full = NetworkPass(net.copy(), data, loss)
     record_every = cfg.record_every if cfg.record_every is not None else net.depth
     trace = run_loop(full, lambda k, _: _step(full, cfg, k, state), cfg.max_outer_iterations,

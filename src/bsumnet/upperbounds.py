@@ -1,16 +1,20 @@
 """Convex surrogate families and their block minimizers.
 
-Each family is a strongly convex model of the block objective around the
-current iterate; it owns the model's value (``evaluate``) and its minimizer
-over the block's feasible set (``direction``), the block's descent direction:
+Each family is a model of the block objective around the current iterate;
+it owns the model's value (``evaluate``) and its minimizer over the block's
+feasible set (``direction``), the block's descent direction:
 
   first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  Wk - g/gamma
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
   proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  projected gradient
-  linear           : f + <g, W - Wk>  (concave blocks only)   ->  -g
+  linear           : f + <g, W - Wk>                          ->  -g
 
-The proximal model at gamma = 0 is the block objective itself: its minimizer
-is exact block coordinate descent, solved in closed form when every
+The proximal model is strongly convex only on a strongly convex block, and
+the linear one majorizes only a concave block. These two families name the
+curvature class they need (``certificate``), which ``TrainConfig.blocks``
+checks once per run; their ``direction`` trusts it. The proximal model at
+gamma = 0 is the block objective itself: its minimizer is exact block
+coordinate descent, solved in closed form, with no certificate, when every
 activation is the identity under the L2 loss. The first-order family absorbs
 a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
 unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
@@ -31,7 +35,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
-from .functions import classify_convexity, sqnorm
+from .functions import sqnorm
 from .gradients import NetworkPass, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
@@ -63,14 +67,16 @@ def _block(fb: NetworkPass, j: int):
     return fb.net.weights[j - 1], spec.feasible_sets[j - 1], spec.regularizers[j - 1]
 
 
-# ``direction(fb, j, grad, adapt, override)`` returns the minimizer of a
-# family's model of block j at the pass ``fb``, and the gamma used. ``adapt``
-# allows the first-order gamma search, ``override`` skips curvature checks.
+# ``direction(fb, j, grad, adapt)`` returns the minimizer of a family's model
+# of block j at the pass ``fb``, and the gamma used. ``adapt`` allows the
+# first-order gamma search. ``certificate`` is the curvature class the model
+# needs of the block, None for a family that needs none.
 
 @dataclass(frozen=True)
 class FirstOrderProx:
     gamma: float = 1.0
     name = "first_order_prox"
+    certificate = None
 
     def __post_init__(self):
         _check_gamma(self.gamma)
@@ -80,7 +86,7 @@ class FirstOrderProx:
         lin, diff = anchor.linear(W)
         return lin + 0.5 * self.gamma * sqnorm(diff)
 
-    def direction(self, fb, j, grad, adapt, override):
+    def direction(self, fb, j, grad, adapt):
         w, feasible, reg = _block(fb, j)
         if not reg.smooth:
             if isinstance(feasible, Toeplitz):
@@ -99,6 +105,7 @@ class FirstOrderProx:
 class SecondOrderProx:
     gamma: float = 1.0
     name = "second_order_prox"
+    certificate = None
 
     def __post_init__(self):
         _check_gamma(self.gamma)
@@ -111,7 +118,7 @@ class SecondOrderProx:
         return lin + 0.5 * self.gamma * sqnorm(diff) \
             + 0.5 * float(d @ anchor.hess @ d)
 
-    def direction(self, fb, j, grad, adapt, override):
+    def direction(self, fb, j, grad, adapt):
         # exact on an unconstrained block and, in its kernel coordinates, on a
         # Toeplitz one; on a ball the step is still the projected Newton point
         w, feasible, _ = _block(fb, j)
@@ -125,6 +132,7 @@ class Proximal:
     max_iters: int = 500
     grad_tol: float = 1e-8
     name = "proximal"
+    certificate = "strongly_convex"
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -138,17 +146,17 @@ class Proximal:
         _, diff = anchor.linear(W)
         return anchor.f_fn(W) + 0.5 * self.gamma * sqnorm(diff)
 
-    def direction(self, fb, j, grad, adapt, override):
+    def closed_form(self, loss, spec, j: int) -> bool:
+        """Whether block j's step is ``closed_form_linear_block``: exact BCD
+        on an unconstrained block of a deep linear net under the L2 loss."""
+        return (self.gamma == 0 and loss.name == "l2"
+                and isinstance(spec.feasible_sets[j - 1], Unconstrained)
+                and all(a.name == "identity" for a in spec.activations))
+
+    def direction(self, fb, j, grad, adapt):
         w, feasible, reg = _block(fb, j)
-        acts = fb.net.spec.activations
-        if (self.gamma == 0 and fb.loss.name == "l2" and isinstance(feasible, Unconstrained)
-                and all(a.name == "identity" for a in acts)):
+        if self.closed_form(fb.loss, fb.net.spec, j):
             return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma
-        if classify_convexity(fb.loss, acts[j - 1:], reg) != "strongly_convex" \
-                and not override:
-            raise CurvatureError(
-                f"block {j} not certified strongly convex; "
-                "set curvature_override=True to run the proximal family heuristically")
         value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
                                           self.max_iters, self.grad_tol)
@@ -157,19 +165,20 @@ class Proximal:
 
 @dataclass(frozen=True)
 class LinearBound:
-    """Certified on concave blocks only; no catalog loss sets ``concave_in_H``,
-    so with catalog losses it runs only under ``curvature_override``."""
+    """Certified on concave blocks only: a concave loss (``concave_in_H``)
+    through identity layers, with no penalty. No catalog loss is concave, so
+    with catalog losses it runs only under ``curvature_override``."""
 
     name = "linear"
+    certificate = "concave"
 
     def evaluate(self, W, anchor):
         return anchor.linear(W)[0]
 
-    def direction(self, fb, j, grad, adapt, override):
-        w, feasible, reg = _block(fb, j)
-        curv = classify_convexity(fb.loss, fb.net.spec.activations[j - 1:], reg)
-        d = descent_direction_linear(w, grad, curv, override=override)
-        return feasible.project(d), 0.0
+    def direction(self, fb, j, grad, adapt):
+        w, feasible, _ = _block(fb, j)
+        # the run certified block j at its start, or set curvature_override
+        return feasible.project(descent_direction_linear(w, grad, "concave")), 0.0
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal,
@@ -336,10 +345,10 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray, curvature: str,
                              override: bool = False) -> np.ndarray:
     """Direction from the linear surrogate on concave blocks: -grad.
 
-    The trainer's update then reads (1-alpha) W - alpha * grad. A block
-    whose ``curvature`` (from ``classify_convexity``) is not "concave", as
-    with every catalog loss (none sets ``concave_in_H``), is an error
-    unless explicitly overridden.
+    The trainer's update then reads (1-alpha) W - alpha * grad. A
+    ``curvature`` class (as ``classify_convexity`` names it) other than
+    "concave" is a CurvatureError unless overridden. ``LinearBound`` passes
+    "concave": its run checked each block once, at its start.
     """
     if curvature != "concave" and not override:
         raise CurvatureError(

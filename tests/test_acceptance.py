@@ -153,7 +153,7 @@ def test_criterion_03_deep_linear_exact_bcd():
     from bsumnet.gradients import objective_value
     fs = [objective_value(current, data, L2Loss())]
     worst_block = 0.0
-    state = _LoopState(cfg, current.spec, data.n_samples)
+    state = _LoopState(cfg, current.spec, L2Loss(), data.n_samples)
     for k in range(1, 13):
         j = ((k - 1) % current.depth) + 1
         oracle = kron_block_oracle(current, data, j, lam)
@@ -170,7 +170,7 @@ def test_criterion_03_deep_linear_exact_bcd():
 def test_criterion_04_convex_block_monotonicity():
     rng = np.random.default_rng(4)
     dims = [4, 5, 1]
-    spec = NetworkSpec.homogeneous(dims, Softplus(),
+    spec = NetworkSpec.homogeneous(dims, Identity(),
                                    regularizer=Regularizer.l2(0.05))
     net = build_network(spec, "uniform", seed=5)
     teacher = build_network(spec, "uniform", seed=6)
@@ -184,7 +184,7 @@ def test_criterion_04_convex_block_monotonicity():
     _, trace = train(net, data, ExponentialLoss(1.0), cfg)
     fs = [trace.initial_f] + [r.f for r in trace.rows]
     rises = sum(1 for a, b in zip(fs, fs[1:]) if b > a + 1e-12)
-    _report(4, "exponential+softplus proximal training monotone over 2000 it",
+    _report(4, "exponential+identity proximal training monotone over 2000 it",
             rises == 0 and len(fs) >= 2000,
             f"rises {rises}, iterations {len(fs) - 1}, "
             f"f {fs[0]:.4f} -> {fs[-1]:.4f}")
@@ -326,7 +326,7 @@ def test_criterion_09_constraint_preservation():
     cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0),
                       max_outer_iterations=1, grad_norm_tol=1e-16,
                       adapt_gamma=False)
-    state = _LoopState(cfg, net.spec, data.n_samples)
+    state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
     current = net.copy()
     worst_t = 0.0
     for k in range(1, 1001):
@@ -340,7 +340,7 @@ def test_criterion_09_constraint_preservation():
                                      feasible=FrobeniusBall(rho))
     net_b = build_network(spec_b, "uniform", seed=11)
     data_b = Dataset(rng.standard_normal((4, 16)), rng.standard_normal((1, 16)))
-    state_b = _LoopState(cfg, net_b.spec, data_b.n_samples)
+    state_b = _LoopState(cfg, net_b.spec, L2Loss(), data_b.n_samples)
     current_b = net_b.copy()
     worst_b = 0.0
     for k in range(1, 1001):

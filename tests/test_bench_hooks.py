@@ -16,7 +16,7 @@ import scipy.linalg
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
 from bsumnet import (ArmijoRule, ExponentialLoss, FirstOrderProx, Identity,
                      InverseRoot, L2Loss, LinearBound, Logistic, Proximal,
-                     SecondOrderProx, Softplus, Tanh, Toeplitz, harness,
+                     SecondOrderProx, Tanh, Toeplitz, harness,
                      train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
@@ -109,8 +109,8 @@ EXACT_BCD = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True)
 @pytest.mark.parametrize("activation,loss,cfg,spans", [
     # exact BCD is the proximal family at gamma = 0: on a certified-convex
     # block its inner solver probes the block objective, on a deep linear
-    # net it is the closed-form block solve
-    (Softplus(), ExponentialLoss(1.0), EXACT_BCD,
+    # net under the L2 loss it is the closed-form block solve
+    (Identity(), ExponentialLoss(1.0), EXACT_BCD,
      {"upperbounds.direction", "gradients.probe"}),
     (Identity(), L2Loss(), EXACT_BCD, {"upperbounds.direction"}),
     (Logistic(), L2Loss(), TrainConfig(upperbound=LinearBound(), schedule=InverseRoot(1.0),

@@ -41,6 +41,7 @@ MALFORMED = [
     ("methods.0.upperbound", {"kind": "first_order_prox", "gamma": 0}),
     ("methods.0.upperbound", {"kind": "proximal", "max_iters": 0}),
     ("methods.0.upperbound", {"kind": "proximal", "gamma": -1}),
+    ("methods.0.upperbound", "proximal"),  # logistic blocks are not certified
     ("methods.0.exact_bcd", True),
     ("methods.0.schedule", {"kind": "constant", "c": 2}),
     ("methods.0.sampler", {"mode": "fixed", "batch_size": "x"}),

@@ -99,6 +99,11 @@ def test_kind_parses_to_direct_constructor(family, value, want, tmp_path):
     if family == "loss" and want.labels is not None:
         # the synthetic targets are real numbers, which a label loss refuses
         raw["dataset"] = label_dataset(tmp_path, want.labels)
+    if family == "upperbound" and want.certificate is not None:
+        # an L2-penalized identity network is certified strongly convex; no
+        # catalog loss is concave, so the linear family needs the override
+        raw["network"].update(activation="identity", regularizer={"kind": "l2", "lam": 0.1})
+        raw["methods"][0]["curvature_override"] = want.certificate == "concave"
     got = SLOTS[family][1](parse_config(raw))
     assert type(got) is type(want)
     assert got == want
@@ -111,9 +116,11 @@ def test_extra_key_rejected(family, value, want):
 
 
 def test_proximal_gamma_zero_parses():
-    # exact block coordinate descent is the proximal family at gamma = 0
-    got = SLOTS["upperbound"][1](parse_config(config_with(
-        "upperbound", {"kind": "proximal", "gamma": 0})))
+    # exact block coordinate descent is the proximal family at gamma = 0,
+    # solved in closed form on an identity network
+    raw = config_with("upperbound", {"kind": "proximal", "gamma": 0})
+    raw["network"]["activation"] = "identity"
+    got = SLOTS["upperbound"][1](parse_config(raw))
     assert type(got) is Proximal
     assert got == Proximal(0.0)
 

@@ -173,7 +173,7 @@ def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
     rng = np.random.default_rng(3)
     data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
     cfg = TrainConfig(upperbound=FirstOrderProx(4.0), schedule=ArmijoRule())
-    state = _LoopState(cfg, net.spec, data.n_samples)
+    state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
     full = NetworkPass(net, data, L2Loss())
     full.objective()
     calls = counted_refreshes(monkeypatch)
@@ -215,7 +215,7 @@ def test_stalled_geometric_steps_run_no_forward(monkeypatch):
     data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
     cfg = TrainConfig(upperbound=FirstOrderProx(1.0), schedule=Geometric(1.0),
                       adapt_gamma=False)
-    state = _LoopState(cfg, net.spec, data.n_samples)
+    state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
     full = NetworkPass(net, data, L2Loss())
     for k in range(1, 121):
         _step(full, cfg, k, state)

@@ -507,13 +507,18 @@ class TestRunExperiment:
         assert len(result.curve_paths) == 3  # all runs still wrote files
 
     def test_run_that_raises_is_summarized(self, tmp_path):
-        # logistic blocks are not certified strongly convex, so the proximal
-        # family raises on the first step; the summary and curve still appear
+        # exact BCD on an unregularized deep linear net: block 1's downstream
+        # factor (2 x 3) is rank-deficient, so its closed-form solve raises on
+        # the first step; the summary and curve still appear
         raw = minimal_config(tmp_path, baselines=[])
-        raw["methods"][0]["upperbound"] = "proximal"
+        raw["dataset"]["teacher_dims"] = raw["network"]["dims"] = [3, 3, 2]
+        raw["dataset"]["n_features"] = 3
+        raw["network"].update(activation="identity", regularizer="none")
+        raw["methods"][0].update(upperbound={"kind": "proximal", "gamma": 0},
+                                 unit_stepsize=True, schedule=None)
         result = run_experiment(parse_config(raw))
-        message = ("CurvatureError: block 1 not certified strongly convex; set "
-                   "curvature_override=True to run the proximal family heuristically")
+        message = ("SingularError: normal equations singular; "
+                   "use lam > 0 or full-rank factors")
         assert result.failures == [f"prop seed 0: {message}"]
         summary = json.loads(result.summary_paths[0].read_text(encoding="utf-8"))
         del summary["wall_time_seconds"]

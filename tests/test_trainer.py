@@ -101,10 +101,10 @@ class TestTrainConfigValidation:
         net, _ = small_problem()
         cfg = TrainConfig(upperbound=(FirstOrderProx(1.0), SecondOrderProx(2.0)),
                           schedule=Constant(0.5))
-        assert cfg.blocks(net.spec) == ((FirstOrderProx(1.0), Constant(0.5)),
-                                        (SecondOrderProx(2.0), Constant(0.5)))
+        assert cfg.blocks(net.spec, L2Loss()) == ((FirstOrderProx(1.0), Constant(0.5)),
+                                                  (SecondOrderProx(2.0), Constant(0.5)))
         newton = TrainConfig(upperbound=SecondOrderProx(), unit_stepsize=True)
-        assert newton.blocks(net.spec) == ((SecondOrderProx(), None),) * 2
+        assert newton.blocks(net.spec, L2Loss()) == ((SecondOrderProx(), None),) * 2
 
     @staticmethod
     def steps_taken(monkeypatch, net, data, cfg, error):
@@ -140,11 +140,11 @@ class TestTrainConfigValidation:
                           max_outer_iterations=3)
         assert self.steps_taken(monkeypatch, net, data, cfg, SizeError) == 0
         with pytest.raises(SizeError, match="block 2: 10201 parameters, over the 10000"):
-            cfg.blocks(net.spec)
+            cfg.blocks(net.spec, L2Loss())
         first_order = TrainConfig(upperbound=FirstOrderProx(), unit_stepsize=True)
-        assert len(first_order.blocks(net.spec)) == 3
+        assert len(first_order.blocks(net.spec, L2Loss())) == 3
         at_budget = NetworkSpec.homogeneous([1, 100, 100, 1], Tanh())
-        assert len(cfg.blocks(at_budget)) == 3
+        assert len(cfg.blocks(at_budget, L2Loss())) == 3
 
     @pytest.mark.parametrize("settings", [
         {"schedule": (Constant(0.5), None)},
@@ -175,22 +175,22 @@ class TestTrainStep:
         # an inf in D, signed as the gradient, gives the slope +inf, so the
         # search returns alpha 0; 0.0 * inf must not reach W_j
         net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=3)
-        direction = trainer._direction
+        direction = FirstOrderProx.direction
 
-        def poisoned(*args):
-            d, gamma, grad = direction(*args)
+        def poisoned(kind, fb, j, grad, adapt):
+            d, gamma = direction(kind, fb, j, grad, adapt)
             d = d.copy()
             d[0, 0] = np.copysign(np.inf, grad[0, 0])
-            return d, gamma, grad
+            return d, gamma
 
-        monkeypatch.setattr(trainer, "_direction", poisoned)
+        monkeypatch.setattr(FirstOrderProx, "direction", poisoned)
         cfg = TrainConfig(schedule=ArmijoRule(), adapt_gamma=False)
         full = NetworkPass(net, data, L2Loss())
         w = full.net.weights[0].copy()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, alpha, _, _ = trainer._step(full, cfg, 1,
-                                           _LoopState(cfg, net.spec, data.n_samples))
+            state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
+            _, alpha, _, _ = trainer._step(full, cfg, 1, state)
         assert alpha == 0.0
         assert full.net.weights[0].tobytes() == w.tobytes()
 
@@ -389,7 +389,7 @@ class TestTrainLoop:
 
     def test_monotone_descent_in_certified_convex_regime(self):
         dims = [4, 5, 1]
-        spec = NetworkSpec.homogeneous(dims, Softplus(),
+        spec = NetworkSpec.homogeneous(dims, Identity(),
                                        regularizer=Regularizer.l2(0.05))
         net = build_network(spec, "uniform", seed=13)
         teacher = build_network(spec, "uniform", seed=14)
@@ -408,6 +408,8 @@ class TestTrainLoop:
         net, data = small_problem(seed=15)  # logistic: not certified
         cfg = TrainConfig(upperbound=Proximal(1.0), schedule=Constant(0.5),
                           max_outer_iterations=2, adapt_gamma=False)
+        with pytest.raises(CurvatureError, match="block 1 not certified strongly convex"):
+            cfg.blocks(net.spec, L2Loss())
         with pytest.raises(CurvatureError):
             train_step(net, data, L2Loss(), cfg, k=1)
         cfg_override = TrainConfig(upperbound=Proximal(1.0), schedule=Constant(0.5),
@@ -437,7 +439,7 @@ class TestTrainLoop:
         state = None
         current = net.copy()
         from bsumnet.trainer import _LoopState
-        state = _LoopState(cfg, current.spec, data.n_samples)
+        state = _LoopState(cfg, current.spec, L2Loss(), data.n_samples)
         for k in range(1, 51):
             current, _ = train_step(current, data, L2Loss(), cfg, k, state)
             for fs, w in zip(spec.feasible_sets, current.weights):
@@ -543,10 +545,12 @@ class TestStochasticTrain:
             assert a.alpha == b.alpha and a.gamma == b.gamma
 
     def test_requires_first_order_family(self):
-        with pytest.raises(SpecError):
-            TrainConfig(upperbound=SecondOrderProx(1.0), schedule=Constant(0.5),
-                        sampler=BatchSampler("fixed", batch_size=4, seed=0),
-                        max_outer_iterations=4, adapt_gamma=False)
+        net, _ = small_problem()
+        cfg = TrainConfig(upperbound=SecondOrderProx(1.0), schedule=Constant(0.5),
+                          sampler=BatchSampler("fixed", batch_size=4, seed=0),
+                          max_outer_iterations=4, adapt_gamma=False)
+        with pytest.raises(SpecError, match="mini-batch samplers"):
+            cfg.blocks(net.spec, L2Loss())
 
     @pytest.mark.parametrize("sampler", [BatchSampler("fixed", batch_size=4, seed=1),
                                          BatchSampler("increasing", seed=2)],
@@ -606,6 +610,34 @@ def first_order_runs(draw, schedules=(InverseRoot(1.0), Recursive(0.9, 0.5), Arm
     return build_network(spec, "uniform", seed=seed), data, cfg
 
 
+@st.composite
+def proximal_runs(draw):
+    """Small problems whose top layers are the identity, so that their
+    blocks are certified strongly convex: the proximal family on those,
+    the first-order family on the logistic / tanh / softplus layers below,
+    over unconstrained, Toeplitz or Frobenius-ball layers with L2 1e-2,
+    and Armijo steps or unit steps, with adaptive gamma."""
+    depth = draw(st.integers(1, 3))
+    top = draw(st.integers(1, depth))
+    dims = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    act = draw(st.sampled_from([Logistic(), Tanh(), Softplus()]))
+    sets = tuple(draw(st.sampled_from([Unconstrained(), Toeplitz(), FrobeniusBall(0.5)]))
+                 for _ in range(depth))
+    spec = NetworkSpec(tuple(dims), (act,) * (depth - top) + (Identity(),) * top, sets,
+                       (Regularizer.l2(1e-2),) * depth)
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 8))
+    data = Dataset(rng.standard_normal((dims[0], n)), rng.standard_normal((dims[-1], n)))
+    gamma = draw(st.sampled_from([0.0, 0.1, 1.0]))
+    kinds = (FirstOrderProx(0.1),) * (depth - top) + (Proximal(gamma, max_iters=50),) * top
+    schedule = draw(st.sampled_from([ArmijoRule(), None]))
+    cfg = TrainConfig(upperbound=kinds, schedule=schedule, unit_stepsize=schedule is None,
+                      max_outer_iterations=draw(st.integers(1, 12)),
+                      record_every=1, grad_norm_tol=1e-13)
+    return build_network(spec, "uniform", seed=seed), data, cfg
+
+
 def _without_clock(row):
     return dataclasses.replace(row, wall_seconds=0.0)
 
@@ -633,18 +665,26 @@ def _is_feasible(feasible, w) -> bool:
 
 
 class TestRunProperties:
-    @given(first_order_runs(schedules=(ArmijoRule(), None)))
-    @settings(max_examples=150, deadline=None)
-    def test_f_never_rises_and_iterates_stay_feasible(self, run):
-        net, data, cfg = run
+    @staticmethod
+    def assert_f_never_rises_and_iterates_stay_feasible(net, data, cfg):
         _, trace = train(net, data, L2Loss(), cfg)
         fs = [trace.initial_f] + [r.f for r in trace.rows]
         assert all(b <= a + 1e-12 * max(1.0, abs(a)) for a, b in zip(fs, fs[1:]))
-        state = _LoopState(cfg, net.spec, data.n_samples)
+        state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
         for k in range(1, trace.iterations_run + 1):
             net, _ = train_step(net, data, L2Loss(), cfg, k, state)
             assert all(_is_feasible(s, w)
                        for s, w in zip(net.spec.feasible_sets, net.weights))
+
+    @given(first_order_runs(schedules=(ArmijoRule(), None)))
+    @settings(max_examples=150, deadline=None)
+    def test_f_never_rises_and_iterates_stay_feasible(self, run):
+        self.assert_f_never_rises_and_iterates_stay_feasible(*run)
+
+    @given(proximal_runs())
+    @settings(max_examples=80, deadline=None)
+    def test_proximal_on_certified_blocks_never_raises_f(self, run):
+        self.assert_f_never_rises_and_iterates_stay_feasible(*run)
 
 
 class TestNormalizedMse:
