@@ -31,7 +31,8 @@ of U_j, g the data-term block gradient, kappa the loss's coupling of the
 samples (1/L for the exponential loss, 0 for the others) and mu the
 regularizer's strong-convexity modulus (2 lam for L2). One R-pass
 (Pearlmutter, 1994) from the unit directions RZ_j = e_r 1^T for all r at
-once gives M~_n, and
+once gives M~_n = W_{j+1}^T Q_n, with Q = R{D_{j+1}} (at j = J, W = I and Q_n
+the loss's curvature in column n of H), and
 
     M_n[s,r] = sigma'_j[s] sigma'_j[r] M~_n[s,r] + [s = r] b_j[s],
 
@@ -39,8 +40,20 @@ with b_j = df/dZ_j (.) sigma''_j layer j's bend. The sum is one GEMM over
 unordered pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows
 M_n[s,r], s <= r, and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order:
 H is bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the
-same product entry. The stage tensors and gathers go to a scratch the pass
-owns, flat buffers kept by role and grown on demand.
+same product entry.
+
+A Toeplitz block W_j = v[index] has K = d_j + d_{j-1} - 1 unknowns, its
+diagonal values. With P the 0/1 map from v to vec(W_j), column n of U_j is
+Y_n v, Y_n[s, p] = z_n[s + p - d_j + 1] (zero outside), and without H
+
+    P'HP = sum_n (W_{j+1} S_n Y_n)'(Q_n S_n Y_n) + sum_s window_s(Z diag(b_s) Z')
+           + kappa (P'g)(P'g)' + mu diag(P'P),
+
+with S_n = diag(sigma'_j) at column n and window_s placing its matrix at
+offset d_j - 1 - s on the diagonal: O(d_{j+1} d_j K N + d_{j+1} K^2 N +
+d_j d_{j-1}^2 N) work, against O((d_j d_{j-1})^2 N) for H. The stage tensors
+and gathers go to a scratch the pass owns, flat buffers kept by role and
+grown on demand.
 
 The contractions W^T X of the deltas and the R-pass go through
 ``_wt_matmul``, a broadcast product through a one-row W (d_J = 1).
@@ -55,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonSmoothError, ShapeError, SizeError, SpecError
-from .netcore import Dataset, LayerOutputs, Network, forward
+from .netcore import Dataset, LayerOutputs, Network, Toeplitz, forward
 
 __all__ = [
     "NetworkPass", "BatchSampler", "BatchStream",
@@ -202,11 +215,14 @@ class NetworkPass:
         """Exact Hessian of f in row-major vec(W_j), from the cached stages
         (formula in the module docstring); bitwise symmetric and the caller's to keep."""
         z = self.outs.post_activations[j - 1]
-        m, slope, bend, kappa = self._curvature(j)
-        rows, row_s, row_r, cols, cols_t, gather = _pair_layout(self.net.spec.dims[j], len(z))
+        w, q, slope, bend, kappa = self._curvature(j)
+        d_j, n = slope.shape
+        m = q if w is None else _wt_matmul(w, q.reshape(len(q), -1),
+                                           self._buf(("rd", j % 2), d_j, d_j * n))
+        rows, row_s, row_r, cols, cols_t, gather = _pair_layout(d_j, len(z))
         # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e], M_n[s,r] from s <= r,
         # the d_j rows s = r first
-        pairs = self._take(("rd", (j + 1) % 2), m, rows)
+        pairs = self._take(("rd", (j + 1) % 2), m.reshape(d_j * d_j, n), rows)
         scale = self._take("zz", slope, row_s)
         scale *= self._take(("rd", j % 2), slope, row_r)  # M's buffer, free once taken
         pairs *= scale
@@ -221,14 +237,57 @@ class NetworkPass:
         hess.reshape(-1)[::len(hess) + 1] += self.net.spec.regularizers[j - 1].strong_convexity
         return hess
 
-    def _curvature(self, j: int) -> tuple:
-        """Per-sample curvature of the data term in U_j, as (M~, slope, bend,
-        kappa): d^2 f / dU_j[s, n] dU_j[r, n] without the loss's sample
-        coupling is slope[s, n] slope[r, n] M~[s * d_j + r, n] + [s = r]
-        bend[s, n], with slope = sigma'_j and bend = df/dZ_j (.) sigma''_j,
-        and kappa is that coupling's weight (``curvature_H``).
+    def kernel_hessian(self, j: int) -> np.ndarray:
+        """Hessian of f in the diagonal values of W_j (``Toeplitz.kernel_index``),
+        P'HP in the module docstring; symmetric to rounding and the caller's."""
+        z = self.outs.post_activations[j - 1]
+        w, q, slope, bend, kappa = self._curvature(j)
+        (d_j, n), d_prev = slope.shape, len(z)
+        k = d_j + d_prev - 1
+        # Y[n] = Y_n, windows of a zero-padded Z^T
+        pad = self._buf("pad", n, k + d_j - 1)
+        pad.fill(0.0)
+        pad[:, d_j - 1:d_j - 1 + d_prev] = z.T
+        y = self._buf("y", n, d_j, k)
+        step = pad.strides[1]
+        np.copyto(y, np.lib.stride_tricks.as_strided(pad, y.shape, (pad.strides[0], step, step)))
+        # W S_n and Q_n S_n side by side (W = I at j = J), times Y_n
+        d_next = len(q)
+        factors = self._buf("factors", n, 2, d_next, d_j)
+        np.multiply(np.eye(d_j) if w is None else w, slope.T[:, None, :], out=factors[:, 0])
+        np.multiply(q.transpose(2, 0, 1), slope.T[:, None, :], out=factors[:, 1])
+        ab = np.matmul(factors.reshape(n, 2 * d_next, d_j), y,
+                       out=self._buf("ab", n, 2 * d_next, k)).reshape(n, 2, d_next, k)
+        hess = ab[:, 0].reshape(-1, k).T @ ab[:, 1].reshape(-1, k)
+        # the bend's windows from pairs c <= e; the pairs c = e count half, as
+        # adding the transpose doubles them (both exact)
+        c, e, bins = _window_layout(d_j, d_prev)
+        zz = self._take("zz", z, c)
+        zz *= self._take("y", z, e)  # Y's buffer, free once used
+        windows = zz @ bend.T
+        windows[:d_prev] *= 0.5
+        upper = np.bincount(bins, weights=windows.ravel(), minlength=k * k).reshape(k, k)
+        hess += upper
+        hess += upper.T
+        index = Toeplitz().kernel_index(self.net.weights[j - 1].shape)
+        if kappa:
+            g = np.bincount(index, weights=self.grad(j, include_reg=False).reshape(-1))
+            hess += kappa * np.outer(g, g)
+        hess.reshape(-1)[::k + 1] += self.net.spec.regularizers[j - 1].strong_convexity \
+            * np.bincount(index)
+        return hess
 
-        M~ is the R-pass from the unit directions RZ_j = e_r 1^T, carried at
+    def _curvature(self, j: int) -> tuple:
+        """Per-sample curvature of the data term in U_j, as (W, Q, slope,
+        bend, kappa): d^2 f / dU_j[s, n] dU_j[r, n] without the loss's sample
+        coupling is slope[s, n] slope[r, n] M~_n[s, r] + [s = r] bend[s, n],
+        with M~_n = W' Q[:, :, n], slope = sigma'_j and bend = df/dZ_j (.)
+        sigma''_j, and kappa is that coupling's weight (``curvature_H``).
+        W is W_{j+1} and Q of shape (d_{j+1}, d_j, N) is R{D_{j+1}}, on the
+        scratch until the next query; at j = J, W is None (the identity) and
+        Q the loss's curvature in H.
+
+        The R-pass runs from the unit directions RZ_j = e_r 1^T, carried at
         once, so its stage tensors have shape (d_i, d_j, N); the scratch keeps
         RU_i as role ("ru", i) and R{D_i} as ("rd", i % 2). RU_{j+1} = W_{j+1}
         is constant in n and never stored: RU_{j+2} is one GEMM through
@@ -245,7 +304,7 @@ class NetworkPass:
         back = self.loss.grad_H(outs.output, self.data.Y)  # df/dZ_i
         bend = back * acts[-1].second_derivative(pre[-1], post[-1])
         if j == depth:
-            return curv.reshape(d_j * d_j, n), slopes[0], bend, kappa
+            return None, curv, slopes[0], bend, kappa
         ru = [weights[j][:, :, None]]  # RU_i for i = j+1..J
         for i in range(j + 2, depth + 1):
             out = self._buf(("ru", i), len(pre[i - 1]), d_j, n)
@@ -274,10 +333,9 @@ class NetworkPass:
             # einsum broadcasts RU_{j+1} = W_{j+1} about twice as fast as multiply
             rd += np.einsum("arn,an->arn", ru[i - 2 - j], bend,
                             out=self._buf(("ru", i - 1), *rd.shape))
-        m = _wt_matmul(weights[j], rd.reshape(len(rd), -1), self._buf(("rd", j % 2), d_j, d_j * n))
         back = _wt_matmul(weights[j], deltas[j])
         bend = back * acts[j - 1].second_derivative(pre[j - 1], post[j])
-        return m.reshape(d_j * d_j, n), slopes[0], bend, kappa
+        return weights[j], rd, slopes[0], bend, kappa
 
     def _buf(self, role, *shape) -> np.ndarray:
         # an array of this shape on the role's scratch buffer, grown on demand
@@ -315,6 +373,17 @@ def _pair_layout(d_j: int, d_prev: int) -> tuple:
     col_pair[cols] = col_pair[cols[::-1]] = np.arange(len(cols[0]))
     gather = row_pair[:, None, :, None] * len(cols[0]) + col_pair[None, :, None, :]
     return (rows[0] * d_j + rows[1], *rows, *cols, gather.reshape(d_j * d_prev, d_j * d_prev))
+
+
+@functools.lru_cache(maxsize=4)
+def _window_layout(d_j: int, d_prev: int) -> tuple:
+    """Rows c and e of pairs c <= e, those with c = e first, and the flat
+    index of (c + o, e + o), o = d_j - 1 - s, in the K x K kernel Hessian,
+    in (pair, s) order; cached for four shapes."""
+    c, e = (np.concatenate((np.arange(d_prev), side)) for side in np.triu_indices(d_prev, 1))
+    offset = np.arange(d_j - 1, -1, -1)
+    k = d_j + d_prev - 1
+    return c, e, ((c[:, None] + offset) * k + e[:, None] + offset).ravel()
 
 
 def _content(w: np.ndarray) -> tuple:

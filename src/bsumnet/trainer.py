@@ -199,7 +199,8 @@ class TrainConfig:
         needs one non-None entry per block and a mini-batch sampler the
         first-order family (a SpecError), an L1 block needs the first-order
         family and no Armijo search (a NonSmoothError), a second-order block
-        at most ``block_hessian``'s size budget (a SizeError), and a family's
+        at most the Hessian's size budget in the coordinates its step solves
+        for, weights or a tied set's kernel (a SizeError), and a family's
         ``certificate`` must match ``classify_convexity`` (a CurvatureError)
         unless ``curvature_override`` is set or the step is in closed form."""
         kinds = _per_layer(self.upperbound, spec.depth)
@@ -213,9 +214,13 @@ class TrainConfig:
                     "L1-regularized blocks are only supported with the first-order family")
             if not reg.smooth and isinstance(sched, ArmijoRule):
                 raise NonSmoothError(f"Armijo search needs a smooth regularizer on block {j}")
-            n = math.prod(spec.layer_shape(j))
-            if isinstance(kind, SecondOrderProx) and n > _HESSIAN_SIZE_LIMIT:
-                raise SizeError(f"block {j}: {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
+            if isinstance(kind, SecondOrderProx):
+                # a Newton step solves for the block's weights, or a tied set's kernel
+                index = spec.feasible_sets[j - 1].kernel_index(spec.layer_shape(j))
+                n = math.prod(spec.layer_shape(j)) if index is None else int(index.max()) + 1
+                if n > _HESSIAN_SIZE_LIMIT:
+                    raise SizeError(
+                        f"block {j}: {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
             need = kind.certificate
             if need and not self.curvature_override \
                     and not (isinstance(kind, Proximal) and kind.closed_form(loss, spec, j)) \

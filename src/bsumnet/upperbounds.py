@@ -18,16 +18,15 @@ coordinate descent, solved in closed form, with no certificate, when every
 activation is the identity under the L2 loss. The first-order family absorbs
 a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
 unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
-the projected Newton point. It reads the upper triangle of the Hessian it
-is given: a contiguous copy of H^T is factored on its lower triangle by
-scipy's ``cho_factor`` and solved with LAPACK's ``dpotrs`` on that factor;
-a Toeplitz block's tie counts and the bins that sum that triangle into the
-kernel Hessian are kept per shape.
+the projected Newton point. On a Toeplitz block it takes the Hessian in
+the block's diagonal values, which ``NetworkPass.kernel_hessian`` assembles
+without the dense one. It reads the upper triangle of the Hessian it is
+given: a contiguous copy of H^T is factored on its lower triangle by scipy's
+``cho_factor`` and solved with LAPACK's ``dpotrs`` on that factor.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -122,7 +121,10 @@ class SecondOrderProx:
         # exact on an unconstrained block and, in its kernel coordinates, on a
         # Toeplitz one; on a ball the step is still the projected Newton point
         w, feasible, _ = _block(fb, j)
-        hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
+        if feasible.kernel_index(w.shape) is None:
+            hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
+        else:
+            hess = fb.kernel_hessian(j)
         return descent_direction_second_order(w, grad, hess, self.gamma, feasible), self.gamma
 
 
@@ -221,9 +223,11 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
                                    feasible: FeasibleSet = Unconstrained()) -> np.ndarray:
     """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
-    projected onto the feasible set, or exact in a set's kernel coordinates
-    (``kernel_index``): W - P (P'HP + gamma P'P)^{-1} P'grad, with P the 0/1
-    map from kernel to block and P'P its diagonal of tie counts.
+    projected onto the feasible set. On a set with kernel coordinates
+    (``kernel_index``) ``hess`` is the Hessian in them, P'HP with P the 0/1
+    map from kernel to block (``NetworkPass.kernel_hessian``), and the step is
+    exact there: W - P (P'HP + gamma P'P)^{-1} P'grad, with P'P the diagonal
+    of tie counts.
 
     Only the upper triangle of ``hess`` enters the step. The damped system
     is solved by Cholesky; if it is not positive definite, gamma is doubled
@@ -231,21 +235,13 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     triangle) or gradient with infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
-    n = W.size
-    if hess.shape != (n, n):
-        raise SpecError(f"Hessian shape {hess.shape} incompatible with block size {n}")
     index = feasible.kernel_index(W.shape)
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
-        tied, damping = _tied_pairs(feasible, W.shape)
-        k = len(damping)
-        sums = np.bincount(tied, weights=hess.ravel(), minlength=k * (2 * k + 1))
-        if not np.isfinite(sums[k * (k + 1):]).all():
-            raise ValueError("Hessian must not contain infs or NaNs")
-        upper = sums[:k * k].reshape(k, k)
-        hess = upper + upper.T  # P'HP
-        hess.reshape(-1)[::k + 1] += sums[k * k:k * (k + 1)]
-        rhs = np.bincount(index, weights=rhs)
+        rhs, damping = np.bincount(index, weights=rhs), np.bincount(index)
+    n = len(rhs)
+    if hess.shape != (n, n):
+        raise SpecError(f"Hessian shape {hess.shape} incompatible with {n} coordinates")
     if not np.isfinite(rhs).all():
         raise ValueError("gradient must not contain infs or NaNs")
     h = np.empty(hess.shape, order="F")  # the solver's copy, factored in place
@@ -267,26 +263,6 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
         return W - step[index].reshape(W.shape)
     raise CurvatureError(
         f"damped Hessian not positive definite after {_MAX_DOUBLINGS} gamma doublings")
-
-
-@functools.lru_cache(maxsize=4)
-def _tied_pairs(feasible: FeasibleSet, shape: tuple) -> tuple:
-    """Bins that sum a row-major Hessian H's upper triangle into P'HP, and the
-    tie count of each kernel coordinate; kept for four (set, shape) pairs.
-    With k kernel coordinates, entry (a, b) at coordinates (p, q) goes to bin
-    p*k + q when a < b, the upper part S of P'HP = S + S' + the diagonal's
-    sums, and to bin k*k + p when a = b; an entry a > b goes to bin
-    k*(k+1) + p*k + q, only checked for infs and NaNs (one shared bin would
-    serialize half the sum). The counts are read-only; the bins are not, as
-    ``np.bincount`` copies a read-only index (512 KB on a 16x16 block)."""
-    index = feasible.kernel_index(shape)
-    ties = np.bincount(index)
-    ties.flags.writeable = False
-    k, n = len(ties), len(index)
-    bins = np.add.outer(k * index, index)
-    np.add(bins, k * (k + 1), out=bins, where=np.tri(n, k=-1, dtype=bool))
-    bins.flat[::n + 1] = k * k + index
-    return bins.ravel(), ties
 
 
 def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,

@@ -97,7 +97,7 @@ def scalar_block_gradient(net, X, Y, loss, j, reg=None):
         for r in range(w.shape[0]):
             for c in range(w.shape[1]):
                 grad[r, c] += deltas[j - 1][r, n] * post[j - 1][n][c]
-    if reg is not None and reg.kind == "l2":
+    if reg is not None and reg.name == "l2":
         grad += 2.0 * reg.lam * w
     return grad
 
@@ -188,13 +188,15 @@ def dense_block_hessian(net, data, loss, j):
     """Block-j Hessian assembled over ordered pairs: the full
     (d_j^2, N) @ (N, d_{j-1}^2) product of the per-sample curvature M_n with
     z_n z_n^T, a transpose into row-major vec(W_j), then (H + H^T)/2. M_n is
-    rebuilt from the R-pass's parts as sigma'_j sigma'_j^T (.) M~_n + diag(bend);
-    the R-pass (``NetworkPass._curvature``) is all it shares with the library."""
+    rebuilt from the R-pass's parts as sigma'_j sigma'_j^T (.) M~_n + diag(bend),
+    with M~_n = W' Q_n (Q_n itself at j = J) by einsum; the R-pass
+    (``NetworkPass._curvature``) is all it shares with the library."""
     fb = NetworkPass(net, data, loss)
     z = fb.outs.post_activations[j - 1]
     d_j, d_prev, n = net.spec.dims[j], z.shape[0], z.shape[1]
-    m, slope, bend, kappa = fb._curvature(j)
-    m = slope[:, None, :] * slope[None, :, :] * m.reshape(d_j, d_j, n)
+    w, q, slope, bend, kappa = fb._curvature(j)
+    m = q if w is None else np.einsum("as,arn->srn", w, q)
+    m = slope[:, None, :] * slope[None, :, :] * m
     m[np.arange(d_j), np.arange(d_j)] += bend
     hess = m.reshape(d_j * d_j, n) \
         @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T

@@ -7,6 +7,7 @@ runs one traced training step, and checks that uninstalling restores every
 attribute it touched.
 """
 
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -15,9 +16,9 @@ import scipy.linalg
 
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
 from bsumnet import (ArmijoRule, ExponentialLoss, FirstOrderProx, Identity,
-                     InverseRoot, L2Loss, LinearBound, Logistic, Proximal,
-                     SecondOrderProx, Tanh, Toeplitz, harness,
-                     train_step)
+                     InverseRoot, L2Loss, LinearBound, Logistic, Network, Proximal,
+                     SecondOrderProx, Tanh, Toeplitz, Unconstrained, harness,
+                     train, train_step)
 from bsumnet.trainer import TrainConfig
 from conftest import make_problem
 
@@ -79,15 +80,33 @@ def test_newton_step_records_a_block_hessian_span():
 
 
 def test_newton_step_on_a_toeplitz_block_is_traced():
-    # curvature's Toeplitz block: its Hessian, kernel solve and Cholesky
-    # must still reach the spans and counters the benchmark reads
+    # curvature's Toeplitz block: its kernel solve and Cholesky must still
+    # reach the spans and counters the benchmark reads; its Hessian is
+    # assembled in kernel coordinates, without gradients.block_hessian
     net, data = make_problem([3, 3, 1], Tanh(), L2Loss(), seed=0, feasible=Toeplitz())
     cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True)
     tracer, _ = traced_step(net, data, cfg)
-    spans = {(s[0], s[4]) for s in tracer.spans}
-    assert ("gradients.block_hessian", 1) in spans
-    assert "upperbounds.direction" in {name for name, _ in spans}
+    names = {s[0] for s in tracer.spans}
+    assert "upperbounds.direction" in names
+    assert "gradients.block_hessian" not in names
     assert tracer.counts["cholesky_calls"] >= 1
+
+
+def test_curvature_cycle_reaches_cho_factor_on_every_block():
+    # one cycle of curvature's layout: the benchmark's Cholesky counters see
+    # all three Newton steps, block_hessian only the two dense blocks
+    net, data = make_problem([3, 4, 4, 1], Tanh(), L2Loss(), seed=0)
+    spec = dataclasses.replace(net.spec, feasible_sets=(Unconstrained(), Toeplitz(),
+                                                        Unconstrained()))
+    net = Network(spec, [w if j != 2 else Toeplitz().project(w)
+                         for j, w in enumerate(net.weights, 1)])
+    cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True,
+                      max_outer_iterations=3)
+    tracer, _ = traced_run(lambda: train(net, data, L2Loss(), cfg))
+    hessians = [s[4] for s in tracer.spans if s[0] == "gradients.block_hessian"]
+    assert sorted(hessians) == [1, 3]
+    counts = tracer.counts
+    assert counts["cholesky_calls"] - counts["cholesky_retries"] == 3, counts
 
 
 def test_armijo_step_records_probe_spans():

@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
                      ExponentialLoss, Identity, L2Loss, Logistic, LogisticLoss,
                      NetworkSpec, Network, NonSmoothError, Regularizer,
-                     ShapeError, Softplus, SpecError, Tanh, Unconstrained,
+                     ShapeError, Softplus, SpecError, Tanh, Toeplitz, Unconstrained,
                      build_network, forward)
 from bsumnet.gradients import (BatchStream, NetworkPass, _wt_matmul, block_gradient,
                                block_hessian, block_objective_fn,
@@ -337,6 +337,52 @@ class TestBlockHessian:
         for j in (1, 2, 3, 2):
             block_hessian(net, data, L2Loss(), j, cache=fb)
         assert np.array_equal(first, kept)
+
+
+class TestKernelHessian:
+    """P'HP in a block's diagonal values, assembled from the factored R-pass,
+    against the dense Hessian reduced by the 0/1 diagonal map P."""
+
+    @staticmethod
+    def reduced(hess, shape):
+        p_map = np.eye(sum(shape) - 1)[Toeplitz().kernel_index(shape)]
+        return p_map.T @ hess @ p_map
+
+    @pytest.mark.parametrize("loss", [cls() for cls in LOSSES.values()],
+                             ids=lambda l: l.name)
+    @pytest.mark.parametrize("act", [cls() for cls in ACTIVATIONS.values()],
+                             ids=lambda a: a.name)
+    def test_matches_reduced_dense_hessian(self, act, loss):
+        # blocks 3x2, 5x3 and 3x5 below the 2x3 output block (j = J, d_J = 2,
+        # where the exponential loss adds its kappa term); at depth 4, block
+        # 1's R-pass crosses two layers before the last contraction
+        dims = [2, 3, 5, 3, 2]
+        acts = [act] * 4
+        if loss.name == "cross_entropy":
+            acts[-1] = Logistic()  # predictions must lie in [0, 1]
+        spec = NetworkSpec(tuple(dims), tuple(acts), (Unconstrained(),) * 4,
+                           (Regularizer.l2(0.01),) * 4)
+        for seed in range(3):
+            net = build_network(spec, "uniform", seed=seed)
+            rng = np.random.default_rng(seed)
+            data = Dataset(rng.standard_normal((2, 6)), labels_for(loss, 2, 6, rng))
+            fb = NetworkPass(net, data, loss)
+            for j in range(1, 5):
+                want = self.reduced(block_hessian(net, data, loss, j), net.weights[j - 1].shape)
+                got = fb.kernel_hessian(j)
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), (seed, j)
+
+    def test_scratch_shared_with_the_dense_assembly_is_bitwise(self):
+        # both assemblies and the R-pass draw on one scratch, whose roles grow
+        # and shrink with widths that rise and fall
+        net, data = make_problem([3, 5, 2, 4, 1], Tanh(), ExponentialLoss(1.0), lam=1e-2,
+                                 seed=29, n=9)
+        fb = NetworkPass(net, data, ExponentialLoss(1.0))
+        order = list(range(1, net.depth + 1))
+        for j in order + order[::-1]:
+            fresh = NetworkPass(net, data, ExponentialLoss(1.0))
+            assert np.array_equal(fb.kernel_hessian(j), fresh.kernel_hessian(j)), j
+            assert np.array_equal(fb.hessian(j), fresh.hessian(j)), j
 
 
 class TestTransposeProduct:

@@ -146,6 +146,23 @@ class TestTrainConfigValidation:
         at_budget = NetworkSpec.homogeneous([1, 100, 100, 1], Tanh())
         assert len(cfg.blocks(at_budget, L2Loss())) == 3
 
+    def test_toeplitz_block_is_budgeted_by_its_kernel(self):
+        # the 120 x 120 middle block has 14,400 weights but 239 diagonal
+        # values, the unknowns its Newton step solves for
+        net, data = make_problem([2, 120, 120, 1], Tanh(), L2Loss(), lam=1e-2, seed=4, n=8)
+        spec = dataclasses.replace(net.spec, feasible_sets=(Unconstrained(), Toeplitz(),
+                                                            Unconstrained()))
+        net = Network(spec, [w if j != 2 else Toeplitz().project(w)
+                             for j, w in enumerate(net.weights, 1)])
+        cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True,
+                          max_outer_iterations=6, record_every=1)
+        assert len(cfg.blocks(spec, L2Loss())) == 3
+        _, trace = train(net, data, L2Loss(), cfg)
+        before = [trace.initial_f] + [row.f for row in trace.rows[:-1]]
+        steps = [(f0, row.f) for f0, row in zip(before, trace.rows) if row.block == 2]
+        assert len(steps) == 2
+        assert all(f1 < f0 for f0, f1 in steps), steps
+
     @pytest.mark.parametrize("settings", [
         {"schedule": (Constant(0.5), None)},
         {"upperbound": (FirstOrderProx(1.0), None), "schedule": Constant(0.5)},

@@ -73,6 +73,16 @@ class TestFirstOrderDirection:
             descent_direction_first_order(np.zeros((1, 1)), np.zeros((1, 1)), 0.0)
 
 
+def kernel_form(hess, shape, feasible=Toeplitz()):
+    """A dense block Hessian in the coordinates the Newton solve takes on
+    ``feasible``: P'HP, with P the 0/1 map of its kernel index, if it has one."""
+    index = feasible.kernel_index(shape)
+    if index is None:
+        return hess
+    p_map = np.eye(index.max() + 1)[index]
+    return p_map.T @ hess @ p_map
+
+
 class TestSecondOrderDirection:
     def test_zero_hessian_recovers_first_order(self):
         rng = np.random.default_rng(6)
@@ -147,14 +157,15 @@ class TestSecondOrderDirection:
 
     def test_gamma_retry_on_a_toeplitz_block(self):
         # H = P T^{-1} R T^{-1} P' has kernel Hessian P'HP = R, with P the
-        # diagonal map of a 3x3 Toeplitz block and T = P'P its tie counts
+        # diagonal map of a 3x3 Toeplitz block and T = P'P its tie counts;
+        # the solver takes the kernel form, reduced from H
         rng = np.random.default_rng(42)
         index = Toeplitz().kernel_index((3, 3))
         ties = np.bincount(index).astype(float)
         p_map = np.eye(len(ties))[index] / ties
         kernel_hess = self.late_failing_hessian(len(ties), rng)
         hess = p_map @ kernel_hess @ p_map.T
-        hess = (hess + hess.T) / 2
+        hess = kernel_form((hess + hess.T) / 2, (3, 3))
         kept = hess.copy()
         w, g = Toeplitz().project(rng.standard_normal((3, 3))), rng.standard_normal((3, 3))
         gamma = self.accepted_gamma(kernel_hess, ties, 0.01)
@@ -171,9 +182,11 @@ class TestSecondOrderDirection:
         rng = np.random.default_rng(43)
         w, g = feasible.project(rng.standard_normal((3, 3))), rng.standard_normal((3, 3))
         low = rng.standard_normal((9, 9))
-        hess = low @ low.T + np.eye(9)
-        # the lower triangle, which the factorization does not read
-        (hess[5:, 2:] if operand == "hess" else g)[0, 0] = bad
+        hess = kernel_form(low @ low.T + np.eye(9), (3, 3), feasible)
+        # the lower triangle, which the factorization does not read, of the
+        # 9 x 9 Hessian or the 5 x 5 kernel form
+        row, col = (5, 2) if len(hess) == 9 else (3, 1)
+        (hess[row:, col:] if operand == "hess" else g)[0, 0] = bad
         kept = hess.copy()
         with pytest.raises(ValueError):
             descent_direction_second_order(w, g, hess, 0.1, feasible)
@@ -184,9 +197,9 @@ class TestSecondOrderDirection:
         rng = np.random.default_rng(44)
         w, g = feasible.project(rng.standard_normal((3, 4))), rng.standard_normal((3, 4))
         low = rng.standard_normal((12, 12))
-        hess = low @ low.T + np.eye(12)
+        hess = kernel_form(low @ low.T + np.eye(12), (3, 4), feasible)
         want = descent_direction_second_order(w, g, hess, 0.1, feasible)
-        below = np.tril_indices(12, -1)
+        below = np.tril_indices(len(hess), -1)
         hess[below] = 1e3 * rng.standard_normal(len(below[0]))
         assert np.array_equal(descent_direction_second_order(w, g, hess, 0.1, feasible), want)
 
