@@ -1,7 +1,7 @@
 """Block-surrogate training for layered networks.
 
 A single cyclic block-update loop, parameterized by surrogate family
-(first-order proximal, damped Newton, proximal, linear), stepsize schedule,
+(first-order proximal, damped Newton, proximal), stepsize schedule,
 loss, activation, regularizer, and per-layer feasible set. Backpropagation,
 gradient descent, damped Newton, and proximal block minimization all fall
 out as configurations.
@@ -28,10 +28,9 @@ from .trainer import (SCHEDULES, ArmijoRule, Constant, Geometric, InverseRoot,
                       Recursive, TrainConfig, TrainTrace, armijo_stepsize,
                       normalized_mse, stepsize_next, stochastic_train, train,
                       train_step)
-from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx, LinearBound,
-                          Proximal, SecondOrderProx, closed_form_linear_block,
+from .upperbounds import (UPPERBOUNDS, Anchor, FirstOrderProx, Proximal,
+                          SecondOrderProx, closed_form_linear_block,
                           descent_direction_first_order,
-                          descent_direction_linear,
                           descent_direction_proximal,
                           descent_direction_second_order, prox_l1_step)
 

@@ -14,7 +14,7 @@ import sys
 
 import numpy as np
 
-from .errors import ConfigError, SpecError
+from .errors import ConfigError, IngestError, SpecError
 from .functions import ACTIVATIONS, LOSSES, Logistic, Regularizer
 from .gradients import NetworkPass, fd_gradient
 from .harness import _parse_kind, load_config, run_experiment
@@ -152,7 +152,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (SpecError, OSError) as exc:
+    except (SpecError, IngestError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

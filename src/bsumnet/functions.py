@@ -3,11 +3,11 @@
 Every activation is an elementwise map with a hand-derived derivative.
 Losses map a prediction batch H (dJ x N) and targets Y to a scalar,
 excluding any regularization, and expose the gradient with respect to H.
-Each loss declares whether it is convex (or concave) in H, and the targets
-it accepts (``labels``), checked where targets enter, not in its own
-methods. ``classify_convexity`` names a block objective's class from one
-fact, whether every activation from the block up is the identity:
-"strongly_convex", "concave" or "unknown".
+Each loss declares whether it is convex in H, and the targets it accepts
+(``labels``), checked where targets enter, not in its own methods.
+``classify_convexity`` names a block objective's class from one fact,
+whether every activation from the block up is the identity:
+"strongly_convex" or "unknown".
 
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
@@ -206,7 +206,6 @@ class Loss:
 
     name = "base"
     convex_in_H = False
-    concave_in_H = False
     labels = None  # the accepted target values; None takes any real target
 
     def check_labels(self, Y: np.ndarray) -> None:
@@ -486,19 +485,17 @@ REGULARIZERS = {cls.name: cls for cls in (Regularizer, L2Regularizer, L1Regulari
 
 def classify_convexity(loss: Loss, activations, reg: Regularizer) -> str:
     """Curvature class of the objective in block j, given the activations
-    of layers j..J: "strongly_convex", "concave" or "unknown".
+    of layers j..J: "strongly_convex" or "unknown".
 
     When every one of them is the identity, the output is affine in W_j and
     the block objective is the loss of an affine map plus the penalty. It is
     then strongly convex (modulus ``reg.strong_convexity``) under a loss
-    convex in H and an L2 penalty, and concave under a loss concave in H and
-    no penalty. Any other block is unknown: a nonlinear layer from j up can
-    make the block objective indefinite in W_j, whatever the loss.
+    convex in H and an L2 penalty. Any other block is unknown: a nonlinear
+    layer from j up can make the block objective indefinite in W_j, whatever
+    the loss.
     """
     if not all(isinstance(a, Identity) for a in activations):
         return "unknown"
     if loss.convex_in_H and reg.strong_convexity > 0:
         return "strongly_convex"
-    if loss.concave_in_H and reg.name == "none":
-        return "concave"
     return "unknown"

@@ -27,7 +27,7 @@ from .functions import classify_convexity, sqnorm
 from .gradients import (_HESSIAN_SIZE_LIMIT, BatchSampler, BatchStream, NetworkPass,
                         block_objective_fn)
 from .netcore import Dataset, Network
-from .upperbounds import FirstOrderProx, Proximal, SecondOrderProx, prox_l1_step
+from .upperbounds import FirstOrderProx, SecondOrderProx, prox_l1_step
 
 __all__ = [
     "InverseRoot", "Geometric", "Recursive", "Constant", "ArmijoRule",
@@ -121,7 +121,8 @@ class Constant:
 
 @dataclass(frozen=True)
 class ArmijoRule:
-    """Backtracking line search along the segment toward the direction."""
+    """Backtracking line search along the segment toward the direction,
+    from ``alpha_init`` in (0, 1], so every trial point stays on it."""
 
     shrink: float = 0.5
     slope: float = 1e-4
@@ -131,7 +132,7 @@ class ArmijoRule:
     witness = "line-search stepsizes are adaptive, not a predetermined diminishing sequence"
 
     def __post_init__(self):
-        if not (0 < self.shrink < 1 and 0 < self.slope < 1 and self.alpha_init > 0):
+        if not (0 < self.shrink < 1 and 0 < self.slope < 1 and 0 < self.alpha_init <= 1):
             raise SpecError("armijo parameters out of range")
 
     def alpha(self, k, state):
@@ -165,9 +166,12 @@ class TrainConfig:
     gradient descent or damped Newton, and with ``Proximal(0.0)`` exact block
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
-    at the candidate direction (full-batch mode only; mini-batch runs keep
-    the configured gamma fixed). ``curvature_override`` runs the proximal
-    and linear families on blocks not certified for them.
+    at the candidate direction. It acts only on that search: a smooth block
+    of the first-order family in full-batch mode. Mini-batch runs, L1 blocks
+    (their prox step returns before the search) and the other families keep
+    the configured gamma, except that the Newton step doubles it while the
+    damped Hessian is not positive definite. ``curvature_override`` runs the
+    proximal family on blocks not certified for it.
     """
 
     upperbound: object = field(default_factory=FirstOrderProx)
@@ -223,7 +227,7 @@ class TrainConfig:
                         f"block {j}: {n} parameters, over the {_HESSIAN_SIZE_LIMIT} budget")
             need = kind.certificate
             if need and not self.curvature_override \
-                    and not (isinstance(kind, Proximal) and kind.closed_form(loss, spec, j)) \
+                    and not kind.closed_form(loss, spec, j) \
                     and classify_convexity(loss, spec.activations[j - 1:], reg) != need:
                 raise CurvatureError(
                     f"block {j} not certified {need.replace('_', ' ')}; set "

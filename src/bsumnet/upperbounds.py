@@ -7,22 +7,21 @@ feasible set (``direction``), the block's descent direction:
   first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  Wk - g/gamma
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
   proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  projected gradient
-  linear           : f + <g, W - Wk>                          ->  -g
 
-The proximal model is strongly convex only on a strongly convex block, and
-the linear one majorizes only a concave block. These two families name the
-curvature class they need (``certificate``), which ``TrainConfig.blocks``
-checks once per run; their ``direction`` trusts it. The proximal model at
-gamma = 0 is the block objective itself: its minimizer is exact block
-coordinate descent, solved in closed form, with no certificate, when every
-activation is the identity under the L2 loss. The first-order family absorbs
-a non-smooth L1 penalty by soft-thresholding. The Newton step is exact on
-unconstrained and (in diagonal values) Toeplitz blocks; on a ball it is still
-the projected Newton point. On a Toeplitz block it takes the Hessian in
-the block's diagonal values, which ``NetworkPass.kernel_hessian`` assembles
-without the dense one. It reads the upper triangle of the Hessian it is
-given: a contiguous copy of H^T is factored on its lower triangle by scipy's
-``cho_factor`` and solved with LAPACK's ``dpotrs`` on that factor.
+The proximal model is strongly convex only on a strongly convex block. That
+family names the curvature class it needs (``certificate``), which
+``TrainConfig.blocks`` checks once per run; its ``direction`` trusts it. The
+proximal model at gamma = 0 is the block objective itself: its minimizer is
+exact block coordinate descent, solved in closed form, with no certificate,
+when every activation is the identity under the L2 loss. The first-order
+family absorbs a non-smooth L1 penalty by soft-thresholding. The Newton step
+is exact on unconstrained and (in diagonal values) Toeplitz blocks; on a
+ball it is still the projected Newton point. On a Toeplitz block it takes
+the Hessian in the block's diagonal values, which
+``NetworkPass.kernel_hessian`` assembles without the dense one. It reads the
+upper triangle of the Hessian it is given: a contiguous copy of H^T is
+factored on its lower triangle by scipy's ``cho_factor`` and solved with
+LAPACK's ``dpotrs`` on that factor.
 """
 
 from __future__ import annotations
@@ -39,10 +38,9 @@ from .gradients import NetworkPass, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
 __all__ = [
-    "FirstOrderProx", "SecondOrderProx", "Proximal",
-    "LinearBound", "UPPERBOUNDS", "Anchor",
+    "FirstOrderProx", "SecondOrderProx", "Proximal", "UPPERBOUNDS", "Anchor",
     "descent_direction_first_order", "descent_direction_second_order",
-    "descent_direction_proximal", "descent_direction_linear",
+    "descent_direction_proximal",
     "first_order_direction_backtracked",
     "prox_l1_step", "closed_form_linear_block",
 ]
@@ -125,7 +123,7 @@ class SecondOrderProx:
             hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
         else:
             hess = fb.kernel_hessian(j)
-        return descent_direction_second_order(w, grad, hess, self.gamma, feasible), self.gamma
+        return descent_direction_second_order(w, grad, hess, self.gamma, feasible)
 
 
 @dataclass(frozen=True)
@@ -165,26 +163,7 @@ class Proximal:
         return d, self.gamma
 
 
-@dataclass(frozen=True)
-class LinearBound:
-    """Certified on concave blocks only: a concave loss (``concave_in_H``)
-    through identity layers, with no penalty. No catalog loss is concave, so
-    with catalog losses it runs only under ``curvature_override``."""
-
-    name = "linear"
-    certificate = "concave"
-
-    def evaluate(self, W, anchor):
-        return anchor.linear(W)[0]
-
-    def direction(self, fb, j, grad, adapt):
-        w, feasible, _ = _block(fb, j)
-        # the run certified block j at its start, or set curvature_override
-        return feasible.project(descent_direction_linear(w, grad, "concave")), 0.0
-
-
-UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal,
-                                         LinearBound)}
+UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal)}
 
 
 @dataclass
@@ -221,7 +200,7 @@ def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
-                                   feasible: FeasibleSet = Unconstrained()) -> np.ndarray:
+                                   feasible: FeasibleSet = Unconstrained()):
     """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
     projected onto the feasible set. On a set with kernel coordinates
     (``kernel_index``) ``hess`` is the Hessian in them, P'HP with P the 0/1
@@ -231,8 +210,9 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
 
     Only the upper triangle of ``hess`` enters the step. The damped system
     is solved by Cholesky; if it is not positive definite, gamma is doubled
-    and the solve retried, Levenberg-Marquardt style. A Hessian (either
-    triangle) or gradient with infs or NaNs is a ValueError.
+    and the solve retried, Levenberg-Marquardt style. Returns (D, gamma),
+    the gamma that factored. A Hessian (either triangle) or gradient with
+    infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
     index = feasible.kernel_index(W.shape)
@@ -259,8 +239,8 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
         if info:
             raise ValueError(f"dpotrs: illegal value in argument {-info}")
         if index is None:
-            return feasible.project(W - step.reshape(W.shape))
-        return W - step[index].reshape(W.shape)
+            return feasible.project(W - step.reshape(W.shape)), gamma
+        return W - step[index].reshape(W.shape), gamma
     raise CurvatureError(
         f"damped Hessian not positive definite after {_MAX_DOUBLINGS} gamma doublings")
 
@@ -317,19 +297,9 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
     return best, converged
 
 
-def descent_direction_linear(W: np.ndarray, grad: np.ndarray, curvature: str,
-                             override: bool = False) -> np.ndarray:
-    """Direction from the linear surrogate on concave blocks: -grad.
-
-    The trainer's update then reads (1-alpha) W - alpha * grad. A
-    ``curvature`` class (as ``classify_convexity`` names it) other than
-    "concave" is a CurvatureError unless overridden. ``LinearBound`` passes
-    "concave": its run checked each block once, at its start.
-    """
-    if curvature != "concave" and not override:
-        raise CurvatureError(
-            "linear surrogate requires a concave block (or override=True)")
-    return -np.asarray(grad, dtype=float)
+# stays only for perfbench's tracer, which wraps it by name, until ROADMAP item 1
+def descent_direction_linear(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
+    return -grad
 
 
 def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,

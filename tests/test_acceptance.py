@@ -12,7 +12,7 @@ import pytest
 from bsumnet import (Anchor, BatchSampler, BentIdentity, Constant,
                      CrossEntropyLoss, Dataset, ExponentialLoss,
                      FirstOrderProx, FrobeniusBall, Geometric, Identity,
-                     InverseRoot, L2Loss, LeakyReluSmooth, LinearBound,
+                     InverseRoot, L2Loss, LeakyReluSmooth,
                      Logistic, LogisticLoss, NetworkSpec, Proximal, Recursive,
                      Regularizer, SecondOrderProx, Softplus, SquaredHingeLoss,
                      Tanh, Toeplitz, Unconstrained, build_network,
@@ -275,7 +275,7 @@ def test_criterion_08_surrogate_properties():
         gamma = float(rng.uniform(0.2, 3.0))
         anchor, value_fn = _random_anchor(rng, with_hess=(i % 2 == 0),
                                           with_f_fn=True)
-        kinds = [FirstOrderProx(gamma), LinearBound(), Proximal(gamma)]
+        kinds = [FirstOrderProx(gamma), Proximal(gamma)]
         if anchor.hess is not None:
             kinds.append(SecondOrderProx(gamma))
         for kind in kinds:

@@ -16,7 +16,7 @@ import scipy.linalg
 
 import bsumnet.cli  # noqa: F401 - the tracer patches cli.main
 from bsumnet import (ArmijoRule, ExponentialLoss, FirstOrderProx, Identity,
-                     InverseRoot, L2Loss, LinearBound, Logistic, Network, Proximal,
+                     InverseRoot, L2Loss, Logistic, Network, Proximal,
                      SecondOrderProx, Tanh, Toeplitz, Unconstrained, harness,
                      train, train_step)
 from bsumnet.trainer import TrainConfig
@@ -132,10 +132,7 @@ EXACT_BCD = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True)
     (Identity(), ExponentialLoss(1.0), EXACT_BCD,
      {"upperbounds.direction", "gradients.probe"}),
     (Identity(), L2Loss(), EXACT_BCD, {"upperbounds.direction"}),
-    (Logistic(), L2Loss(), TrainConfig(upperbound=LinearBound(), schedule=InverseRoot(1.0),
-                                       curvature_override=True),
-     {"upperbounds.direction"}),
-], ids=["exact_bcd", "deep_linear_exact_bcd", "linear_bound"])
+], ids=["exact_bcd", "deep_linear_exact_bcd"])
 def test_family_step_records_its_spans(activation, loss, cfg, spans):
     net, data = make_problem([3, 2, 1], activation, loss, lam=0.05, seed=0)
     tracer, _ = traced_step(net, data, cfg, loss)

@@ -42,8 +42,10 @@ MALFORMED = [
     ("methods.0.upperbound", {"kind": "proximal", "max_iters": 0}),
     ("methods.0.upperbound", {"kind": "proximal", "gamma": -1}),
     ("methods.0.upperbound", "proximal"),  # logistic blocks are not certified
+    ("methods.0.upperbound", {"kind": "linear"}),  # no longer a family
     ("methods.0.exact_bcd", True),
     ("methods.0.schedule", {"kind": "constant", "c": 2}),
+    ("methods.0.schedule", {"kind": "armijo", "alpha_init": 4.0}),
     ("methods.0.sampler", {"mode": "fixed", "batch_size": "x"}),
     ("methods.0.max_iterations", "x"),
     ("methods.0.grad_norm_tol", "x"),
@@ -236,6 +238,13 @@ class TestTrainCommand:
         code = main(["train", "--config", str(p)])
         assert code == 1
         assert "FAILED" in capsys.readouterr().err
+
+    def test_unwritable_curve_file_exit_one(self, config_path, tmp_path, capsys):
+        # a directory where the curve file goes: one error line, no traceback
+        (tmp_path / "out" / "prop_seed0.csv").mkdir(parents=True)
+        assert main(["train", "--config", str(config_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write curve file") and "prop_seed0.csv" in err
 
 
 class TestValidateScheduleCommand:

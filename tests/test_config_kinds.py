@@ -13,7 +13,7 @@ from bsumnet import (ACTIVATIONS, FEASIBLE_SETS, LOSSES, REGULARIZERS,
                      ConfigError, Constant, CrossEntropyLoss, ExponentialLoss,
                      FirstOrderProx, FrobeniusBall, Geometric, Identity,
                      InverseRoot, L2Loss, LeakyReluSmooth,
-                     LinearBound, Logistic, LogisticLoss, Proximal, Recursive,
+                     Logistic, LogisticLoss, Proximal, Recursive,
                      Regularizer, SecondOrderProx, Softplus, SquaredHingeLoss,
                      Tanh, Toeplitz, Unconstrained, parse_config)
 
@@ -51,7 +51,6 @@ CASES = [
     ("upperbound", {"kind": "second_order_prox", "gamma": 2.0}, SecondOrderProx(2.0)),
     ("upperbound", {"kind": "proximal", "gamma": 0.3, "max_iters": 7, "grad_tol": 1e-6},
      Proximal(0.3, max_iters=7, grad_tol=1e-6)),
-    ("upperbound", {"kind": "linear"}, LinearBound()),
     ("schedule", {"kind": "inverse_root", "c": 2.0}, InverseRoot(2.0)),
     ("schedule", {"kind": "geometric", "c": 0.5}, Geometric(0.5)),
     ("schedule", {"kind": "recursive", "alpha0": 0.5, "t": 0.9}, Recursive(0.5, 0.9)),
@@ -100,10 +99,8 @@ def test_kind_parses_to_direct_constructor(family, value, want, tmp_path):
         # the synthetic targets are real numbers, which a label loss refuses
         raw["dataset"] = label_dataset(tmp_path, want.labels)
     if family == "upperbound" and want.certificate is not None:
-        # an L2-penalized identity network is certified strongly convex; no
-        # catalog loss is concave, so the linear family needs the override
+        # an L2-penalized identity network is certified strongly convex
         raw["network"].update(activation="identity", regularizer={"kind": "l2", "lam": 0.1})
-        raw["methods"][0]["curvature_override"] = want.certificate == "concave"
     got = SLOTS[family][1](parse_config(raw))
     assert type(got) is type(want)
     assert got == want

@@ -347,14 +347,6 @@ class TestRegularizers:
 # block curvature classification
 # ---------------------------------------------------------------------------
 
-class _ConcaveToyLoss:
-    """Loss concave in H, a stand-in used to exercise the concave branch."""
-
-    name = "concave_toy"
-    convex_in_H = False
-    concave_in_H = True
-
-
 def _homogeneous_with_tail(dims, act, identity_tail, reg):
     """Unconstrained layers of ``act``; the output layer is the identity
     when ``identity_tail``."""
@@ -389,16 +381,6 @@ class TestClassifyConvexity:
         curv = classify_convexity(ExponentialLoss(1.0), [Identity()],
                                   Regularizer.none())
         assert curv == "unknown"
-
-    def test_concave_branch(self):
-        curv = classify_convexity(_ConcaveToyLoss(), [Identity()],
-                                  Regularizer.none())
-        assert curv == "concave"
-        curv2 = classify_convexity(_ConcaveToyLoss(), [Identity()],
-                                   Regularizer.l2(0.1))
-        assert curv2 != "concave"
-        assert classify_convexity(_ConcaveToyLoss(), [Softplus()],
-                                  Regularizer.none()) == "unknown"
 
     @pytest.mark.parametrize("loss", ALL_LOSSES, ids=lambda l: l.name)
     @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
@@ -447,7 +429,7 @@ class TestClassifyConvexity:
         # one non-identity activation anywhere from block j up leaves the
         # block objective a loss of a nonlinear map: no verdict is certified
         reg = Regularizer.l2(0.1)
-        for loss in ALL_LOSSES + [_ConcaveToyLoss()]:
+        for loss in ALL_LOSSES:
             for tail in ([act], [act, Identity()], [Identity(), act, Identity()]):
                 assert classify_convexity(loss, tail, reg) == "unknown"
                 assert classify_convexity(loss, tail, Regularizer.none()) == "unknown"

@@ -393,6 +393,10 @@ class TestConfigParsing:
         raw["loss"] = "l3"
         with pytest.raises(ConfigError, match="unknown loss"):
             parse_config(raw)
+        raw = minimal_config(tmp_path)
+        raw["methods"][0]["upperbound"] = {"kind": "linear"}
+        with pytest.raises(ConfigError, match="unknown upperbound 'linear'"):
+            parse_config(raw)
 
     def test_needs_some_method(self, tmp_path):
         raw = minimal_config(tmp_path, methods=[], baselines=[])

@@ -17,7 +17,7 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step)
 from bsumnet import trainer
-from bsumnet.gradients import NetworkPass, block_gradient, objective_value
+from bsumnet.gradients import NetworkPass, block_gradient, block_hessian, objective_value
 from bsumnet.trainer import TrainConfig, _LoopState, armijo_stepsize
 from conftest import make_problem, with_block
 
@@ -293,6 +293,12 @@ class TestTrainStep:
 
 
 class TestArmijo:
+    @pytest.mark.parametrize("alpha_init", [-0.5, 0.0, 1.0 + 1e-12, 4.0])
+    def test_first_trial_stays_on_the_segment(self, alpha_init):
+        # a first trial beyond 1 leaves the segment [W, D]: 4D - 3W at 4
+        with pytest.raises(SpecError, match="armijo parameters out of range"):
+            ArmijoRule(alpha_init=alpha_init)
+
     def test_newton_direction_accepted_immediately(self):
         # quadratic objective, exact minimizer direction: alpha_init accepted
         a = np.array([[1.0, -2.0]])
@@ -443,6 +449,22 @@ class TestTrainLoop:
         _, trace = train(net, data, L2Loss(), cfg)
         assert trace.final_grad_norm < trace.initial_grad_norm
 
+    def test_second_order_rows_report_the_gamma_that_factored(self):
+        # an unpenalized tanh net started far out: at gamma 1e-8 the damped
+        # Hessian is indefinite, so the Newton step doubles gamma until it
+        # factors, and the row must carry that gamma, not the configured one
+        net, data = make_problem([4, 6, 6, 1], Tanh(), L2Loss(), reg=Regularizer.none(),
+                                 seed=0, n=60, init_scale=2.0)
+        hess = block_hessian(net, data, L2Loss(), 1)
+        want = 1e-8
+        while np.linalg.eigvalsh(hess + want * np.eye(len(hess)))[0] <= 0:
+            want *= 2.0
+        cfg = TrainConfig(upperbound=SecondOrderProx(1e-8), unit_stepsize=True,
+                          max_outer_iterations=30, record_every=1)
+        _, trace = train(net, data, L2Loss(), cfg)
+        assert trace.rows[0].gamma == want > 1e-8
+        assert all(r.gamma >= 1e-8 for r in trace.rows)
+
     def test_toeplitz_iterates_stay_on_subspace(self):
         spec = NetworkSpec.homogeneous([4, 4, 2], Logistic(),
                                        regularizer=Regularizer.l2(1e-3),
@@ -467,15 +489,17 @@ class TestTrainLoop:
         spec = NetworkSpec.homogeneous([3, 3, 1], Logistic(),
                                        regularizer=Regularizer.l2(1e-3),
                                        feasible=FrobeniusBall(rho))
-        net = build_network(spec, "uniform", seed=18)
         rng = np.random.default_rng(18)
         data = Dataset(rng.standard_normal((3, 10)), rng.standard_normal((1, 10)))
-        cfg = TrainConfig(upperbound=FirstOrderProx(0.2), schedule=Constant(0.9),
-                          max_outer_iterations=60, grad_norm_tol=1e-14,
-                          adapt_gamma=False)
-        final, _ = train(net, data, L2Loss(), cfg)
-        for w in final.weights:
-            assert np.linalg.norm(w) <= rho + 1e-12
+        # every Armijo trial lies on the segment [W, D], whose ends lie in the ball
+        for schedule in (Constant(0.9), ArmijoRule()):
+            net = build_network(spec, "uniform", seed=18)
+            cfg = TrainConfig(upperbound=FirstOrderProx(0.2), schedule=schedule,
+                              max_outer_iterations=60, grad_norm_tol=1e-14,
+                              adapt_gamma=False)
+            final, _ = train(net, data, L2Loss(), cfg)
+            for w in final.weights:
+                assert np.linalg.norm(w) <= rho + 1e-12
 
     def test_per_layer_settings(self):
         net, data = small_problem(seed=19)
