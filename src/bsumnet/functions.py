@@ -112,7 +112,9 @@ class Logistic(Activation):
 
     def derivative(self, u, z=None):
         s = _sigmoid(u) if z is None else z
-        return s * (1.0 - s)
+        d = np.subtract(1.0, s)
+        d *= s
+        return d
 
     def second_derivative(self, u, z=None):
         s = _sigmoid(u) if z is None else z

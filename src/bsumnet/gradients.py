@@ -99,12 +99,13 @@ class NetworkPass:
             raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
                              f"has d_J = {net.spec.dims[-1]}")
         loss.check_labels(data.Y)
-        self._start(net, data, loss, outs)
+        self._start(Network(net.spec, list(net.weights)), data, loss, outs)
 
     def _start(self, net, data, loss, outs, keys=None) -> None:
         """The pass's state from inputs whose shapes and targets are checked;
-        ``keys`` are the content keys of ``net``'s blocks, when known."""
-        self.net = Network(net.spec, list(net.weights))
+        ``net`` is the pass's own, and ``keys`` its blocks' content keys, when
+        known."""
+        self.net = net
         self.data = data
         self.loss = loss
         if outs is None:
@@ -164,8 +165,11 @@ class NetworkPass:
 
     def _on(self, data: Dataset, outs: LayerOutputs | None = None) -> "NetworkPass":
         """This network and loss on ``data``, targets this pass checked."""
+        # the checked spec and weights, without Network's shape checks again
+        net = object.__new__(Network)
+        net.__dict__.update(spec=self.net.spec, weights=list(self.net.weights))
         other = object.__new__(NetworkPass)
-        other._start(self.net, data, self.loss, outs, self._keys)
+        other._start(net, data, self.loss, outs, self._keys)
         return other
 
     @property
@@ -188,12 +192,15 @@ class NetworkPass:
         pre, post = outs.pre_activations, outs.post_activations
         acts = self.net.spec.activations
         if deltas[-1] is None:
-            grad_h = self.loss.grad_H(outs.output, self.data.Y)
-            deltas[-1] = grad_h * acts[-1].derivative(pre[-1], post[-1])
+            # sigma' multiplies into the fresh dL/dH and W^T D in place
+            top = self.loss.grad_H(outs.output, self.data.Y)
+            top *= acts[-1].derivative(pre[-1], post[-1])
+            deltas[-1] = top
         for i in range(self.depth - 1, j - 1, -1):
             if deltas[i - 1] is None:
                 back = _wt_matmul(self.net.weights[i], deltas[i])
-                deltas[i - 1] = back * acts[i - 1].derivative(pre[i - 1], post[i])
+                back *= acts[i - 1].derivative(pre[i - 1], post[i])
+                deltas[i - 1] = back
         return deltas
 
     def grad(self, j: int, include_reg: bool = True) -> np.ndarray:
@@ -205,7 +212,8 @@ class NetworkPass:
         g = self.deltas(j)[j - 1] @ self.outs.post_activations[j - 1].T
         reg = self.net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:
-            g = self._grads[j - 1] = g + reg.grad(self.net.weights[j - 1])
+            g += reg.grad(self.net.weights[j - 1])
+            self._grads[j - 1] = g
         return g
 
     def grads(self, include_reg: bool = True) -> list:

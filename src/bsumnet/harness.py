@@ -525,7 +525,10 @@ def _zero_wall(trace: TrainTrace) -> TrainTrace:
     return replace(trace, rows=[replace(r, wall_seconds=0.0) for r in trace.rows])
 
 
-def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Path):
+def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Path,
+             result: ExperimentResult) -> None:
+    """Train one (method, seed) pair and write its curve and summary into
+    ``result``; an aborted run or an unwritable file is that run's failure."""
     name = spec.name
     t0 = time.perf_counter()
     trace = TrainTrace()
@@ -540,9 +543,13 @@ def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Pat
     except Exception as exc:  # noqa: BLE001 - surfaced in the summary
         trace.abort(f"{type(exc).__name__}: {exc}")
     wall = time.perf_counter() - t0
+    failures = [trace.abort_reason] if trace.aborted else []
 
-    curve_path = out_dir / f"{name}_seed{seed}.csv"
-    emit_curves([(name, seed, _zero_wall(trace))], curve_path)
+    try:
+        result.curve_paths.append(
+            emit_curves([(name, seed, _zero_wall(trace))], out_dir / f"{name}_seed{seed}.csv"))
+    except IngestError as exc:
+        failures.append(str(exc))
 
     def num(x):
         # keep the summaries strict JSON: no NaN/Infinity tokens
@@ -563,10 +570,14 @@ def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Pat
         "wall_time_seconds": wall,
     }
     summary_path = out_dir / f"{name}_seed{seed}.summary.json"
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    return curve_path, summary_path, trace
+    try:
+        with open(summary_path, "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        result.summary_paths.append(summary_path)
+    except OSError as exc:
+        failures.append(f"cannot write summary file {summary_path}: {exc}")
+    result.failures.extend(f"{name} seed {seed}: {failure}" for failure in failures)
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> ExperimentResult:
@@ -574,7 +585,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
 
     All methods share the seed's initial network, so comparisons start from
     the same point. Runs that abort are recorded as failed but do not stop
-    the remaining runs. ``seeds`` replaces cfg.seeds and is checked alike.
+    the remaining runs, nor does a curve or summary that cannot be written.
+    ``seeds`` replaces cfg.seeds and is checked alike.
     """
     if seeds:
         cfg = replace(cfg, seeds=tuple(_typed(seeds, list[int], "seeds")))
@@ -585,9 +597,5 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, seeds=None) -> Experimen
     for seed in cfg.seeds:
         net0 = build_network(cfg.spec, cfg.init, seed=seed, scale=cfg.init_scale)
         for spec in cfg.methods + cfg.baselines:
-            curve, summary, trace = _run_one(cfg, spec, seed, net0, out)
-            result.curve_paths.append(curve)
-            result.summary_paths.append(summary)
-            if trace.aborted:
-                result.failures.append(f"{spec.name} seed {seed}: {trace.abort_reason}")
+            _run_one(cfg, spec, seed, net0, out, result)
     return result

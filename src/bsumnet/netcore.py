@@ -77,23 +77,31 @@ class Toeplitz(FeasibleSet):
     def kernel_index(self, shape: tuple) -> np.ndarray:
         """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2; one
         read-only array per shape."""
-        return _diagonal_index(*shape)
+        return _diagonal_plan(*shape)[0]
 
     def project(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)
-        offsets = np.arange(1 - w.shape[0], w.shape[1])
-        key = self.kernel_index(w.shape)
-        first = w[np.maximum(-offsets, 0), np.maximum(offsets, 0)]
-        mean = np.bincount(key, weights=w.ravel()) / np.bincount(key)
-        varies = np.bincount(key, weights=(w.ravel() != first[key]))
-        return np.where(varies > 0, mean, first)[key].reshape(w.shape)
+        index, ties, first = _diagonal_plan(*w.shape)
+        flat = w.ravel()
+        head = flat[first]
+        out = np.bincount(index, weights=flat)
+        out /= ties
+        varies = np.bincount(index, weights=flat != head[index])
+        np.copyto(out, head, where=np.logical_not(varies))
+        return out[index].reshape(w.shape)
 
 
 @functools.lru_cache(maxsize=8)
-def _diagonal_index(rows: int, cols: int) -> np.ndarray:
+def _diagonal_plan(rows: int, cols: int) -> tuple:
+    """Each entry's diagonal, each diagonal's tie count as floats and the
+    flat index of its first entry; read-only arrays, one plan per shape."""
     index = (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
-    index.flags.writeable = False
-    return index
+    offsets = np.arange(1 - rows, cols)
+    plan = index, np.bincount(index).astype(float), \
+        np.maximum(-offsets, 0) * cols + np.maximum(offsets, 0)
+    for a in plan:
+        a.flags.writeable = False
+    return plan
 
 
 @dataclass(frozen=True)

@@ -304,7 +304,7 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
     alpha)``. Returns (alpha, accepted); a non-descent or non-finite slope,
     or no pass for any m <= 60, yields (0.0, False).
     """
-    slope = float(np.sum(grad * (D - W)))
+    slope = float((grad * (D - W)).sum())
     if not -math.inf < slope < 0:
         return 0.0, False
     f0 = f_block(W)
@@ -371,7 +371,11 @@ def _apply_update(w, d, alpha: float):
     # Armijo search) keeps W, whatever D holds
     if alpha == 0.0:
         return w
-    return d if alpha == 1.0 else (1.0 - alpha) * w + alpha * d
+    if alpha == 1.0:
+        return d
+    out = (1.0 - alpha) * w
+    out += alpha * d
+    return out
 
 
 def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):

@@ -184,7 +184,7 @@ class Anchor:
     def linear(self, W: np.ndarray):
         """The tangent model f + <grad, W - w> at W, and the step W - w."""
         diff = np.asarray(W, dtype=float) - self.w
-        return self.f_value + float(np.sum(self.grad * diff)), diff
+        return self.f_value + float((self.grad * diff).sum()), diff
 
 
 # ---------------------------------------------------------------------------

@@ -122,6 +122,19 @@ def test_armijo_step_records_probe_spans():
     assert names.count("gradients.probe") >= 3  # gamma search, f(W), f(D)
 
 
+def test_armijo_step_on_a_toeplitz_net_records_project_spans():
+    # armijo_probe's netcore.project metrics read these spans: each gamma
+    # candidate of the search is projected by Toeplitz.project
+    net, data = make_problem([3, 3, 1], Logistic(), L2Loss(), seed=0,
+                             feasible=Toeplitz())
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=ArmijoRule())
+    tracer, _ = traced_step(net, data, cfg)
+    projects = [s for s in tracer.spans if s[0] == "netcore.project"]
+    counts = tracer.counts
+    assert counts["gamma_searches"] == 1
+    assert len(projects) == 1 + counts["gamma_doublings"]
+
+
 EXACT_BCD = TrainConfig(upperbound=Proximal(0.0), unit_stepsize=True)
 
 

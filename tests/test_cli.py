@@ -240,11 +240,14 @@ class TestTrainCommand:
         assert "FAILED" in capsys.readouterr().err
 
     def test_unwritable_curve_file_exit_one(self, config_path, tmp_path, capsys):
-        # a directory where the curve file goes: one error line, no traceback
+        # a directory where the curve file goes: that run fails with a FAILED
+        # line naming the path, no traceback, and its summary is still written
         (tmp_path / "out" / "prop_seed0.csv").mkdir(parents=True)
         assert main(["train", "--config", str(config_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: cannot write curve file") and "prop_seed0.csv" in err
+        out, err = capsys.readouterr()
+        assert err.startswith("FAILED  prop seed 0: cannot write curve file")
+        assert "prop_seed0.csv" in err and "Traceback" not in err
+        assert "summary " in out and "prop_seed0.summary.json" in out
 
 
 class TestValidateScheduleCommand:

@@ -15,14 +15,17 @@ outlives its weights, or an adopted probe whose gradients are not taken
 over, shows as a mismatch.
 """
 
+import itertools
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
                      ExponentialLoss, FirstOrderProx, Geometric, L2Loss, Logistic,
-                     LogisticLoss, NetworkSpec, Regularizer, SquaredHingeLoss,
-                     Toeplitz, Unconstrained, build_network, forward)
+                     LogisticLoss, Network, NetworkSpec, Regularizer, ShapeError,
+                     SquaredHingeLoss, Toeplitz, Unconstrained, build_network, forward)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
@@ -40,8 +43,8 @@ LOSSES = {
 
 
 @st.composite
-def problems(draw):
-    depth = draw(st.integers(1, 3))
+def problems(draw, max_depth=3):
+    depth = draw(st.integers(1, max_depth))
     dims = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
     acts = [ACTIVATIONS[draw(st.sampled_from(sorted(ACTIVATIONS)))]()
             for _ in range(depth)]
@@ -230,3 +233,57 @@ def test_stalled_geometric_steps_run_no_forward(monkeypatch):
     assert calls == []
     assert all(np.array_equal(a, b) for a, b in zip(full.net.weights, weights))
     assert_matches_fresh(full, full.net, data, L2Loss(), rng)
+
+
+def assert_no_shared_memory(fb):
+    # the in-place arithmetic of grad and deltas writes only fresh arrays:
+    # no cached gradient or delta shares memory with another one, a weight
+    # or a Z stage
+    cached = [a for a in fb._grads + fb._deltas if a is not None]
+    held = fb.net.weights + fb.outs.post_activations
+    for a, b in itertools.chain(itertools.combinations(cached, 2),
+                                itertools.product(cached, held)):
+        assert not np.shares_memory(a, b)
+
+
+@given(problems(max_depth=4))
+@settings(max_examples=40, deadline=None)
+def test_cached_gradients_and_deltas_alias_nothing(problem):
+    net, data, loss, steps, rng = problem
+    fb = NetworkPass(net, data, loss)
+    for j, q, mode in steps:
+        held = fb.grad(q)
+        kept = held.copy()
+        fb.deltas()
+        fb.grads()
+        assert_no_shared_memory(fb)
+        w = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
+        if mode == "adopt":  # set_block takes over the probe's gradients
+            fb.probe(j, w).grads()
+            assert_no_shared_memory(fb.probe(j, w))
+        fb.set_block(j, w)
+        net = with_block(net, j, w)
+        fb.grads()
+        fb.deltas()
+        assert_no_shared_memory(fb)
+        # a gradient the caller holds is not written by later updates or queries
+        assert held.tobytes() == kept.tobytes()
+
+
+def test_public_pass_checks_shapes_and_a_probe_does_not_recheck(monkeypatch):
+    spec = NetworkSpec.homogeneous([3, 4, 2, 1], Logistic())
+    net = build_network(spec, "uniform", seed=5)
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.standard_normal((3, 6)), rng.standard_normal((1, 6)))
+    fb = NetworkPass(net, data, L2Loss())
+    checks = []
+    post_init = Network.__post_init__
+    monkeypatch.setattr(Network, "__post_init__",
+                        lambda self: checks.append(1) or post_init(self))
+    v = net.weights[1] + 0.1
+    probe = fb.probe(2, v)
+    assert checks == [] and probe is not fb
+    assert_probe_matches_fresh(fb, net, data, L2Loss(), 2, v)
+    net.weights[1] = np.zeros((4, 2))  # W_2 swapped for the wrong shape
+    with pytest.raises(ShapeError, match="W_2"):
+        NetworkPass(net, data, L2Loss())

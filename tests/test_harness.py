@@ -532,6 +532,33 @@ class TestRunExperiment:
                            "iterations": 0, "cycle_equivalents": 0, "converged": False}
         assert result.curve_paths[0].read_text(encoding="utf-8") == CURVE_HEADER + "\n"
 
+    def test_unwritable_curve_fails_only_its_run(self, tmp_path):
+        # a directory where method a's curve goes: a fails, b still writes
+        # its curve and its summary
+        raw = minimal_config(tmp_path, baselines=[])
+        raw["methods"] = [dict(raw["methods"][0], name=name) for name in ("a", "b")]
+        (tmp_path / "out" / "a_seed0.csv").mkdir(parents=True)
+        result = run_experiment(parse_config(raw))
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith("a seed 0: cannot write curve file")
+        assert "a_seed0.csv" in result.failures[0]
+        assert [p.name for p in result.curve_paths] == ["b_seed0.csv"]
+        assert [p.name for p in result.summary_paths] == ["a_seed0.summary.json",
+                                                          "b_seed0.summary.json"]
+        assert parse_curves(result.curve_paths[0])
+        summary = json.loads(result.summary_paths[1].read_text(encoding="utf-8"))
+        assert summary["method"] == "b" and summary["status"] == "ok"
+
+    def test_unwritable_summary_fails_only_its_run(self, tmp_path):
+        raw = minimal_config(tmp_path, baselines=[])
+        raw["methods"] = [dict(raw["methods"][0], name=name) for name in ("a", "b")]
+        (tmp_path / "out" / "a_seed0.summary.json").mkdir(parents=True)
+        result = run_experiment(parse_config(raw))
+        assert len(result.failures) == 1
+        assert result.failures[0].startswith("a seed 0: cannot write summary file")
+        assert [p.name for p in result.curve_paths] == ["a_seed0.csv", "b_seed0.csv"]
+        assert [p.name for p in result.summary_paths] == ["b_seed0.summary.json"]
+
     def test_seed_override(self, tmp_path):
         raw = minimal_config(tmp_path, baselines=[])
         result = run_experiment(parse_config(raw), seeds=[3, 4])

@@ -25,6 +25,38 @@ def loop_toeplitz_project(w):
     return out
 
 
+def diagonal_key(rows, cols):
+    return (np.arange(cols) - np.arange(rows)[:, None] + rows - 1).ravel()
+
+
+def oracle_toeplitz_project(w):
+    """Bitwise reference: each diagonal's first entry from per-call offsets,
+    kept where the diagonal is constant, else the bincount mean."""
+    offsets = np.arange(1 - w.shape[0], w.shape[1])
+    key = diagonal_key(*w.shape)
+    first = w[np.maximum(-offsets, 0), np.maximum(offsets, 0)]
+    mean = np.bincount(key, weights=w.ravel()) / np.bincount(key)
+    varies = np.bincount(key, weights=(w.ravel() != first[key]))
+    return np.where(varies > 0, mean, first)[key].reshape(w.shape)
+
+
+def projection_input(kind, shape, seed=0):
+    rng = np.random.default_rng(seed)
+    key = diagonal_key(*shape)
+    if kind == "random":
+        return rng.standard_normal(shape)
+    if kind == "toeplitz":
+        return rng.standard_normal(shape[0] + shape[1] - 1)[key].reshape(shape)
+    if kind == "signed_zeros":
+        # +0.0 and -0.0 at random, and the first diagonal all -0.0
+        w = np.where(rng.random(shape) < 0.5, -0.0, 0.0)
+        w[key.reshape(shape) == 0] = -0.0
+        return w
+    w = rng.standard_normal(shape)  # NaN entries
+    w.ravel()[::3] = np.nan
+    return w
+
+
 def spec_of(dims, act, feasible=None):
     return NetworkSpec.homogeneous(dims, act, feasible=feasible)
 
@@ -214,6 +246,16 @@ class TestFeasibleSets:
         tol = max(rows, cols) * np.finfo(float).eps * np.max(np.abs(w))
         np.testing.assert_allclose(got, loop_toeplitz_project(w), rtol=0, atol=tol)
         assert np.array_equal(Toeplitz().project(got), got)
+
+    @pytest.mark.parametrize("kind", ["random", "toeplitz", "signed_zeros", "nan"])
+    @pytest.mark.parametrize("shape", [(1, 5), (5, 1), (3, 4), (10, 10), (16, 16)])
+    def test_toeplitz_plan_matches_oracle_bitwise(self, shape, kind):
+        w = projection_input(kind, shape)
+        got = Toeplitz().project(w)
+        assert got.tobytes() == oracle_toeplitz_project(w).tobytes()
+        assert Toeplitz().project(got).tobytes() == got.tobytes()
+        if kind == "toeplitz":
+            assert got.tobytes() == w.tobytes()
 
     @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz(),
                                           FrobeniusBall(0.7)])
