@@ -12,10 +12,10 @@ whether every activation from the block up is the identity:
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
 is capped at 709), and no float64 input raises a floating-point warning.
-Its five vectorized ufuncs cost a fixed 4-5 us a call (numpy 2.4, one core
-of a 2-vCPU VM), so it beats scalar ``expit`` only above ~600 entries: 2x
-faster on a 10 x 252 stage, 4-5x slower on a 10 x 1 one. Sums of squares
-use ``sqnorm``, one BLAS dot.
+Its five vectorized ufuncs on an ``empty_like`` output cost a fixed 4-5 us a
+call (numpy 2.4, one core of a 2-vCPU VM), so it beats scalar ``expit`` only
+above ~600 entries: 2x faster on a 10 x 252 stage, 4-5x slower on a 10 x 1
+one. Sums of squares use ``sqnorm``, one BLAS dot.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ _CE_CLAMP = 1e-12
 def _sigmoid(u) -> np.ndarray:
     """1 / (1 + exp(-u)) in place on a fresh float64 array (0-d for a scalar
     or 0-d input); the input is never written."""
-    s = np.negative(u, out=np.empty(np.shape(u)))
+    s = np.negative(u, out=np.empty_like(u, dtype=float))
     np.minimum(s, 709.0, out=s)  # exp(709) = 8.2e307 does not overflow
     np.exp(s, out=s)
     np.add(s, 1.0, out=s)
@@ -243,7 +243,9 @@ class L2Loss(Loss):
         return sqnorm(Y - H) / H.shape[1]
 
     def grad_H(self, H, Y):
-        return (2.0 / H.shape[1]) * (H - Y)
+        g = H - Y
+        g *= 2.0 / H.shape[1]
+        return g
 
     def curvature_H(self, H, Y):
         return _diagonal_blocks(np.full(H.shape, 2.0 / H.shape[1])), 0.0

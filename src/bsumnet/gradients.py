@@ -9,16 +9,19 @@ with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
 regularizer gradient. ``set_block(j, W)`` keeps Z_0..Z_{j-1}, and the next
 query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
 to the block asked for, and a block gradient with its smooth regularizer is
-kept until the next update. Logistic and tanh derivatives come from the
-cached Z_j, and a probe f(W_j = V) starts from Z_{j-1} without copying the
-network. Blocks are told apart by their bitwise content (shape, dtype,
-bytes; not identity, as finite differences mutate one array in place), whose
-key the pass keeps per block. ``set_block(j, W)`` at the current content
-changes nothing, as the stages, deltas, gradients, f and probe memo are
-functions of those bits: an update that leaves its block as it was costs
-no forward or backward pass. The last probe is memoized: a probe at the
-current W_j is the pass itself, a repeat is the memo, and ``set_block(j,
-V)`` at the memo's content adopts its stages, deltas and gradients. The
+kept until the next update, as is each block's penalty in f. The trainer
+hands the pass the block it has just built, which the pass keeps without a
+copy; ``set_block`` keeps a copy of the caller's array. Logistic and tanh
+derivatives come from the cached Z_j, and a probe f(W_j = V) starts from
+Z_{j-1} without copying the network and reuses the other blocks' penalties.
+Blocks are told apart by their bitwise content (shape, dtype, bytes; not
+identity, as finite differences mutate one array in place), whose key the
+pass keeps per block. ``set_block(j, W)`` at the current content changes
+nothing, as the stages, deltas, gradients, f and probe memo are functions
+of those bits: an update that leaves its block as it was costs no forward
+or backward pass. The last probe is memoized: a probe at the current W_j
+is the pass itself, a repeat is the memo, and ``set_block(j, V)`` at the
+memo's content adopts its stages, deltas, gradients and penalty. The
 module functions are views of a fresh pass for callers that hold a plain
 network. Vec orderings here and in the Newton solve are row-major vec(W_j).
 
@@ -56,7 +59,9 @@ and gathers go to a scratch the pass owns, flat buffers kept by role and
 grown on demand.
 
 The contractions W^T X of the deltas and the R-pass go through
-``_wt_matmul``, a broadcast product through a one-row W (d_J = 1).
+``_wt_matmul``, a broadcast product through a one-row W (d_J = 1). A fresh
+2-D product is ``ndarray.dot`` (``np.dot`` without its dispatch): the GEMM
+of ``np.matmul``, with its bits at the benchmark's shapes (a test checks).
 """
 
 from __future__ import annotations
@@ -101,10 +106,10 @@ class NetworkPass:
         loss.check_labels(data.Y)
         self._start(Network(net.spec, list(net.weights)), data, loss, outs)
 
-    def _start(self, net, data, loss, outs, keys=None) -> None:
+    def _start(self, net, data, loss, outs, keys=None, pens=None) -> None:
         """The pass's state from inputs whose shapes and targets are checked;
-        ``net`` is the pass's own, and ``keys`` its blocks' content keys, when
-        known."""
+        ``net`` is the pass's own, and ``keys`` and ``pens`` its blocks'
+        content keys and penalties, when known."""
         self.net = net
         self.data = data
         self.loss = loss
@@ -117,22 +122,29 @@ class NetworkPass:
         self._deltas = [None] * self.depth
         self._grads = [None] * self.depth
         self._f = None
+        self._pens = list(pens) if pens is not None else [None] * self.depth
         self._memo = None  # (j, content of W_j, pass) of the last probe
         self._keys = list(keys) if keys is not None else [_content(w) for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
 
     def set_block(self, j: int, w: np.ndarray) -> None:
-        """Replace W_j (a ShapeError unless it has the spec's shape). Content
-        bitwise equal to the current W_j's changes nothing; otherwise the stages
-        from layer j on refresh at the next query, unless the last probe was at
-        this content and already holds them."""
-        w = np.asarray(w, dtype=float)
+        """Replace W_j by a copy of ``w`` (a ShapeError unless it has the
+        spec's shape). Content bitwise equal to the current W_j's changes
+        nothing; otherwise the stages from layer j on refresh at the next
+        query, unless the last probe was at this content and already holds
+        them."""
+        self._install(j, np.array(w, dtype=float))
+
+    def _install(self, j: int, w: np.ndarray) -> None:
+        # set_block on a float array handed over: the pass keeps it, so no
+        # one else may hold it, write to it or alias a stage of the pass
         key = _content(w)
         if key != self._keys[j - 1]:
             self._replace(j, w, key)
 
     def _replace(self, j: int, w: np.ndarray, key: tuple) -> None:
-        # every new W_j enters here; one keyed as the current W_j has its shape
+        # every new W_j enters here, an array the pass keeps; one keyed as the
+        # current W_j has its shape
         if w.shape != self.net.weights[j - 1].shape:
             raise ShapeError(f"W_{j} has shape {w.shape}, spec wants "
                              f"{self.net.spec.layer_shape(j)}")
@@ -143,12 +155,14 @@ class NetworkPass:
             self.net.weights[j - 1] = probe.net.weights[j - 1]
             self._outs, self._stale = probe._outs, probe._stale
             self._deltas, self._grads, self._f = probe._deltas, probe._grads, probe._f
+            self._pens = list(probe._pens)
             return
-        self.net.weights[j - 1] = np.array(w)
+        self.net.weights[j - 1] = w
         self._stale = min(self._stale, j)
         self._deltas = [None] * self.depth
         self._grads = [None] * self.depth
         self._f = None
+        self._pens[j - 1] = None
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
         """The pass at W_j = w: this one when w is the current W_j, else the
@@ -159,7 +173,7 @@ class NetworkPass:
             return self
         if self._memo is None or self._memo[:2] != (j, key):
             other = self._on(self.data, self.outs)
-            other._replace(j, w, key)
+            other._replace(j, w.copy(), key)
             self._memo = (j, key, other)
         return self._memo[2]
 
@@ -169,7 +183,7 @@ class NetworkPass:
         net = object.__new__(Network)
         net.__dict__.update(spec=self.net.spec, weights=list(self.net.weights))
         other = object.__new__(NetworkPass)
-        other._start(net, data, self.loss, outs, self._keys)
+        other._start(net, data, self.loss, outs, self._keys, self._pens)
         return other
 
     @property
@@ -180,17 +194,25 @@ class NetworkPass:
         return self._outs
 
     def objective(self) -> float:
-        """Full regularized objective at the current weights."""
+        """Full regularized objective at the current weights, the loss plus
+        each block's penalty in block order; a block's penalty is kept until
+        the block changes."""
         if self._f is None:
-            self._f = objective_value(self.net, self.data, self.loss, self.outs)
+            pens = self._pens
+            val = self.loss.value(self.outs.output, self.data.Y)
+            for i, reg in enumerate(self.net.spec.regularizers):
+                if pens[i] is None:
+                    pens[i] = reg.value(self.net.weights[i])
+                val += pens[i]
+            self._f = val
         return self._f
 
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
         stay None until asked for."""
-        outs, deltas = self.outs, self._deltas
+        outs, deltas, net = self.outs, self._deltas, self.net
         pre, post = outs.pre_activations, outs.post_activations
-        acts = self.net.spec.activations
+        weights, acts = net.weights, net.spec.activations
         if deltas[-1] is None:
             # sigma' multiplies into the fresh dL/dH and W^T D in place
             top = self.loss.grad_H(outs.output, self.data.Y)
@@ -198,7 +220,7 @@ class NetworkPass:
             deltas[-1] = top
         for i in range(self.depth - 1, j - 1, -1):
             if deltas[i - 1] is None:
-                back = _wt_matmul(self.net.weights[i], deltas[i])
+                back = _wt_matmul(weights[i], deltas[i])
                 back *= acts[i - 1].derivative(pre[i - 1], post[i])
                 deltas[i - 1] = back
         return deltas
@@ -207,13 +229,16 @@ class NetworkPass:
         """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
         regularizer gradient when it is smooth (an L1 penalty is left to the
         prox step); that sum is cached, and callers must not write to it."""
-        if include_reg and self._grads[j - 1] is not None:
-            return self._grads[j - 1]
-        g = self.deltas(j)[j - 1] @ self.outs.post_activations[j - 1].T
-        reg = self.net.spec.regularizers[j - 1]
+        grads = self._grads
+        if include_reg and grads[j - 1] is not None:
+            return grads[j - 1]
+        d_j = self.deltas(j)[j - 1]  # after the stages' refresh
+        g = d_j.dot(self._outs.post_activations[j - 1].T)
+        net = self.net
+        reg = net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:
-            g += reg.grad(self.net.weights[j - 1])
-            self._grads[j - 1] = g
+            g += reg.grad(net.weights[j - 1])
+            grads[j - 1] = g
         return g
 
     def grads(self, include_reg: bool = True) -> list:
@@ -361,9 +386,10 @@ def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> n
     """W^T X, bitwise equal to ``np.matmul(w.T, x, out=out)``. With one row
     in W and X (an output layer, d_i = 1) each entry is a single product, and
     a broadcast multiply forms them several times faster than the GEMM;
-    matmul's sum starts at +0.0, so adding +0.0 gives a zero product its sign."""
+    matmul's sum starts at +0.0, so adding +0.0 gives a zero product its sign.
+    Otherwise it is ``ndarray.dot``, or ``np.matmul`` into ``out``."""
     if len(w) != 1 or len(x) != 1:
-        return np.matmul(w.T, x, out=out)
+        return w.T.dot(x) if out is None else np.matmul(w.T, x, out=out)
     out = np.multiply(w.T, x, out=out)
     out += 0.0
     return out
@@ -446,14 +472,9 @@ def all_block_gradients(net: Network, data: Dataset, loss,
 
 def objective_value(net: Network, data: Dataset, loss,
                     outs: LayerOutputs | None = None) -> float:
-    """Full regularized objective: data loss plus every layer's penalty.
-    With ``outs`` the targets are not checked; a pass checks them when built."""
-    if outs is None:
-        return NetworkPass(net, data, loss).objective()
-    val = loss.value(outs.output, data.Y)
-    for reg, w in zip(net.spec.regularizers, net.weights):
-        val += reg.value(w)
-    return val
+    """Full regularized objective: data loss plus every layer's penalty,
+    from ``outs`` when a forward pass on these inputs is at hand."""
+    return NetworkPass(net, data, loss, outs).objective()
 
 
 def block_objective_fn(net: Network, data: Dataset, loss, j: int,

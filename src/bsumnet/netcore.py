@@ -46,6 +46,7 @@ class FeasibleSet:
     name = "base"
 
     def project(self, w: np.ndarray) -> np.ndarray:
+        """The nearest member of the set, possibly ``w`` itself (not a copy)."""
         raise NotImplementedError
 
     def kernel_index(self, shape: tuple) -> np.ndarray | None:
@@ -59,7 +60,7 @@ class Unconstrained(FeasibleSet):
     name = "unconstrained"
 
     def project(self, w: np.ndarray) -> np.ndarray:
-        return np.array(w, dtype=float)
+        return np.asarray(w, dtype=float)
 
 
 @dataclass(frozen=True)
@@ -121,7 +122,7 @@ class FrobeniusBall(FeasibleSet):
         # the relative slack keeps the projection bitwise idempotent: a
         # rescaled matrix can land a few ulps outside the radius
         if norm <= self.radius * (1.0 + 1e-14):
-            return w.copy()
+            return w
         return w * (self.radius / norm)
 
 
@@ -229,9 +230,10 @@ class LayerOutputs:
         pre, post = self.pre_activations, self.post_activations
         del pre[start - 1:], post[start:]
         z = post[-1]
-        for j in range(start - 1, net.depth):
-            u = net.weights[j] @ z
-            z = net.spec.activations[j].value(u)
+        weights, acts = net.weights, net.spec.activations
+        for j in range(start - 1, len(weights)):
+            u = weights[j].dot(z)
+            z = acts[j].value(u)
             pre.append(u)
             post.append(z)
         return self

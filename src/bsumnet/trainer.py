@@ -330,10 +330,13 @@ def _per_layer(value, depth: int) -> tuple:
 class _LoopState:
     """Mutable machinery owned by one training run: ``cfg.blocks``, one
     schedule state per block (one dict for all when the schedule is shared,
-    so it advances once per iteration) and the mini-batch index stream."""
+    so it advances once per iteration), the mini-batch index stream, and
+    whether the sampler is the full batch and the gamma search is on."""
 
     def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
         self.blocks = cfg.blocks(spec, loss)
+        self.full_batch = cfg.sampler.mode == "full"
+        self.adapt = cfg.adapt_gamma and self.full_batch
         per_layer = isinstance(cfg.schedule, (list, tuple))
         self.sched = [{} for _ in range(spec.depth)] if per_layer else [{}] * spec.depth
         self.stream = BatchStream(cfg.sampler, n_samples)
@@ -378,19 +381,19 @@ def _apply_update(w, d, alpha: float):
     return out
 
 
-def _step(full: NetworkPass, cfg: TrainConfig, k: int, state: _LoopState):
+def _step(full: NetworkPass, k: int, state: _LoopState):
     """Outer iteration k: direction and stepsize from a pass on the batch
-    (``full`` itself with a full sampler), then W_j of ``full`` is replaced.
-    Returns (j, alpha, gamma, block gradient norm)."""
-    j = ((k - 1) % full.net.depth) + 1
+    (``full`` itself with a full sampler), then ``full`` keeps the new W_j
+    without a copy. Returns (j, alpha, gamma, a callable giving the block
+    gradient's norm)."""
+    j = (k - 1) % full.depth + 1
     kind, sched = state.blocks[j - 1]
-    full_batch = cfg.sampler.mode == "full"
-    fb = full if full_batch else full._on(full.data.restrict(state.stream.next(k)))
+    fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
     grad = fb.grad(j)  # data term only on an L1 block: the prox step absorbs its penalty
-    d, gamma = kind.direction(fb, j, grad, cfg.adapt_gamma and full_batch)
+    d, gamma = kind.direction(fb, j, grad, state.adapt)
     alpha = _alpha_for_step(fb, sched, j, k, d, grad, state)
-    full.set_block(j, _apply_update(full.net.weights[j - 1], d, alpha))
-    return j, alpha, gamma, math.sqrt(sqnorm(grad))
+    full._install(j, _apply_update(full.net.weights[j - 1], d, alpha))
+    return j, alpha, gamma, lambda: math.sqrt(sqnorm(grad))
 
 
 # ---------------------------------------------------------------------------
@@ -412,9 +415,9 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
         state = _LoopState(cfg, net.spec, loss, data.n_samples)
     t0 = time.perf_counter()
     full = NetworkPass(net.copy(), data, loss)
-    j, alpha, gamma, grad_norm = _step(full, cfg, k, state)
+    j, alpha, gamma, grad_norm = _step(full, k, state)
     f_val, full_norm, nmse = _full_diagnostics(full, _target_energy(data.Y))
-    row = TraceRow(k, j, f_val, nmse, grad_norm, full_norm, alpha, gamma,
+    row = TraceRow(k, j, f_val, nmse, grad_norm(), full_norm, alpha, gamma,
                    time.perf_counter() - t0)
     return full.net, row
 
@@ -422,8 +425,9 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
 def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
              record_every: int, tol: float, cap: float | None = None) -> TrainTrace:
     """Call ``step(k, residual)``, which updates ``full`` and returns (block,
-    alpha, gamma, gradient norm), for k = 1..iterations; ``residual`` is the
-    last one taken, at W_{k-1} when ``cycle`` is 1. f and the residual are
+    alpha, gamma, a callable giving the gradient norm, called only for a
+    recorded row), for k = 1..iterations; ``residual`` is the last one
+    taken, at W_{k-1} when ``cycle`` is 1. f and the residual are
     taken at each cycle's end, recorded row and last k; the run converges
     when a cycle ends at a residual <= ``tol`` and aborts on a non-finite
     value, on f over ``cap`` or on an overflow."""
@@ -446,7 +450,7 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
                 continue
             f_val, norm, nmse = _full_diagnostics(full, energy)
             if record_due:
-                trace.rows.append(TraceRow(k, j, f_val, nmse, grad_norm, norm, alpha,
+                trace.rows.append(TraceRow(k, j, f_val, nmse, grad_norm(), norm, alpha,
                                            gamma, time.perf_counter() - t0))
             if cap is not None and not f_val <= cap:
                 trace.abort(f"objective diverged to {f_val:.3g}")
@@ -468,7 +472,7 @@ def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
     state = _LoopState(cfg, net.spec, loss, data.n_samples)
     full = NetworkPass(net.copy(), data, loss)
     record_every = cfg.record_every if cfg.record_every is not None else net.depth
-    trace = run_loop(full, lambda k, _: _step(full, cfg, k, state), cfg.max_outer_iterations,
+    trace = run_loop(full, lambda k, _: _step(full, k, state), cfg.max_outer_iterations,
                      net.depth, record_every, cfg.grad_norm_tol)
     return full.net, trace
 

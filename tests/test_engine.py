@@ -16,6 +16,9 @@ over, shows as a mismatch.
 """
 
 import itertools
+import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,15 +26,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
-                     ExponentialLoss, FirstOrderProx, Geometric, L2Loss, Logistic,
-                     LogisticLoss, Network, NetworkSpec, Regularizer, ShapeError,
-                     SquaredHingeLoss, Toeplitz, Unconstrained, build_network, forward)
+                     ExponentialLoss, FirstOrderProx, Geometric, InverseRoot, L2Loss,
+                     L2Regularizer, Logistic, LogisticLoss, Network, NetworkSpec,
+                     Regularizer, ShapeError, SquaredHingeLoss, Toeplitz, Unconstrained,
+                     build_network, forward, harness, train, trainer)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
 from bsumnet.netcore import LayerOutputs
 from bsumnet.trainer import TrainConfig, _LoopState, _step
 from conftest import with_block
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import workloads  # noqa: E402
 
 LOSSES = {
     "l2": (L2Loss(), "real"),
@@ -182,7 +190,7 @@ def test_accepted_unit_armijo_step_runs_one_suffix_forward(monkeypatch):
     calls = counted_refreshes(monkeypatch)
     for k in range(1, 4):
         calls.clear()
-        j, alpha, gamma, _ = _step(full, cfg, k, state)
+        j, alpha, gamma, _ = _step(full, k, state)
         full.objective()  # a stale pass would refresh here
         assert (alpha, gamma) == (1.0, 4.0)
         assert calls == [j]
@@ -221,12 +229,12 @@ def test_stalled_geometric_steps_run_no_forward(monkeypatch):
     state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
     full = NetworkPass(net, data, L2Loss())
     for k in range(1, 121):
-        _step(full, cfg, k, state)
+        _step(full, k, state)
     full.grads()
     weights = [w.copy() for w in full.net.weights]
     calls = counted_refreshes(monkeypatch)
     for k in range(121, 181):
-        _, alpha, _, _ = _step(full, cfg, k, state)
+        _, alpha, _, _ = _step(full, k, state)
         full.objective()
         full.grads()
         assert alpha > 0.0
@@ -287,3 +295,124 @@ def test_public_pass_checks_shapes_and_a_probe_does_not_recheck(monkeypatch):
     net.weights[1] = np.zeros((4, 2))  # W_2 swapped for the wrong shape
     with pytest.raises(ShapeError, match="W_2"):
         NetworkPass(net, data, L2Loss())
+
+
+def test_probe_evaluates_only_its_own_block_penalty(monkeypatch):
+    # the pass keeps each block's penalty; a probe reuses the other blocks'
+    # and sums loss + p_1 + ... + p_J in order, so f keeps its bits
+    spec = NetworkSpec.homogeneous([3, 4, 2, 1], Logistic(), regularizer=Regularizer.l2(1e-2))
+    net = build_network(spec, "uniform", seed=6)
+    rng = np.random.default_rng(6)
+    data = Dataset(rng.standard_normal((3, 9)), rng.standard_normal((1, 9)))
+    fb = NetworkPass(net, data, L2Loss())
+    fb.objective()
+    calls = []
+    value = L2Regularizer.value
+    monkeypatch.setattr(L2Regularizer, "value",
+                        lambda self, w: calls.append(w.shape) or value(self, w))
+    for j in range(1, net.depth + 1):
+        v = net.weights[j - 1] + 0.1 * rng.standard_normal(net.weights[j - 1].shape)
+        calls.clear()
+        f = fb.probe(j, v).objective()
+        assert calls == [v.shape]
+        assert f == NetworkPass(with_block(net, j, v), data, L2Loss()).objective()
+    # set_block adopts the last probe with its penalty; an update to another
+    # block then evaluates that block's penalty alone
+    fb.set_block(net.depth, v)
+    net = with_block(net, net.depth, v)
+    calls.clear()
+    assert fb.objective() == f and calls == []
+    w = net.weights[0] + 0.2
+    fb.set_block(1, w)
+    net = with_block(net, 1, w)
+    assert fb.objective() == NetworkPass(net, data, L2Loss()).objective()
+    assert calls[0] == w.shape and len(calls) == 1 + net.depth  # then the fresh pass's
+
+
+@pytest.mark.parametrize("feasible,schedule,adopted", [
+    (Unconstrained(), InverseRoot(1.0), False),
+    (Toeplitz(), ArmijoRule(), True),
+], ids=["unconstrained", "toeplitz_armijo"])
+def test_installed_block_is_kept_without_a_copy_and_aliases_nothing(
+        monkeypatch, feasible, schedule, adopted):
+    # the trainer hands the pass the block it built; the pass keeps that
+    # array (or, after a line search, the accepted probe's), and it shares
+    # no memory with the block it replaces, a cached gradient or delta, or
+    # a stage
+    spec = NetworkSpec.homogeneous([4, 5, 5, 1], Logistic(), regularizer=Regularizer.l2(1e-2),
+                                   feasible=feasible)
+    net = build_network(spec, "uniform", seed=7)
+    rng = np.random.default_rng(7)
+    data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
+    install, apply_update = NetworkPass._install, trainer._apply_update
+    installed, built = [], []
+
+    def recorded(w, d, alpha):
+        built.append(apply_update(w, d, alpha))
+        return built[-1]
+
+    def checked(fb, j, w):
+        before = fb.net.weights[j - 1]
+        held = [a for a in fb._grads + fb._deltas if a is not None]
+        held += fb._outs.pre_activations + fb._outs.post_activations
+        install(fb, j, w)
+        new = fb.net.weights[j - 1]
+        if new is before:
+            return
+        installed.append(j)
+        assert (new is built[-1]) != adopted
+        for a in [before] + held:
+            assert not np.shares_memory(new, a)
+
+    monkeypatch.setattr(trainer, "_apply_update", recorded)
+    monkeypatch.setattr(NetworkPass, "_install", checked)
+    cfg = TrainConfig(upperbound=FirstOrderProx(1.0), schedule=schedule,
+                      max_outer_iterations=3 * net.depth)
+    train(net, data, L2Loss(), cfg)
+    assert sorted(set(installed)) == [1, 2, 3]
+
+
+def test_public_set_block_keeps_a_copy():
+    spec = NetworkSpec.homogeneous([3, 4, 1], Logistic(), regularizer=Regularizer.l2(1e-2))
+    net = build_network(spec, "uniform", seed=8)
+    rng = np.random.default_rng(8)
+    data = Dataset(rng.standard_normal((3, 7)), rng.standard_normal((1, 7)))
+    for j in (1, 2):
+        w = net.weights[j - 1] + 0.1
+        want = NetworkPass(with_block(net, j, w), data, L2Loss()).objective()
+        kept = w.copy()
+        fb = NetworkPass(net, data, L2Loss())
+        fb.set_block(j, w)
+        w += 1.0  # the caller's array, written after the update
+        assert fb.net.weights[j - 1].tobytes() == kept.tobytes()
+        assert fb.objective() == want
+
+
+def benchmark_passes(tmp_path):
+    """(name, pass) at each benchmark workload's inputs: the three train
+    workloads' and the README config's network and dataset."""
+    for name in ("fo_logistic", "armijo_probe", "curvature"):
+        job = workloads.WORKLOADS[name](0, True, tmp_path)
+        yield name, NetworkPass(job.net, job.data, L2Loss())
+    cfg = harness.parse_config(json.loads((PERFBENCH / "readme_config.json").read_text()))
+    yield "readme_cli", NetworkPass(build_network(cfg.spec, cfg.init, seed=0), cfg.data,
+                                    cfg.loss)
+
+
+def test_dot_and_matmul_agree_bitwise_at_the_benchmark_shapes(tmp_path):
+    # the engine forms its 2-D products with ndarray.dot (np.dot), which at
+    # these shapes runs the same GEMM as np.matmul; a numpy or BLAS that split
+    # the two would move every trajectory, so it fails here first
+    seen = set()
+    for name, fb in benchmark_passes(tmp_path):
+        post, deltas, weights = fb.outs.post_activations, fb.deltas(), fb.net.weights
+        for i, w in enumerate(weights):
+            products = [(w, post[i]), (deltas[i], post[i].T)]  # forward, D Z^T
+            if i:
+                products.append((w.T, deltas[i]))  # W^T D into layer i
+            for a, b in products:
+                assert a.dot(b).tobytes() == np.matmul(a, b).tobytes(), (name, i)
+            seen.add((name, w.shape))
+    assert ("fo_logistic", (1, 10)) in seen and ("curvature", (1, 16)) in seen
+    assert {name for name, _ in seen} == {"fo_logistic", "armijo_probe", "curvature",
+                                           "readme_cli"}

@@ -1,6 +1,7 @@
 """Training loop: schedules, special-case equivalences, loop invariants."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -17,7 +18,9 @@ from bsumnet import (ArmijoRule, BatchSampler, Constant, CurvatureError,
                      forward, normalized_mse, stepsize_next, stochastic_train,
                      synth_regression, train, train_step)
 from bsumnet import trainer
-from bsumnet.gradients import NetworkPass, block_gradient, block_hessian, objective_value
+from bsumnet.functions import sqnorm
+from bsumnet.gradients import (BatchStream, NetworkPass, block_gradient, block_hessian,
+                               objective_value)
 from bsumnet.trainer import TrainConfig, _LoopState, armijo_stepsize
 from conftest import make_problem, with_block
 
@@ -207,7 +210,7 @@ class TestTrainStep:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
-            _, alpha, _, _ = trainer._step(full, cfg, 1, state)
+            _, alpha, _, _ = trainer._step(full, 1, state)
         assert alpha == 0.0
         assert full.net.weights[0].tobytes() == w.tobytes()
 
@@ -624,6 +627,44 @@ class TestStochasticTrain:
                           adapt_gamma=False)
         _, trace = stochastic_train(net, data, L2Loss(), cfg)
         assert trace.iterations_run == 40
+
+
+class TestRecordedBlockGradientNorm:
+    """A row's block_grad_norm, taken only when the row is recorded, is
+    bitwise the norm of the block gradient a fresh pass takes at the iterate
+    step k started from (on step k's batch with a mini-batch sampler)."""
+
+    @pytest.mark.parametrize("record_every,sampler,schedule,reg", [
+        (1, BatchSampler(), InverseRoot(1.0), Regularizer.l2(1e-2)),
+        (None, BatchSampler(), InverseRoot(1.0), Regularizer.l2(1e-2)),
+        (2, BatchSampler(), ArmijoRule(), Regularizer.l2(1e-2)),
+        (1, BatchSampler("fixed", batch_size=5, seed=4), Recursive(0.9, 0.5),
+         Regularizer.l2(1e-2)),
+        (1, BatchSampler(), InverseRoot(1.0), Regularizer.l1(1e-2)),
+    ], ids=["every_row", "default_rows", "armijo", "fixed_batch", "l1"])
+    def test_rows_match_a_fresh_gradient(self, record_every, sampler, schedule, reg):
+        net, data = make_problem([3, 4, 3, 1], Logistic(), L2Loss(), seed=5, n=15, reg=reg)
+        cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=schedule, sampler=sampler,
+                          record_every=record_every, max_outer_iterations=9,
+                          grad_norm_tol=1e-13)
+        _, trace = train(net, data, L2Loss(), cfg)
+        stream = BatchStream(sampler, data.n_samples)
+        batches = [stream.next(k) for k in range(1, 10)]
+        assert [r.k for r in trace.rows] == list(range(record_every or 3, 10, record_every or 3))
+        for row in trace.rows:
+            start = train(net, data, L2Loss(), dataclasses.replace(
+                cfg, max_outer_iterations=row.k - 1))[0] if row.k > 1 else net
+            batch = data if sampler.mode == "full" else data.restrict(batches[row.k - 1])
+            g = NetworkPass(start, batch, L2Loss()).grad(row.block)
+            assert row.block_grad_norm == math.sqrt(sqnorm(g)), row.k
+
+    def test_train_step_row_matches_a_fresh_gradient(self):
+        net, data = make_problem([3, 4, 3, 1], Logistic(), L2Loss(), seed=6, n=15)
+        cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=InverseRoot(1.0))
+        for k in (1, 2, 3):
+            _, row = train_step(net, data, L2Loss(), cfg, k)
+            g = NetworkPass(net, data, L2Loss()).grad(k)
+            assert row.block == k and row.block_grad_norm == math.sqrt(sqnorm(g))
 
 
 @st.composite
