@@ -130,11 +130,18 @@ class Tanh(Activation):
 
     def derivative(self, u, z=None):
         t = np.tanh(u) if z is None else z
-        return 1.0 - t * t
+        out = t * t
+        np.subtract(1.0, out, out=out)  # one temporary
+        return out
 
     def second_derivative(self, u, z=None):
+        # -2 t (1 - t^2), formed in one array
         t = np.tanh(u) if z is None else z
-        return -2.0 * t * (1.0 - t * t)
+        out = t * t
+        np.subtract(1.0, out, out=out)
+        out *= t
+        out *= -2.0
+        return out
 
 
 @dataclass(frozen=True, repr=False)

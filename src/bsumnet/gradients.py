@@ -32,36 +32,43 @@ Every layer acts on each sample's column separately, so the block Hessian is
 with z_n column n of Z_{j-1}, M_n the d_j x d_j curvature of f in column n
 of U_j, g the data-term block gradient, kappa the loss's coupling of the
 samples (1/L for the exponential loss, 0 for the others) and mu the
-regularizer's strong-convexity modulus (2 lam for L2). One R-pass
-(Pearlmutter, 1994) from the unit directions RZ_j = e_r 1^T for all r at
-once gives M~_n = W_{j+1}^T Q_n, with Q = R{D_{j+1}} (at j = J, W = I and Q_n
-the loss's curvature in column n of H), and
+regularizer's strong-convexity modulus (2 lam for L2). Unrolling the
+recursion M = S W' M W S + diag(b) over the layers above j gives
 
-    M_n[s,r] = sigma'_j[s] sigma'_j[r] M~_n[s,r] + [s = r] b_j[s],
+    M_n = S_j M~_n S_j + diag(b_j),  M~_n = sum_{j<i<J} R_i' diag(b_i) R_i + R_J' G_n R_J,
 
-with b_j = df/dZ_j (.) sigma''_j layer j's bend. The sum is one GEMM over
+with S_i = diag(sigma'_i), b_i = df/dZ_i (.) sigma''_i layer i's bend,
+R_i = dU_i/dZ_j the forward R-pass (Pearlmutter, 1994) and G_n the
+curvature in column n of U_J (M_n = G_n at j = J). Over the pairs s <= r,
+layer j+1's term is one GEMM through K[p, a] = W_{j+1}[a, s] W_{j+1}[a, r],
+at d_J = 1 the output term is pair products of the row R_J, and a backward
+sweep adds the rest (``_curvature``). The sum over n is one GEMM over
 unordered pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows
 M_n[s,r], s <= r, and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order:
 H is bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the
-same product entry.
+same product entry. At d_j = 1 it is (Z (.) m) Z', upper triangle mirrored;
+block 1's pairs of X are formed once per pass.
 
 A Toeplitz block W_j = v[index] has K = d_j + d_{j-1} - 1 unknowns, its
 diagonal values. With P the 0/1 map from v to vec(W_j), column n of U_j is
 Y_n v, Y_n[s, p] = z_n[s + p - d_j + 1] (zero outside), and without H
 
-    P'HP = sum_n (W_{j+1} S_n Y_n)'(Q_n S_n Y_n) + sum_s window_s(Z diag(b_s) Z')
+    P'HP = sum_n Y_n' S_j M~_n S_j Y_n + sum_s window_s(Z diag(b_s) Z')
            + kappa (P'g)(P'g)' + mu diag(P'P),
 
-with S_n = diag(sigma'_j) at column n and window_s placing its matrix at
-offset d_j - 1 - s on the diagonal: O(d_{j+1} d_j K N + d_{j+1} K^2 N +
-d_j d_{j-1}^2 N) work, against O((d_j d_{j-1})^2 N) for H. The stage tensors
-and gathers go to a scratch the pass owns, flat buffers kept by role and
-grown on demand.
+with window_s placing its matrix at offset d_j - 1 - s on the diagonal;
+layer j+1's term is sum_n A_n' diag(b_{j+1}) A_n from the one factor
+A_n = W_{j+1} S_j Y_n. It runs over chunks of samples, and the bend over
+chunks of pairs, whose scratch stays within ``_KERNEL_SCRATCH`` doubles a
+role. Stage tensors and gathers go to a scratch the pass owns, flat
+buffers kept by role and grown on demand.
 
-The contractions W^T X of the deltas and the R-pass go through
-``_wt_matmul``, a broadcast product through a one-row W (d_J = 1). A fresh
-2-D product is ``ndarray.dot`` (``np.dot`` without its dispatch): the GEMM
-of ``np.matmul``, with its bits at the benchmark's shapes (a test checks).
+The contractions W^T X of the deltas and bends go through ``_wt_matmul``,
+a single product per entry through a one-row W (d_J = 1); broadcast
+products on the scratch are einsums, which take no buffer of their own. A
+fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its dispatch): the
+GEMM of ``np.matmul``, with its bits at the benchmark's shapes (a test
+checks).
 """
 
 from __future__ import annotations
@@ -69,11 +76,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from .errors import NonSmoothError, ShapeError, SizeError, SpecError
-from .netcore import Dataset, LayerOutputs, Network, Toeplitz, forward
+from .netcore import Dataset, LayerOutputs, Network, _diagonal_plan, forward
 
 __all__ = [
     "NetworkPass", "BatchSampler", "BatchStream",
@@ -83,6 +91,9 @@ __all__ = [
 ]
 
 _HESSIAN_SIZE_LIMIT = 10_000
+# doubles in each scratch role of the kernel Hessian: it runs over chunks of
+# samples (and of pairs, for the bend) that fit
+_KERNEL_SCRATCH = 1 << 17
 
 
 # ---------------------------------------------------------------------------
@@ -126,6 +137,7 @@ class NetworkPass:
         self._memo = None  # (j, content of W_j, pass) of the last probe
         self._keys = list(keys) if keys is not None else [_content(w) for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
+        self._zz0 = None  # block 1's input pairs, see hessian
 
     def set_block(self, j: int, w: np.ndarray) -> None:
         """Replace W_j by a copy of ``w`` (a ShapeError unless it has the
@@ -248,127 +260,207 @@ class NetworkPass:
         """Exact Hessian of f in row-major vec(W_j), from the cached stages
         (formula in the module docstring); bitwise symmetric and the caller's to keep."""
         z = self.outs.post_activations[j - 1]
-        w, q, slope, bend, kappa = self._curvature(j)
-        d_j, n = slope.shape
-        m = q if w is None else _wt_matmul(w, q.reshape(len(q), -1),
-                                           self._buf(("rd", j % 2), d_j, d_j * n))
-        rows, row_s, row_r, cols, cols_t, gather = _pair_layout(d_j, len(z))
-        # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e], M_n[s,r] from s <= r,
-        # the d_j rows s = r first
-        pairs = self._take(("rd", (j + 1) % 2), m.reshape(d_j * d_j, n), rows)
-        scale = self._take("zz", slope, row_s)
-        scale *= self._take(("rd", j % 2), slope, row_r)  # M's buffer, free once taken
-        pairs *= scale
-        pairs[:len(bend)] += bend
-        zz = self._take("zz", z, cols)
-        zz *= self._take(("rd", j % 2), z, cols_t)
-        prod = np.matmul(pairs, zz.T, out=self._buf(("rd", j % 2), len(rows), len(cols)))
-        hess = np.take(prod, gather, out=np.empty(gather.shape), mode="clip")
-        if kappa:
+        c = self._curvature(j)
+        (d_j, n), d_prev = c.slope.shape, len(z)
+        rows, row_s, row_r, cols, cols_t, gather = _pair_layout(d_j, d_prev)
+        pairs = self._pair_curvature(c, rows, row_s, row_r)
+        if d_j == 1:
+            # H = (Z (.) m) Z', its lower triangle the mirror of the upper
+            hess = np.einsum("cn,n->cn", z, pairs[0], out=self._buf("t1", d_prev, n)).dot(z.T)
+            lower, upper = _mirror(d_prev)
+            hess.reshape(-1)[lower] = hess.reshape(-1)[upper]
+        else:
+            # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e], from pairs s <= r
+            # and c <= e; Z_0 = X never changes, so block 1's pairs are kept
+            if j > 1:
+                zz = self._take("t1", z, cols)
+                zz *= self._take("t2", z, cols_t)
+            elif self._zz0 is None:
+                zz = self._zz0 = z[cols] * z[cols_t]
+            else:
+                zz = self._zz0
+            prod = np.matmul(pairs, zz.T, out=self._buf("t2", len(rows), len(cols)))
+            hess = np.take(prod, gather, out=np.empty(gather.shape), mode="clip")
+        if c.kappa:
             g = self.grad(j, include_reg=False).reshape(-1)
-            hess += kappa * np.outer(g, g)
+            hess += c.kappa * np.outer(g, g)
         hess.reshape(-1)[::len(hess) + 1] += self.net.spec.regularizers[j - 1].strong_convexity
         return hess
 
+    def _pair_curvature(self, c: SimpleNamespace, rows, s, r) -> np.ndarray:
+        # rows M_n[s, r], s <= r, of the curvature in U_j (flat indices
+        # ``rows``, the d_j with s = r first), (P, N) on the scratch
+        (d_j, n), p = c.slope.shape, len(s)
+        pairs = self._buf("pairs", p, n)
+        parts = []  # the terms of M~_n other than products of one row, in pairs
+        ranked = [(c.row, c.g)]  # terms g_n row_n row_n'
+        if c.beta is not None:
+            if len(c.w) == 1:
+                ranked.append((c.w[0][:, None], c.beta))
+            else:  # W' diag(beta_n) W as K beta, K[p, a] = W[a, s_p] W[a, r_p]
+                k = np.take(c.w, s, axis=1)
+                k *= np.take(c.w, r, axis=1)
+                parts.append(np.matmul(k.T, c.beta, out=self._buf("t1", p, n)))
+        if c.q is not None:  # W' Q_n, or C_n itself at j = J
+            m = c.q if c.w is None else np.matmul(c.w.T, c.q.reshape(len(c.q), -1),
+                                                  out=self._buf("m", d_j, d_j * n))
+            parts.append(np.take(m.reshape(d_j * d_j, n), rows, axis=0, mode="clip",
+                                 out=self._buf("t2" if parts else "t1", p, n)))
+        total = None
+        if parts:  # scaled by slope[s] slope[r]
+            if len(parts) > 1:
+                parts[0] += parts[1]
+            total = np.take(c.slope, s, axis=0, out=pairs, mode="clip")
+            total *= self._take("rs", c.slope, r)
+            total *= parts[0]
+        for row, weight in ranked:
+            if row is not None:  # g_n (sigma' row)_s (sigma' row)_r
+                rs = np.multiply(row, c.slope, out=self._buf("rs", d_j, n))
+                rg = np.multiply(rs, weight, out=self._buf("rg", d_j, n))
+                t = np.take(rg, s, axis=0, out=self._buf("t1", p, n) if total is not None
+                            else pairs, mode="clip")
+                t *= self._take("t2", rs, r)
+                total = _add(total, t)
+        total[:d_j] += c.bend
+        return total
+
     def kernel_hessian(self, j: int) -> np.ndarray:
         """Hessian of f in the diagonal values of W_j (``Toeplitz.kernel_index``),
-        P'HP in the module docstring; symmetric to rounding and the caller's."""
+        P'HP in the module docstring; symmetric to rounding and the caller's.
+        Its scratch stays within ``_KERNEL_SCRATCH`` doubles a role, or one
+        sample's or one pair's share where that is larger."""
         z = self.outs.post_activations[j - 1]
-        w, q, slope, bend, kappa = self._curvature(j)
-        (d_j, n), d_prev = slope.shape, len(z)
+        c = self._curvature(j)
+        (d_j, n), d_prev = c.slope.shape, len(z)
         k = d_j + d_prev - 1
-        # Y[n] = Y_n, windows of a zero-padded Z^T
-        pad = self._buf("pad", n, k + d_j - 1)
-        pad.fill(0.0)
-        pad[:, d_j - 1:d_j - 1 + d_prev] = z.T
-        y = self._buf("y", n, d_j, k)
-        step = pad.strides[1]
-        np.copyto(y, np.lib.stride_tricks.as_strided(pad, y.shape, (pad.strides[0], step, step)))
-        # W S_n and Q_n S_n side by side (W = I at j = J), times Y_n
-        d_next = len(q)
-        factors = self._buf("factors", n, 2, d_next, d_j)
-        np.multiply(np.eye(d_j) if w is None else w, slope.T[:, None, :], out=factors[:, 0])
-        np.multiply(q.transpose(2, 0, 1), slope.T[:, None, :], out=factors[:, 1])
-        ab = np.matmul(factors.reshape(n, 2 * d_next, d_j), y,
-                       out=self._buf("ab", n, 2 * d_next, k)).reshape(n, 2, d_next, k)
-        hess = ab[:, 0].reshape(-1, k).T @ ab[:, 1].reshape(-1, k)
+        d_a = d_j if c.w is None else len(c.w)
+        hess = None
+        step = max(1, _KERNEL_SCRATCH // (max(d_j, d_a) * k))
+        for n0 in range(0, n, step):
+            cols = slice(n0, min(n, n0 + step))
+            m = cols.stop - n0
+            # SY[s, n] = sigma'_j[s, n] Y_n[s], from windows of a zero-padded Z^T
+            pad = self._buf("pad", m, k + d_j - 1)
+            pad.fill(0.0)
+            pad[:, d_j - 1:d_j - 1 + d_prev] = z[:, cols].T
+            y = np.lib.stride_tricks.as_strided(
+                pad, (d_j, m, k), (pad.strides[1], pad.strides[0], pad.strides[1]))
+            sy = np.einsum("snp,sn->snp", y, c.slope[:, cols], out=self._buf("sy", d_j, m, k))
+            # A_n = W S_n Y_n (S_n Y_n at j = J), and V_n with sum_n A_n' V_n the
+            # Gram and sweep terms: V_n = diag(beta_n) A_n + Q_n S_n Y_n
+            a = sy if c.w is None else np.matmul(
+                c.w, sy.reshape(d_j, -1), out=self._buf("a", d_a, m * k)).reshape(d_a, m, k)
+            v = self._buf("v", d_a, m, k)
+            if c.beta is not None:
+                np.einsum("anp,an->anp", a, c.beta[:, cols], out=v)
+            if c.q is not None:
+                qsy = np.matmul(c.q[:, :, cols].transpose(2, 0, 1), sy.transpose(1, 0, 2),
+                                out=self._buf("qsy", m, d_a, k)).transpose(1, 0, 2)
+                if c.beta is None:
+                    np.copyto(v, qsy)
+                else:
+                    v += qsy
+            hess = _add(hess, a.reshape(-1, k).T.dot(v.reshape(-1, k)))
+            if c.row is not None:  # B_n = R_J[n]' S_n Y_n, weighted by g_n
+                b = np.einsum("sn,snp->np", c.row[:, cols], sy, out=self._buf("b", m, k))
+                bg = np.einsum("np,n->np", b, c.g[cols], out=self._buf("v", m, k))
+                hess = _add(hess, bg.T.dot(b))
         # the bend's windows from pairs c <= e; the pairs c = e count half, as
         # adding the transpose doubles them (both exact)
-        c, e, bins = _window_layout(d_j, d_prev)
-        zz = self._take("zz", z, c)
-        zz *= self._take("y", z, e)  # Y's buffer, free once used
-        windows = zz @ bend.T
-        windows[:d_prev] *= 0.5
-        upper = np.bincount(bins, weights=windows.ravel(), minlength=k * k).reshape(k, k)
+        first, second = _window_layout(d_j, d_prev)
+        step = max(1, _KERNEL_SCRATCH // (n + d_j))
+        upper = None
+        for p0 in range(0, len(first), step):
+            part = slice(p0, p0 + step)
+            zz = self._take("sy", z, first[part])
+            zz *= self._take("a", z, second[part])
+            windows = np.matmul(zz, c.bend.T, out=self._buf("v", len(zz), d_j))
+            windows[:max(0, d_prev - p0)] *= 0.5
+            bins = _window_bins(d_j, d_prev, p0, p0 + len(zz))
+            upper = _add(upper, np.bincount(bins, weights=windows.ravel(), minlength=k * k))
+        upper = upper.reshape(k, k)
         hess += upper
         hess += upper.T
-        index = Toeplitz().kernel_index(self.net.weights[j - 1].shape)
-        if kappa:
+        index, ties, _ = _diagonal_plan(d_j, d_prev)
+        if c.kappa:
             g = np.bincount(index, weights=self.grad(j, include_reg=False).reshape(-1))
-            hess += kappa * np.outer(g, g)
-        hess.reshape(-1)[::k + 1] += self.net.spec.regularizers[j - 1].strong_convexity \
-            * np.bincount(index)
+            hess += c.kappa * np.outer(g, g)
+        hess.reshape(-1)[::k + 1] += self.net.spec.regularizers[j - 1].strong_convexity * ties
         return hess
 
-    def _curvature(self, j: int) -> tuple:
-        """Per-sample curvature of the data term in U_j, as (W, Q, slope,
-        bend, kappa): d^2 f / dU_j[s, n] dU_j[r, n] without the loss's sample
-        coupling is slope[s, n] slope[r, n] M~_n[s, r] + [s = r] bend[s, n],
-        with M~_n = W' Q[:, :, n], slope = sigma'_j and bend = df/dZ_j (.)
-        sigma''_j, and kappa is that coupling's weight (``curvature_H``).
-        W is W_{j+1} and Q of shape (d_{j+1}, d_j, N) is R{D_{j+1}}, on the
-        scratch until the next query; at j = J, W is None (the identity) and
-        Q the loss's curvature in H.
+    def _curvature(self, j: int) -> SimpleNamespace:
+        """The data term's curvature in U_j without the loss's sample coupling
+        kappa: slope[s] slope[r] M~_n[s, r] + [s = r] bend[s] at column n, with
 
-        The R-pass runs from the unit directions RZ_j = e_r 1^T, carried at
-        once, so its stage tensors have shape (d_i, d_j, N); the scratch keeps
-        RU_i as role ("ru", i) and R{D_i} as ("rd", i % 2). RU_{j+1} = W_{j+1}
-        is constant in n and never stored: RU_{j+2} is one GEMM through
-        W_{j+2} diag(sigma'_{j+1}) W_{j+1}, and layer j+1's bend term
-        W_{j+1} (.) b_{j+1} takes RU_{j+1}'s buffer. The backward sweep starts
-        at R{D_J} = G_n RU_J, with G_n the curvature of f in column n of U_J.
-        """
+            M~_n = W' diag(beta_n) W + g_n row_n row_n' + W' Q_n,
+
+        each term present when its array is not None; the arrays may be on
+        the scratch. W is W_{j+1}, or None (the identity) at j = J, where Q_n
+        is the loss's curvature C_n. beta is layer j+1's bend (G_n at
+        j = J-1, d_J = 1) and row is RU_J at d_J = 1, with g = G_n.
+        RU_i = dU_i/dZ_j has stage tensors (d_i, d_j, N) on the scratch as
+        role ("ru", i): RU_{j+2} is one GEMM through W_{j+2} diag(sigma'_{j+1})
+        W_{j+1}, each later one a GEMM through W_i. The sweep starts at
+        T_{J-1} = b_{J-1} (.) RU_{J-1} at d_J = 1, at T_J = G_n RU_J otherwise,
+        and runs T_{i-1} = sigma'_{i-1} (.) W_i' T_i + b_{i-1} (.) RU_{i-1}
+        down to Q = T_{j+1}, without layer j+1's bend."""
         outs, deltas = self.outs, self.deltas(j)
         pre, post = outs.pre_activations, outs.post_activations
         acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
+
+        def bend_of(i):  # b_i = (W_{i+1}' D_{i+1}) (.) sigma''_i
+            back = _wt_matmul(weights[i], deltas[i], self._buf(("bend", i), len(pre[i - 1]), n))
+            back *= acts[i - 1].second_derivative(pre[i - 1], post[i])
+            return back
+
         d_j, n = pre[j - 1].shape
-        slopes = [acts[i - 1].derivative(pre[i - 1], post[i]) for i in range(j, depth + 1)]
+        d_out = len(pre[-1])
+        bend_j = None if j == depth else bend_of(j)  # before the slopes: one stage alive at a time
+        slopes = [None] * (j - 1) + [acts[i - 1].derivative(pre[i - 1], post[i])
+                                     for i in range(j, depth + 1)]  # slopes[i - 1] = sigma'_i
         curv, kappa = self.loss.curvature_H(outs.output, self.data.Y)
-        back = self.loss.grad_H(outs.output, self.data.Y)  # df/dZ_i
-        bend = back * acts[-1].second_derivative(pre[-1], post[-1])
+        bend = self.loss.grad_H(outs.output, self.data.Y)  # b_J = df/dZ_J (.) sigma''_J
+        bend *= acts[-1].second_derivative(pre[-1], post[-1])
         if j == depth:
-            return None, curv, slopes[0], bend, kappa
-        ru = [weights[j][:, :, None]]  # RU_i for i = j+1..J
+            return SimpleNamespace(w=None, beta=None, row=None, g=None, q=curv,
+                                   slope=slopes[-1], bend=bend, kappa=kappa)
+        g = curv * slopes[-1] * slopes[-1][:, None, :]  # G_n, column n's curvature in U_J
+        g.reshape(-1, n)[::d_out + 1] += bend
+        w = weights[j]
+        if j == depth - 1 and d_out == 1:  # M~_n = W_J' G_n W_J, a Gram term
+            return SimpleNamespace(w=w, beta=g.reshape(1, n), row=None, g=None, q=None,
+                                   slope=slopes[j - 1], bend=bend_j, kappa=kappa)
+        ru = {j + 1: w[:, :, None]}
         for i in range(j + 2, depth + 1):
             out = self._buf(("ru", i), len(pre[i - 1]), d_j, n)
             if i == j + 2:  # through[b, r, a] = W_{j+2}[b, a] W_{j+1}[a, r]
-                through = weights[j + 1][:, None, :] * weights[j].T
-                np.matmul(through.reshape(-1, len(weights[j])), slopes[1], out=out.reshape(-1, n))
+                through = weights[j + 1][:, None, :] * w.T
+                np.matmul(through.reshape(-1, len(w)), slopes[j], out=out.reshape(-1, n))
             else:
-                rz = np.multiply(slopes[i - 1 - j][:, None, :], ru[-1],
-                                 out=self._buf(("rd", (depth + 1) % 2), *ru[-1].shape))
+                rz = np.einsum("arn,an->arn", ru[i - 1], slopes[i - 2],
+                               out=self._buf("rz", *ru[i - 1].shape))
                 np.matmul(weights[i - 1], rz.reshape(len(rz), -1), out=out.reshape(len(out), -1))
-            ru.append(out)
-        g = curv * slopes[-1] * slopes[-1][:, None, :]  # G_n, column n's curvature in U_J
-        g.reshape(-1, n)[::len(g) + 1] += bend
-        rd = self._buf(("rd", depth % 2), len(g), d_j, n)
-        # R{D_J}[a] = sum_b G_n[a, b] RU_J[b], a single product at d_J = 1
-        np.multiply(g[:, :1], ru[-1][:1], out=rd)
-        for b in range(1, len(g)):
-            rd += g[:, b:b + 1] * ru[-1][b:b + 1]
-        for i in range(depth, j + 1, -1):
-            # R{D_{i-1}} = sigma'_{i-1} (.) W_i^T R{D_i} + b_{i-1} (.) RU_{i-1}
+            ru[i] = out
+        row, g_row, top, t = None, None, depth, None
+        if d_out == 1:  # the output term is g_n RU_J' RU_J, the middle layers the sweep
+            row, g_row, top = ru[depth].reshape(d_j, n), g.reshape(n), depth - 1
+            if top > j + 1:
+                t = np.einsum("arn,an->arn", ru[top], bend_of(top),
+                              out=self._buf(("rd", top % 2), *ru[top].shape))
+        else:  # T_J[a] = sum_b G_n[a, b] RU_J[b], a GEMM through W_J at j = J-1
+            out = self._buf(("rd", depth % 2), d_out, d_j, n)
+            t = np.matmul(w.T, g, out=out) if depth == j + 1 else \
+                np.einsum("abn,brn->arn", g, ru[depth], out=out)
+        for i in range(top, j + 1, -1):
             out = self._buf(("rd", (i - 1) % 2), len(pre[i - 2]), d_j * n)
-            rd = _wt_matmul(weights[i - 1], rd.reshape(len(rd), -1), out).reshape(-1, d_j, n)
-            rd *= slopes[i - 1 - j][:, None, :]
-            back = _wt_matmul(weights[i - 1], deltas[i - 1])
-            bend = back * acts[i - 2].second_derivative(pre[i - 2], post[i - 1])
-            # einsum broadcasts RU_{j+1} = W_{j+1} about twice as fast as multiply
-            rd += np.einsum("arn,an->arn", ru[i - 2 - j], bend,
-                            out=self._buf(("ru", i - 1), *rd.shape))
-        back = _wt_matmul(weights[j], deltas[j])
-        bend = back * acts[j - 1].second_derivative(pre[j - 1], post[j])
-        return weights[j], rd, slopes[0], bend, kappa
+            t = np.matmul(weights[i - 1].T, t.reshape(len(t), -1), out=out).reshape(-1, d_j, n)
+            t *= slopes[i - 2][:, None, :]
+            if i - 1 > j + 1:
+                t += np.einsum("arn,an->arn", ru[i - 1], bend_of(i - 1),
+                               out=self._buf("rz", *t.shape))
+        beta = None if j == depth - 1 else bend_of(j + 1)
+        return SimpleNamespace(w=w, beta=beta, row=row, g=g_row, q=t,
+                               slope=slopes[j - 1], bend=bend_j, kappa=kappa)
 
     def _buf(self, role, *shape) -> np.ndarray:
         # an array of this shape on the role's scratch buffer, grown on demand
@@ -384,13 +476,17 @@ class NetworkPass:
 
 def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W^T X, bitwise equal to ``np.matmul(w.T, x, out=out)``. With one row
-    in W and X (an output layer, d_i = 1) each entry is a single product, and
-    a broadcast multiply forms them several times faster than the GEMM;
-    matmul's sum starts at +0.0, so adding +0.0 gives a zero product its sign.
-    Otherwise it is ``ndarray.dot``, or ``np.matmul`` into ``out``."""
+    in W and X (an output layer, d_i = 1) each entry is a single product,
+    formed several times faster than by the GEMM: into ``out`` by einsum,
+    whose sum starts at +0.0 as matmul's does and which takes no buffer of
+    its own, and fresh by a broadcast multiply, quicker at these sizes, to
+    which adding +0.0 gives a zero product matmul's sign. Otherwise it is
+    ``ndarray.dot``, or ``np.matmul`` into ``out``."""
     if len(w) != 1 or len(x) != 1:
         return w.T.dot(x) if out is None else np.matmul(w.T, x, out=out)
-    out = np.multiply(w.T, x, out=out)
+    if out is not None:
+        return np.einsum("ia,in->an", w, x, out=out)
+    out = np.multiply(w.T, x)
     out += 0.0
     return out
 
@@ -411,13 +507,36 @@ def _pair_layout(d_j: int, d_prev: int) -> tuple:
 
 @functools.lru_cache(maxsize=4)
 def _window_layout(d_j: int, d_prev: int) -> tuple:
-    """Rows c and e of pairs c <= e, those with c = e first, and the flat
-    index of (c + o, e + o), o = d_j - 1 - s, in the K x K kernel Hessian,
-    in (pair, s) order; cached for four shapes."""
-    c, e = (np.concatenate((np.arange(d_prev), side)) for side in np.triu_indices(d_prev, 1))
+    """Rows c and e of pairs c <= e, those with c = e first; cached for
+    four shapes."""
+    return tuple(np.concatenate((np.arange(d_prev), side)) for side in np.triu_indices(d_prev, 1))
+
+
+@functools.lru_cache(maxsize=4)
+def _window_bins(d_j: int, d_prev: int, start: int, stop: int) -> np.ndarray:
+    """Flat index of (c + o, e + o), o = d_j - 1 - s, in the K x K kernel
+    Hessian for the pairs start..stop of ``_window_layout``, in (pair, s)
+    order; cached for four chunks."""
+    c, e = (side[start:stop, None] for side in _window_layout(d_j, d_prev))
     offset = np.arange(d_j - 1, -1, -1)
     k = d_j + d_prev - 1
-    return c, e, ((c[:, None] + offset) * k + e[:, None] + offset).ravel()
+    return ((c + offset) * k + e + offset).ravel()
+
+
+@functools.lru_cache(maxsize=4)
+def _mirror(d: int) -> tuple:
+    """Flat indices of the entries below the diagonal of a d x d matrix and
+    of the entries above it that mirror them; cached for four sizes."""
+    low, high = np.tril_indices(d, -1)
+    return low * d + high, high * d + low
+
+
+def _add(total, term):
+    # total + term, in place once there is a total
+    if total is None:
+        return term
+    total += term
+    return total
 
 
 def _content(w: np.ndarray) -> tuple:

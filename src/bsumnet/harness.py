@@ -176,7 +176,7 @@ def _baseline(net: Network, data: Dataset, loss, rate: float, update,
 
     def step(k, residual):
         for j, g in enumerate(full.grads()):
-            full.set_block(j + 1, update(j, full.net.weights[j], g))
+            full._install(j + 1, update(j, full.net.weights[j], g))  # a fresh array
         return 0, rate, 0.0, lambda: residual
 
     return run_loop(full, step, max_iterations, 1, record_every, grad_norm_tol,

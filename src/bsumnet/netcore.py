@@ -54,6 +54,11 @@ class FeasibleSet:
         in the kernel v, the members being v[index]; else None."""
         return None
 
+    def kernel_ties(self, shape: tuple) -> np.ndarray | None:
+        """With a kernel index, each kernel coordinate's count of entries (the
+        diagonal of P'P, P the 0/1 map from kernel to members) as floats."""
+        return None
+
 
 @dataclass(frozen=True)
 class Unconstrained(FeasibleSet):
@@ -79,6 +84,10 @@ class Toeplitz(FeasibleSet):
         """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2; one
         read-only array per shape."""
         return _diagonal_plan(*shape)[0]
+
+    def kernel_ties(self, shape: tuple) -> np.ndarray:
+        """Each diagonal's length; one read-only array per shape."""
+        return _diagonal_plan(*shape)[1]
 
     def project(self, w: np.ndarray) -> np.ndarray:
         w = np.asarray(w, dtype=float)

@@ -218,7 +218,7 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
     index = feasible.kernel_index(W.shape)
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
-        rhs, damping = np.bincount(index, weights=rhs), np.bincount(index)
+        rhs, damping = np.bincount(index, weights=rhs), feasible.kernel_ties(W.shape)
     n = len(rhs)
     if hess.shape != (n, n):
         raise SpecError(f"Hessian shape {hess.shape} incompatible with {n} coordinates")

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bsumnet import Dataset, Network, NetworkSpec, Regularizer, build_network
-from bsumnet.gradients import NetworkPass, block_gradient
+from bsumnet.gradients import block_gradient
 
 
 def scalar_forward(net, X):
@@ -185,28 +185,42 @@ def fd_block_hessian(net, data, loss, j, h=1e-5):
 
 
 def dense_block_hessian(net, data, loss, j):
-    """Block-j Hessian assembled over ordered pairs: the full
-    (d_j^2, N) @ (N, d_{j-1}^2) product of the per-sample curvature M_n with
-    z_n z_n^T, a transpose into row-major vec(W_j), then (H + H^T)/2. M_n is
-    rebuilt from the R-pass's parts as sigma'_j sigma'_j^T (.) M~_n + diag(bend),
-    with M~_n = W' Q_n (Q_n itself at j = J) by einsum; the R-pass
-    (``NetworkPass._curvature``) is all it shares with the library."""
-    fb = NetworkPass(net, data, loss)
-    z = fb.outs.post_activations[j - 1]
-    d_j, d_prev, n = net.spec.dims[j], z.shape[0], z.shape[1]
-    w, q, slope, bend, kappa = fb._curvature(j)
-    m = q if w is None else np.einsum("as,arn->srn", w, q)
-    m = slope[:, None, :] * slope[None, :, :] * m
-    m[np.arange(d_j), np.arange(d_j)] += bend
-    hess = m.reshape(d_j * d_j, n) \
-        @ (z[:, None, :] * z[None, :, :]).reshape(d_prev * d_prev, n).T
-    hess = hess.reshape(d_j, d_j, d_prev, d_prev).transpose(0, 2, 1, 3) \
-        .reshape(d_j * d_prev, d_j * d_prev)
+    """Block-j Hessian in row-major vec(W_j) from the per-sample recursion of
+    the curvature G_i of f in column n of U_i,
+
+        G_J = S_J C_n S_J + diag(b_J),   G_i = S_i W_{i+1}' G_{i+1} W_{i+1} S_i + diag(b_i),
+
+    with S_i = diag(sigma'_i) and b_i = df/dZ_i (.) sigma''_i at column n and
+    C_n the loss's curvature there, then H = sum_n G_j (x) z_n z_n' + kappa g g'
+    + mu I, g the data-term block gradient. The forward and backward passes
+    are written here with einsum; of the library it uses only the
+    activations' and the loss's own derivatives."""
+    acts = net.spec.activations
+    pre, post = [], [data.X]
+    for w, act in zip(net.weights, acts):
+        pre.append(w @ post[-1])
+        post.append(act.value(pre[-1]))
+    top = net.depth - 1
+    slope = acts[top].derivative(pre[top])
+    dz = loss.grad_H(post[-1], data.Y)  # df/dZ_J
+    curv, kappa = loss.curvature_H(post[-1], data.Y)
+    g = np.einsum("an,abn,bn->abn", slope, curv, slope)
+    for i in range(top, j - 2, -1):  # layer i + 1 (0-based i), from J down to j
+        if i < top:
+            w = net.weights[i + 1]
+            slope = acts[i].derivative(pre[i])
+            dz = np.einsum("ba,bn->an", w, delta)
+            g = np.einsum("an,ba,bcn,cd,dn->adn", slope, w, g, w, slope)
+        g += np.einsum("an,ab->abn", dz * acts[i].second_derivative(pre[i]), np.eye(len(dz)))
+        delta = dz * slope  # D_{i+1}
+    z = post[j - 1]
+    d_j, d_prev = g.shape[0], z.shape[0]
+    hess = np.einsum("srn,cn,en->scre", g, z, z).reshape(d_j * d_prev, d_j * d_prev)
     if kappa:
-        g = fb.grad(j, include_reg=False).reshape(-1)
-        hess += kappa * np.outer(g, g)
+        grad = np.einsum("sn,cn->sc", delta, z).reshape(-1)
+        hess += kappa * np.outer(grad, grad)
     hess[np.diag_indices_from(hess)] += net.spec.regularizers[j - 1].strong_convexity
-    return (hess + hess.T) / 2.0
+    return hess
 
 
 def brute_force_prox_scalar(a, tau, lo=-50.0, hi=50.0):

@@ -1,5 +1,7 @@
 """Backprop recursion, block gradients, mini-batch arithmetic, FD oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,8 @@ from bsumnet import (ACTIVATIONS, LOSSES, BatchSampler, Dataset,
                      ExponentialLoss, Identity, L2Loss, Logistic, LogisticLoss,
                      NetworkSpec, Network, NonSmoothError, Regularizer,
                      ShapeError, Softplus, SpecError, Tanh, Toeplitz, Unconstrained,
-                     build_network, forward)
+                     build_network, forward, synth_regression)
+from bsumnet import gradients
 from bsumnet.gradients import (BatchStream, NetworkPass, _wt_matmul, block_gradient,
                                block_hessian, block_objective_fn,
                                delta_recursion, fd_gradient, objective_value)
@@ -272,7 +275,9 @@ class TestBlockHessian:
     @settings(max_examples=15, deadline=None)
     def test_pair_assembly_matches_dense_oracle(self, act, loss, dims, seed, l2):
         # the pair GEMM reads M_n's entries s <= r only, the oracle all ordered
-        # pairs and averages H and H^T after the product: equal up to rounding
+        # pairs from its own einsum recursion: equal up to rounding, which
+        # cancelling terms can lift to 2e-13 of |H| (softplus, squared hinge,
+        # dims [1, 1, 3, 1], seed 157: H = -2.6e-6)
         depth = len(dims) - 1
         acts = [act] * depth
         if loss.name == "cross_entropy":
@@ -288,7 +293,7 @@ class TestBlockHessian:
             hess = block_hessian(net, data, loss, j)
             oracle = dense_block_hessian(net, data, loss, j)
             assert np.array_equal(hess, hess.T)
-            assert np.max(np.abs(hess - oracle)) <= 1e-13 * np.max(np.abs(oracle)), (j, dims)
+            assert np.max(np.abs(hess - oracle)) <= 1e-10 * np.max(np.abs(oracle)), (j, dims)
 
     def test_cached_pass_gives_the_same_hessian(self):
         net, data = make_problem([3, 3, 2], Softplus(), LogisticLoss(), seed=23)
@@ -383,6 +388,66 @@ class TestKernelHessian:
             fresh = NetworkPass(net, data, ExponentialLoss(1.0))
             assert np.array_equal(fb.kernel_hessian(j), fresh.kernel_hessian(j)), j
             assert np.array_equal(fb.hessian(j), fresh.hessian(j)), j
+
+    def test_wide_block_assembles_in_bounded_scratch(self, monkeypatch):
+        # a 60 x 60 Toeplitz block at N = 252: in one chunk the shifted copies
+        # alone are 252 * 60 * 119 doubles (14 MB); chunked, each scratch role
+        # holds at most _KERNEL_SCRATCH doubles
+        dims = (3, 60, 60, 1)
+        spec = NetworkSpec(dims, (Tanh(),) * 3, (Unconstrained(), Toeplitz(), Unconstrained()),
+                           (Regularizer.l2(1e-2),) * 3)
+        net = build_network(spec, "uniform", seed=0)
+        data = synth_regression(seed=0, n_samples=252, n_features=3, teacher_dims=dims)
+        fb = NetworkPass(net, data, L2Loss())
+        fb.grad(2)
+        tracemalloc.start()
+        try:
+            chunked = fb.kernel_hessian(2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * gradients._KERNEL_SCRATCH * 8, peak // 1024
+        monkeypatch.setattr(gradients, "_KERNEL_SCRATCH", 1 << 40)
+        whole = NetworkPass(net, data, L2Loss()).kernel_hessian(2)
+        assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
+
+
+class TestHessianMatchesRecursionOracle:
+    """``hessian`` and ``kernel_hessian`` on random nets against the einsum
+    recursion of ``conftest.dense_block_hessian``, which shares no R-pass
+    with the library: depths 2-5, widths 1-5, d_J of 1 or 2, every
+    activation and loss, dense and Toeplitz blocks."""
+
+    @pytest.mark.parametrize("loss", [cls() for cls in LOSSES.values()],
+                             ids=lambda l: l.name)
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_every_block_matches_the_oracle(self, loss, data):
+        depth = data.draw(st.integers(2, 5), label="depth")
+        dims = data.draw(st.lists(st.integers(1, 5), min_size=depth, max_size=depth),
+                         label="dims") + [data.draw(st.sampled_from([1, 2]), label="d_J")]
+        acts = [data.draw(st.sampled_from(sorted(ACTIVATIONS)), label="act")] * depth
+        acts = [ACTIVATIONS[name]() for name in acts]
+        if loss.name == "cross_entropy":
+            acts[-1] = Logistic()  # predictions must lie in [0, 1]
+        feasible = tuple(data.draw(st.sampled_from([Unconstrained(), Toeplitz()]), label="set")
+                         for _ in range(depth))
+        reg = data.draw(st.sampled_from([Regularizer.none(), Regularizer.l2(0.01)]), label="reg")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        spec = NetworkSpec(tuple(dims), tuple(acts), feasible, (reg,) * depth)
+        net = build_network(spec, "uniform", seed=seed)
+        rng = np.random.default_rng(seed)
+        sample = Dataset(rng.standard_normal((dims[0], 6)), labels_for(loss, dims[-1], 6, rng))
+        fb = NetworkPass(net, sample, loss)
+        for j in range(1, depth + 1):
+            oracle = dense_block_hessian(net, sample, loss, j)
+            got = {"dense": (fb.hessian(j), oracle)}
+            if isinstance(feasible[j - 1], Toeplitz):
+                shape = net.weights[j - 1].shape
+                got["kernel"] = (fb.kernel_hessian(j), TestKernelHessian.reduced(oracle, shape))
+            for kind, (hess, want) in got.items():
+                err = np.max(np.abs(hess - want))
+                assert err <= 1e-10 * np.max(np.abs(want)), (kind, j, dims, err)
 
 
 class TestTransposeProduct:
