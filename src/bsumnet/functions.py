@@ -5,17 +5,13 @@ Losses map a prediction batch H (dJ x N) and targets Y to a scalar,
 excluding any regularization, and expose the gradient with respect to H.
 Each loss declares whether it is convex in H, and the targets it accepts
 (``labels``), checked where targets enter, not in its own methods.
-``classify_convexity`` names a block objective's class from one fact,
-whether every activation from the block up is the identity:
-"strongly_convex" or "unknown".
 
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
 is capped at 709), and no float64 input raises a floating-point warning.
-Its five vectorized ufuncs on an ``empty_like`` output cost a fixed 4-5 us a
-call (numpy 2.4, one core of a 2-vCPU VM), so it beats scalar ``expit`` only
-above ~600 entries: 2x faster on a 10 x 252 stage, 4-5x slower on a 10 x 1
-one. Sums of squares use ``sqnorm``, one BLAS dot.
+Its five in-place ufuncs cost a fixed 4-5 us a call (numpy 2.4, one core of
+a 2-vCPU VM), so it beats scalar ``expit`` above ~600 entries only. Sums of
+squares use ``sqnorm``: one BLAS dot, ``ndarray.dot`` with ``np.vdot``'s bits.
 """
 
 from __future__ import annotations
@@ -47,7 +43,8 @@ _CE_CLAMP = 1e-12
 def _sigmoid(u) -> np.ndarray:
     """1 / (1 + exp(-u)) in place on a fresh float64 array (0-d for a scalar
     or 0-d input); the input is never written."""
-    s = np.negative(u, out=np.empty_like(u, dtype=float))
+    u = np.asarray(u, dtype=float)
+    s = np.negative(u, out=np.empty(u.shape))
     np.minimum(s, 709.0, out=s)  # exp(709) = 8.2e307 does not overflow
     np.exp(s, out=s)
     np.add(s, 1.0, out=s)
@@ -60,7 +57,8 @@ def _softplus(u: np.ndarray) -> np.ndarray:
 
 def sqnorm(x: np.ndarray) -> float:
     """Squared Frobenius norm ||x||_F^2 as one BLAS dot."""
-    return float(np.vdot(x, x))
+    x = x.ravel()
+    return float(x.dot(x))
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +223,10 @@ class Loss:
     def value(self, H: np.ndarray, Y: np.ndarray) -> float:
         raise NotImplementedError
 
+    def value_and_sse(self, H: np.ndarray, Y: np.ndarray) -> tuple:
+        """The value, and ||Y - H||_F^2 if the value is a multiple of it."""
+        return self.value(H, Y), None
+
     def grad_H(self, H: np.ndarray, Y: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
@@ -247,7 +249,11 @@ class L2Loss(Loss):
     convex_in_H = True
 
     def value(self, H, Y):
-        return sqnorm(Y - H) / H.shape[1]
+        return self.value_and_sse(H, Y)[0]
+
+    def value_and_sse(self, H, Y):
+        sse = sqnorm(Y - H)
+        return sse / H.shape[1], sse
 
     def grad_H(self, H, Y):
         g = H - Y

@@ -6,24 +6,17 @@ Z_j = sigma_j(U_j) and the error matrices of the backward recursion
     D_J = dL/dH (.) sigma'_J(U_J),   D_j = (W_{j+1}^T D_{j+1}) (.) sigma'_j(U_j),
 
 with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
-regularizer gradient. ``set_block(j, W)`` keeps Z_0..Z_{j-1}, and the next
-query recomputes only layers j..J. Deltas are rebuilt lazily, from D_J down
-to the block asked for, and a block gradient with its smooth regularizer is
-kept until the next update, as is each block's penalty in f. The trainer
-hands the pass the block it has just built, which the pass keeps without a
-copy; ``set_block`` keeps a copy of the caller's array. Logistic and tanh
-derivatives come from the cached Z_j, and a probe f(W_j = V) starts from
-Z_{j-1} without copying the network and reuses the other blocks' penalties.
-Blocks are told apart by their bitwise content (shape, dtype, bytes; not
-identity, as finite differences mutate one array in place), whose key the
-pass keeps per block. ``set_block(j, W)`` at the current content changes
-nothing, as the stages, deltas, gradients, f and probe memo are functions
-of those bits: an update that leaves its block as it was costs no forward
-or backward pass. The last probe is memoized: a probe at the current W_j
-is the pass itself, a repeat is the memo, and ``set_block(j, V)`` at the
-memo's content adopts its stages, deltas, gradients and penalty. The
-module functions are views of a fresh pass for callers that hold a plain
-network. Vec orderings here and in the Newton solve are row-major vec(W_j).
+regularizer gradient. An update of W_j keeps Z_0..Z_{j-1}, and the next query
+recomputes layers j..J; deltas are rebuilt lazily from D_J down; gradients,
+f (with ||Y - H||^2 under the L2 loss) and penalties are kept until their
+block changes. Blocks are keyed by bitwise content (shape, dtype, bytes; not
+identity: finite differences mutate one array), so an update to the current
+content costs nothing. A probe f(W_j = V) is a fork:
+a copy of the pass's dict with its own lists and the stages up to Z_{j-1},
+without Network checks or a forward until asked. The last probe is memoized,
+and an update to its content adopts its state. The trainer's blocks are kept
+without a copy; ``set_block`` copies. The module functions are views of a
+fresh pass. Vec orderings here and in the Newton solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -63,11 +56,9 @@ chunks of pairs, whose scratch stays within ``_KERNEL_SCRATCH`` doubles a
 role. Stage tensors and gathers go to a scratch the pass owns, flat
 buffers kept by role and grown on demand.
 
-The contractions W^T X of the deltas and bends go through ``_wt_matmul``,
-a single product per entry through a one-row W (d_J = 1); broadcast
-products on the scratch are einsums, which take no buffer of their own. A
-fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its dispatch): the
-GEMM of ``np.matmul``, with its bits at the benchmark's shapes (a test
+Broadcast products on the scratch are einsums, which take no buffer of
+their own. A fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its
+dispatch), with ``np.matmul``'s bits at the benchmark's shapes (a test
 checks).
 """
 
@@ -81,6 +72,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .errors import NonSmoothError, ShapeError, SizeError, SpecError
+from .functions import sqnorm
 from .netcore import Dataset, LayerOutputs, Network, _diagonal_plan, forward
 
 __all__ = [
@@ -115,13 +107,7 @@ class NetworkPass:
             raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
                              f"has d_J = {net.spec.dims[-1]}")
         loss.check_labels(data.Y)
-        self._start(Network(net.spec, list(net.weights)), data, loss, outs)
-
-    def _start(self, net, data, loss, outs, keys=None, pens=None) -> None:
-        """The pass's state from inputs whose shapes and targets are checked;
-        ``net`` is the pass's own, and ``keys`` and ``pens`` its blocks'
-        content keys and penalties, when known."""
-        self.net = net
+        self.net = Network(net.spec, list(net.weights))
         self.data = data
         self.loss = loss
         if outs is None:
@@ -132,10 +118,10 @@ class NetworkPass:
         self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
         self._deltas = [None] * self.depth
         self._grads = [None] * self.depth
-        self._f = None
-        self._pens = list(pens) if pens is not None else [None] * self.depth
+        self._f = None  # (f, ||Y - H||^2 or None)
+        self._pens = [None] * self.depth
         self._memo = None  # (j, content of W_j, pass) of the last probe
-        self._keys = list(keys) if keys is not None else [_content(w) for w in net.weights]
+        self._keys = [(w.shape, w.dtype, w.tobytes()) for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
         self._zz0 = None  # block 1's input pairs, see hessian
 
@@ -150,52 +136,60 @@ class NetworkPass:
     def _install(self, j: int, w: np.ndarray) -> None:
         # set_block on a float array handed over: the pass keeps it, so no
         # one else may hold it, write to it or alias a stage of the pass
-        key = _content(w)
-        if key != self._keys[j - 1]:
+        key = w.shape, w.dtype, w.tobytes()  # the content key
+        if key == self._keys[j - 1]:
+            return
+        memo, self._memo = self._memo, None
+        if memo is None or memo[1] != key or memo[0] != j:
             self._replace(j, w, key)
+            return
+        self.__dict__.update(memo[2].__dict__)  # adopt the probe's state, network too
 
     def _replace(self, j: int, w: np.ndarray, key: tuple) -> None:
-        # every new W_j enters here, an array the pass keeps; one keyed as the
-        # current W_j has its shape
-        if w.shape != self.net.weights[j - 1].shape:
+        # every new W_j but an adopted probe's enters here, an array the pass
+        # keeps; one keyed as the current W_j has its shape
+        weights = self.net.weights
+        if w.shape != weights[j - 1].shape:
             raise ShapeError(f"W_{j} has shape {w.shape}, spec wants "
                              f"{self.net.spec.layer_shape(j)}")
-        memo, self._memo = self._memo, None
-        self._keys[j - 1] = key
-        if memo is not None and memo[:2] == (j, key):
-            probe = memo[2]
-            self.net.weights[j - 1] = probe.net.weights[j - 1]
-            self._outs, self._stale = probe._outs, probe._stale
-            self._deltas, self._grads, self._f = probe._deltas, probe._grads, probe._f
-            self._pens = list(probe._pens)
-            return
-        self.net.weights[j - 1] = w
-        self._stale = min(self._stale, j)
-        self._deltas = [None] * self.depth
-        self._grads = [None] * self.depth
-        self._f = None
-        self._pens[j - 1] = None
+        weights[j - 1], self._keys[j - 1], self._pens[j - 1] = w, key, None
+        if self._stale > j:
+            self._stale = j
+        self._deltas, self._grads, self._f = [None] * self.depth, [None] * self.depth, None
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
         """The pass at W_j = w: this one when w is the current W_j, else the
         memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
         w = np.asarray(w, dtype=float)
-        key = _content(w)
+        key = w.shape, w.dtype, w.tobytes()  # the content key
         if key == self._keys[j - 1]:
             return self
-        if self._memo is None or self._memo[:2] != (j, key):
-            other = self._on(self.data, self.outs)
-            other._replace(j, w.copy(), key)
-            self._memo = (j, key, other)
-        return self._memo[2]
+        memo = self._memo
+        if memo is None or memo[1] != key or memo[0] != j:
+            memo = self._memo = j, key, self._fork(j, w.copy(), key)
+        return memo[2]
 
-    def _on(self, data: Dataset, outs: LayerOutputs | None = None) -> "NetworkPass":
-        """This network and loss on ``data``, targets this pass checked."""
-        # the checked spec and weights, without Network's shape checks again
-        net = object.__new__(Network)
-        net.__dict__.update(spec=self.net.spec, weights=list(self.net.weights))
+    def _fork(self, j: int, w: np.ndarray, key: tuple) -> "NetworkPass":
+        # this pass at W_j = w (kept); the fork refreshes any stale stage
         other = object.__new__(NetworkPass)
-        other._start(net, data, self.loss, outs, self._keys, self._pens)
+        other.__dict__.update(self.__dict__)
+        other.net = net = object.__new__(Network)
+        net.spec, net.weights = self.net.spec, self.net.weights.copy()
+        outs = self._outs
+        other._outs = LayerOutputs(outs.pre_activations[:j - 1], outs.post_activations[:j])
+        other._keys, other._pens, other._memo = self._keys.copy(), self._pens.copy(), None
+        other._replace(j, w, key)
+        return other
+
+    def _on(self, data: Dataset) -> "NetworkPass":
+        """This network and loss on ``data``, targets this pass checked; it
+        shares this pass's network, keys and penalties, as it takes no update."""
+        depth = self.depth
+        other = object.__new__(NetworkPass)
+        other.__dict__.update(
+            self.__dict__, data=data, _outs=forward(self.net, data.X), _stale=depth + 1,
+            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={},
+            _zz0=None)
         return other
 
     @property
@@ -209,25 +203,37 @@ class NetworkPass:
         """Full regularized objective at the current weights, the loss plus
         each block's penalty in block order; a block's penalty is kept until
         the block changes."""
-        if self._f is None:
-            pens = self._pens
-            val = self.loss.value(self.outs.output, self.data.Y)
+        f = self._f
+        if f is None:
+            pens, weights = self._pens, self.net.weights
+            val, sse = self.loss.value_and_sse(self.outs.post_activations[-1], self.data.Y)
             for i, reg in enumerate(self.net.spec.regularizers):
                 if pens[i] is None:
-                    pens[i] = reg.value(self.net.weights[i])
+                    pens[i] = reg.value(weights[i])
                 val += pens[i]
-            self._f = val
-        return self._f
+            f = self._f = val, sse
+        return f[0]
+
+    def sse(self) -> float:
+        """||Y - H||_F^2, kept with f (the L2 loss forms it for f)."""
+        f, sse = self.objective(), self._f[1]
+        if sse is None:
+            sse = sqnorm(self.data.Y - self._outs.post_activations[-1])
+            self._f = f, sse
+        return sse
 
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
         stay None until asked for."""
-        outs, deltas, net = self.outs, self._deltas, self.net
+        deltas = self._deltas
+        if deltas[j - 1] is not None:  # and so is every one above it
+            return deltas
+        outs, net = self.outs, self.net
         pre, post = outs.pre_activations, outs.post_activations
         weights, acts = net.weights, net.spec.activations
         if deltas[-1] is None:
             # sigma' multiplies into the fresh dL/dH and W^T D in place
-            top = self.loss.grad_H(outs.output, self.data.Y)
+            top = self.loss.grad_H(post[-1], self.data.Y)
             top *= acts[-1].derivative(pre[-1], post[-1])
             deltas[-1] = top
         for i in range(self.depth - 1, j - 1, -1):
@@ -476,12 +482,10 @@ class NetworkPass:
 
 def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """W^T X, bitwise equal to ``np.matmul(w.T, x, out=out)``. With one row
-    in W and X (an output layer, d_i = 1) each entry is a single product,
-    formed several times faster than by the GEMM: into ``out`` by einsum,
-    whose sum starts at +0.0 as matmul's does and which takes no buffer of
-    its own, and fresh by a broadcast multiply, quicker at these sizes, to
-    which adding +0.0 gives a zero product matmul's sign. Otherwise it is
-    ``ndarray.dot``, or ``np.matmul`` into ``out``."""
+    in W and X (d_i = 1) each entry is a single product, formed several
+    times faster than by the GEMM: into ``out`` by einsum, whose sum starts
+    at +0.0 as matmul's does, and fresh by a broadcast multiply plus +0.0,
+    which gives a zero product matmul's sign."""
     if len(w) != 1 or len(x) != 1:
         return w.T.dot(x) if out is None else np.matmul(w.T, x, out=out)
     if out is not None:
@@ -539,13 +543,9 @@ def _add(total, term):
     return total
 
 
-def _content(w: np.ndarray) -> tuple:
-    return w.shape, w.dtype, w.tobytes()
-
-
 def _check_layer(net: Network, j: int) -> None:
-    if not 1 <= j <= net.depth:
-        raise SpecError(f"layer index {j} outside 1..{net.depth}")
+    if not 1 <= j <= len(net.weights):
+        raise SpecError(f"layer index {j} outside 1..{len(net.weights)}")
 
 
 def _require_smooth(net: Network, j: int) -> None:

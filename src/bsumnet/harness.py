@@ -30,7 +30,7 @@ from .functions import ACTIVATIONS, LOSSES, REGULARIZERS, Logistic
 from .gradients import NetworkPass
 from .netcore import (FEASIBLE_SETS, INIT_SCHEMES, Dataset, Network,
                       NetworkSpec, build_network, forward)
-from .trainer import SCHEDULES, TrainConfig, TrainTrace, run_loop, train
+from .trainer import SCHEDULES, TrainConfig, TraceRow, TrainTrace, run_loop, train
 from .upperbounds import UPPERBOUNDS
 
 __all__ = [
@@ -522,7 +522,9 @@ class ExperimentResult:
 
 def _zero_wall(trace: TrainTrace) -> TrainTrace:
     # byte-identical reruns: timings stay in the JSON summaries only
-    return replace(trace, rows=[replace(r, wall_seconds=0.0) for r in trace.rows])
+    return replace(trace, rows=[TraceRow(r.k, r.block, r.f, r.normalized_mse, r.block_grad_norm,
+                                         r.full_grad_norm, r.alpha, r.gamma, 0.0)
+                                for r in trace.rows])
 
 
 def _run_one(cfg: ExperimentConfig, spec, seed: int, net0: Network, out_dir: Path,

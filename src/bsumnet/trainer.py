@@ -5,10 +5,7 @@ direction is produced by the configured surrogate family, then the block
 moves to the convex combination (1-alpha) W_j + alpha D_j. Stepsizes come
 from a diminishing schedule, an Armijo search, or are pinned to 1
 (unit-stepsize mode). ``run_loop`` steps a ``NetworkPass`` and keeps the
-trace, for the block trainer (cycle J) and the harness's backprop baselines
-(cycle 1, every layer per step): stopping is checked at each cycle's end on
-the full-batch stationarity residual, and a non-finite objective or residual
-aborts the run.
+trace, for the block trainer and the harness's backprop baselines.
 
 Each run owns its mutable state (schedule positions, batch stream); networks
 and trace rows it hands out are fresh values, safe to keep or share.
@@ -166,11 +163,9 @@ class TrainConfig:
     gradient descent or damped Newton, and with ``Proximal(0.0)`` exact block
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
-    at the candidate direction. It acts only on that search: a smooth block
-    of the first-order family in full-batch mode. Mini-batch runs, L1 blocks
-    (their prox step returns before the search) and the other families keep
-    the configured gamma, except that the Newton step doubles it while the
-    damped Hessian is not positive definite. ``curvature_override`` runs the
+    at the candidate direction, on a smooth first-order block in full-batch
+    mode only; elsewhere gamma stays as configured, except that the Newton
+    step doubles it while the damped Hessian is not positive definite. ``curvature_override`` runs the
     proximal family on blocks not certified for it.
     """
 
@@ -304,7 +299,7 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
     alpha)``. Returns (alpha, accepted); a non-descent or non-finite slope,
     or no pass for any m <= 60, yields (0.0, False).
     """
-    slope = float((grad * (D - W)).sum())
+    slope = float(np.add.reduce(grad * (D - W), None))  # ndarray.sum, unwrapped
     if not -math.inf < slope < 0:
         return 0.0, False
     f0 = f_block(W)
@@ -330,8 +325,8 @@ def _per_layer(value, depth: int) -> tuple:
 class _LoopState:
     """Mutable machinery owned by one training run: ``cfg.blocks``, one
     schedule state per block (one dict for all when the schedule is shared,
-    so it advances once per iteration), the mini-batch index stream, and
-    whether the sampler is the full batch and the gamma search is on."""
+    so it advances once per iteration), the mini-batch index stream, whether
+    the sampler is the full batch and the gamma search is on, and f_j."""
 
     def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
         self.blocks = cfg.blocks(spec, loss)
@@ -340,6 +335,9 @@ class _LoopState:
         per_layer = isinstance(cfg.schedule, (list, tuple))
         self.sched = [{} for _ in range(spec.depth)] if per_layer else [{}] * spec.depth
         self.stream = BatchStream(cfg.sampler, n_samples)
+        # j -> (pass, f_j on it) for each block with a gamma search or Armijo test
+        self.f_blocks = {j: (None, None) for j, (_, sched) in enumerate(self.blocks, 1)
+                         if self.adapt or isinstance(sched, ArmijoRule)}
 
 
 def _block_residual_norm(net: Network, grads: list) -> float:
@@ -354,16 +352,15 @@ def _block_residual_norm(net: Network, grads: list) -> float:
 def _full_diagnostics(full: NetworkPass, energy: float):
     f_val = full.objective()
     norm = _block_residual_norm(full.net, full.grads())
-    return f_val, norm, _scaled_mse(sqnorm(full.data.Y - full.outs.output), energy)
+    return f_val, norm, _scaled_mse(full.sse(), energy)
 
 
-def _alpha_for_step(fb: NetworkPass, sched, j: int, k: int, d, grad,
+def _alpha_for_step(sched, j: int, k: int, w, d, grad, f_block,
                     state: _LoopState) -> float:
     if sched is None:
         return 1.0
     if isinstance(sched, ArmijoRule):
-        value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
-        alpha, _ = armijo_stepsize(value_fn, fb.net.weights[j - 1], d, grad, sched)
+        alpha, _ = armijo_stepsize(f_block, w, d, grad, sched)
         return alpha
     return stepsize_next(sched, k, state.sched[j - 1])
 
@@ -390,9 +387,15 @@ def _step(full: NetworkPass, k: int, state: _LoopState):
     kind, sched = state.blocks[j - 1]
     fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
     grad = fb.grad(j)  # data term only on an L1 block: the prox step absorbs its penalty
-    d, gamma = kind.direction(fb, j, grad, state.adapt)
-    alpha = _alpha_for_step(fb, sched, j, k, d, grad, state)
-    full._install(j, _apply_update(full.net.weights[j - 1], d, alpha))
+    kept = state.f_blocks.get(j, (fb, None))  # f_j, built once per pass
+    if kept[0] is not fb:
+        kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
+                                                          cache=fb)[0]
+    f_block = kept[1]
+    d, gamma = kind.direction(fb, j, grad, f_block if state.adapt else None)
+    w = fb.net.weights[j - 1]
+    alpha = _alpha_for_step(sched, j, k, w, d, grad, f_block, state)
+    full._install(j, _apply_update(w, d, alpha))
     return j, alpha, gamma, lambda: math.sqrt(sqnorm(grad))
 
 

@@ -8,24 +8,18 @@ feasible set (``direction``), the block's descent direction:
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
   proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  projected gradient
 
-The proximal model is strongly convex only on a strongly convex block. That
-family names the curvature class it needs (``certificate``), which
-``TrainConfig.blocks`` checks once per run; its ``direction`` trusts it. The
-proximal model at gamma = 0 is the block objective itself: its minimizer is
-exact block coordinate descent, solved in closed form, with no certificate,
-when every activation is the identity under the L2 loss. The first-order
+The proximal family names the curvature class it needs (``certificate``),
+which ``TrainConfig.blocks`` checks once per run. At gamma = 0 its step is
+exact block coordinate descent, in closed form and with no certificate when
+every activation is the identity under the L2 loss. The first-order
 family absorbs a non-smooth L1 penalty by soft-thresholding. The Newton step
 is exact on unconstrained and (in diagonal values) Toeplitz blocks; on a
-ball it is still the projected Newton point. On a Toeplitz block it takes
-the Hessian in the block's diagonal values, which
-``NetworkPass.kernel_hessian`` assembles without the dense one. It reads the
-upper triangle of the Hessian it is given: a contiguous copy of H^T is
-factored on its lower triangle by scipy's ``cho_factor`` and solved with
-LAPACK's ``dpotrs`` on that factor.
+ball it is still the projected Newton point.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -34,7 +28,7 @@ import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
 from .functions import sqnorm
-from .gradients import NetworkPass, block_hessian, block_objective_fn
+from .gradients import block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
 __all__ = [
@@ -58,16 +52,10 @@ def _check_gamma(gamma: float) -> None:
         raise SpecError(f"gamma must be positive, got {gamma}")
 
 
-def _block(fb: NetworkPass, j: int):
-    """Block j's current weights, feasible set and regularizer."""
-    spec = fb.net.spec
-    return fb.net.weights[j - 1], spec.feasible_sets[j - 1], spec.regularizers[j - 1]
-
-
-# ``direction(fb, j, grad, adapt)`` returns the minimizer of a family's model
-# of block j at the pass ``fb``, and the gamma used. ``adapt`` allows the
-# first-order gamma search. ``certificate`` is the curvature class the model
-# needs of the block, None for a family that needs none.
+# ``direction(fb, j, grad, f_block)`` returns the minimizer of a family's
+# model of block j at the pass ``fb``, and the gamma used; f_j's value
+# function ``f_block`` turns on the first-order gamma search. ``certificate``
+# is the curvature class the model needs of the block, or None.
 
 @dataclass(frozen=True)
 class FirstOrderProx:
@@ -83,18 +71,18 @@ class FirstOrderProx:
         lin, diff = anchor.linear(W)
         return lin + 0.5 * self.gamma * sqnorm(diff)
 
-    def direction(self, fb, j, grad, adapt):
-        w, feasible, reg = _block(fb, j)
+    def direction(self, fb, j, grad, f_block):
+        w, spec = fb.net.weights[j - 1], fb.net.spec
+        feasible, reg = spec.feasible_sets[j - 1], spec.regularizers[j - 1]
         if not reg.smooth:
             if isinstance(feasible, Toeplitz):
                 # one variable per diagonal: the exact prox thresholds its mean
                 a = feasible.project(w - grad / self.gamma)
                 return prox_l1_step(a, 0.0, self.gamma, reg.lam), self.gamma
             return feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam)), self.gamma
-        if adapt:
-            value_fn, _ = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
+        if f_block is not None:
             return first_order_direction_backtracked(w, grad, self.gamma, feasible,
-                                                     value_fn, fb.objective())
+                                                     f_block, fb.objective())
         return descent_direction_first_order(w, grad, self.gamma, feasible), self.gamma
 
 
@@ -115,10 +103,10 @@ class SecondOrderProx:
         return lin + 0.5 * self.gamma * sqnorm(diff) \
             + 0.5 * float(d @ anchor.hess @ d)
 
-    def direction(self, fb, j, grad, adapt):
+    def direction(self, fb, j, grad, f_block):
         # exact on an unconstrained block and, in its kernel coordinates, on a
         # Toeplitz one; on a ball the step is still the projected Newton point
-        w, feasible, _ = _block(fb, j)
+        w, feasible = fb.net.weights[j - 1], fb.net.spec.feasible_sets[j - 1]
         if feasible.kernel_index(w.shape) is None:
             hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
         else:
@@ -153,9 +141,10 @@ class Proximal:
                 and isinstance(spec.feasible_sets[j - 1], Unconstrained)
                 and all(a.name == "identity" for a in spec.activations))
 
-    def direction(self, fb, j, grad, adapt):
-        w, feasible, reg = _block(fb, j)
-        if self.closed_form(fb.loss, fb.net.spec, j):
+    def direction(self, fb, j, grad, f_block):
+        w, spec = fb.net.weights[j - 1], fb.net.spec
+        feasible, reg = spec.feasible_sets[j - 1], spec.regularizers[j - 1]
+        if self.closed_form(fb.loss, spec, j):
             return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma
         value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
@@ -164,6 +153,8 @@ class Proximal:
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal)}
+# one immutable first-order model per gamma a search tries
+_first_order = functools.lru_cache(maxsize=64, typed=True)(FirstOrderProx)
 
 
 @dataclass
@@ -184,7 +175,7 @@ class Anchor:
     def linear(self, W: np.ndarray):
         """The tangent model f + <grad, W - w> at W, and the step W - w."""
         diff = np.asarray(W, dtype=float) - self.w
-        return self.f_value + float((self.grad * diff).sum()), diff
+        return self.f_value + float(np.add.reduce(self.grad * diff, None)), diff
 
 
 # ---------------------------------------------------------------------------
@@ -311,20 +302,16 @@ def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
     candidate direction D satisfies g(D) >= f_j(D), so the surrogate is a
     true local upper bound at the point that matters. Returns (D, gamma).
     """
-    _check_gamma(gamma0)
-    gamma, anchor = gamma0, Anchor(W, f_anchor, grad)
+    model, anchor = _first_order(gamma0), Anchor(W, f_anchor, grad)
     for _ in range(_MAX_DOUBLINGS + 1):
-        d = descent_direction_first_order(W, grad, gamma, feasible)
-        g_at_d = FirstOrderProx(gamma).evaluate(d, anchor)
+        d = feasible.project(W - grad / model.gamma)
         try:
             f_at_d = f_block_value(d)
+            if model.evaluate(d, anchor) >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
+                return d, model.gamma
         except OverflowError:
-            # candidate left the representable range: certainly not majorized
-            gamma *= 2.0
-            continue
-        if g_at_d >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
-            return d, gamma
-        gamma *= 2.0
+            pass  # the candidate left the representable range: not majorized
+        model = _first_order(2.0 * model.gamma)
     raise CurvatureError(
         f"no majorizing gamma found after {_MAX_DOUBLINGS} doublings from {gamma0}")
 

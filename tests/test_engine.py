@@ -33,6 +33,7 @@ from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
+from bsumnet.functions import sqnorm
 from bsumnet.netcore import LayerOutputs
 from bsumnet.trainer import TrainConfig, _LoopState, _step
 from conftest import with_block
@@ -414,5 +415,25 @@ def test_dot_and_matmul_agree_bitwise_at_the_benchmark_shapes(tmp_path):
                 assert a.dot(b).tobytes() == np.matmul(a, b).tobytes(), (name, i)
             seen.add((name, w.shape))
     assert ("fo_logistic", (1, 10)) in seen and ("curvature", (1, 16)) in seen
+    assert {name for name, _ in seen} == {"fo_logistic", "armijo_probe", "curvature",
+                                           "readme_cli"}
+
+
+def test_sqnorm_and_unwrapped_sum_agree_bitwise_at_the_benchmark_shapes(tmp_path):
+    # sqnorm dots a raveled array with ndarray.dot and the surrogate's linear
+    # term sums with np.add.reduce, both skipping numpy's Python wrappers;
+    # np.vdot and ndarray.sum are the references they replace
+    seen = set()
+    for name, fb in benchmark_passes(tmp_path):
+        fb.objective()
+        post, grads, weights = fb.outs.post_activations, fb.grads(), fb.net.weights
+        resid = fb.data.Y - post[-1]
+        for x in [resid, *post[1:], *weights, *grads]:
+            assert sqnorm(x) == float(np.vdot(x, x)), (name, x.shape)
+            seen.add((name, x.shape))
+        for w, g in zip(weights, grads):
+            prod = g * (w - g / 0.25 - w)  # <g, D - W> at a first-order step
+            assert np.add.reduce(prod, None).tobytes() == prod.sum().tobytes(), (name, w.shape)
+        assert fb.sse() == float(np.vdot(resid, resid))
     assert {name for name, _ in seen} == {"fo_logistic", "armijo_probe", "curvature",
                                            "readme_cli"}

@@ -219,10 +219,10 @@ class TestSecondOrderDirection:
         for j, feasible in enumerate(spec.feasible_sets, start=1):
             ties = feasible.kernel_ties(spec.layer_shape(j))
             size = math.prod(spec.layer_shape(j)) if ties is None else len(ties)
-            SecondOrderProx(0.1).direction(fb, j, fb.grad(j), False)
+            SecondOrderProx(0.1).direction(fb, j, fb.grad(j), None)
             tracemalloc.start()
             try:
-                SecondOrderProx(0.1).direction(fb, j, fb.grad(j), False)
+                SecondOrderProx(0.1).direction(fb, j, fb.grad(j), None)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -237,7 +237,7 @@ class TestSecondOrderDirection:
         for seed in range(30):
             fb = NetworkPass(build_network(spec, "uniform", seed=seed),
                              synth_regression(seed=seed), L2Loss())
-            d, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), False)
+            d, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), None)
             assert fb.probe(2, d).objective() <= fb.objective(), seed
 
 
@@ -497,7 +497,7 @@ def toeplitz_basis(rows, cols):
 def assert_step_minimizes(kind, fb, j, anchor, adapt=False):
     """Take kind's step on block j; D must be feasible and must not raise
     the model (at the gamma the step used) above its value at W."""
-    d, gamma = kind.direction(fb, j, anchor.grad, adapt)
+    d, gamma = kind.direction(fb, j, anchor.grad, anchor.f_fn if adapt else None)
     feasible = fb.net.spec.feasible_sets[j - 1]
     np.testing.assert_allclose(feasible.project(d), d, rtol=0, atol=1e-12)
     model = replace(kind, gamma=gamma)
@@ -551,7 +551,7 @@ class TestFamilyStepMinimizesItsModel:
         assume(np.linalg.eigvalsh(reduced)[0] > 0)  # else the model is unbounded below
         model = SecondOrderProx(gamma)
         assert assert_step_minimizes(model, fb, j, anchor) == gamma
-        d, _ = model.direction(fb, j, grad, False)
+        d, _ = model.direction(fb, j, grad, None)
         for offset in range(1 - w.shape[0], w.shape[1]):
             diagonal = np.diagonal(d, offset)
             assert np.all(diagonal == diagonal[0])
