@@ -39,8 +39,7 @@ sweep adds the rest (``_curvature``). The sum over n is one GEMM over
 unordered pairs, (d_j(d_j+1)/2, N) @ (N, d_{j-1}(d_{j-1}+1)/2), of rows
 M_n[s,r], s <= r, and z_n[c] z_n[e], c <= e, gathered into vec(W_j) order:
 H is bitwise symmetric, as entries (s,c),(r,e) and (r,e),(s,c) gather the
-same product entry. At d_j = 1 it is (Z (.) m) Z', upper triangle mirrored;
-block 1's pairs of X are formed once per pass.
+same product entry. At d_j = 1 it is (Z (.) m) Z', upper triangle mirrored.
 
 A Toeplitz block W_j = v[index] has K = d_j + d_{j-1} - 1 unknowns, its
 diagonal values. With P the 0/1 map from v to vec(W_j), column n of U_j is
@@ -59,7 +58,8 @@ buffers kept by role and grown on demand.
 Broadcast products on the scratch are einsums, which take no buffer of
 their own. A fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its
 dispatch), with ``np.matmul``'s bits at the benchmark's shapes (a test
-checks).
+checks); every W^T D product is ``ndarray.dot``, into the scratch with
+``out=`` for the bends.
 """
 
 from __future__ import annotations
@@ -123,14 +123,14 @@ class NetworkPass:
         self._memo = None  # (j, content of W_j, pass) of the last probe
         self._keys = [(w.shape, w.dtype, w.tobytes()) for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
-        self._zz0 = None  # block 1's input pairs, see hessian
 
     def set_block(self, j: int, w: np.ndarray) -> None:
         """Replace W_j by a copy of ``w`` (a ShapeError unless it has the
         spec's shape). Content bitwise equal to the current W_j's changes
         nothing; otherwise the stages from layer j on refresh at the next
         query, unless the last probe was at this content and already holds
-        them."""
+        them. A j outside 1..J is a SpecError, raised before any change."""
+        _check_layer(self.net, j)
         self._install(j, np.array(w, dtype=float))
 
     def _install(self, j: int, w: np.ndarray) -> None:
@@ -188,8 +188,7 @@ class NetworkPass:
         other = object.__new__(NetworkPass)
         other.__dict__.update(
             self.__dict__, data=data, _outs=forward(self.net, data.X), _stale=depth + 1,
-            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={},
-            _zz0=None)
+            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={})
         return other
 
     @property
@@ -238,7 +237,7 @@ class NetworkPass:
             deltas[-1] = top
         for i in range(self.depth - 1, j - 1, -1):
             if deltas[i - 1] is None:
-                back = _wt_matmul(weights[i], deltas[i])
+                back = weights[i].T.dot(deltas[i])
                 back *= acts[i - 1].derivative(pre[i - 1], post[i])
                 deltas[i - 1] = back
         return deltas
@@ -271,20 +270,16 @@ class NetworkPass:
         rows, row_s, row_r, cols, cols_t, gather = _pair_layout(d_j, d_prev)
         pairs = self._pair_curvature(c, rows, row_s, row_r)
         if d_j == 1:
-            # H = (Z (.) m) Z', its lower triangle the mirror of the upper
+            # H = (Z (.) m) Z', its lower triangle the mirror of the upper (kept:
+            # the pair path takes 1.4-1.9x as long here and moves curvature's bits)
             hess = np.einsum("cn,n->cn", z, pairs[0], out=self._buf("t1", d_prev, n)).dot(z.T)
             lower, upper = _mirror(d_prev)
             hess.reshape(-1)[lower] = hess.reshape(-1)[upper]
         else:
             # H[(s,c),(r,e)] = sum_n M_n[s,r] z_n[c] z_n[e], from pairs s <= r
-            # and c <= e; Z_0 = X never changes, so block 1's pairs are kept
-            if j > 1:
-                zz = self._take("t1", z, cols)
-                zz *= self._take("t2", z, cols_t)
-            elif self._zz0 is None:
-                zz = self._zz0 = z[cols] * z[cols_t]
-            else:
-                zz = self._zz0
+            # and c <= e
+            zz = self._take("t1", z, cols)
+            zz *= self._take("t2", z, cols_t)
             prod = np.matmul(pairs, zz.T, out=self._buf("t2", len(rows), len(cols)))
             hess = np.take(prod, gather, out=np.empty(gather.shape), mode="clip")
         if c.kappa:
@@ -298,15 +293,11 @@ class NetworkPass:
         # ``rows``, the d_j with s = r first), (P, N) on the scratch
         (d_j, n), p = c.slope.shape, len(s)
         pairs = self._buf("pairs", p, n)
-        parts = []  # the terms of M~_n other than products of one row, in pairs
-        ranked = [(c.row, c.g)]  # terms g_n row_n row_n'
-        if c.beta is not None:
-            if len(c.w) == 1:
-                ranked.append((c.w[0][:, None], c.beta))
-            else:  # W' diag(beta_n) W as K beta, K[p, a] = W[a, s_p] W[a, r_p]
-                k = np.take(c.w, s, axis=1)
-                k *= np.take(c.w, r, axis=1)
-                parts.append(np.matmul(k.T, c.beta, out=self._buf("t1", p, n)))
+        parts = []  # the terms of M~_n other than g_n row_n row_n', in pairs
+        if c.beta is not None:  # W' diag(beta_n) W as K beta, K[p, a] = W[a, s_p] W[a, r_p]
+            k = np.take(c.w, s, axis=1)
+            k *= np.take(c.w, r, axis=1)
+            parts.append(np.matmul(k.T, c.beta, out=self._buf("t1", p, n)))
         if c.q is not None:  # W' Q_n, or C_n itself at j = J
             m = c.q if c.w is None else np.matmul(c.w.T, c.q.reshape(len(c.q), -1),
                                                   out=self._buf("m", d_j, d_j * n))
@@ -319,14 +310,13 @@ class NetworkPass:
             total = np.take(c.slope, s, axis=0, out=pairs, mode="clip")
             total *= self._take("rs", c.slope, r)
             total *= parts[0]
-        for row, weight in ranked:
-            if row is not None:  # g_n (sigma' row)_s (sigma' row)_r
-                rs = np.multiply(row, c.slope, out=self._buf("rs", d_j, n))
-                rg = np.multiply(rs, weight, out=self._buf("rg", d_j, n))
-                t = np.take(rg, s, axis=0, out=self._buf("t1", p, n) if total is not None
-                            else pairs, mode="clip")
-                t *= self._take("t2", rs, r)
-                total = _add(total, t)
+        if c.row is not None:  # g_n (sigma' row)_s (sigma' row)_r
+            rs = np.multiply(c.row, c.slope, out=self._buf("rs", d_j, n))
+            rg = np.multiply(rs, c.g, out=self._buf("rg", d_j, n))
+            t = np.take(rg, s, axis=0, out=self._buf("t1", p, n) if total is not None
+                        else pairs, mode="clip")
+            t *= self._take("t2", rs, r)
+            total = _add(total, t)
         total[:d_j] += c.bend
         return total
 
@@ -342,7 +332,7 @@ class NetworkPass:
         d_a = d_j if c.w is None else len(c.w)
         hess = None
         step = max(1, _KERNEL_SCRATCH // (max(d_j, d_a) * k))
-        for n0 in range(0, n, step):
+        for n0 in range(0, n, step):  # chunks of samples, kept as they bound memory
             cols = slice(n0, min(n, n0 + step))
             m = cols.stop - n0
             # SY[s, n] = sigma'_j[s, n] Y_n[s], from windows of a zero-padded Z^T
@@ -376,7 +366,7 @@ class NetworkPass:
         first, second = _window_layout(d_j, d_prev)
         step = max(1, _KERNEL_SCRATCH // (n + d_j))
         upper = None
-        for p0 in range(0, len(first), step):
+        for p0 in range(0, len(first), step):  # chunks of pairs, kept as they bound memory
             part = slice(p0, p0 + step)
             zz = self._take("sy", z, first[part])
             zz *= self._take("a", z, second[part])
@@ -415,7 +405,7 @@ class NetworkPass:
         acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
 
         def bend_of(i):  # b_i = (W_{i+1}' D_{i+1}) (.) sigma''_i
-            back = _wt_matmul(weights[i], deltas[i], self._buf(("bend", i), len(pre[i - 1]), n))
+            back = weights[i].T.dot(deltas[i], out=self._buf(("bend", i), len(pre[i - 1]), n))
             back *= acts[i - 1].second_derivative(pre[i - 1], post[i])
             return back
 
@@ -433,7 +423,8 @@ class NetworkPass:
         g = curv * slopes[-1] * slopes[-1][:, None, :]  # G_n, column n's curvature in U_J
         g.reshape(-1, n)[::d_out + 1] += bend
         w = weights[j]
-        if j == depth - 1 and d_out == 1:  # M~_n = W_J' G_n W_J, a Gram term
+        # M~_n = W_J' G_n W_J, a Gram term (kept: the row path takes 1.2x as long in P'HP)
+        if j == depth - 1 and d_out == 1:
             return SimpleNamespace(w=w, beta=g.reshape(1, n), row=None, g=None, q=None,
                                    slope=slopes[j - 1], bend=bend_j, kappa=kappa)
         ru = {j + 1: w[:, :, None]}
@@ -448,6 +439,7 @@ class NetworkPass:
                 np.matmul(weights[i - 1], rz.reshape(len(rz), -1), out=out.reshape(len(out), -1))
             ru[i] = out
         row, g_row, top, t = None, None, depth, None
+        # kept: the general sweep takes 1.1-1.5x as long per Hessian, curvature 1.16x
         if d_out == 1:  # the output term is g_n RU_J' RU_J, the middle layers the sweep
             row, g_row, top = ru[depth].reshape(d_j, n), g.reshape(n), depth - 1
             if top > j + 1:
@@ -478,21 +470,6 @@ class NetworkPass:
     def _take(self, role, a: np.ndarray, index: np.ndarray) -> np.ndarray:
         out = self._buf(role, len(index), a.shape[1])
         return np.take(a, index, axis=0, out=out, mode="clip")  # "raise" buffers first
-
-
-def _wt_matmul(w: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """W^T X, bitwise equal to ``np.matmul(w.T, x, out=out)``. With one row
-    in W and X (d_i = 1) each entry is a single product, formed several
-    times faster than by the GEMM: into ``out`` by einsum, whose sum starts
-    at +0.0 as matmul's does, and fresh by a broadcast multiply plus +0.0,
-    which gives a zero product matmul's sign."""
-    if len(w) != 1 or len(x) != 1:
-        return w.T.dot(x) if out is None else np.matmul(w.T, x, out=out)
-    if out is not None:
-        return np.einsum("ia,in->an", w, x, out=out)
-    out = np.multiply(w.T, x)
-    out += 0.0
-    return out
 
 
 @functools.lru_cache(maxsize=4)

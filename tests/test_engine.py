@@ -411,6 +411,10 @@ def test_dot_and_matmul_agree_bitwise_at_the_benchmark_shapes(tmp_path):
             products = [(w, post[i]), (deltas[i], post[i].T)]  # forward, D Z^T
             if i:
                 products.append((w.T, deltas[i]))  # W^T D into layer i
+                # the same product into the scratch, as the bend b_i forms it
+                out = np.full((w.shape[1], deltas[i].shape[1]), np.nan)
+                w.T.dot(deltas[i], out=out)
+                assert out.tobytes() == np.matmul(w.T, deltas[i]).tobytes(), (name, i)
             for a, b in products:
                 assert a.dot(b).tobytes() == np.matmul(a, b).tobytes(), (name, i)
             seen.add((name, w.shape))
