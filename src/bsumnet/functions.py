@@ -9,8 +9,8 @@ Each loss declares whether it is convex in H, and the targets it accepts
 Every logistic evaluation goes through one kernel, ``_sigmoid``: within 4
 ulp of scipy's ``expit`` for u >= -708, within 1.3e-308 below (its exponent
 is capped at 709), and no float64 input raises a floating-point warning.
-Its five in-place ufuncs cost a fixed 4-5 us a call (numpy 2.4, one core of
-a 2-vCPU VM), so it beats scalar ``expit`` above ~600 entries only. Sums of
+Its five ufuncs cost a fixed 4-5 us a call (numpy 2.4, one core of a
+2-vCPU VM), so it beats scalar ``expit`` above ~600 entries only. Sums of
 squares use ``sqnorm``: one BLAS dot, ``ndarray.dot`` with ``np.vdot``'s bits.
 """
 
@@ -43,8 +43,9 @@ _CE_CLAMP = 1e-12
 def _sigmoid(u) -> np.ndarray:
     """1 / (1 + exp(-u)) in place on a fresh float64 array (0-d for a scalar
     or 0-d input); the input is never written."""
-    u = np.asarray(u, dtype=float)
-    s = np.negative(u, out=np.empty(u.shape))
+    s = np.negative(u, dtype=float)
+    if not s.ndim:  # a numpy scalar: the kernel works in place on an array
+        s = np.array(s)
     np.minimum(s, 709.0, out=s)  # exp(709) = 8.2e307 does not overflow
     np.exp(s, out=s)
     np.add(s, 1.0, out=s)

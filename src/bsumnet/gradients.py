@@ -9,14 +9,14 @@ with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
 regularizer gradient. An update of W_j keeps Z_0..Z_{j-1}, and the next query
 recomputes layers j..J; deltas are rebuilt lazily from D_J down; gradients,
 f (with ||Y - H||^2 under the L2 loss) and penalties are kept until their
-block changes. Blocks are keyed by bitwise content (shape, dtype, bytes; not
-identity: finite differences mutate one array), so an update to the current
-content costs nothing. A probe f(W_j = V) is a fork:
-a copy of the pass's dict with its own lists and the stages up to Z_{j-1},
-without Network checks or a forward until asked. The last probe is memoized,
-and an update to its content adopts its state. The trainer's blocks are kept
-without a copy; ``set_block`` copies. The module functions are views of a
-fresh pass. Vec orderings here and in the Newton solve are row-major vec(W_j).
+block changes. A block is keyed by its bytes (not identity: finite
+differences mutate one array), so an update to its content costs nothing;
+the pass's own W_j, which no one writes, needs no key. A probe f(W_j = V)
+is a fork owning only its block lists, caches and a shell of Z_0..Z_{j-1},
+with no checks or forward until asked; the last is memoized by V's key, and
+an update to that content, or to the very array probed, adopts it. The
+trainer's blocks are kept without a copy; ``set_block`` copies. The module
+functions are views of a fresh pass. Vectors are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -56,10 +56,9 @@ role. Stage tensors and gathers go to a scratch the pass owns, flat
 buffers kept by role and grown on demand.
 
 Broadcast products on the scratch are einsums, which take no buffer of
-their own. A fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its
-dispatch), with ``np.matmul``'s bits at the benchmark's shapes (a test
-checks); every W^T D product is ``ndarray.dot``, into the scratch with
-``out=`` for the bends.
+their own. Fresh 2-D products and every W^T D (into the scratch with
+``out=`` for the bends) are ``ndarray.dot``, ``np.dot`` without its
+dispatch, with ``np.matmul``'s bits at the benchmark's shapes (a test checks).
 """
 
 from __future__ import annotations
@@ -95,10 +94,10 @@ _KERNEL_SCRATCH = 1 << 17
 class NetworkPass:
     """Cached forward and backward state of one (network, data, loss).
 
-    The pass owns its weight list; the arrays in it are shared with the
-    network it was built from and are never written to. ``outs`` may hand in
-    a forward pass already run on the same network and inputs. Targets
-    outside the loss's label set are a DomainError here.
+    The pass owns its weight list; its arrays are shared with the network
+    it was built from, and no one may write to them. ``outs`` may hand in a
+    forward pass of the same network and inputs. Targets outside the loss's
+    label set are a DomainError here.
     """
 
     def __init__(self, net: Network, data: Dataset, loss,
@@ -120,70 +119,71 @@ class NetworkPass:
         self._grads = [None] * self.depth
         self._f = None  # (f, ||Y - H||^2 or None)
         self._pens = [None] * self.depth
-        self._memo = None  # (j, content of W_j, pass) of the last probe
-        self._keys = [(w.shape, w.dtype, w.tobytes()) for w in net.weights]
+        self._memo = None  # (j, key, pass, array probed) of the last probe
+        self._keys = [w.tobytes() for w in net.weights]  # content keys
         self._scratch = {}  # role -> flat float64 buffer, see _buf
 
     def set_block(self, j: int, w: np.ndarray) -> None:
-        """Replace W_j by a copy of ``w`` (a ShapeError unless it has the
-        spec's shape). Content bitwise equal to the current W_j's changes
-        nothing; otherwise the stages from layer j on refresh at the next
-        query, unless the last probe was at this content and already holds
-        them. A j outside 1..J is a SpecError, raised before any change."""
-        _check_layer(self.net, j)
-        self._install(j, np.array(w, dtype=float))
+        """Replace W_j by a copy of ``w`` (a ShapeError unless of the spec's
+        shape, a SpecError for j outside 1..J, both before any change); W_j's
+        content changes nothing, else layers j..J refresh at the next query
+        unless the last probe holds them."""
+        w = np.array(w, dtype=float)
+        _check_layer(self.net, j, w)
+        self._install(j, w)
 
     def _install(self, j: int, w: np.ndarray) -> None:
-        # set_block on a float array handed over: the pass keeps it, so no
-        # one else may hold it, write to it or alias a stage of the pass
-        key = w.shape, w.dtype, w.tobytes()  # the content key
-        if key == self._keys[j - 1]:
-            return
-        memo, self._memo = self._memo, None
-        if memo is None or memo[1] != key or memo[0] != j:
-            self._replace(j, w, key)
-            return
+        # set_block on a float array of W_j's shape that the pass keeps and no
+        # one else holds; the last probe's own array adopts it unkeyed
+        memo = self._memo
+        if memo is None or memo[0] != j or memo[3] is not w:
+            key = w.tobytes()  # the content key
+            if key == self._keys[j - 1]:
+                return
+            if memo is None or memo[0] != j or memo[1] != key:
+                return self._replace(j, w, key)
         self.__dict__.update(memo[2].__dict__)  # adopt the probe's state, network too
 
-    def _replace(self, j: int, w: np.ndarray, key: tuple) -> None:
-        # every new W_j but an adopted probe's enters here, an array the pass
-        # keeps; one keyed as the current W_j has its shape
-        weights = self.net.weights
-        if w.shape != weights[j - 1].shape:
-            raise ShapeError(f"W_{j} has shape {w.shape}, spec wants "
-                             f"{self.net.spec.layer_shape(j)}")
-        weights[j - 1], self._keys[j - 1], self._pens[j - 1] = w, key, None
-        if self._stale > j:
-            self._stale = j
-        self._deltas, self._grads, self._f = [None] * self.depth, [None] * self.depth, None
+    def _replace(self, j: int, w: np.ndarray, key: bytes) -> None:
+        # every new W_j but an adopted probe's enters here, an array the pass keeps
+        self.net.weights[j - 1], self._keys[j - 1], self._pens[j - 1] = w, key, None
+        self._stale, self._f, self._memo = min(self._stale, j), None, None
+        self._deltas, self._grads = [None] * self.depth, [None] * self.depth
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
-        """The pass at W_j = w: this one when w is the current W_j, else the
-        memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
+        """The pass at W_j = w: this one at W_j's content, else the last
+        probe if memoized there, or a new one sharing Z_0..Z_{j-1}."""
+        if not 0 < j <= self.depth:
+            raise _layer_error(j, self.depth)
+        if w is self.net.weights[j - 1]:  # no one writes the pass's arrays
+            return self
         w = np.asarray(w, dtype=float)
-        key = w.shape, w.dtype, w.tobytes()  # the content key
+        if w.shape != self.net.weights[j - 1].shape:
+            _check_layer(self.net, j, w)  # a ShapeError
+        key = w.tobytes()  # the content key
         if key == self._keys[j - 1]:
             return self
         memo = self._memo
-        if memo is None or memo[1] != key or memo[0] != j:
-            memo = self._memo = j, key, self._fork(j, w.copy(), key)
+        if memo is None or memo[0] != j or memo[1] != key:
+            memo = self._memo = j, key, self._fork(j, w.copy(), key), w
         return memo[2]
 
-    def _fork(self, j: int, w: np.ndarray, key: tuple) -> "NetworkPass":
-        # this pass at W_j = w (kept); the fork refreshes any stale stage
+    def _fork(self, j: int, w: np.ndarray, key: bytes) -> "NetworkPass":
+        # this pass at W_j = w (kept), with its own shells, lists and caches
         other = object.__new__(NetworkPass)
-        other.__dict__.update(self.__dict__)
-        other.net = net = object.__new__(Network)
+        state = other.__dict__ = self.__dict__.copy()
+        state["net"] = net = object.__new__(Network)
         net.spec, net.weights = self.net.spec, self.net.weights.copy()
-        outs = self._outs
-        other._outs = LayerOutputs(outs.pre_activations[:j - 1], outs.post_activations[:j])
-        other._keys, other._pens, other._memo = self._keys.copy(), self._pens.copy(), None
+        state["_outs"] = outs = object.__new__(LayerOutputs)
+        outs.pre_activations = self._outs.pre_activations[:j - 1]
+        outs.post_activations = self._outs.post_activations[:j]
+        state["_keys"], state["_pens"] = self._keys.copy(), self._pens.copy()
         other._replace(j, w, key)
         return other
 
     def _on(self, data: Dataset) -> "NetworkPass":
-        """This network and loss on ``data``, targets this pass checked; it
-        shares this pass's network, keys and penalties, as it takes no update."""
+        """This network and loss on ``data`` (targets checked), sharing the
+        network, keys and penalties, as it takes no update."""
         depth = self.depth
         other = object.__new__(NetworkPass)
         other.__dict__.update(
@@ -199,9 +199,8 @@ class NetworkPass:
         return self._outs
 
     def objective(self) -> float:
-        """Full regularized objective at the current weights, the loss plus
-        each block's penalty in block order; a block's penalty is kept until
-        the block changes."""
+        """Full regularized objective, the loss plus each block's penalty in
+        block order; a penalty is kept until its block changes."""
         f = self._f
         if f is None:
             pens, weights = self._pens, self.net.weights
@@ -224,6 +223,8 @@ class NetworkPass:
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
         stay None until asked for."""
+        if not 0 < j <= self.depth:
+            raise _layer_error(j, self.depth)
         deltas = self._deltas
         if deltas[j - 1] is not None:  # and so is every one above it
             return deltas
@@ -246,15 +247,16 @@ class NetworkPass:
         """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
         regularizer gradient when it is smooth (an L1 penalty is left to the
         prox step); that sum is cached, and callers must not write to it."""
+        if not 0 < j <= self.depth:
+            raise _layer_error(j, self.depth)
         grads = self._grads
         if include_reg and grads[j - 1] is not None:
             return grads[j - 1]
         d_j = self.deltas(j)[j - 1]  # after the stages' refresh
         g = d_j.dot(self._outs.post_activations[j - 1].T)
-        net = self.net
-        reg = net.spec.regularizers[j - 1]
+        reg = self.net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:
-            g += reg.grad(net.weights[j - 1])
+            g += reg.grad(self.net.weights[j - 1])
             grads[j - 1] = g
         return g
 
@@ -262,8 +264,9 @@ class NetworkPass:
         return [self.grad(j, include_reg) for j in range(1, self.depth + 1)]
 
     def hessian(self, j: int) -> np.ndarray:
-        """Exact Hessian of f in row-major vec(W_j), from the cached stages
-        (formula in the module docstring); bitwise symmetric and the caller's to keep."""
+        """Exact Hessian of f in row-major vec(W_j) from the cached stages
+        (module docstring), bitwise symmetric and the caller's."""
+        _check_layer(self.net, j)
         z = self.outs.post_activations[j - 1]
         c = self._curvature(j)
         (d_j, n), d_prev = c.slope.shape, len(z)
@@ -325,6 +328,7 @@ class NetworkPass:
         P'HP in the module docstring; symmetric to rounding and the caller's.
         Its scratch stays within ``_KERNEL_SCRATCH`` doubles a role, or one
         sample's or one pair's share where that is larger."""
+        _check_layer(self.net, j)
         z = self.outs.post_activations[j - 1]
         c = self._curvature(j)
         (d_j, n), d_prev = c.slope.shape, len(z)
@@ -520,9 +524,15 @@ def _add(total, term):
     return total
 
 
-def _check_layer(net: Network, j: int) -> None:
-    if not 1 <= j <= len(net.weights):
-        raise SpecError(f"layer index {j} outside 1..{len(net.weights)}")
+def _layer_error(j: int, depth: int) -> SpecError:
+    return SpecError(f"layer index {j} outside 1..{depth}")
+
+
+def _check_layer(net: Network, j: int, w: np.ndarray | None = None) -> None:
+    if not 0 < j <= len(net.weights):
+        raise _layer_error(j, len(net.weights))
+    if w is not None and w.shape != net.weights[j - 1].shape:
+        raise ShapeError(f"W_{j} has shape {w.shape}, spec wants {net.spec.layer_shape(j)}")
 
 
 def _require_smooth(net: Network, j: int) -> None:
@@ -536,19 +546,16 @@ def _require_smooth(net: Network, j: int) -> None:
 # ---------------------------------------------------------------------------
 
 def delta_recursion(net: Network, outs: LayerOutputs, loss, Y: np.ndarray) -> list:
-    """Per-layer error matrices; deltas[j-1] has shape (d_j, N)."""
+    """Per-layer error matrices, deltas[j-1] of shape (d_j, N)."""
     data = Dataset(outs.post_activations[0], Y)
     return list(NetworkPass(net, data, loss, outs).deltas())
 
 
 def block_gradient(net: Network, data: Dataset, loss, j: int,
                    include_reg: bool = True) -> np.ndarray:
-    """Gradient of the regularized objective with respect to W_j (1-based j).
-
-    With ``include_reg=False`` only the data term is returned, which is what
-    the non-smooth L1 prox path consumes. Requesting the combined gradient
-    with an L1 regularizer on layer j raises NonSmoothError.
-    """
+    """Gradient of the regularized objective in W_j (1-based j); with
+    ``include_reg=False`` the data term only, which the L1 prox step takes
+    (the combined one on an L1 block is a NonSmoothError)."""
     _check_layer(net, j)
     if include_reg:
         _require_smooth(net, j)
@@ -558,11 +565,8 @@ def block_gradient(net: Network, data: Dataset, loss, j: int,
 def all_block_gradients(net: Network, data: Dataset, loss,
                         outs: LayerOutputs | None = None,
                         include_reg: bool = True) -> list:
-    """Gradients for every block from a single backward pass.
-
-    Smooth-regularizer layers get the combined gradient; L1 layers get the
-    data term only (their regularizer is handled by the prox step).
-    """
+    """Every block's gradient from one backward pass, the data term only on
+    an L1 block (its penalty is the prox step's)."""
     return NetworkPass(net, data, loss, outs).grads(include_reg)
 
 
@@ -575,13 +579,9 @@ def objective_value(net: Network, data: Dataset, loss,
 
 def block_objective_fn(net: Network, data: Dataset, loss, j: int,
                        cache: NetworkPass | None = None):
-    """Value and gradient callables of the objective as a function of block j.
-
-    Both close over the frozen remaining blocks and start from Z_{j-1}; the
-    value includes every regularizer (a constant shift for blocks other than
-    j, so minimizers and majorization tests are unaffected). ``cache`` is a
-    pass already built on this (net, data, loss) whose stages are reused.
-    """
+    """Value and gradient of the objective as functions of block j, probes
+    of ``cache`` (a pass built on this net, data and loss) or of a new pass.
+    The value holds every penalty, a constant shift for the other blocks."""
     _check_layer(net, j)
     base = cache if cache is not None else NetworkPass(net, data, loss)
 
@@ -619,12 +619,8 @@ def fd_gradient(objective, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def block_hessian(net: Network, data: Dataset, loss, j: int,
                   cache: NetworkPass | None = None) -> np.ndarray:
-    """Exact dense Hessian of the objective in block j (``NetworkPass.hessian``).
-
-    Rows and columns are indexed by row-major vec(W_j); the result is
-    bitwise symmetric. ``cache`` is a pass already built on this
-    (net, data, loss). Desk-scale only.
-    """
+    """Exact dense Hessian of the objective in row-major vec(W_j), bitwise
+    symmetric (``NetworkPass.hessian``, of ``cache`` if given); desk-scale."""
     _check_layer(net, j)
     if not net.spec.regularizers[j - 1].smooth:
         raise NonSmoothError("block Hessian needs a smooth regularizer")

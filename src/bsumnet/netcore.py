@@ -250,14 +250,15 @@ class LayerOutputs:
 
 @dataclass
 class Dataset:
-    """Input batch X (d0 x N) and target batch Y (dJ x N)."""
+    """Input batch X (d0 x N) and target batch Y (dJ x N), C-ordered float64
+    (copied unless so), so a run's bits do not depend on the caller's layout."""
 
     X: np.ndarray
     Y: np.ndarray
 
     def __post_init__(self):
-        self.X = np.asarray(self.X, dtype=float)
-        self.Y = np.asarray(self.Y, dtype=float)
+        self.X = np.ascontiguousarray(self.X, dtype=float)
+        self.Y = np.ascontiguousarray(self.Y, dtype=float)
         if self.X.ndim != 2 or self.Y.ndim != 2:
             raise ShapeError("X and Y must be 2-D matrices")
         if self.X.shape[1] != self.Y.shape[1]:
@@ -272,8 +273,8 @@ class Dataset:
         return self.X.shape[1]
 
     def restrict(self, idx) -> "Dataset":
-        """Column subset (mini-batch view); copies so BLAS layouts match."""
-        return Dataset(np.ascontiguousarray(self.X[:, idx]), np.ascontiguousarray(self.Y[:, idx]))
+        """Column subset (a mini-batch)."""
+        return Dataset(self.X[:, idx], self.Y[:, idx])
 
 
 # ---------------------------------------------------------------------------

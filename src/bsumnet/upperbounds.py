@@ -19,7 +19,6 @@ ball it is still the projected Newton point.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -53,9 +52,9 @@ def _check_gamma(gamma: float) -> None:
 
 
 # ``direction(fb, j, grad, f_block)`` returns the minimizer of a family's
-# model of block j at the pass ``fb``, and the gamma used; f_j's value
-# function ``f_block`` turns on the first-order gamma search. ``certificate``
-# is the curvature class the model needs of the block, or None.
+# model of block j at the pass ``fb``, and the gamma used (with the slope
+# from the first-order gamma search, which f_j's value ``f_block`` turns on).
+# ``certificate`` is the curvature class the model needs of the block, or None.
 
 @dataclass(frozen=True)
 class FirstOrderProx:
@@ -107,11 +106,10 @@ class SecondOrderProx:
         # exact on an unconstrained block and, in its kernel coordinates, on a
         # Toeplitz one; on a ball the step is still the projected Newton point
         w, feasible = fb.net.weights[j - 1], fb.net.spec.feasible_sets[j - 1]
-        if feasible.kernel_index(w.shape) is None:
-            hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
-        else:
-            hess = fb.kernel_hessian(j)
-        return descent_direction_second_order(w, grad, hess, self.gamma, feasible)
+        index = feasible.kernel_index(w.shape)
+        hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb) if index is None \
+            else fb.kernel_hessian(j)
+        return descent_direction_second_order(w, grad, hess, self.gamma, feasible, index)
 
 
 @dataclass(frozen=True)
@@ -153,18 +151,14 @@ class Proximal:
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal)}
-# one immutable first-order model per gamma a search tries
-_first_order = functools.lru_cache(maxsize=64, typed=True)(FirstOrderProx)
 
 
 @dataclass
 class Anchor:
-    """Everything about the current iterate a surrogate needs.
-
-    ``f_value`` is the full regularized objective at the anchor, ``grad`` the
-    block gradient there. ``hess`` (vec-space, row-major) is required by the
-    second-order family, ``f_fn`` (block objective value) by the proximal one.
-    """
+    """Everything about the current iterate a surrogate needs: the full
+    objective ``f_value`` and block gradient ``grad`` there, ``hess``
+    (row-major vec space) for the second-order family and ``f_fn`` (block
+    objective value) for the proximal one."""
 
     w: np.ndarray
     f_value: float
@@ -191,22 +185,21 @@ def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
-                                   feasible: FeasibleSet = Unconstrained()):
+                                   feasible: FeasibleSet = Unconstrained(), index=...):
     """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
-    projected onto the feasible set. On a set with kernel coordinates
-    (``kernel_index``) ``hess`` is the Hessian in them, P'HP with P the 0/1
-    map from kernel to block (``NetworkPass.kernel_hessian``), and the step is
-    exact there: W - P (P'HP + gamma P'P)^{-1} P'grad, with P'P the diagonal
-    of tie counts.
+    projected onto the feasible set. With kernel coordinates (``index``,
+    ``feasible.kernel_index(W.shape)`` unless given) ``hess`` is the Hessian
+    in them, P'HP with P the 0/1 map from kernel to block, and the step is
+    exact: W - P (P'HP + gamma P'P)^{-1} P'grad, P'P the tie counts.
 
-    Only the upper triangle of ``hess`` enters the step. The damped system
-    is solved by Cholesky; if it is not positive definite, gamma is doubled
-    and the solve retried, Levenberg-Marquardt style. Returns (D, gamma),
-    the gamma that factored. A Hessian (either triangle) or gradient with
-    infs or NaNs is a ValueError.
+    Only the upper triangle of ``hess`` enters the step, solved by Cholesky;
+    while the damped system is not positive definite, gamma doubles
+    (Levenberg-Marquardt). Returns (D, gamma), the gamma that factored. A
+    Hessian (either triangle) or gradient with infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
-    index = feasible.kernel_index(W.shape)
+    if index is ...:
+        index = feasible.kernel_index(W.shape)
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
         rhs, damping = np.bincount(index, weights=rhs), feasible.kernel_ties(W.shape)
@@ -241,12 +234,10 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
                                max_iters: int = 500, grad_tol: float = 1e-8):
     """Approximate prox of the block objective: argmin f(V) + (gamma/2)||V - W||^2.
 
-    Projected gradient from the warm start V = W, at most ``max_iters`` steps,
-    each halved to a 1e-4 sufficient decrease; it has converged once a step
-    moves V by at most ``grad_tol`` per unit step. Returns (point, converged);
-    the point never has a worse prox objective than W itself, so every outer
-    step built on it is a descent step. gamma = 0 is allowed and minimizes
-    the block objective itself (exact BCD).
+    Projected gradient from V = W, at most ``max_iters`` steps, each halved to
+    a 1e-4 sufficient decrease, converged once a step moves V by at most
+    ``grad_tol`` per unit step. Returns (point, converged), the point's prox
+    objective no worse than W's, so the outer step descends; gamma = 0 is exact BCD.
     """
     if gamma < 0:
         raise SpecError(f"gamma must be >= 0, got {gamma}")
@@ -293,25 +284,38 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return -grad
 
 
+class _Accepted(tuple):
+    """(D, gamma) a gamma search accepted, with ``slope`` = <grad, D - W>."""
+
+
 def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
                                       gamma0: float, feasible: FeasibleSet,
                                       f_block_value, f_anchor: float):
     """First-order direction with gamma doubled until the surrogate majorizes.
 
     Accepts the smallest gamma = gamma0 * 2^m, m <= _MAX_DOUBLINGS, whose
-    candidate direction D satisfies g(D) >= f_j(D), so the surrogate is a
-    true local upper bound at the point that matters. Returns (D, gamma).
+    candidate D satisfies g(D) >= f_j(D), so the surrogate is a true local
+    upper bound where it matters; g(D) is ``FirstOrderProx.evaluate``'s
+    arithmetic, and ``f_block_value`` values each candidate once. Returns
+    (D, gamma), with the slope <grad, D - W> as ``.slope``.
     """
-    model, anchor = _first_order(gamma0), Anchor(W, f_anchor, grad)
+    _check_gamma(gamma0)
+    gamma = gamma0
     for _ in range(_MAX_DOUBLINGS + 1):
-        d = feasible.project(W - grad / model.gamma)
+        d = feasible.project(W - grad / gamma)
         try:
             f_at_d = f_block_value(d)
-            if model.evaluate(d, anchor) >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
-                return d, model.gamma
         except OverflowError:
             pass  # the candidate left the representable range: not majorized
-        model = _first_order(2.0 * model.gamma)
+        else:
+            diff = d - W
+            slope = float(np.add.reduce(grad * diff, None))
+            if f_anchor + slope + 0.5 * gamma * sqnorm(diff) \
+                    >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
+                found = _Accepted((d, gamma))
+                found.slope = slope
+                return found
+        gamma *= 2.0
     raise CurvatureError(
         f"no majorizing gamma found after {_MAX_DOUBLINGS} doublings from {gamma0}")
 

@@ -466,9 +466,10 @@ class TestTransposeProduct:
         out = np.full((cols, n), np.nan)
         assert w.T.dot(x, out=out) is out
         for got in (w.T.dot(x), out):
-            if rows == 1 and (cols == 1 or n == 1):
-                # numpy's vector kernel may keep a zero product's sign here:
-                # a width-1 hidden layer or a one-sample batch
+            if rows == 1:
+                # at one row (W_J at d_J = 1, or a width-1 hidden layer) numpy
+                # may keep a zero product's sign: a 1x1 product of signed
+                # zeros, or any product that underflows (6.1e-275 * -2.8e-226)
                 assert np.array_equal(got, want)
             else:
                 assert got.tobytes() == want.tobytes()
@@ -582,3 +583,25 @@ class TestBudgetsAndGuards:
         want = NetworkPass(with_block(net, 2, net.weights[1] + 0.1), data, L2Loss())
         assert fb.objective() == want.objective()
         assert fb.hessian(1).tobytes() == want.hessian(1).tobytes()
+
+    @pytest.mark.parametrize("method", ["grad", "probe", "deltas", "hessian", "kernel_hessian"])
+    @pytest.mark.parametrize("j", [0, -1, 3])
+    def test_queries_outside_the_layers_change_nothing(self, method, j):
+        # grad(0) and grad(-1) answered from the cached gradients of blocks 2
+        # and 1, deltas(0) returned the list; the others raised IndexError,
+        # numpy's shape errors or a ShapeError naming W_-1
+        net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=0)
+        fb = NetworkPass(net, data, L2Loss())
+        fb.grads()
+        w = net.weights[1] + 0.1
+        fb.set_block(2, w)  # a query would refresh layer 2 first
+        state = {key: (value, list(value) if isinstance(value, list) else None)
+                 for key, value in vars(fb).items()}
+        args = (net.weights[1] + 0.2,) if method == "probe" else ()
+        with pytest.raises(SpecError, match=rf"layer index {j} outside 1\.\.2"):
+            getattr(fb, method)(j, *args)
+        for key, (value, items) in state.items():
+            assert vars(fb)[key] is value, key
+            if items is not None:
+                assert all(a is b for a, b in zip(value, items)), key
+        assert fb.objective() == NetworkPass(with_block(net, 2, w), data, L2Loss()).objective()

@@ -6,7 +6,8 @@ along the segment to D. The replica below redoes that step with plain numpy
 calls in the library's arithmetic order (its own sigmoid with the same
 ufuncs, its own Toeplitz projection), without the engine's caches, memo or
 adoption, so every row of a traced run and the final weights must agree bit
-for bit with ``train``.
+for bit with ``train``: on a small net, and at the benchmark's armijo_probe
+shapes, where the gain of the lean probe step is measured.
 """
 
 import math
@@ -15,7 +16,8 @@ import numpy as np
 import pytest
 
 from bsumnet import (ArmijoRule, Dataset, FirstOrderProx, L2Loss, Logistic, NetworkSpec,
-                     Regularizer, Toeplitz, TrainConfig, Unconstrained, build_network, train)
+                     Regularizer, Toeplitz, TrainConfig, Unconstrained, build_network,
+                     synth_regression, train)
 
 DIMS = (4, 5, 5, 1)
 LAM = 1e-2
@@ -51,9 +53,9 @@ def sq(x):
 
 
 class Replica:
-    def __init__(self, weights, X, Y, toeplitz):
+    def __init__(self, weights, X, Y, toeplitz, gamma0=GAMMA0):
         self.w = [w.copy() for w in weights]
-        self.X, self.Y, self.toeplitz = X, Y, toeplitz
+        self.X, self.Y, self.toeplitz, self.gamma0 = X, Y, toeplitz, gamma0
 
     def stages(self, weights):
         zs = [self.X]
@@ -92,7 +94,7 @@ class Replica:
         w, grad = self.w[j - 1], self.grads(self.w)[j - 1]
         project = toeplitz_project if j in self.toeplitz else (lambda a: a)
         f_w = self.f(self.w)
-        gamma = GAMMA0
+        gamma = self.gamma0
         while True:
             d = project(w - grad / gamma)
             if not adapt:
@@ -126,6 +128,15 @@ class Replica:
                 math.sqrt(total), alpha, gamma)
 
 
+def replica_rows(replica, depth, adapt):
+    """The replica's trace row of each of ITERS iterations, one per block step."""
+    rows = []
+    for k in range(1, ITERS + 1):
+        j = (k - 1) % depth + 1
+        rows.append(replica.row(k, j, *replica.step(j, adapt)))
+    return rows
+
+
 @pytest.mark.parametrize("adapt", [True, False], ids=["gamma_search", "fixed_gamma"])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_first_order_armijo_steps_match_a_plain_numpy_replica(seed, adapt):
@@ -142,10 +153,7 @@ def test_first_order_armijo_steps_match_a_plain_numpy_replica(seed, adapt):
     got_net, trace = train(net, Dataset(X, Y), L2Loss(), cfg)
 
     replica = Replica(net.weights, X, Y, toeplitz={2})
-    want = []
-    for k in range(1, ITERS + 1):
-        j = (k - 1) % 3 + 1
-        want.append(replica.row(k, j, *replica.step(j, adapt)))
+    want = replica_rows(replica, 3, adapt)
     got = [(r.k, r.block, r.f, r.normalized_mse, r.block_grad_norm, r.full_grad_norm,
             r.alpha, r.gamma) for r in trace.rows]
     assert got == want
@@ -153,5 +161,27 @@ def test_first_order_armijo_steps_match_a_plain_numpy_replica(seed, adapt):
         assert {r[-1] for r in want} != {GAMMA0}
     else:  # Armijo shrank alpha
         assert {r[-2] for r in want} - {0.0, 1.0}
+    for a, b in zip(got_net.weights, replica.w):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_armijo_probe_steps_match_a_plain_numpy_replica(seed):
+    # the benchmark's armijo_probe problem: Toeplitz hidden blocks 2 and 3,
+    # gamma search from 0.25 and an Armijo search, N = 252
+    data = synth_regression(seed=seed, n_samples=252, n_features=13)
+    feasible = (Unconstrained(), Toeplitz(), Toeplitz(), Unconstrained())
+    spec = NetworkSpec((13, 10, 10, 10, 1), (Logistic(),) * 4, feasible,
+                       (Regularizer.l2(LAM),) * 4)
+    net = build_network(spec, "uniform", seed=seed)
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.25), schedule=ArmijoRule(),
+                      max_outer_iterations=ITERS, record_every=1)
+    got_net, trace = train(net, data, L2Loss(), cfg)
+
+    replica = Replica(net.weights, data.X, data.Y, toeplitz={2, 3}, gamma0=0.25)
+    want = replica_rows(replica, 4, True)
+    got = [(r.k, r.block, r.f, r.normalized_mse, r.block_grad_norm, r.full_grad_norm,
+            r.alpha, r.gamma) for r in trace.rows]
+    assert got == want
     for a, b in zip(got_net.weights, replica.w):
         assert a.tobytes() == b.tobytes()

@@ -737,6 +737,41 @@ class TestFullSamplerEquivalence:
         assert all(np.array_equal(a, b) for a, b in zip(net_batch.weights, net_full.weights))
 
 
+class TestDataLayout:
+    @pytest.mark.parametrize("problem", ["fo_logistic", "curvature"])
+    def test_runs_keep_their_bits_on_fortran_and_strided_data(self, problem):
+        # the benchmark's first-order logistic and Newton problems, 60 steps:
+        # the Dataset keeps C-ordered copies, so a Fortran-ordered or strided
+        # view of the same data gives the C-ordered run bit for bit
+        if problem == "fo_logistic":
+            data = synth_regression(seed=0, n_samples=252, n_features=13)
+            spec = NetworkSpec.homogeneous([13, 10, 10, 10, 1], Logistic(),
+                                           regularizer=Regularizer.l2(1e-2))
+            cfg = TrainConfig(upperbound=FirstOrderProx(0.25), schedule=InverseRoot(2.0),
+                              adapt_gamma=False, max_outer_iterations=60, record_every=1)
+        else:
+            dims = [13, 16, 16, 1]
+            data = synth_regression(seed=0, n_samples=252, n_features=13, teacher_dims=dims)
+            spec = NetworkSpec(tuple(dims), (Tanh(),) * 3,
+                               (Unconstrained(), Toeplitz(), Unconstrained()),
+                               (Regularizer.l2(1e-2),) * 3)
+            cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True,
+                              max_outer_iterations=60, record_every=1)
+        net = build_network(spec, "uniform", seed=0)
+
+        def strided(a):
+            wide = np.zeros((len(a), 2 * a.shape[1]))
+            wide[:, ::2] = a
+            return wide[:, ::2]
+
+        runs = []
+        for layout in (np.ascontiguousarray, np.asfortranarray, strided):
+            got, trace = train(net, Dataset(layout(data.X), layout(data.Y)), L2Loss(), cfg)
+            runs.append(([_without_clock(r) for r in trace.rows],
+                         [w.tobytes() for w in got.weights]))
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
 def _is_feasible(feasible, w) -> bool:
     if isinstance(feasible, Toeplitz):
         diagonals = (np.diagonal(w, o) for o in range(1 - w.shape[0], w.shape[1]))
