@@ -44,7 +44,7 @@ def _sigmoid(u) -> np.ndarray:
     """1 / (1 + exp(-u)) in place on a fresh float64 array (0-d for a scalar
     or 0-d input); the input is never written."""
     s = np.negative(u, dtype=float)
-    if not s.ndim:  # a numpy scalar: the kernel works in place on an array
+    if not s.ndim:  # a numpy scalar
         s = np.array(s)
     np.minimum(s, 709.0, out=s)  # exp(709) = 8.2e307 does not overflow
     np.exp(s, out=s)

@@ -12,11 +12,11 @@ f (with ||Y - H||^2 under the L2 loss) and penalties are kept until their
 block changes. A block is keyed by its bytes (not identity: finite
 differences mutate one array), so an update to its content costs nothing;
 the pass's own W_j, which no one writes, needs no key. A probe f(W_j = V)
-is a fork owning only its block lists, caches and a shell of Z_0..Z_{j-1},
-with no checks or forward until asked; the last is memoized by V's key, and
-an update to that content, or to the very array probed, adopts it. The
-trainer's blocks are kept without a copy; ``set_block`` copies. The module
-functions are views of a fresh pass. Vectors are row-major vec(W_j).
+is a fork with its own block lists, caches and Z_0..Z_{j-1}, no checks and
+no forward until asked, memoized by V's key; an update to that content, or
+to the array probed, adopts it. The trainer's blocks are kept uncopied;
+``set_block`` copies. The module functions are views of a fresh pass.
+Vectors here and in the Newton solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -56,9 +56,10 @@ role. Stage tensors and gathers go to a scratch the pass owns, flat
 buffers kept by role and grown on demand.
 
 Broadcast products on the scratch are einsums, which take no buffer of
-their own. Fresh 2-D products and every W^T D (into the scratch with
-``out=`` for the bends) are ``ndarray.dot``, ``np.dot`` without its
-dispatch, with ``np.matmul``'s bits at the benchmark's shapes (a test checks).
+their own. A fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its
+dispatch), with ``np.matmul``'s bits at the benchmark's shapes (a test
+checks); every W^T D product is ``ndarray.dot``, into the scratch with
+``out=`` for the bends.
 """
 
 from __future__ import annotations
@@ -95,9 +96,9 @@ class NetworkPass:
     """Cached forward and backward state of one (network, data, loss).
 
     The pass owns its weight list; its arrays are shared with the network
-    it was built from, and no one may write to them. ``outs`` may hand in a
-    forward pass of the same network and inputs. Targets outside the loss's
-    label set are a DomainError here.
+    it was built from and must not be written while the pass is in use.
+    ``outs`` may hand in a forward pass already run on the same network and
+    inputs. Targets outside the loss's label set are a DomainError here.
     """
 
     def __init__(self, net: Network, data: Dataset, loss,
@@ -120,21 +121,20 @@ class NetworkPass:
         self._f = None  # (f, ||Y - H||^2 or None)
         self._pens = [None] * self.depth
         self._memo = None  # (j, key, pass, array probed) of the last probe
-        self._keys = [w.tobytes() for w in net.weights]  # content keys
+        self._keys = [w.tobytes() for w in net.weights]
         self._scratch = {}  # role -> flat float64 buffer, see _buf
 
     def set_block(self, j: int, w: np.ndarray) -> None:
-        """Replace W_j by a copy of ``w`` (a ShapeError unless of the spec's
-        shape, a SpecError for j outside 1..J, both before any change); W_j's
-        content changes nothing, else layers j..J refresh at the next query
-        unless the last probe holds them."""
+        """Replace W_j by a copy of ``w``; a j outside 1..J is a SpecError and
+        a shape not the spec's a ShapeError, both before any change. W_j's
+        own content changes nothing; otherwise layers j..J refresh at the
+        next query, unless the last probe was at this content and holds them."""
         w = np.array(w, dtype=float)
         _check_layer(self.net, j, w)
         self._install(j, w)
 
     def _install(self, j: int, w: np.ndarray) -> None:
-        # set_block on a float array of W_j's shape that the pass keeps and no
-        # one else holds; the last probe's own array adopts it unkeyed
+        # a float array of W_j's shape, the pass's alone; a probed one adopts its probe
         memo = self._memo
         if memo is None or memo[0] != j or memo[3] is not w:
             key = w.tobytes()  # the content key
@@ -151,17 +151,11 @@ class NetworkPass:
         self._deltas, self._grads = [None] * self.depth, [None] * self.depth
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
-        """The pass at W_j = w: this one at W_j's content, else the last
-        probe if memoized there, or a new one sharing Z_0..Z_{j-1}."""
-        if not 0 < j <= self.depth:
-            raise _layer_error(j, self.depth)
-        if w is self.net.weights[j - 1]:  # no one writes the pass's arrays
-            return self
+        """The pass at W_j = w: this one when w is the current W_j, else the
+        memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
         w = np.asarray(w, dtype=float)
-        if w.shape != self.net.weights[j - 1].shape:
-            _check_layer(self.net, j, w)  # a ShapeError
-        key = w.tobytes()  # the content key
-        if key == self._keys[j - 1]:
+        _check_layer(self.net, j, w)
+        if w is self.net.weights[j - 1] or (key := w.tobytes()) == self._keys[j - 1]:
             return self
         memo = self._memo
         if memo is None or memo[0] != j or memo[1] != key:
@@ -169,21 +163,20 @@ class NetworkPass:
         return memo[2]
 
     def _fork(self, j: int, w: np.ndarray, key: bytes) -> "NetworkPass":
-        # this pass at W_j = w (kept), with its own shells, lists and caches
+        # this pass at W_j = w (kept), with its own lists and caches
         other = object.__new__(NetworkPass)
         state = other.__dict__ = self.__dict__.copy()
-        state["net"] = net = object.__new__(Network)
+        state["net"] = net = object.__new__(Network)  # no shape checks
         net.spec, net.weights = self.net.spec, self.net.weights.copy()
-        state["_outs"] = outs = object.__new__(LayerOutputs)
-        outs.pre_activations = self._outs.pre_activations[:j - 1]
-        outs.post_activations = self._outs.post_activations[:j]
+        outs = self._outs
+        state["_outs"] = LayerOutputs(outs.pre_activations[:j - 1], outs.post_activations[:j])
         state["_keys"], state["_pens"] = self._keys.copy(), self._pens.copy()
         other._replace(j, w, key)
         return other
 
     def _on(self, data: Dataset) -> "NetworkPass":
-        """This network and loss on ``data`` (targets checked), sharing the
-        network, keys and penalties, as it takes no update."""
+        """This network and loss on ``data``, targets this pass checked; it
+        shares this pass's network, keys and penalties, as it takes no update."""
         depth = self.depth
         other = object.__new__(NetworkPass)
         other.__dict__.update(
@@ -199,8 +192,9 @@ class NetworkPass:
         return self._outs
 
     def objective(self) -> float:
-        """Full regularized objective, the loss plus each block's penalty in
-        block order; a penalty is kept until its block changes."""
+        """Full regularized objective at the current weights, the loss plus
+        each block's penalty in block order; a block's penalty is kept until
+        the block changes."""
         f = self._f
         if f is None:
             pens, weights = self._pens, self.net.weights
@@ -223,8 +217,7 @@ class NetworkPass:
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
         stay None until asked for."""
-        if not 0 < j <= self.depth:
-            raise _layer_error(j, self.depth)
+        _check_layer(self.net, j)
         deltas = self._deltas
         if deltas[j - 1] is not None:  # and so is every one above it
             return deltas
@@ -247,16 +240,15 @@ class NetworkPass:
         """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
         regularizer gradient when it is smooth (an L1 penalty is left to the
         prox step); that sum is cached, and callers must not write to it."""
-        if not 0 < j <= self.depth:
-            raise _layer_error(j, self.depth)
+        d_j = self.deltas(j)[j - 1]  # j checked, after the stages' refresh
         grads = self._grads
         if include_reg and grads[j - 1] is not None:
             return grads[j - 1]
-        d_j = self.deltas(j)[j - 1]  # after the stages' refresh
         g = d_j.dot(self._outs.post_activations[j - 1].T)
-        reg = self.net.spec.regularizers[j - 1]
+        net = self.net
+        reg = net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:
-            g += reg.grad(self.net.weights[j - 1])
+            g += reg.grad(net.weights[j - 1])
             grads[j - 1] = g
         return g
 
@@ -264,11 +256,10 @@ class NetworkPass:
         return [self.grad(j, include_reg) for j in range(1, self.depth + 1)]
 
     def hessian(self, j: int) -> np.ndarray:
-        """Exact Hessian of f in row-major vec(W_j) from the cached stages
-        (module docstring), bitwise symmetric and the caller's."""
-        _check_layer(self.net, j)
+        """Exact Hessian of f in row-major vec(W_j), from the cached stages
+        (formula in the module docstring); bitwise symmetric and the caller's to keep."""
+        c = self._curvature(j)  # checks j
         z = self.outs.post_activations[j - 1]
-        c = self._curvature(j)
         (d_j, n), d_prev = c.slope.shape, len(z)
         rows, row_s, row_r, cols, cols_t, gather = _pair_layout(d_j, d_prev)
         pairs = self._pair_curvature(c, rows, row_s, row_r)
@@ -328,9 +319,8 @@ class NetworkPass:
         P'HP in the module docstring; symmetric to rounding and the caller's.
         Its scratch stays within ``_KERNEL_SCRATCH`` doubles a role, or one
         sample's or one pair's share where that is larger."""
-        _check_layer(self.net, j)
+        c = self._curvature(j)  # checks j
         z = self.outs.post_activations[j - 1]
-        c = self._curvature(j)
         (d_j, n), d_prev = c.slope.shape, len(z)
         k = d_j + d_prev - 1
         d_a = d_j if c.w is None else len(c.w)
@@ -404,7 +394,7 @@ class NetworkPass:
         T_{J-1} = b_{J-1} (.) RU_{J-1} at d_J = 1, at T_J = G_n RU_J otherwise,
         and runs T_{i-1} = sigma'_{i-1} (.) W_i' T_i + b_{i-1} (.) RU_{i-1}
         down to Q = T_{j+1}, without layer j+1's bend."""
-        outs, deltas = self.outs, self.deltas(j)
+        deltas, outs = self.deltas(j), self.outs
         pre, post = outs.pre_activations, outs.post_activations
         acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
 
@@ -524,13 +514,9 @@ def _add(total, term):
     return total
 
 
-def _layer_error(j: int, depth: int) -> SpecError:
-    return SpecError(f"layer index {j} outside 1..{depth}")
-
-
 def _check_layer(net: Network, j: int, w: np.ndarray | None = None) -> None:
-    if not 0 < j <= len(net.weights):
-        raise _layer_error(j, len(net.weights))
+    if not 1 <= j <= len(net.weights):
+        raise SpecError(f"layer index {j} outside 1..{len(net.weights)}")
     if w is not None and w.shape != net.weights[j - 1].shape:
         raise ShapeError(f"W_{j} has shape {w.shape}, spec wants {net.spec.layer_shape(j)}")
 
@@ -546,16 +532,19 @@ def _require_smooth(net: Network, j: int) -> None:
 # ---------------------------------------------------------------------------
 
 def delta_recursion(net: Network, outs: LayerOutputs, loss, Y: np.ndarray) -> list:
-    """Per-layer error matrices, deltas[j-1] of shape (d_j, N)."""
+    """Per-layer error matrices; deltas[j-1] has shape (d_j, N)."""
     data = Dataset(outs.post_activations[0], Y)
     return list(NetworkPass(net, data, loss, outs).deltas())
 
 
 def block_gradient(net: Network, data: Dataset, loss, j: int,
                    include_reg: bool = True) -> np.ndarray:
-    """Gradient of the regularized objective in W_j (1-based j); with
-    ``include_reg=False`` the data term only, which the L1 prox step takes
-    (the combined one on an L1 block is a NonSmoothError)."""
+    """Gradient of the regularized objective with respect to W_j (1-based j).
+
+    With ``include_reg=False`` only the data term is returned, which is what
+    the non-smooth L1 prox path consumes. Requesting the combined gradient
+    with an L1 regularizer on layer j raises NonSmoothError.
+    """
     _check_layer(net, j)
     if include_reg:
         _require_smooth(net, j)
@@ -565,8 +554,11 @@ def block_gradient(net: Network, data: Dataset, loss, j: int,
 def all_block_gradients(net: Network, data: Dataset, loss,
                         outs: LayerOutputs | None = None,
                         include_reg: bool = True) -> list:
-    """Every block's gradient from one backward pass, the data term only on
-    an L1 block (its penalty is the prox step's)."""
+    """Gradients for every block from a single backward pass.
+
+    Smooth-regularizer layers get the combined gradient; L1 layers get the
+    data term only (their regularizer is handled by the prox step).
+    """
     return NetworkPass(net, data, loss, outs).grads(include_reg)
 
 
@@ -579,11 +571,15 @@ def objective_value(net: Network, data: Dataset, loss,
 
 def block_objective_fn(net: Network, data: Dataset, loss, j: int,
                        cache: NetworkPass | None = None):
-    """Value and gradient of the objective as functions of block j, probes
-    of ``cache`` (a pass built on this net, data and loss) or of a new pass.
-    The value holds every penalty, a constant shift for the other blocks."""
+    """Value and gradient callables of the objective as a function of block j.
+
+    Both close over the frozen remaining blocks and start from Z_{j-1}; the
+    value includes every regularizer (a constant shift for blocks other than
+    j, so minimizers and majorization tests are unaffected). ``cache`` is a
+    pass already built on this (net, data, loss) whose stages are reused.
+    """
     _check_layer(net, j)
-    base = cache if cache is not None else NetworkPass(net, data, loss)
+    base = cache if cache is not None else NetworkPass(net.copy(), data, loss)
 
     def value(w):
         return base.probe(j, w).objective()
@@ -619,8 +615,12 @@ def fd_gradient(objective, W: np.ndarray, h: float = 1e-6) -> np.ndarray:
 
 def block_hessian(net: Network, data: Dataset, loss, j: int,
                   cache: NetworkPass | None = None) -> np.ndarray:
-    """Exact dense Hessian of the objective in row-major vec(W_j), bitwise
-    symmetric (``NetworkPass.hessian``, of ``cache`` if given); desk-scale."""
+    """Exact dense Hessian of the objective in block j (``NetworkPass.hessian``).
+
+    Rows and columns are indexed by row-major vec(W_j); the result is
+    bitwise symmetric. ``cache`` is a pass already built on this
+    (net, data, loss). Desk-scale only.
+    """
     _check_layer(net, j)
     if not net.spec.regularizers[j - 1].smooth:
         raise NonSmoothError("block Hessian needs a smooth regularizer")

@@ -250,8 +250,7 @@ class LayerOutputs:
 
 @dataclass
 class Dataset:
-    """Input batch X (d0 x N) and target batch Y (dJ x N), C-ordered float64
-    (copied unless so), so a run's bits do not depend on the caller's layout."""
+    """Input batch X (d0 x N) and target batch Y (dJ x N), C-ordered float64."""
 
     X: np.ndarray
     Y: np.ndarray

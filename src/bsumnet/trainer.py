@@ -163,10 +163,10 @@ class TrainConfig:
     gradient descent or damped Newton, and with ``Proximal(0.0)`` exact block
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
-    at the candidate, on a smooth first-order block in full-batch mode only
-    (the Newton step doubles it while the damped Hessian is not positive
-    definite). ``curvature_override`` runs the proximal family on blocks not
-    certified for it.
+    at the candidate direction, on a smooth first-order block in full-batch
+    mode only; elsewhere gamma stays as configured, except that the Newton
+    step doubles it while the damped Hessian is not positive definite. ``curvature_override`` runs the
+    proximal family on blocks not certified for it.
     """
 
     upperbound: object = field(default_factory=FirstOrderProx)
@@ -198,10 +198,10 @@ class TrainConfig:
         needs one non-None entry per block and a mini-batch sampler the
         first-order family (a SpecError), an L1 block needs the first-order
         family and no Armijo search (a NonSmoothError), a second-order block
-        at most the Hessian's size budget in weights or a tied set's kernel
-        (a SizeError), and a family's ``certificate`` must match
-        ``classify_convexity`` (a CurvatureError) unless ``curvature_override``
-        is set or the step is in closed form."""
+        at most the Hessian's size budget in the coordinates its step solves
+        for, weights or a tied set's kernel (a SizeError), and a family's
+        ``certificate`` must match ``classify_convexity`` (a CurvatureError)
+        unless ``curvature_override`` is set or the step is in closed form."""
         kinds = _per_layer(self.upperbound, spec.depth)
         scheds = (None,) * spec.depth if self.unit_stepsize \
             else _per_layer(self.schedule, spec.depth)
@@ -296,9 +296,9 @@ def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
     """Largest alpha_init * shrink^m satisfying the sufficient-decrease test.
 
     The test is at the point the trainer stores, ``_apply_update(W, D,
-    alpha)``. ``slope`` is <grad, D - W>, formed here unless the caller has
-    it from a gamma search. Returns (alpha, accepted); a non-descent or
-    non-finite slope, or no pass for any m <= 60, yields (0.0, False).
+    alpha)``; ``slope`` is <grad, D - W> if known. Returns (alpha, accepted);
+    a non-descent or non-finite slope, or no pass for any m <= 60, yields
+    (0.0, False).
     """
     if slope is None:
         slope = float(np.add.reduce(grad * (D - W), None))  # ndarray.sum, unwrapped
@@ -325,9 +325,10 @@ def _per_layer(value, depth: int) -> tuple:
 
 
 class _LoopState:
-    """One run's mutable machinery: ``cfg.blocks``, one schedule state per
-    block (one dict for a shared schedule, which advances once per
-    iteration), the batch stream, the sampler and search flags, and f_j."""
+    """Mutable machinery owned by one training run: ``cfg.blocks``, one
+    schedule state per block (one dict for all when the schedule is shared,
+    so it advances once per iteration), the mini-batch index stream, whether
+    the sampler is the full batch and the gamma search is on, and f_j."""
 
     def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
         self.blocks = cfg.blocks(spec, loss)
@@ -336,7 +337,7 @@ class _LoopState:
         per_layer = isinstance(cfg.schedule, (list, tuple))
         self.sched = [{} for _ in range(spec.depth)] if per_layer else [{}] * spec.depth
         self.stream = BatchStream(cfg.sampler, n_samples)
-        # j -> (pass, f_j on it) for a block with a gamma search or Armijo test
+        # j -> (pass, f_j on it) for each block with a gamma search or Armijo test
         self.f_blocks = {j: (None, None) for j, (_, sched) in enumerate(self.blocks, 1)
                          if self.adapt or isinstance(sched, ArmijoRule)}
 
@@ -380,8 +381,9 @@ def _apply_update(w, d, alpha: float):
 
 def _step(full: NetworkPass, k: int, state: _LoopState):
     """Outer iteration k: direction and stepsize from a pass on the batch
-    (``full`` itself with a full sampler); ``full`` keeps the new W_j
-    uncopied. Returns (j, alpha, gamma, a callable giving |grad|)."""
+    (``full`` itself with a full sampler), then ``full`` keeps the new W_j
+    without a copy. Returns (j, alpha, gamma, a callable giving the block
+    gradient's norm)."""
     j = (k - 1) % full.depth + 1
     kind, sched = state.blocks[j - 1]
     fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
@@ -391,11 +393,10 @@ def _step(full: NetworkPass, k: int, state: _LoopState):
         kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
                                                           cache=fb)[0]
     f_block = kept[1]
-    d, gamma = found = kind.direction(fb, j, grad, f_block if state.adapt else None)
+    d, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
     w = fb.net.weights[j - 1]
-    slope = getattr(found, "slope", None)  # <grad, D - W> from a gamma search
     alpha = _alpha_for_step(sched, j, k, w, d, grad, f_block, slope, state)
-    full._install(j, _apply_update(w, d, alpha))  # at alpha = 1 D, the probed array
+    full._install(j, _apply_update(w, d, alpha))
     return j, alpha, gamma, lambda: math.sqrt(sqnorm(grad))
 
 
@@ -407,9 +408,10 @@ def train_step(net: Network, data: Dataset, loss, cfg: TrainConfig, k: int,
                state: _LoopState | None = None):
     """One outer iteration: update block ((k-1) mod J) + 1, leave the rest.
 
-    Returns (new network, TraceRow), with the full diagnostics every call.
-    Pass the same ``state`` across calls, or recursive schedules and
-    mini-batch streams restart every call.
+    Returns (new network, TraceRow). Standalone calls recompute the full
+    diagnostics every time; the train() loop amortizes them instead. Pass
+    the same ``state`` across calls when stepping manually, or recursive
+    schedules and mini-batch streams restart every call.
     """
     if k < 1:
         raise SpecError("iteration index starts at 1")
@@ -429,10 +431,10 @@ def run_loop(full: NetworkPass, step, iterations: int, cycle: int,
     """Call ``step(k, residual)``, which updates ``full`` and returns (block,
     alpha, gamma, a callable giving the gradient norm, called only for a
     recorded row), for k = 1..iterations; ``residual`` is the last one
-    taken, at W_{k-1} when ``cycle`` is 1. f and the residual are taken at
-    each cycle's end, recorded row and last k; the run converges when a
-    cycle ends at a residual <= ``tol``, and aborts on a non-finite value,
-    f over ``cap`` or an overflow."""
+    taken, at W_{k-1} when ``cycle`` is 1. f and the residual are
+    taken at each cycle's end, recorded row and last k; the run converges
+    when a cycle ends at a residual <= ``tol`` and aborts on a non-finite
+    value, on f over ``cap`` or on an overflow."""
     trace = TrainTrace()
     t0 = time.perf_counter()
     f_val = norm = math.nan
@@ -480,9 +482,10 @@ def _train_loop(net: Network, data: Dataset, loss, cfg: TrainConfig):
 
 
 def train(net: Network, data: Dataset, loss, cfg: TrainConfig):
-    """Cyclic block training with ``cfg.sampler``, direction and stepsize on
-    the batch, the recorded f and residual on the full dataset. Returns
-    (trained network, TrainTrace)."""
+    """Cyclic block training with ``cfg.sampler``. With a mini-batch sampler
+    the direction and stepsize are computed on the batch; the recorded f /
+    residual-norm diagnostics always use the full dataset. Returns (trained
+    network, TrainTrace)."""
     return _train_loop(net, data, loss, cfg)
 
 

@@ -27,7 +27,7 @@ import scipy.linalg
 
 from .errors import CurvatureError, SingularError, SpecError
 from .functions import sqnorm
-from .gradients import block_hessian, block_objective_fn
+from .gradients import _check_layer, block_hessian, block_objective_fn
 from .netcore import Dataset, FeasibleSet, Network, Toeplitz, Unconstrained
 
 __all__ = [
@@ -51,9 +51,9 @@ def _check_gamma(gamma: float) -> None:
         raise SpecError(f"gamma must be positive, got {gamma}")
 
 
-# ``direction(fb, j, grad, f_block)`` returns the minimizer of a family's
-# model of block j at the pass ``fb``, and the gamma used (with the slope
-# from the first-order gamma search, which f_j's value ``f_block`` turns on).
+# ``direction(fb, j, grad, f_block)`` returns the minimizer D of a family's
+# model of block j at the pass ``fb``, the gamma used, and <grad, D - W> if
+# f_j's value ``f_block`` turned on the first-order gamma search, else None.
 # ``certificate`` is the curvature class the model needs of the block, or None.
 
 @dataclass(frozen=True)
@@ -77,12 +77,12 @@ class FirstOrderProx:
             if isinstance(feasible, Toeplitz):
                 # one variable per diagonal: the exact prox thresholds its mean
                 a = feasible.project(w - grad / self.gamma)
-                return prox_l1_step(a, 0.0, self.gamma, reg.lam), self.gamma
-            return feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam)), self.gamma
+                return prox_l1_step(a, 0.0, self.gamma, reg.lam), self.gamma, None
+            return feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam)), self.gamma, None
         if f_block is not None:
-            return first_order_direction_backtracked(w, grad, self.gamma, feasible,
-                                                     f_block, fb.objective())
-        return descent_direction_first_order(w, grad, self.gamma, feasible), self.gamma
+            return first_order_direction_backtracked(w, grad, self.gamma, feasible, f_block,
+                                                     fb.objective(), with_slope=True)
+        return descent_direction_first_order(w, grad, self.gamma, feasible), self.gamma, None
 
 
 @dataclass(frozen=True)
@@ -106,10 +106,11 @@ class SecondOrderProx:
         # exact on an unconstrained block and, in its kernel coordinates, on a
         # Toeplitz one; on a ball the step is still the projected Newton point
         w, feasible = fb.net.weights[j - 1], fb.net.spec.feasible_sets[j - 1]
-        index = feasible.kernel_index(w.shape)
-        hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb) if index is None \
-            else fb.kernel_hessian(j)
-        return descent_direction_second_order(w, grad, hess, self.gamma, feasible, index)
+        if feasible.kernel_index(w.shape) is None:
+            hess = block_hessian(fb.net, fb.data, fb.loss, j, cache=fb)
+        else:
+            hess = fb.kernel_hessian(j)
+        return (*descent_direction_second_order(w, grad, hess, self.gamma, feasible), None)
 
 
 @dataclass(frozen=True)
@@ -143,11 +144,11 @@ class Proximal:
         w, spec = fb.net.weights[j - 1], fb.net.spec
         feasible, reg = spec.feasible_sets[j - 1], spec.regularizers[j - 1]
         if self.closed_form(fb.loss, spec, j):
-            return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma
+            return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma, None
         value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
         d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
                                           self.max_iters, self.grad_tol)
-        return d, self.gamma
+        return d, self.gamma, None
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal)}
@@ -155,10 +156,12 @@ UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proxim
 
 @dataclass
 class Anchor:
-    """Everything about the current iterate a surrogate needs: the full
-    objective ``f_value`` and block gradient ``grad`` there, ``hess``
-    (row-major vec space) for the second-order family and ``f_fn`` (block
-    objective value) for the proximal one."""
+    """Everything about the current iterate a surrogate needs.
+
+    ``f_value`` is the full regularized objective at the anchor, ``grad`` the
+    block gradient there. ``hess`` (vec-space, row-major) is required by the
+    second-order family, ``f_fn`` (block objective value) by the proximal one.
+    """
 
     w: np.ndarray
     f_value: float
@@ -185,21 +188,22 @@ def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
-                                   feasible: FeasibleSet = Unconstrained(), index=...):
+                                   feasible: FeasibleSet = Unconstrained()):
     """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
-    projected onto the feasible set. With kernel coordinates (``index``,
-    ``feasible.kernel_index(W.shape)`` unless given) ``hess`` is the Hessian
-    in them, P'HP with P the 0/1 map from kernel to block, and the step is
-    exact: W - P (P'HP + gamma P'P)^{-1} P'grad, P'P the tie counts.
+    projected onto the feasible set. On a set with kernel coordinates
+    (``kernel_index``) ``hess`` is the Hessian in them, P'HP with P the 0/1
+    map from kernel to block (``NetworkPass.kernel_hessian``), and the step is
+    exact there: W - P (P'HP + gamma P'P)^{-1} P'grad, with P'P the diagonal
+    of tie counts.
 
-    Only the upper triangle of ``hess`` enters the step, solved by Cholesky;
-    while the damped system is not positive definite, gamma doubles
-    (Levenberg-Marquardt). Returns (D, gamma), the gamma that factored. A
-    Hessian (either triangle) or gradient with infs or NaNs is a ValueError.
+    Only the upper triangle of ``hess`` enters the step. The damped system
+    is solved by Cholesky; if it is not positive definite, gamma is doubled
+    and the solve retried, Levenberg-Marquardt style. Returns (D, gamma),
+    the gamma that factored. A Hessian (either triangle) or gradient with
+    infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
-    if index is ...:
-        index = feasible.kernel_index(W.shape)
+    index = feasible.kernel_index(W.shape)
     rhs, damping = grad.reshape(-1), 1.0
     if index is not None:
         rhs, damping = np.bincount(index, weights=rhs), feasible.kernel_ties(W.shape)
@@ -234,10 +238,12 @@ def descent_direction_proximal(value_fn, grad_fn, W: np.ndarray, gamma: float,
                                max_iters: int = 500, grad_tol: float = 1e-8):
     """Approximate prox of the block objective: argmin f(V) + (gamma/2)||V - W||^2.
 
-    Projected gradient from V = W, at most ``max_iters`` steps, each halved to
-    a 1e-4 sufficient decrease, converged once a step moves V by at most
-    ``grad_tol`` per unit step. Returns (point, converged), the point's prox
-    objective no worse than W's, so the outer step descends; gamma = 0 is exact BCD.
+    Projected gradient from the warm start V = W, at most ``max_iters`` steps,
+    each halved to a 1e-4 sufficient decrease; it has converged once a step
+    moves V by at most ``grad_tol`` per unit step. Returns (point, converged);
+    the point never has a worse prox objective than W itself, so every outer
+    step built on it is a descent step. gamma = 0 is allowed and minimizes
+    the block objective itself (exact BCD).
     """
     if gamma < 0:
         raise SpecError(f"gamma must be >= 0, got {gamma}")
@@ -284,38 +290,27 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
     return -grad
 
 
-class _Accepted(tuple):
-    """(D, gamma) a gamma search accepted, with ``slope`` = <grad, D - W>."""
-
-
 def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
                                       gamma0: float, feasible: FeasibleSet,
-                                      f_block_value, f_anchor: float):
+                                      f_block_value, f_anchor: float, with_slope=False):
     """First-order direction with gamma doubled until the surrogate majorizes.
 
     Accepts the smallest gamma = gamma0 * 2^m, m <= _MAX_DOUBLINGS, whose
-    candidate D satisfies g(D) >= f_j(D), so the surrogate is a true local
-    upper bound where it matters; g(D) is ``FirstOrderProx.evaluate``'s
-    arithmetic, and ``f_block_value`` values each candidate once. Returns
-    (D, gamma), with the slope <grad, D - W> as ``.slope``.
+    candidate D satisfies g(D) >= f_j(D), a true local upper bound where it
+    matters. Returns (D, gamma), with <grad, D - W> third if ``with_slope``.
     """
     _check_gamma(gamma0)
-    gamma = gamma0
-    for _ in range(_MAX_DOUBLINGS + 1):
+    for m in range(_MAX_DOUBLINGS + 1):
+        gamma = gamma0 * 2.0 ** m
         d = feasible.project(W - grad / gamma)
         try:
             f_at_d = f_block_value(d)
         except OverflowError:
-            pass  # the candidate left the representable range: not majorized
-        else:
-            diff = d - W
-            slope = float(np.add.reduce(grad * diff, None))
-            if f_anchor + slope + 0.5 * gamma * sqnorm(diff) \
-                    >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
-                found = _Accepted((d, gamma))
-                found.slope = slope
-                return found
-        gamma *= 2.0
+            continue  # the candidate left the representable range: not majorized
+        diff = d - W
+        slope = float(np.add.reduce(grad * diff, None))
+        if f_anchor + slope + 0.5 * gamma * sqnorm(diff) >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
+            return (d, gamma, slope) if with_slope else (d, gamma)
     raise CurvatureError(
         f"no majorizing gamma found after {_MAX_DOUBLINGS} doublings from {gamma0}")
 
@@ -350,8 +345,7 @@ def closed_form_linear_block(net: Network, data: Dataset, j: int,
     entry is divided by its shifted eigenvalue product s_a s_b / N + lam.
     Needs lam > 0 or nonsingular factors.
     """
-    if not 1 <= j <= net.depth:
-        raise SpecError(f"layer index {j} outside 1..{net.depth}")
+    _check_layer(net, j)
     if any(a.name != "identity" for a in net.spec.activations):
         raise SpecError("closed-form block solve needs identity activations everywhere")
     if lam < 0:

@@ -198,10 +198,10 @@ class TestTrainStep:
         direction = FirstOrderProx.direction
 
         def poisoned(kind, fb, j, grad, adapt):
-            d, gamma = direction(kind, fb, j, grad, adapt)
+            d, gamma, _ = direction(kind, fb, j, grad, adapt)
             d = d.copy()
             d[0, 0] = np.copysign(np.inf, grad[0, 0])
-            return d, gamma
+            return d, gamma, None  # a new D: the Armijo test forms its slope
 
         monkeypatch.setattr(FirstOrderProx, "direction", poisoned)
         cfg = TrainConfig(schedule=ArmijoRule(), adapt_gamma=False)

@@ -237,7 +237,7 @@ class TestSecondOrderDirection:
         for seed in range(30):
             fb = NetworkPass(build_network(spec, "uniform", seed=seed),
                              synth_regression(seed=seed), L2Loss())
-            d, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), None)
+            d, _, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), None)
             assert fb.probe(2, d).objective() <= fb.objective(), seed
 
 
@@ -497,7 +497,9 @@ def toeplitz_basis(rows, cols):
 def assert_step_minimizes(kind, fb, j, anchor, adapt=False):
     """Take kind's step on block j; D must be feasible and must not raise
     the model (at the gamma the step used) above its value at W."""
-    d, gamma = kind.direction(fb, j, anchor.grad, anchor.f_fn if adapt else None)
+    d, gamma, slope = kind.direction(fb, j, anchor.grad, anchor.f_fn if adapt else None)
+    if slope is not None:  # the gamma search's <grad, D - W>, which the Armijo test reuses
+        assert slope == float(np.add.reduce(anchor.grad * (d - anchor.w), None))
     feasible = fb.net.spec.feasible_sets[j - 1]
     np.testing.assert_allclose(feasible.project(d), d, rtol=0, atol=1e-12)
     model = replace(kind, gamma=gamma)
@@ -551,7 +553,7 @@ class TestFamilyStepMinimizesItsModel:
         assume(np.linalg.eigvalsh(reduced)[0] > 0)  # else the model is unbounded below
         model = SecondOrderProx(gamma)
         assert assert_step_minimizes(model, fb, j, anchor) == gamma
-        d, _ = model.direction(fb, j, grad, None)
+        d, _, _ = model.direction(fb, j, grad, None)
         for offset in range(1 - w.shape[0], w.shape[1]):
             diagonal = np.diagonal(d, offset)
             assert np.all(diagonal == diagonal[0])
