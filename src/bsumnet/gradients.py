@@ -217,11 +217,15 @@ class NetworkPass:
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
         stay None until asked for."""
-        _check_layer(self.net, j)
+        if not 0 < j <= self.depth:  # before the cache, which j <= 0 would index
+            _check_layer(self.net, j)
         deltas = self._deltas
         if deltas[j - 1] is not None:  # and so is every one above it
             return deltas
-        outs, net = self.outs, self.net
+        outs, net = self._outs, self.net
+        if self._stale <= self.depth:  # the refresh of ``outs``, inline on the hot path
+            outs.refresh(net, self._stale)
+            self._stale = self.depth + 1
         pre, post = outs.pre_activations, outs.post_activations
         weights, acts = net.weights, net.spec.activations
         if deltas[-1] is None:
@@ -240,11 +244,10 @@ class NetworkPass:
         """Gradient for block j: the data term D_j Z_{j-1}^T, plus the
         regularizer gradient when it is smooth (an L1 penalty is left to the
         prox step); that sum is cached, and callers must not write to it."""
-        d_j = self.deltas(j)[j - 1]  # j checked, after the stages' refresh
         grads = self._grads
-        if include_reg and grads[j - 1] is not None:
+        if include_reg and 0 < j <= self.depth and grads[j - 1] is not None:
             return grads[j - 1]
-        g = d_j.dot(self._outs.post_activations[j - 1].T)
+        g = self.deltas(j)[j - 1].dot(self._outs.post_activations[j - 1].T)  # deltas checks j
         net = self.net
         reg = net.spec.regularizers[j - 1]
         if include_reg and reg.smooth:

@@ -222,10 +222,6 @@ def baseline_adagrad(net: Network, data: Dataset, loss, rate: float = 0.01,
 # curve files
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def emit_curves(traces, path) -> Path:
     """Write (method, seed, trace) triples as one CSV, LF newlines, UTF-8.
 
@@ -236,12 +232,10 @@ def emit_curves(traces, path) -> Path:
     entries = sorted(traces, key=lambda t: (t[0], t[1]))
     lines = [CURVE_HEADER]
     for method, seed, trace in entries:
+        head = f"{method},{int(seed)},"
         for r in sorted(trace.rows, key=lambda r: r.k):
-            lines.append(",".join([
-                method, str(int(seed)), str(int(r.k)),
-                _fmt(r.f), _fmt(r.normalized_mse), _fmt(r.full_grad_norm),
-                _fmt(r.alpha), _fmt(r.wall_seconds),
-            ]))
+            lines.append(head + "%d,%.17g,%.17g,%.17g,%.17g,%.17g" % (
+                r.k, r.f, r.normalized_mse, r.full_grad_norm, r.alpha, r.wall_seconds))
     try:
         with open(path, "w", newline="\n", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")

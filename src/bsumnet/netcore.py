@@ -44,6 +44,7 @@ class FeasibleSet:
     """A closed convex set of admissible weight matrices."""
 
     name = "base"
+    linear = False  # a subspace: project is linear and fixes each member bitwise
 
     def project(self, w: np.ndarray) -> np.ndarray:
         """The nearest member of the set, possibly ``w`` itself (not a copy)."""
@@ -63,6 +64,7 @@ class FeasibleSet:
 @dataclass(frozen=True)
 class Unconstrained(FeasibleSet):
     name = "unconstrained"
+    linear = True
 
     def project(self, w: np.ndarray) -> np.ndarray:
         return np.asarray(w, dtype=float)
@@ -79,6 +81,7 @@ class Toeplitz(FeasibleSet):
     """
 
     name = "toeplitz"
+    linear = True
 
     def kernel_index(self, shape: tuple) -> np.ndarray:
         """Diagonal of each entry, from 0 (bottom-left) to rows + cols - 2; one

@@ -1,11 +1,13 @@
 """Cyclic block-update training loop.
 
-One outer iteration k touches block j = ((k-1) mod J) + 1: a descent
-direction is produced by the configured surrogate family, then the block
-moves to the convex combination (1-alpha) W_j + alpha D_j. Stepsizes come
-from a diminishing schedule, an Armijo search, or are pinned to 1
-(unit-stepsize mode). ``run_loop`` steps a ``NetworkPass`` and keeps the
-trace, for the block trainer and the harness's backprop baselines.
+One outer iteration k touches block j = ((k-1) mod J) + 1: it moves to
+(1-alpha) W_j + alpha D_j, D_j the surrogate family's minimizer, or, for a
+first-order step with no gamma or Armijo search on a smooth block of a
+linear set, to W_j + alpha P(G)/(-gamma) without forming D_j (at gamma = 1,
+backprop W_j - alpha G bit for bit). Stepsizes come from a diminishing
+schedule, an Armijo search, or are pinned to 1 (unit-stepsize mode).
+``run_loop`` steps a ``NetworkPass`` and keeps the trace, for the block
+trainer and the harness's backprop baselines.
 
 Each run owns its mutable state (schedule positions, batch stream); networks
 and trace rows it hands out are fresh values, safe to keep or share.
@@ -328,7 +330,8 @@ class _LoopState:
     """Mutable machinery owned by one training run: ``cfg.blocks``, one
     schedule state per block (one dict for all when the schedule is shared,
     so it advances once per iteration), the mini-batch index stream, whether
-    the sampler is the full batch and the gamma search is on, and f_j."""
+    the sampler is the full batch and the gamma search is on, f_j, and the
+    blocks whose step is the family's ``fused_update``."""
 
     def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
         self.blocks = cfg.blocks(spec, loss)
@@ -340,6 +343,9 @@ class _LoopState:
         # j -> (pass, f_j on it) for each block with a gamma search or Armijo test
         self.f_blocks = {j: (None, None) for j, (_, sched) in enumerate(self.blocks, 1)
                          if self.adapt or isinstance(sched, ArmijoRule)}
+        self.fused = {j for j, ((kind, _), reg, feasible) in enumerate(
+            zip(self.blocks, spec.regularizers, spec.feasible_sets), 1)
+            if kind.fuses and reg.smooth and feasible.linear and j not in self.f_blocks}
 
 
 def _block_residual_norm(net: Network, grads: list) -> float:
@@ -357,19 +363,19 @@ def _full_diagnostics(full: NetworkPass, energy: float):
     return f_val, norm, _scaled_mse(full.sse(), energy)
 
 
-def _alpha_for_step(sched, j: int, k: int, w, d, grad, f_block, slope,
-                    state: _LoopState) -> float:
+def _alpha_for_step(sched, j: int, k: int, state: _LoopState, *line, slope=None):
+    # ``line``, (f_j, W, D, grad), and ``slope`` are read by an Armijo search only
     if sched is None:
         return 1.0
     if isinstance(sched, ArmijoRule):
-        return armijo_stepsize(f_block, w, d, grad, sched, slope)[0]
+        return armijo_stepsize(*line, sched, slope)[0]
     return stepsize_next(sched, k, state.sched[j - 1])
 
 
 def _apply_update(w, d, alpha: float):
-    # alpha == 1 assigns D directly so the gradient-descent / Newton special
-    # cases reproduce their textbook updates bitwise; alpha == 0 (a rejected
-    # Armijo search) keeps W, whatever D holds
+    # a step that formed D: alpha == 1 installs D itself, the textbook Newton
+    # or projected-gradient update; alpha == 0 (a rejected Armijo search)
+    # keeps W, whatever D holds
     if alpha == 0.0:
         return w
     if alpha == 1.0:
@@ -388,15 +394,20 @@ def _step(full: NetworkPass, k: int, state: _LoopState):
     kind, sched = state.blocks[j - 1]
     fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
     grad = fb.grad(j)  # data term only on an L1 block: the prox step absorbs its penalty
-    kept = state.f_blocks.get(j, (fb, None))  # f_j, built once per pass
-    if kept[0] is not fb:
-        kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
-                                                          cache=fb)[0]
-    f_block = kept[1]
-    d, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
     w = fb.net.weights[j - 1]
-    alpha = _alpha_for_step(sched, j, k, w, d, grad, f_block, slope, state)
-    full._install(j, _apply_update(w, d, alpha))
+    if j in state.fused:
+        alpha, gamma = _alpha_for_step(sched, j, k, state), kind.gamma
+        new = kind.fused_update(w, grad, alpha, fb.net.spec.feasible_sets[j - 1])
+    else:
+        kept = state.f_blocks.get(j)  # f_j of a block with a search, built once per pass
+        if kept is not None and kept[0] is not fb:
+            kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
+                                                              cache=fb)[0]
+        f_block = None if kept is None else kept[1]
+        d, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
+        alpha = _alpha_for_step(sched, j, k, state, f_block, w, d, grad, slope=slope)
+        new = _apply_update(w, d, alpha)
+    full._install(j, new)
     return j, alpha, gamma, lambda: math.sqrt(sqnorm(grad))
 
 

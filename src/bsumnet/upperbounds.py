@@ -55,15 +55,25 @@ def _check_gamma(gamma: float) -> None:
 # model of block j at the pass ``fb``, the gamma used, and <grad, D - W> if
 # f_j's value ``f_block`` turned on the first-order gamma search, else None.
 # ``certificate`` is the curvature class the model needs of the block, or None.
+# ``fuses``: with no search, on a smooth block of a linear set, the trainer
+# installs the step to D as ``fused_update``, without forming D.
 
 @dataclass(frozen=True)
 class FirstOrderProx:
     gamma: float = 1.0
     name = "first_order_prox"
     certificate = None
+    fuses = True
 
     def __post_init__(self):
         _check_gamma(self.gamma)
+
+    def fused_update(self, w, grad, alpha, feasible):
+        """W + alpha P(grad)/(-gamma): the step to D = P(W - grad/gamma), P linear, W = P(W)."""
+        step = feasible.project(grad) / -self.gamma
+        step *= alpha
+        step += w
+        return step
 
     def evaluate(self, W: np.ndarray, anchor: "Anchor") -> float:
         """Value of the surrogate at W, anchored at the current iterate."""
@@ -90,6 +100,7 @@ class SecondOrderProx:
     gamma: float = 1.0
     name = "second_order_prox"
     certificate = None
+    fuses = False
 
     def __post_init__(self):
         _check_gamma(self.gamma)
@@ -120,6 +131,7 @@ class Proximal:
     grad_tol: float = 1e-8
     name = "proximal"
     certificate = "strongly_convex"
+    fuses = False
 
     def __post_init__(self):
         if not self.gamma >= 0:

@@ -218,8 +218,9 @@ def test_negative_zero_is_a_change(monkeypatch):
 
 
 def test_stalled_geometric_steps_run_no_forward(monkeypatch):
-    # alpha_k = 2^-k: past the stall (1 - alpha) W + alpha D rounds to W bit
-    # for bit, and set_block keeps the pass, f and every gradient
+    # alpha_k = 2^-k: past the stall W + alpha P(G)/(-gamma) rounds to W bit
+    # for bit once alpha times the step is below half an ulp of W, and the
+    # install keeps the pass, f and every gradient
     spec = NetworkSpec.homogeneous([4, 5, 5, 1], Logistic(),
                                    regularizer=Regularizer.l2(1e-2))
     net = build_network(spec, "uniform", seed=4)

@@ -358,6 +358,25 @@ class TestCurveProperties:
         assert rows == [("m", seed, r.k, r.f, r.normalized_mse, r.full_grad_norm,
                          r.alpha, r.wall_seconds) for r in trace.rows]
 
+    @given(st.lists(st.tuples(st.integers(1, 10**6),
+                              *[st.floats(allow_subnormal=True) | st.sampled_from(
+                                  [math.inf, -math.inf, math.nan, -0.0, 5e-324, -2e-310])] * 5),
+                    max_size=6),
+           st.integers(0, 2**31 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_row_text_is_the_joined_17_digit_fields(self, values, seed):
+        # each row is one %-string; it writes what joining format(x, ".17g")
+        # of each field wrote, for finite, infinite, nan, -0.0 and subnormal x
+        trace = TrainTrace([TraceRow(k, 1, f, nmse, 0.5, norm, alpha, 1.0, wall)
+                            for k, f, nmse, norm, alpha, wall in values])
+        with tempfile.TemporaryDirectory() as tmp:
+            text = emit_curves([("m", seed, trace)], Path(tmp) / "c.csv").read_text()
+        old = [",".join(["m", str(int(seed)), str(int(r.k))] + [
+                   format(float(x), ".17g") for x in
+                   (r.f, r.normalized_mse, r.full_grad_norm, r.alpha, r.wall_seconds)])
+               for r in sorted(trace.rows, key=lambda r: r.k)]
+        assert text == "\n".join([CURVE_HEADER] + old) + "\n"
+
     @given(traces())
     @settings(max_examples=60, deadline=None)
     def test_zero_wall_changes_only_wall_seconds(self, trace):

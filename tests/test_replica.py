@@ -1,4 +1,4 @@
-"""The first-order probe step against an independent plain-numpy replica.
+"""First-order steps against independent plain-numpy replicas.
 
 The default first-order step doubles gamma until the surrogate majorizes the
 block objective at the candidate D, then an Armijo search picks the stepsize
@@ -8,6 +8,11 @@ ufuncs, its own Toeplitz projection), without the engine's caches, memo or
 adoption, so every row of a traced run and the final weights must agree bit
 for bit with ``train``: on a small net, and at the benchmark's armijo_probe
 shapes, where the gain of the lean probe step is measured.
+
+The criterion-5 run (fo_logistic) takes schedule steps W + alpha G/(-gamma)
+with no search. Its replica keeps the stages and gradients a step leaves
+valid, as the engine does, so besides guarding the bits it is the floor
+that the library's time on that run is compared with.
 """
 
 import math
@@ -15,9 +20,9 @@ import math
 import numpy as np
 import pytest
 
-from bsumnet import (ArmijoRule, Dataset, FirstOrderProx, L2Loss, Logistic, NetworkSpec,
-                     Regularizer, Toeplitz, TrainConfig, Unconstrained, build_network,
-                     synth_regression, train)
+from bsumnet import (ArmijoRule, Dataset, FirstOrderProx, InverseRoot, L2Loss, Logistic,
+                     NetworkSpec, Regularizer, Toeplitz, TrainConfig, Unconstrained,
+                     build_network, synth_regression, train)
 
 DIMS = (4, 5, 5, 1)
 LAM = 1e-2
@@ -184,4 +189,75 @@ def test_armijo_probe_steps_match_a_plain_numpy_replica(seed):
             r.alpha, r.gamma) for r in trace.rows]
     assert got == want
     for a, b in zip(got_net.weights, replica.w):
+        assert a.tobytes() == b.tobytes()
+
+
+def criterion5_replica(weights, X, Y, iters, gamma=0.25, c=2.0):
+    """The criterion-5 run in plain numpy: block j = ((k-1) mod J) + 1 steps to
+    W_j + alpha_k G_j/(-gamma), alpha_k = c/sqrt(k); each cycle's end gives a
+    row (k, f, residual, alpha). Stages below the updated block and the cycle
+    end's gradient of block 1 are kept, so a step redoes only what the engine
+    redoes."""
+    w = [a.copy() for a in weights]
+    depth, n = len(w), X.shape[1]
+    zs = [X]
+    for a in w:
+        zs.append(sigmoid(a.dot(zs[-1])))
+    grads, rows = [None] * depth, []
+
+    def backward(low, every):  # G_low, or every G_j for j >= low, from one sweep
+        out, delta = [None] * depth, zs[-1] - Y
+        delta *= 2.0 / n
+        for i in range(depth, low - 1, -1):
+            if i < depth:
+                delta = w[i].T.dot(delta)
+            slope = np.subtract(1.0, zs[i])
+            slope *= zs[i]
+            delta *= slope
+            if every or i == low:
+                out[i - 1] = delta.dot(zs[i - 1].T)
+                out[i - 1] += 2.0 * LAM * w[i - 1]
+        return out
+
+    for k in range(1, iters + 1):
+        j = (k - 1) % depth + 1
+        g = grads[j - 1] if grads[j - 1] is not None else backward(j, False)[j - 1]
+        alpha = min(c / math.sqrt(k), 1.0 - 1e-9)
+        step = g / -gamma
+        step *= alpha
+        step += w[j - 1]
+        w[j - 1] = step
+        for i in range(j, depth + 1):
+            zs[i] = sigmoid(w[i - 1].dot(zs[i - 1]))
+        grads = [None] * depth
+        if k % depth == 0:
+            h = zs[-1]
+            f = sq(Y - h) / n
+            for a in w:
+                f += LAM * sq(a)
+            grads = backward(1, True)
+            total = 0.0
+            for a in grads:
+                total += sq(a)
+            rows.append((k, f, math.sqrt(total), alpha))
+    return rows, w
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_criterion5_steps_match_a_plain_numpy_replica(seed):
+    # the benchmark's fo_logistic problem: unconstrained blocks, gamma 0.25,
+    # InverseRoot(2.0) and no gamma search, one row per cycle
+    data = synth_regression(seed=seed, n_samples=252, n_features=13)
+    spec = NetworkSpec((13, 10, 10, 10, 1), (Logistic(),) * 4, (Unconstrained(),) * 4,
+                       (Regularizer.l2(LAM),) * 4)
+    net = build_network(spec, "uniform", seed=seed)
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.25), schedule=InverseRoot(2.0),
+                      max_outer_iterations=200, adapt_gamma=False)
+    got_net, trace = train(net, data, L2Loss(), cfg)
+
+    want, weights = criterion5_replica(net.weights, data.X, data.Y, 200)
+    got = [(r.k, r.f, r.full_grad_norm, r.alpha) for r in trace.rows]
+    assert len(got) == 50
+    assert got == want
+    for a, b in zip(got_net.weights, weights):
         assert a.tobytes() == b.tobytes()

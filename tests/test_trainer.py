@@ -215,7 +215,8 @@ class TestTrainStep:
         assert full.net.weights[0].tobytes() == w.tobytes()
 
     def test_bp_special_case_matches_direct_step(self):
-        # gamma=1 first-order family + schedule alpha == W - alpha * grad
+        # gamma=1 first-order family + schedule alpha == W - alpha * grad, bit
+        # for bit: the step is W + alpha (grad / -1)
         net, data = small_problem(seed=2)
         cfg = TrainConfig(upperbound=FirstOrderProx(1.0),
                           schedule=InverseRoot(0.8), adapt_gamma=False,
@@ -225,7 +226,34 @@ class TestTrainStep:
             new_net, row = train_step(net, data, L2Loss(), cfg, k=k)
             alpha = 0.8 / np.sqrt(k)
             bp = net.weights[j - 1] - alpha * block_gradient(net, data, L2Loss(), j)
-            assert np.max(np.abs(new_net.weights[j - 1] - bp)) <= 1e-14
+            assert np.array_equal(new_net.weights[j - 1], bp)
+
+    @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()],
+                             ids=["unconstrained", "toeplitz"])
+    def test_schedule_step_on_a_linear_set_is_the_fused_update(self, feasible, monkeypatch):
+        # alpha is known before the step and P is linear and fixes W, so the
+        # step to D = P(W - G/gamma) is installed as W + alpha P(G)/(-gamma)
+        # without forming D; a Toeplitz block stays exactly on its set
+        net, data = make_problem([4, 4, 4, 1], Logistic(), L2Loss(), seed=5,
+                                 feasible=feasible)
+        gamma = 0.3
+        cfg = TrainConfig(upperbound=FirstOrderProx(gamma), schedule=InverseRoot(0.7),
+                          adapt_gamma=False)
+        monkeypatch.setattr(FirstOrderProx, "direction", None)  # no D is formed
+        state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
+        full = NetworkPass(net.copy(), data, L2Loss())
+        for k in range(1, 10):
+            j = (k - 1) % net.depth + 1
+            w = full.net.weights[j - 1]
+            g = block_gradient(full.net, data, L2Loss(), j)
+            _, alpha, got_gamma, _ = trainer._step(full, k, state)
+            want = w + alpha * (feasible.project(g) / -gamma)
+            got = full.net.weights[j - 1]
+            assert (alpha, got_gamma) == (stepsize_next(InverseRoot(0.7), k), gamma)
+            assert got.tobytes() == want.tobytes()
+            if isinstance(feasible, Toeplitz):  # gap 0: one value per diagonal
+                rows, cols = got.shape
+                assert all(len(set(np.diagonal(got, o))) == 1 for o in range(1 - rows, cols))
 
     def test_unit_stepsize_is_scaled_gradient_descent(self):
         net, data = small_problem(seed=3)
