@@ -50,10 +50,12 @@ Y_n v, Y_n[s, p] = z_n[s + p - d_j + 1] (zero outside), and without H
 
 with window_s placing its matrix at offset d_j - 1 - s on the diagonal;
 layer j+1's term is sum_n A_n' diag(b_{j+1}) A_n from the one factor
-A_n = W_{j+1} S_j Y_n. It runs over chunks of samples, and the bend over
-chunks of pairs, whose scratch stays within ``_KERNEL_SCRATCH`` doubles a
-role. Stage tensors and gathers go to a scratch the pass owns, flat
-buffers kept by role and grown on demand.
+A_n = W_{j+1} S_j Y_n; at j = J-1, d_J = 1 that is the Gram term alone and
+A_n one row, an einsum of w (.) sigma'_n with Z's windows, no S_j Y_n formed.
+It runs over chunks of samples, and the bend over chunks of pairs, whose
+scratch stays within ``_KERNEL_SCRATCH`` doubles a role. Stage tensors and
+gathers go to a scratch the pass owns, flat buffers kept by role and grown
+on demand.
 
 Broadcast products on the scratch are einsums, which take no buffer of
 their own. A fresh 2-D product is ``ndarray.dot`` (``np.dot`` without its
@@ -117,6 +119,7 @@ class NetworkPass:
         self.depth = net.depth
         self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
         self._deltas = [None] * self.depth
+        self._slopes = None  # slopes[i-1] = sigma'_i, kept by deltas once a curvature is built
         self._grads = [None] * self.depth
         self._f = None  # (f, ||Y - H||^2 or None)
         self._pens = [None] * self.depth
@@ -149,6 +152,7 @@ class NetworkPass:
         self.net.weights[j - 1], self._keys[j - 1], self._pens[j - 1] = w, key, None
         self._stale, self._f, self._memo = min(self._stale, j), None, None
         self._deltas, self._grads = [None] * self.depth, [None] * self.depth
+        self._slopes = self._slopes and [None] * self.depth  # None until a curvature
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
         """The pass at W_j = w: this one when w is the current W_j, else the
@@ -181,7 +185,8 @@ class NetworkPass:
         other = object.__new__(NetworkPass)
         other.__dict__.update(
             self.__dict__, data=data, _outs=forward(self.net, data.X), _stale=depth + 1,
-            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={})
+            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={},
+            _slopes=self._slopes and [None] * depth)
         return other
 
     @property
@@ -216,7 +221,8 @@ class NetworkPass:
 
     def deltas(self, j: int = 1) -> list:
         """Error matrices D_J down to D_j (deltas[i-1] is D_i); those below j
-        stay None until asked for."""
+        stay None until asked for. Once a curvature was built on this pass,
+        the slopes sigma'_i multiplied in are kept with them."""
         if not 0 < j <= self.depth:  # before the cache, which j <= 0 would index
             _check_layer(self.net, j)
         deltas = self._deltas
@@ -227,17 +233,16 @@ class NetworkPass:
             outs.refresh(net, self._stale)
             self._stale = self.depth + 1
         pre, post = outs.pre_activations, outs.post_activations
-        weights, acts = net.weights, net.spec.activations
-        if deltas[-1] is None:
-            # sigma' multiplies into the fresh dL/dH and W^T D in place
-            top = self.loss.grad_H(post[-1], self.data.Y)
-            top *= acts[-1].derivative(pre[-1], post[-1])
-            deltas[-1] = top
-        for i in range(self.depth - 1, j - 1, -1):
+        weights, acts, slopes = net.weights, net.spec.activations, self._slopes
+        for i in range(self.depth, j - 1, -1):
             if deltas[i - 1] is None:
-                back = weights[i].T.dot(deltas[i])
-                back *= acts[i - 1].derivative(pre[i - 1], post[i])
+                # sigma' multiplies into the fresh dL/dH or W^T D in place
+                back = (self.loss.grad_H(post[-1], self.data.Y) if i == self.depth
+                        else weights[i].T.dot(deltas[i]))
+                back *= (slope := acts[i - 1].derivative(pre[i - 1], post[i]))
                 deltas[i - 1] = back
+                if slopes is not None:
+                    slopes[i - 1] = slope
         return deltas
 
     def grad(self, j: int, include_reg: bool = True) -> np.ndarray:
@@ -332,17 +337,20 @@ class NetworkPass:
         for n0 in range(0, n, step):  # chunks of samples, kept as they bound memory
             cols = slice(n0, min(n, n0 + step))
             m = cols.stop - n0
-            # SY[s, n] = sigma'_j[s, n] Y_n[s], from windows of a zero-padded Z^T
+            # y[n, p, s] = Y_n[s, p] = z_n[s + p - d_j + 1], windows of a zero-padded Z^T
             pad = self._buf("pad", m, k + d_j - 1)
             pad.fill(0.0)
             pad[:, d_j - 1:d_j - 1 + d_prev] = z[:, cols].T
-            y = np.lib.stride_tricks.as_strided(
-                pad, (d_j, m, k), (pad.strides[1], pad.strides[0], pad.strides[1]))
-            sy = np.einsum("snp,sn->snp", y, c.slope[:, cols], out=self._buf("sy", d_j, m, k))
+            y = np.lib.stride_tricks.as_strided(pad, (m, k, d_j), (*pad.strides, pad.strides[1]))
             # A_n = W S_n Y_n (S_n Y_n at j = J), and V_n with sum_n A_n' V_n the
             # Gram and sweep terms: V_n = diag(beta_n) A_n + Q_n S_n Y_n
-            a = sy if c.w is None else np.matmul(
-                c.w, sy.reshape(d_j, -1), out=self._buf("a", d_a, m * k)).reshape(d_a, m, k)
+            if c.q is None and c.row is None:  # the Gram return: one row, (w (.) sigma'_n)' Y_n
+                ws = np.einsum("sn,as->ns", c.slope[:, cols], c.w, out=self._buf("ws", m, d_j))
+                a = np.einsum("nq,npq->np", ws, y, out=self._buf("a", m, k))[None]
+            else:  # SY[s, n] = sigma'_j[s, n] Y_n[s]
+                sy = np.einsum("npq,qn->qnp", y, c.slope[:, cols], out=self._buf("sy", d_j, m, k))
+                a = sy if c.w is None else np.matmul(
+                    c.w, sy.reshape(d_j, -1), out=self._buf("a", d_a, m * k)).reshape(d_a, m, k)
             v = self._buf("v", d_a, m, k)
             if c.beta is not None:
                 np.einsum("anp,an->anp", a, c.beta[:, cols], out=v)
@@ -383,7 +391,8 @@ class NetworkPass:
 
     def _curvature(self, j: int) -> SimpleNamespace:
         """The data term's curvature in U_j without the loss's sample coupling
-        kappa: slope[s] slope[r] M~_n[s, r] + [s = r] bend[s] at column n, with
+        kappa: slope[s] slope[r] M~_n[s, r] + [s = r] bend[s] at column n
+        (slope = sigma'_j; every sigma'_i is a slope ``deltas`` keeps), with
 
             M~_n = W' diag(beta_n) W + g_n row_n row_n' + W' Q_n,
 
@@ -397,7 +406,10 @@ class NetworkPass:
         T_{J-1} = b_{J-1} (.) RU_{J-1} at d_J = 1, at T_J = G_n RU_J otherwise,
         and runs T_{i-1} = sigma'_{i-1} (.) W_i' T_i + b_{i-1} (.) RU_{i-1}
         down to Q = T_{j+1}, without layer j+1's bend."""
-        deltas, outs = self.deltas(j), self.outs
+        if self._slopes is None:  # the pass's first curvature: keep slopes from now on
+            _check_layer(self.net, j)  # before any change
+            self._slopes, self._deltas = [None] * self.depth, [None] * self.depth
+        deltas, outs, slopes = self.deltas(j), self.outs, self._slopes  # slopes j..J
         pre, post = outs.pre_activations, outs.post_activations
         acts, weights, depth = self.net.spec.activations, self.net.weights, self.depth
 
@@ -408,9 +420,7 @@ class NetworkPass:
 
         d_j, n = pre[j - 1].shape
         d_out = len(pre[-1])
-        bend_j = None if j == depth else bend_of(j)  # before the slopes: one stage alive at a time
-        slopes = [None] * (j - 1) + [acts[i - 1].derivative(pre[i - 1], post[i])
-                                     for i in range(j, depth + 1)]  # slopes[i - 1] = sigma'_i
+        bend_j = None if j == depth else bend_of(j)
         curv, kappa = self.loss.curvature_H(outs.output, self.data.Y)
         bend = self.loss.grad_H(outs.output, self.data.Y)  # b_J = df/dZ_J (.) sigma''_J
         bend *= acts[-1].second_derivative(pre[-1], post[-1])

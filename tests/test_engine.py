@@ -28,8 +28,8 @@ from hypothesis import strategies as st
 from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
                      ExponentialLoss, FirstOrderProx, Geometric, InverseRoot, L2Loss,
                      L2Regularizer, Logistic, LogisticLoss, Network, NetworkSpec,
-                     Regularizer, ShapeError, SquaredHingeLoss, Toeplitz, Unconstrained,
-                     build_network, forward, harness, train, trainer)
+                     Regularizer, ShapeError, Softplus, SquaredHingeLoss, Tanh, Toeplitz,
+                     Unconstrained, build_network, forward, harness, train, trainer)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
@@ -388,6 +388,81 @@ def test_public_set_block_keeps_a_copy():
         w += 1.0  # the caller's array, written after the update
         assert fb.net.weights[j - 1].tobytes() == kept.tobytes()
         assert fb.objective() == want
+
+
+def slopes_pass():
+    # three kinds of slope, a Toeplitz middle block and d_J = 2
+    spec = NetworkSpec((4, 5, 3, 2), (Tanh(), Logistic(), Softplus()),
+                       (Unconstrained(), Toeplitz(), Unconstrained()),
+                       (Regularizer.l2(1e-2),) * 3)
+    net = build_network(spec, "uniform", seed=5)
+    rng = np.random.default_rng(5)
+    data = Dataset(rng.standard_normal((4, 30)), rng.standard_normal((2, 30)))
+    return NetworkPass(net, data, L2Loss()), rng
+
+
+def test_kept_slopes_are_the_derivatives_of_the_current_stages():
+    fb, rng = slopes_pass()
+    fb.grads()
+    assert fb._slopes is None  # a pass that built no curvature keeps none
+    fb.hessian(3)
+    for j in (2, 1, 3):
+        w = fb.net.weights[j - 1]
+        fb.set_block(j, w + 0.1 * rng.standard_normal(w.shape))
+        assert all(s is None for s in fb._slopes)
+        fb.deltas()
+        outs = fb.outs
+        for i, act in enumerate(fb.net.spec.activations, start=1):
+            want = act.derivative(outs.pre_activations[i - 1], outs.post_activations[i])
+            assert fb._slopes[i - 1].tobytes() == want.tobytes(), (j, i)
+        fresh = NetworkPass(fb.net.copy(), fb.data, L2Loss())
+        assert fb.hessian(1).tobytes() == fresh.hessian(1).tobytes(), j
+        assert fb.kernel_hessian(2).tobytes() == fresh.kernel_hessian(2).tobytes(), j
+
+
+def test_kept_slopes_are_dropped_in_a_probe_and_on_other_data():
+    fb, _ = slopes_pass()
+    fb.hessian(1)
+    kept = fb._slopes
+    assert all(s is not None for s in kept)
+    probe = fb.probe(2, fb.net.weights[1] + 0.1)
+    assert probe._slopes is not kept and all(s is None for s in probe._slopes)
+    probe.deltas()
+    batch = fb._on(fb.data.restrict(np.arange(10)))
+    assert batch._slopes is not kept and all(s is None for s in batch._slopes)
+    batch.deltas()
+    assert fb._slopes is kept and all(s is not None for s in kept)
+    for other in (probe, batch):  # each kept its own, of its own stages
+        assert all(not np.shares_memory(a, b) for a, b in zip(other._slopes, kept))
+
+
+def test_newton_cycle_forms_each_slope_once(monkeypatch, tmp_path):
+    # the curvature benchmark's layout: every Tanh.derivative call is a layer
+    # some backward pass walks, and the Hessians read the slopes it kept
+    job = workloads.curvature(0, True, tmp_path)
+    state = _LoopState(job.cfg, job.net.spec, L2Loss(), job.data.n_samples)
+    full = NetworkPass(job.net.copy(), job.data, L2Loss())
+    calls, walks = [], []
+    derivative, deltas = Tanh.derivative, NetworkPass.deltas
+
+    def counted_derivative(act, u, z=None):
+        calls.append(len(u))
+        return derivative(act, u, z)
+
+    def counted_deltas(fb, j=1):
+        before = sum(d is not None for d in fb._deltas)
+        out = deltas(fb, j)
+        walks.append(sum(d is not None for d in out) - before)
+        return out
+
+    monkeypatch.setattr(Tanh, "derivative", counted_derivative)
+    monkeypatch.setattr(NetworkPass, "deltas", counted_deltas)
+    for k in range(1, 2 * full.depth + 1):  # the first cycle builds the first curvature
+        _step(full, k, state)
+        if k % full.depth == 0:
+            full.grads()  # the cycle end's residual
+        assert len(calls) == sum(walks), k
+    assert sum(walks) >= 2 * full.depth * 2
 
 
 def benchmark_passes(tmp_path):

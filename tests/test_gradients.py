@@ -411,6 +411,27 @@ class TestKernelHessian:
         whole = NetworkPass(net, data, L2Loss()).kernel_hessian(2)
         assert np.max(np.abs(chunked - whole)) <= 1e-12 * np.max(np.abs(whole))
 
+    @pytest.mark.parametrize("chunk", [None, 100], ids=["one_chunk", "chunked"])
+    def test_gram_return_at_the_curvature_benchmark_shape(self, monkeypatch, chunk):
+        # block 2 of [13,16,16,1] at N = 252 is j = J-1 with d_J = 1: its
+        # curvature is the Gram term alone, and A_n is one einsum from the
+        # windows; with 100 samples a chunk, chunks end at 100 and 200
+        dims = (13, 16, 16, 1)
+        spec = NetworkSpec(dims, (Tanh(),) * 3, (Unconstrained(), Toeplitz(), Unconstrained()),
+                           (Regularizer.l2(1e-2),) * 3)
+        data = synth_regression(seed=0, n_samples=252, n_features=13, teacher_dims=dims)
+        for seed in range(3):
+            net = build_network(spec, "uniform", seed=seed)
+            fb = NetworkPass(net, data, L2Loss())
+            c = fb._curvature(2)
+            assert c.q is None and c.row is None and c.w.shape == (1, 16)
+            if chunk is not None:
+                monkeypatch.setattr(gradients, "_KERNEL_SCRATCH", chunk * 16 * 31)
+            got = fb.kernel_hessian(2)
+            monkeypatch.undo()
+            want = self.reduced(block_hessian(net, data, L2Loss(), 2), (16, 16))
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), seed
+
 
 class TestHessianMatchesRecursionOracle:
     """``hessian`` and ``kernel_hessian`` on random nets against the einsum

@@ -831,6 +831,22 @@ class TestRunProperties:
     def test_proximal_on_certified_blocks_never_raises_f(self, run):
         self.assert_f_never_rises_and_iterates_stay_feasible(*run)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_newton_on_the_curvature_benchmark_never_raises_f(self, seed):
+        # the curvature workload's run, a row each iteration: no step of the
+        # unguarded damped Newton raises f there, and no Cholesky retry doubles gamma
+        dims = (13, 16, 16, 1)
+        spec = NetworkSpec(dims, (Tanh(),) * 3, (Unconstrained(), Toeplitz(), Unconstrained()),
+                           (Regularizer.l2(1e-2),) * 3)
+        data = synth_regression(seed=seed, n_samples=252, n_features=13, teacher_dims=dims)
+        cfg = TrainConfig(upperbound=SecondOrderProx(0.1), unit_stepsize=True,
+                          max_outer_iterations=90, record_every=1)
+        _, trace = train(build_network(spec, "uniform", seed=seed), data, L2Loss(), cfg)
+        fs = [trace.initial_f] + [r.f for r in trace.rows]
+        assert len(trace.rows) == 90
+        assert all(b <= a for a, b in zip(fs, fs[1:])), seed
+        assert {r.gamma for r in trace.rows} == {0.1}
+
 
 class TestNormalizedMse:
     def test_zero_at_perfect_fit(self):
