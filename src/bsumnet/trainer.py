@@ -1,10 +1,10 @@
 """Cyclic block-update training loop.
 
-One outer iteration k touches block j = ((k-1) mod J) + 1: it moves to
-(1-alpha) W_j + alpha D_j, D_j the surrogate family's minimizer, or, for a
-first-order step with no gamma or Armijo search on a smooth block of a
-linear set, to W_j + alpha P(G)/(-gamma) without forming D_j (at gamma = 1,
-backprop W_j - alpha G bit for bit). Stepsizes come from a diminishing
+One outer iteration k touches block j = ((k-1) mod J) + 1 by one rule for
+every surrogate family: it moves to W_j + alpha S_j, S_j = D_j - W_j the
+family's step toward its minimizer D_j (P(G)/(-gamma) for a first-order
+step on a linear set, so gamma = 1 is backprop W_j - alpha G bit for bit),
+and keeps W_j itself at alpha = 0. Stepsizes come from a diminishing
 schedule, an Armijo search, or are pinned to 1 (unit-stepsize mode).
 ``run_loop`` steps a ``NetworkPass`` and keeps the trace, for the block
 trainer and the harness's backprop baselines.
@@ -35,7 +35,8 @@ __all__ = [
     "armijo_stepsize", "train_step", "run_loop", "train", "stochastic_train",
 ]
 
-# stepsizes are clipped into [0, 1) as the convex-combination update requires
+# schedule stepsizes are clipped into [0, 1): W + alpha S stays on the segment
+# from W to the family's minimizer W + S
 _ALPHA_CAP = 1.0 - 1e-9
 
 
@@ -120,8 +121,8 @@ class Constant:
 
 @dataclass(frozen=True)
 class ArmijoRule:
-    """Backtracking line search along the segment toward the direction,
-    from ``alpha_init`` in (0, 1], so every trial point stays on it."""
+    """Backtracking line search along the step S from ``alpha_init`` in
+    (0, 1], so every trial W + alpha S stays on the segment from W to W + S."""
 
     shrink: float = 0.5
     slope: float = 1e-4
@@ -165,10 +166,11 @@ class TrainConfig:
     gradient descent or damped Newton, and with ``Proximal(0.0)`` exact block
     coordinate descent, each block replaced by its (high-accuracy) minimizer.
     ``adapt_gamma`` doubles gamma until the first-order surrogate majorizes
-    at the candidate direction, on a smooth first-order block in full-batch
+    at the candidate W + S, on a smooth first-order block in full-batch
     mode only; elsewhere gamma stays as configured, except that the Newton
-    step doubles it while the damped Hessian is not positive definite. ``curvature_override`` runs the
-    proximal family on blocks not certified for it.
+    step doubles it while the damped Hessian is not positive definite.
+    ``curvature_override`` runs the proximal family on blocks not certified
+    for it.
     """
 
     upperbound: object = field(default_factory=FirstOrderProx)
@@ -293,23 +295,25 @@ def _scaled_mse(resid: float, energy: float) -> float:
 # line search
 # ---------------------------------------------------------------------------
 
-def armijo_stepsize(f_block, W: np.ndarray, D: np.ndarray, grad: np.ndarray,
+def armijo_stepsize(f_block, W: np.ndarray, S: np.ndarray, grad: np.ndarray,
                     rule: ArmijoRule, slope: float | None = None):
-    """Largest alpha_init * shrink^m satisfying the sufficient-decrease test.
+    """Largest alpha_init * shrink^m satisfying the sufficient-decrease test
+    along the step S.
 
-    The test is at the point the trainer stores, ``_apply_update(W, D,
-    alpha)``; ``slope`` is <grad, D - W> if known. Returns (alpha, accepted);
-    a non-descent or non-finite slope, or no pass for any m <= 60, yields
+    The test is at W + alpha S, bit for bit the point the trainer installs;
+    ``slope`` is <grad, S> if known. Returns (alpha, accepted); a
+    non-descent or non-finite slope, or no pass for any m <= 60, yields
     (0.0, False).
     """
     if slope is None:
-        slope = float(np.add.reduce(grad * (D - W), None))  # ndarray.sum, unwrapped
+        slope = float(np.add.reduce(grad * S, None))  # ndarray.sum, unwrapped
     if not -math.inf < slope < 0:
         return 0.0, False
     f0 = f_block(W)
     alpha = rule.alpha_init
     for _ in range(61):
-        if f_block(_apply_update(W, D, alpha)) <= f0 + rule.slope * alpha * slope:
+        # S unscaled at alpha = 1: the same bits as 1.0 * S, one array pass fewer
+        if f_block(W + (S if alpha == 1.0 else alpha * S)) <= f0 + rule.slope * alpha * slope:
             return alpha, True
         alpha *= rule.shrink
     return 0.0, False
@@ -330,8 +334,8 @@ class _LoopState:
     """Mutable machinery owned by one training run: ``cfg.blocks``, one
     schedule state per block (one dict for all when the schedule is shared,
     so it advances once per iteration), the mini-batch index stream, whether
-    the sampler is the full batch and the gamma search is on, f_j, and the
-    blocks whose step is the family's ``fused_update``."""
+    the sampler is the full batch and the gamma search is on, and f_j of
+    each block whose step probes it."""
 
     def __init__(self, cfg: TrainConfig, spec, loss, n_samples: int):
         self.blocks = cfg.blocks(spec, loss)
@@ -343,9 +347,6 @@ class _LoopState:
         # j -> (pass, f_j on it) for each block with a gamma search or Armijo test
         self.f_blocks = {j: (None, None) for j, (_, sched) in enumerate(self.blocks, 1)
                          if self.adapt or isinstance(sched, ArmijoRule)}
-        self.fused = {j for j, ((kind, _), reg, feasible) in enumerate(
-            zip(self.blocks, spec.regularizers, spec.feasible_sets), 1)
-            if kind.fuses and reg.smooth and feasible.linear and j not in self.f_blocks}
 
 
 def _block_residual_norm(net: Network, grads: list) -> float:
@@ -363,51 +364,39 @@ def _full_diagnostics(full: NetworkPass, energy: float):
     return f_val, norm, _scaled_mse(full.sse(), energy)
 
 
-def _alpha_for_step(sched, j: int, k: int, state: _LoopState, *line, slope=None):
-    # ``line``, (f_j, W, D, grad), and ``slope`` are read by an Armijo search only
+def _alpha_for_step(sched, j: int, k: int, state: _LoopState, f_block, w, s, grad, slope):
+    # f_j, W, S, grad and slope are read by an Armijo search only
     if sched is None:
         return 1.0
     if isinstance(sched, ArmijoRule):
-        return armijo_stepsize(*line, sched, slope)[0]
+        return armijo_stepsize(f_block, w, s, grad, sched, slope)[0]
     return stepsize_next(sched, k, state.sched[j - 1])
 
 
-def _apply_update(w, d, alpha: float):
-    # a step that formed D: alpha == 1 installs D itself, the textbook Newton
-    # or projected-gradient update; alpha == 0 (a rejected Armijo search)
-    # keeps W, whatever D holds
-    if alpha == 0.0:
-        return w
-    if alpha == 1.0:
-        return d
-    out = (1.0 - alpha) * w
-    out += alpha * d
-    return out
-
-
 def _step(full: NetworkPass, k: int, state: _LoopState):
-    """Outer iteration k: direction and stepsize from a pass on the batch
-    (``full`` itself with a full sampler), then ``full`` keeps the new W_j
-    without a copy. Returns (j, alpha, gamma, a callable giving the block
+    """Outer iteration k: step S and stepsize from a pass on the batch
+    (``full`` itself with a full sampler), then ``full`` keeps W_j + alpha S,
+    formed in S's own fresh array, without a copy; W_j itself at alpha = 0,
+    whatever S holds. Returns (j, alpha, gamma, a callable giving the block
     gradient's norm)."""
     j = (k - 1) % full.depth + 1
     kind, sched = state.blocks[j - 1]
     fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
     grad = fb.grad(j)  # data term only on an L1 block: the prox step absorbs its penalty
     w = fb.net.weights[j - 1]
-    if j in state.fused:
-        alpha, gamma = _alpha_for_step(sched, j, k, state), kind.gamma
-        new = kind.fused_update(w, grad, alpha, fb.net.spec.feasible_sets[j - 1])
-    else:
-        kept = state.f_blocks.get(j)  # f_j of a block with a search, built once per pass
-        if kept is not None and kept[0] is not fb:
-            kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
-                                                              cache=fb)[0]
-        f_block = None if kept is None else kept[1]
-        d, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
-        alpha = _alpha_for_step(sched, j, k, state, f_block, w, d, grad, slope=slope)
-        new = _apply_update(w, d, alpha)
-    full._install(j, new)
+    kept = state.f_blocks.get(j)  # f_j of a block with a search, built once per pass
+    if kept is not None and kept[0] is not fb:
+        kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
+                                                          cache=fb)[0]
+    f_block = None if kept is None else kept[1]
+    s, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
+    alpha = _alpha_for_step(sched, j, k, state, f_block, w, s, grad, slope)
+    if alpha != 0.0:
+        if alpha != 1.0:  # as in the Armijo trial, bit for bit
+            s *= alpha
+        s += w
+        w = s
+    full._install(j, w)
     return j, alpha, gamma, lambda: math.sqrt(sqnorm(grad))
 
 

@@ -1,12 +1,17 @@
-"""Convex surrogate families and their block minimizers.
+"""Convex surrogate families and their block steps.
 
-Each family is a model of the block objective around the current iterate;
-it owns the model's value (``evaluate``) and its minimizer over the block's
-feasible set (``direction``), the block's descent direction:
+Each family is a model of the block objective around the current iterate
+Wk; it owns the model's value (``evaluate``) and its step (``direction``)
+S = D - Wk, D the model's minimizer over the block's feasible set, which
+the trainer takes as Wk + alpha S:
 
-  first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  Wk - g/gamma
+  first-order prox : f + <g, W - Wk> + (gamma/2)||W - Wk||^2  ->  S = -g/gamma
   second-order prox: adds (1/2)(W-Wk)' Hess (W-Wk)            ->  damped Newton
   proximal         : f_j(W) + (gamma/2)||W - Wk||^2           ->  projected gradient
+
+Each S is formed the cheapest way the feasible set allows: on a linear
+set, whose projection P fixes Wk, the first-order S is P(g)/(-gamma), with
+no D at all.
 
 The proximal family names the curvature class it needs (``certificate``),
 which ``TrainConfig.blocks`` checks once per run. At gamma = 0 its step is
@@ -51,29 +56,20 @@ def _check_gamma(gamma: float) -> None:
         raise SpecError(f"gamma must be positive, got {gamma}")
 
 
-# ``direction(fb, j, grad, f_block)`` returns the minimizer D of a family's
-# model of block j at the pass ``fb``, the gamma used, and <grad, D - W> if
-# f_j's value ``f_block`` turned on the first-order gamma search, else None.
+# ``direction(fb, j, grad, f_block)`` returns the step S = D - W to the
+# minimizer D of a family's model of block j at the pass ``fb``, a fresh
+# array, the gamma used, and <grad, S> if f_j's value ``f_block`` turned on
+# the first-order gamma search, else None.
 # ``certificate`` is the curvature class the model needs of the block, or None.
-# ``fuses``: with no search, on a smooth block of a linear set, the trainer
-# installs the step to D as ``fused_update``, without forming D.
 
 @dataclass(frozen=True)
 class FirstOrderProx:
     gamma: float = 1.0
     name = "first_order_prox"
     certificate = None
-    fuses = True
 
     def __post_init__(self):
         _check_gamma(self.gamma)
-
-    def fused_update(self, w, grad, alpha, feasible):
-        """W + alpha P(grad)/(-gamma): the step to D = P(W - grad/gamma), P linear, W = P(W)."""
-        step = feasible.project(grad) / -self.gamma
-        step *= alpha
-        step += w
-        return step
 
     def evaluate(self, W: np.ndarray, anchor: "Anchor") -> float:
         """Value of the surrogate at W, anchored at the current iterate."""
@@ -87,11 +83,12 @@ class FirstOrderProx:
             if isinstance(feasible, Toeplitz):
                 # one variable per diagonal: the exact prox thresholds its mean
                 a = feasible.project(w - grad / self.gamma)
-                return prox_l1_step(a, 0.0, self.gamma, reg.lam), self.gamma, None
-            return feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam)), self.gamma, None
+                return prox_l1_step(a, 0.0, self.gamma, reg.lam) - w, self.gamma, None
+            d = feasible.project(prox_l1_step(w, grad, self.gamma, reg.lam))
+            return d - w, self.gamma, None
         if f_block is not None:
             return first_order_direction_backtracked(w, grad, self.gamma, feasible, f_block,
-                                                     fb.objective(), with_slope=True)
+                                                     fb.objective())
         return descent_direction_first_order(w, grad, self.gamma, feasible), self.gamma, None
 
 
@@ -100,7 +97,6 @@ class SecondOrderProx:
     gamma: float = 1.0
     name = "second_order_prox"
     certificate = None
-    fuses = False
 
     def __post_init__(self):
         _check_gamma(self.gamma)
@@ -131,7 +127,6 @@ class Proximal:
     grad_tol: float = 1e-8
     name = "proximal"
     certificate = "strongly_convex"
-    fuses = False
 
     def __post_init__(self):
         if not self.gamma >= 0:
@@ -156,11 +151,12 @@ class Proximal:
         w, spec = fb.net.weights[j - 1], fb.net.spec
         feasible, reg = spec.feasible_sets[j - 1], spec.regularizers[j - 1]
         if self.closed_form(fb.loss, spec, j):
-            return closed_form_linear_block(fb.net, fb.data, j, reg.lam), self.gamma, None
-        value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
-        d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
-                                          self.max_iters, self.grad_tol)
-        return d, self.gamma, None
+            d = closed_form_linear_block(fb.net, fb.data, j, reg.lam)
+        else:
+            value_fn, grad_fn = block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)
+            d, _ = descent_direction_proximal(value_fn, grad_fn, w, self.gamma, feasible,
+                                              self.max_iters, self.grad_tol)
+        return d - w, self.gamma, None
 
 
 UPPERBOUNDS = {cls.name: cls for cls in (FirstOrderProx, SecondOrderProx, Proximal)}
@@ -193,26 +189,30 @@ class Anchor:
 
 def descent_direction_first_order(W: np.ndarray, grad: np.ndarray, gamma: float,
                                   feasible: FeasibleSet = Unconstrained()) -> np.ndarray:
-    """Minimizer of the first-order proximal surrogate: project(W - grad/gamma)."""
+    """Step S = D - W to the first-order surrogate's minimizer D =
+    project(W - grad/gamma), a fresh array. On a linear set, which fixes the
+    feasible W, S = project(grad)/(-gamma), formed without D."""
     _check_gamma(gamma)
-    return feasible.project(W - grad / gamma)
+    if feasible.linear:
+        return feasible.project(grad) / -gamma
+    return feasible.project(W - grad / gamma) - W
 
 
 def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
                                    hess: np.ndarray, gamma: float,
                                    feasible: FeasibleSet = Unconstrained()):
-    """Damped Newton direction: W - (hess + gamma I)^{-1} grad in vec space,
-    projected onto the feasible set. On a set with kernel coordinates
-    (``kernel_index``) ``hess`` is the Hessian in them, P'HP with P the 0/1
-    map from kernel to block (``NetworkPass.kernel_hessian``), and the step is
-    exact there: W - P (P'HP + gamma P'P)^{-1} P'grad, with P'P the diagonal
-    of tie counts.
+    """Damped Newton step S = -(hess + gamma I)^{-1} grad in vec space; on a
+    Frobenius ball the step to the projected point, P(W + S) - W. On a set
+    with kernel coordinates (``kernel_index``) ``hess`` is the Hessian in
+    them, P'HP with P the 0/1 map from kernel to block
+    (``NetworkPass.kernel_hessian``), and the step is exact there:
+    S = -P (P'HP + gamma P'P)^{-1} P'grad, with P'P the diagonal of tie counts.
 
     Only the upper triangle of ``hess`` enters the step. The damped system
     is solved by Cholesky; if it is not positive definite, gamma is doubled
-    and the solve retried, Levenberg-Marquardt style. Returns (D, gamma),
-    the gamma that factored. A Hessian (either triangle) or gradient with
-    infs or NaNs is a ValueError.
+    and the solve retried, Levenberg-Marquardt style. Returns (S, gamma),
+    S a fresh array and gamma the one that factored. A Hessian (either
+    triangle) or gradient with infs or NaNs is a ValueError.
     """
     _check_gamma(gamma)
     index = feasible.kernel_index(W.shape)
@@ -238,9 +238,12 @@ def descent_direction_second_order(W: np.ndarray, grad: np.ndarray,
         step, info = scipy.linalg.lapack.dpotrs(factor, rhs, lower=lower)
         if info:
             raise ValueError(f"dpotrs: illegal value in argument {-info}")
-        if index is None:
-            return feasible.project(W - step.reshape(W.shape)), gamma
-        return W - step[index].reshape(W.shape), gamma
+        if index is not None:
+            return -step[index].reshape(W.shape), gamma
+        step = step.reshape(W.shape)
+        if feasible.linear:
+            return -feasible.project(step), gamma
+        return feasible.project(W - step) - W, gamma
     raise CurvatureError(
         f"damped Hessian not positive definite after {_MAX_DOUBLINGS} gamma doublings")
 
@@ -304,25 +307,24 @@ def descent_direction_linear(W: np.ndarray, grad: np.ndarray) -> np.ndarray:
 
 def first_order_direction_backtracked(W: np.ndarray, grad: np.ndarray,
                                       gamma0: float, feasible: FeasibleSet,
-                                      f_block_value, f_anchor: float, with_slope=False):
-    """First-order direction with gamma doubled until the surrogate majorizes.
+                                      f_block_value, f_anchor: float):
+    """First-order step with gamma doubled until the surrogate majorizes.
 
     Accepts the smallest gamma = gamma0 * 2^m, m <= _MAX_DOUBLINGS, whose
-    candidate D satisfies g(D) >= f_j(D), a true local upper bound where it
-    matters. Returns (D, gamma), with <grad, D - W> third if ``with_slope``.
+    step S (``descent_direction_first_order``) satisfies g(W + S) >=
+    f_j(W + S), a true local upper bound where it matters. Returns
+    (S, gamma, <grad, S>).
     """
-    _check_gamma(gamma0)
     for m in range(_MAX_DOUBLINGS + 1):
         gamma = gamma0 * 2.0 ** m
-        d = feasible.project(W - grad / gamma)
+        s = descent_direction_first_order(W, grad, gamma, feasible)
         try:
-            f_at_d = f_block_value(d)
+            f_at = f_block_value(W + s)
         except OverflowError:
             continue  # the candidate left the representable range: not majorized
-        diff = d - W
-        slope = float(np.add.reduce(grad * diff, None))
-        if f_anchor + slope + 0.5 * gamma * sqnorm(diff) >= f_at_d - 1e-12 * max(1.0, abs(f_at_d)):
-            return (d, gamma, slope) if with_slope else (d, gamma)
+        slope = float(np.add.reduce(grad * s, None))
+        if f_anchor + slope + 0.5 * gamma * sqnorm(s) >= f_at - 1e-12 * max(1.0, abs(f_at)):
+            return s, gamma, slope
     raise CurvatureError(
         f"no majorizing gamma found after {_MAX_DOUBLINGS} doublings from {gamma0}")
 

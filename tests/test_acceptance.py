@@ -300,13 +300,12 @@ def test_criterion_08_surrogate_properties():
         strong_ok &= gap >= 0.5 * gamma * float(np.sum((u - v) ** 2)) - 1e-10
 
         # majorization at the accepted direction under backtracked gamma
-        d, g_acc = first_order_direction_backtracked(
+        diff, g_acc, _ = first_order_direction_backtracked(
             anchor.w, anchor.grad, 1e-3, Unconstrained(), value_fn,
             anchor.f_value)
-        diff = d - anchor.w
         g_at_d = (anchor.f_value + float(np.sum(anchor.grad * diff))
                   + 0.5 * g_acc * float(np.sum(diff * diff)))
-        f_at_d = value_fn(d)
+        f_at_d = value_fn(anchor.w + diff)
         major_ok &= g_at_d >= f_at_d - 1e-10 * max(1.0, abs(f_at_d))
     _report(8, "surrogate tangency/gradient/strong-convexity/majorization "
                f"on {n_anchors} anchors",

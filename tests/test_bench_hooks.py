@@ -70,6 +70,19 @@ def test_tracer_installs_and_restores_every_attribute():
                                             "functions.activation.value"}
 
 
+@pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()],
+                         ids=["unconstrained", "toeplitz"])
+def test_schedule_step_on_a_linear_set_records_a_direction_span(feasible):
+    # fo_logistic's and readme_cli's steps: the direction time of a step
+    # with no search reaches the benchmark through its
+    # descent_direction_first_order span
+    net, data = make_problem([3, 3, 1], Logistic(), L2Loss(), seed=0, feasible=feasible)
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.25), schedule=InverseRoot(2.0),
+                      adapt_gamma=False)
+    tracer, _ = traced_step(net, data, cfg)
+    assert [s[0] for s in tracer.spans].count("upperbounds.direction") == 1
+
+
 def test_newton_step_records_a_block_hessian_span():
     # the benchmark's per-block Hessian split reads these spans; it goes
     # blind if the trainer stops calling gradients.block_hessian

@@ -26,10 +26,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bsumnet import (ACTIVATIONS, ArmijoRule, CrossEntropyLoss, Dataset,
-                     ExponentialLoss, FirstOrderProx, Geometric, InverseRoot, L2Loss,
-                     L2Regularizer, Logistic, LogisticLoss, Network, NetworkSpec,
-                     Regularizer, ShapeError, Softplus, SquaredHingeLoss, Tanh, Toeplitz,
-                     Unconstrained, build_network, forward, harness, train, trainer)
+                     ExponentialLoss, FirstOrderProx, FrobeniusBall, Geometric, Identity,
+                     InverseRoot, L2Loss, L2Regularizer, Logistic, LogisticLoss, Network,
+                     NetworkSpec, Proximal, Regularizer, SecondOrderProx, ShapeError,
+                     Softplus, SquaredHingeLoss, Tanh, Toeplitz, Unconstrained,
+                     build_network, forward, harness, train)
 from bsumnet.gradients import (NetworkPass, all_block_gradients,
                                block_gradient, block_objective_fn,
                                fd_gradient, objective_value)
@@ -331,45 +332,55 @@ def test_probe_evaluates_only_its_own_block_penalty(monkeypatch):
     assert calls[0] == w.shape and len(calls) == 1 + net.depth  # then the fresh pass's
 
 
-@pytest.mark.parametrize("feasible,schedule,adopted", [
-    (Unconstrained(), InverseRoot(1.0), False),
-    (Toeplitz(), ArmijoRule(), True),
-], ids=["unconstrained", "toeplitz_armijo"])
+L2 = Regularizer.l2(1e-2)
+NEWTON = dict(upperbound=SecondOrderProx(0.1), unit_stepsize=True)
+EXACT_BCD = dict(upperbound=Proximal(0.0), unit_stepsize=True)
+
+
+@pytest.mark.parametrize("act,feasible,reg,settings,adopted", [
+    (Logistic(), Unconstrained(), L2, dict(schedule=InverseRoot(1.0)), False),
+    (Logistic(), Toeplitz(), L2, dict(schedule=ArmijoRule()), True),
+    (Logistic(), FrobeniusBall(0.5), L2, dict(schedule=InverseRoot(1.0)), False),
+    (Logistic(), Unconstrained(), Regularizer.l1(1e-2),
+     dict(schedule=InverseRoot(1.0)), False),
+    (Tanh(), Unconstrained(), L2, NEWTON, False),
+    (Tanh(), Toeplitz(), L2, NEWTON, False),
+    (Tanh(), FrobeniusBall(0.5), L2, NEWTON, False),
+    (Identity(), Unconstrained(), L2,
+     dict(upperbound=Proximal(1.0, max_iters=50), unit_stepsize=True), None),
+    (Identity(), Unconstrained(), L2, EXACT_BCD, False),
+], ids=["unconstrained", "toeplitz_armijo", "first_order_ball", "first_order_l1",
+        "newton", "newton_toeplitz", "newton_ball", "proximal", "proximal_closed_form"])
 def test_installed_block_is_kept_without_a_copy_and_aliases_nothing(
-        monkeypatch, feasible, schedule, adopted):
-    # the trainer hands the pass the block it built; the pass keeps that
-    # array (or, after a line search, the accepted probe's), and it shares
-    # no memory with the block it replaces, a cached gradient or delta, or
-    # a stage
-    spec = NetworkSpec.homogeneous([4, 5, 5, 1], Logistic(), regularizer=Regularizer.l2(1e-2),
-                                   feasible=feasible)
+        monkeypatch, act, feasible, reg, settings, adopted):
+    # the trainer hands the pass W + alpha S, formed in the family's fresh
+    # step S; the pass keeps that array (or, after a line search, the
+    # accepted probe's), and it shares no memory with any block it had, a
+    # cached gradient or delta, or a stage. ``adopted`` None: the proximal
+    # inner solver's last probe may or may not hold the new block
+    spec = NetworkSpec.homogeneous([4, 5, 5, 1], act, regularizer=reg, feasible=feasible)
     net = build_network(spec, "uniform", seed=7)
     rng = np.random.default_rng(7)
     data = Dataset(rng.standard_normal((4, 20)), rng.standard_normal((1, 20)))
-    install, apply_update = NetworkPass._install, trainer._apply_update
-    installed, built = [], []
-
-    def recorded(w, d, alpha):
-        built.append(apply_update(w, d, alpha))
-        return built[-1]
+    install = NetworkPass._install
+    installed = []
 
     def checked(fb, j, w):
-        before = fb.net.weights[j - 1]
+        before = list(fb.net.weights)
         held = [a for a in fb._grads + fb._deltas if a is not None]
         held += fb._outs.pre_activations + fb._outs.post_activations
         install(fb, j, w)
         new = fb.net.weights[j - 1]
-        if new is before:
+        if new is before[j - 1]:
             return
         installed.append(j)
-        assert (new is built[-1]) != adopted
-        for a in [before] + held:
+        if adopted is not None:
+            assert (new is not w) == adopted
+        for a in before + held:
             assert not np.shares_memory(new, a)
 
-    monkeypatch.setattr(trainer, "_apply_update", recorded)
     monkeypatch.setattr(NetworkPass, "_install", checked)
-    cfg = TrainConfig(upperbound=FirstOrderProx(1.0), schedule=schedule,
-                      max_outer_iterations=3 * net.depth)
+    cfg = TrainConfig(max_outer_iterations=3 * net.depth, **settings)
     train(net, data, L2Loss(), cfg)
     assert sorted(set(installed)) == [1, 2, 3]
 

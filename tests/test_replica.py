@@ -1,8 +1,9 @@
 """First-order steps against independent plain-numpy replicas.
 
-The default first-order step doubles gamma until the surrogate majorizes the
-block objective at the candidate D, then an Armijo search picks the stepsize
-along the segment to D. The replica below redoes that step with plain numpy
+The default first-order step S = P(G)/(-gamma), P the block's projection,
+doubles gamma until the surrogate majorizes the block objective at the
+candidate W + S, then an Armijo search picks the stepsize alpha among the
+trials W + alpha S. The replica below redoes that step with plain numpy
 calls in the library's arithmetic order (its own sigmoid with the same
 ufuncs, its own Toeplitz projection), without the engine's caches, memo or
 adoption, so every row of a traced run and the final weights must agree bit
@@ -101,21 +102,20 @@ class Replica:
         f_w = self.f(self.w)
         gamma = self.gamma0
         while True:
-            d = project(w - grad / gamma)
+            s = project(grad) / -gamma
             if not adapt:
                 break
-            diff = d - w
-            model = f_w + float(np.add.reduce(grad * diff, None)) + 0.5 * gamma * sq(diff)
-            f_d = self.f(self.with_block(j, d))
+            model = f_w + float(np.add.reduce(grad * s, None)) + 0.5 * gamma * sq(s)
+            f_d = self.f(self.with_block(j, w + s))
             if model >= f_d - 1e-12 * max(1.0, abs(f_d)):
                 break
             gamma *= 2.0
-        slope = float(np.add.reduce(grad * (d - w), None))
+        slope = float(np.add.reduce(grad * s, None))
         alpha, new = 0.0, w
         if -math.inf < slope < 0:
             trial = 1.0
             for _ in range(61):
-                cand = d if trial == 1.0 else (1.0 - trial) * w + trial * d
+                cand = w + trial * s
                 if self.f(self.with_block(j, cand)) <= f_w + 1e-4 * trial * slope:
                     alpha, new = trial, cand
                     break

@@ -192,16 +192,15 @@ class TestTrainStep:
         assert np.array_equal(new_net.weights[0], net.weights[0])
 
     def test_rejected_armijo_step_keeps_the_block_whatever_the_direction(self, monkeypatch):
-        # an inf in D, signed as the gradient, gives the slope +inf, so the
+        # an inf in S, signed as the gradient, gives the slope +inf, so the
         # search returns alpha 0; 0.0 * inf must not reach W_j
         net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), seed=3)
         direction = FirstOrderProx.direction
 
         def poisoned(kind, fb, j, grad, adapt):
-            d, gamma, _ = direction(kind, fb, j, grad, adapt)
-            d = d.copy()
-            d[0, 0] = np.copysign(np.inf, grad[0, 0])
-            return d, gamma, None  # a new D: the Armijo test forms its slope
+            s, gamma, _ = direction(kind, fb, j, grad, adapt)
+            s[0, 0] = np.copysign(np.inf, grad[0, 0])
+            return s, gamma, None  # no slope: the Armijo test forms its own
 
         monkeypatch.setattr(FirstOrderProx, "direction", poisoned)
         cfg = TrainConfig(schedule=ArmijoRule(), adapt_gamma=False)
@@ -230,16 +229,15 @@ class TestTrainStep:
 
     @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()],
                              ids=["unconstrained", "toeplitz"])
-    def test_schedule_step_on_a_linear_set_is_the_fused_update(self, feasible, monkeypatch):
-        # alpha is known before the step and P is linear and fixes W, so the
-        # step to D = P(W - G/gamma) is installed as W + alpha P(G)/(-gamma)
-        # without forming D; a Toeplitz block stays exactly on its set
+    def test_schedule_step_on_a_linear_set_adds_the_scaled_projected_gradient(self, feasible):
+        # P is linear and fixes W, so the step to D = P(W - G/gamma) is
+        # S = P(G)/(-gamma), and the block becomes W + alpha S without
+        # forming D; a Toeplitz block stays exactly on its set
         net, data = make_problem([4, 4, 4, 1], Logistic(), L2Loss(), seed=5,
                                  feasible=feasible)
         gamma = 0.3
         cfg = TrainConfig(upperbound=FirstOrderProx(gamma), schedule=InverseRoot(0.7),
                           adapt_gamma=False)
-        monkeypatch.setattr(FirstOrderProx, "direction", None)  # no D is formed
         state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
         full = NetworkPass(net.copy(), data, L2Loss())
         for k in range(1, 10):
@@ -296,9 +294,15 @@ class TestTrainStep:
                           adapt_gamma=False, max_outer_iterations=1)
         new_net, _ = train_step(net, data, L2Loss(), cfg, k=1)
         g = block_gradient(net, data, L2Loss(), 1, include_reg=False)
-        a = net.weights[0] - g
-        want = np.where(a > 0.3, a - 0.3, np.where(a < -0.3, a + 0.3, 0.0))
-        np.testing.assert_array_equal(new_net.weights[0], want)
+        w = net.weights[0]
+        a = w - g
+        d = np.where(a > 0.3, a - 0.3, np.where(a < -0.3, a + 0.3, 0.0))
+        got = new_net.weights[0]
+        assert got.tobytes() == (w + (d - w)).tobytes()  # W + S at alpha = 1
+        # x + (0 - x) is +0 in IEEE arithmetic: a thresholded entry is exactly 0.0
+        zeroed = d == 0.0
+        assert zeroed.any()
+        assert np.all(got[zeroed] == 0.0) and not np.signbit(got[zeroed]).any()
 
     def test_l1_toeplitz_block_takes_the_exact_prox(self):
         # on a Toeplitz block each diagonal is one variable repeated, so the
@@ -338,7 +342,7 @@ class TestArmijo:
         def f(v):
             return float(np.sum((v - a) ** 2))
 
-        alpha, ok = armijo_stepsize(f, w, a, 2 * (w - a), ArmijoRule(alpha_init=1.0))
+        alpha, ok = armijo_stepsize(f, w, a - w, 2 * (w - a), ArmijoRule(alpha_init=1.0))
         assert ok and alpha == 1.0
 
     def test_ascent_direction_returns_zero(self):
@@ -348,7 +352,7 @@ class TestArmijo:
         def f(v):
             return float(np.sum((v - a) ** 2))
 
-        alpha, ok = armijo_stepsize(f, w, w - (a - w), 2 * (w - a), ArmijoRule())
+        alpha, ok = armijo_stepsize(f, w, w - a, 2 * (w - a), ArmijoRule())
         assert not ok and alpha == 0.0
 
     def test_non_finite_slope_rejected_without_probes(self):
@@ -360,9 +364,9 @@ class TestArmijo:
 
         w = np.ones((2, 2))
         for bad in (np.nan, -np.inf, np.inf):
-            d = np.zeros((2, 2))
-            d[0, 1] = bad
-            alpha, ok = armijo_stepsize(f, w, d, 2 * w, ArmijoRule())
+            s = -w
+            s[0, 1] = bad
+            alpha, ok = armijo_stepsize(f, w, s, 2 * w, ArmijoRule())
             assert (alpha, ok) == (0.0, False)
             assert calls == [], bad
 
@@ -373,15 +377,15 @@ class TestArmijo:
         for j in (1, 2):
             w = net.weights[j - 1]
             grad = block_gradient(net, data, L2Loss(), j)
-            d = w - grad  # gamma=1 direction
+            s = -grad  # gamma=1 step
 
             def f(v, j=j):
                 return objective_value(with_block(net, j, v), data, L2Loss())
 
-            alpha, ok = armijo_stepsize(f, w, d, grad, rule)
+            alpha, ok = armijo_stepsize(f, w, s, grad, rule)
             assert ok
-            slope = float(np.sum(grad * (d - w)))
-            assert f(w + alpha * (d - w)) <= f(w) + rule.slope * alpha * slope
+            slope = float(np.sum(grad * s))
+            assert f(w + alpha * s) <= f(w) + rule.slope * alpha * slope
 
 
 class TestTrainLoop:
@@ -748,6 +752,28 @@ def proximal_runs(draw):
     return build_network(spec, "uniform", seed=seed), data, cfg
 
 
+@st.composite
+def second_order_runs(draw):
+    """Small Newton problems: depth 1-3, logistic / tanh / softplus,
+    unconstrained, Toeplitz or Frobenius-ball layers, L2 1e-2, gamma 0.1 or
+    1, and unit stepsize or an inverse-root schedule."""
+    depth = draw(st.integers(1, 3))
+    dims = draw(st.lists(st.integers(1, 4), min_size=depth + 1, max_size=depth + 1))
+    act = draw(st.sampled_from([Logistic(), Tanh(), Softplus()]))
+    sets = tuple(draw(st.sampled_from([Unconstrained(), Toeplitz(), FrobeniusBall(0.5)]))
+                 for _ in range(depth))
+    spec = NetworkSpec(tuple(dims), (act,) * depth, sets, (Regularizer.l2(1e-2),) * depth)
+    seed = draw(st.integers(0, 2**31 - 1))
+    rng = np.random.default_rng(seed)
+    n = draw(st.integers(1, 8))
+    data = Dataset(rng.standard_normal((dims[0], n)), rng.standard_normal((dims[-1], n)))
+    schedule = draw(st.sampled_from([None, InverseRoot(1.0)]))
+    cfg = TrainConfig(upperbound=SecondOrderProx(draw(st.sampled_from([0.1, 1.0]))),
+                      schedule=schedule, unit_stepsize=schedule is None,
+                      max_outer_iterations=draw(st.integers(1, 12)), record_every=1)
+    return build_network(spec, "uniform", seed=seed), data, cfg
+
+
 def _without_clock(row):
     return dataclasses.replace(row, wall_seconds=0.0)
 
@@ -830,6 +856,17 @@ class TestRunProperties:
     @settings(max_examples=80, deadline=None)
     def test_proximal_on_certified_blocks_never_raises_f(self, run):
         self.assert_f_never_rises_and_iterates_stay_feasible(*run)
+
+    @given(second_order_runs())
+    @settings(max_examples=60, deadline=None)
+    def test_newton_iterates_stay_feasible(self, run):
+        # W + S, with S = P(W - step) - W on a ball; f may rise, as the
+        # damped Newton step has no descent guard
+        net, data, cfg = run
+        state = _LoopState(cfg, net.spec, L2Loss(), data.n_samples)
+        for k in range(1, cfg.max_outer_iterations + 1):
+            net, _ = train_step(net, data, L2Loss(), cfg, k, state)
+            assert all(_is_feasible(s, w) for s, w in zip(net.spec.feasible_sets, net.weights))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_newton_on_the_curvature_benchmark_never_raises_f(self, seed):

@@ -53,21 +53,34 @@ class TestProjectFeasible:
 class TestFirstOrderDirection:
     def test_zero_gradient_fixed_point(self):
         w = np.random.default_rng(3).standard_normal((2, 3))
-        d = descent_direction_first_order(w, np.zeros_like(w), 2.0)
-        assert np.array_equal(d, w)
+        s = descent_direction_first_order(w, np.zeros_like(w), 2.0)
+        assert not s.any()
+        assert np.array_equal(w + s, w)
 
     def test_gamma_one_is_plain_gradient_step(self):
+        # the step is -G, and W + S is W - G bit for bit
         rng = np.random.default_rng(4)
         w, g = rng.standard_normal((2, 2)), rng.standard_normal((2, 2))
-        d = descent_direction_first_order(w, g, 1.0)
-        np.testing.assert_array_equal(d, w - g)
+        s = descent_direction_first_order(w, g, 1.0)
+        np.testing.assert_array_equal(s, -g)
+        np.testing.assert_array_equal(w + s, w - g)
 
     def test_toeplitz_output_stays_toeplitz(self):
         rng = np.random.default_rng(5)
         w = Toeplitz().project(rng.standard_normal((3, 3)))
         g = rng.standard_normal((3, 3))
-        d = descent_direction_first_order(w, g, 0.5, Toeplitz())
+        d = w + descent_direction_first_order(w, g, 0.5, Toeplitz())
         assert np.linalg.norm(d - Toeplitz().project(d)) <= 1e-12
+
+    @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz(), FrobeniusBall(0.5)],
+                             ids=["unconstrained", "toeplitz", "ball"])
+    def test_step_reaches_the_projected_point(self, feasible):
+        # S = D - W with D = P(W - G/gamma), formed without D on a linear set
+        rng = np.random.default_rng(6)
+        w = feasible.project(rng.standard_normal((3, 4)))
+        g = rng.standard_normal((3, 4))
+        s = descent_direction_first_order(w, g, 0.4, feasible)
+        np.testing.assert_allclose(w + s, feasible.project(w - g / 0.4), rtol=0, atol=1e-12)
 
     def test_gamma_must_be_positive(self):
         with pytest.raises(SpecError):
@@ -88,16 +101,16 @@ class TestSecondOrderDirection:
     def test_zero_hessian_recovers_first_order(self):
         rng = np.random.default_rng(6)
         w, g = rng.standard_normal((2, 3)), rng.standard_normal((2, 3))
-        d, _ = descent_direction_second_order(w, g, np.zeros((6, 6)), 4.0)
-        np.testing.assert_allclose(d, w - g / 4.0, atol=1e-12)
+        s, _ = descent_direction_second_order(w, g, np.zeros((6, 6)), 4.0)
+        np.testing.assert_allclose(w + s, w - g / 4.0, atol=1e-12)
 
     def test_newton_exact_on_quadratic(self):
         # f(W) = ||W - A||_F^2 has gradient 2(W - A) and Hessian 2I
         rng = np.random.default_rng(7)
         a = rng.standard_normal((2, 2))
         w = rng.standard_normal((2, 2))
-        d, _ = descent_direction_second_order(w, 2 * (w - a), 2 * np.eye(4), 1e-12)
-        np.testing.assert_allclose(d, a, atol=1e-9)
+        s, _ = descent_direction_second_order(w, 2 * (w - a), 2 * np.eye(4), 1e-12)
+        np.testing.assert_allclose(w + s, a, atol=1e-9)
 
     def test_ridge_block_with_exact_hessian(self):
         rng = np.random.default_rng(8)
@@ -110,18 +123,18 @@ class TestSecondOrderDirection:
         data = Dataset(X, Y)
         g = block_gradient(net, data, L2Loss(), 1)
         h = block_hessian(net, data, L2Loss(), 1)
-        d, _ = descent_direction_second_order(net.weights[0], g, h, 1e-8)
+        s, _ = descent_direction_second_order(net.weights[0], g, h, 1e-8)
         want = ridge_oracle(X, Y, lam)
-        assert np.max(np.abs(d - want)) <= 1e-6
+        assert np.max(np.abs(net.weights[0] + s - want)) <= 1e-6
 
     def test_indefinite_hessian_gets_damped(self):
         w = np.zeros((1, 2))
         g = np.ones((1, 2))
         hess = np.diag([-1.0, -1.0])
-        d, gamma = descent_direction_second_order(w, g, hess, 0.5)
+        s, gamma = descent_direction_second_order(w, g, hess, 0.5)
         # first PD damping is gamma = 2 (0.5 and 1.0 leave it singular/indefinite)
         assert gamma == 2.0
-        np.testing.assert_allclose(d, w - g / (hess[0, 0] + 2.0), atol=1e-12)
+        np.testing.assert_allclose(w + s, w - g / (hess[0, 0] + 2.0), atol=1e-12)
 
     def test_curvature_error_after_budget(self):
         hess = np.diag([-1e30])
@@ -152,10 +165,10 @@ class TestSecondOrderDirection:
         kept = hess.copy()
         gamma = self.accepted_gamma(hess, np.ones(6), 0.01)
         assert gamma >= 0.04  # at least two failed factorizations first
-        d, used = descent_direction_second_order(w, g, hess, 0.01)
+        s, used = descent_direction_second_order(w, g, hess, 0.01)
         assert used == gamma
-        want = w - np.linalg.solve(hess + gamma * np.eye(6), g.reshape(-1)).reshape(w.shape)
-        np.testing.assert_allclose(d, want, rtol=1e-10, atol=1e-12)
+        want = -np.linalg.solve(hess + gamma * np.eye(6), g.reshape(-1)).reshape(w.shape)
+        np.testing.assert_allclose(s, want, rtol=1e-10, atol=1e-12)
         assert np.array_equal(hess, kept)
 
     def test_gamma_retry_on_a_toeplitz_block(self):
@@ -174,9 +187,9 @@ class TestSecondOrderDirection:
         gamma = self.accepted_gamma(kernel_hess, ties, 0.01)
         assert gamma >= 0.04
         v = np.linalg.solve(kernel_hess + gamma * np.diag(ties), np.bincount(index, g.ravel()))
-        d, used = descent_direction_second_order(w, g, hess, 0.01, Toeplitz())
+        s, used = descent_direction_second_order(w, g, hess, 0.01, Toeplitz())
         assert used == gamma
-        np.testing.assert_allclose(d, w - v[index].reshape(3, 3), rtol=1e-10, atol=1e-12)
+        np.testing.assert_allclose(s, -v[index].reshape(3, 3), rtol=1e-10, atol=1e-12)
         assert np.array_equal(hess, kept)
 
     @pytest.mark.parametrize("feasible", [Unconstrained(), Toeplitz()], ids=["dense", "toeplitz"])
@@ -237,8 +250,8 @@ class TestSecondOrderDirection:
         for seed in range(30):
             fb = NetworkPass(build_network(spec, "uniform", seed=seed),
                              synth_regression(seed=seed), L2Loss())
-            d, _, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), None)
-            assert fb.probe(2, d).objective() <= fb.objective(), seed
+            s, _, _ = SecondOrderProx(1e-3).direction(fb, 2, fb.grad(2), None)
+            assert fb.probe(2, fb.net.weights[1] + s).objective() <= fb.objective(), seed
 
 
 class TestProximalDirection:
@@ -452,8 +465,10 @@ class TestSurrogateProperties:
     @settings(max_examples=40, deadline=None)
     def test_backtracked_gamma_majorizes_at_its_direction(self, block, gamma0):
         anchor, value_fn = block
-        d, gamma = first_order_direction_backtracked(
+        s, gamma, slope = first_order_direction_backtracked(
             anchor.w, anchor.grad, gamma0, Unconstrained(), value_fn, anchor.f_value)
+        assert slope == float(np.add.reduce(anchor.grad * s, None))
+        d = anchor.w + s
         f_d = value_fn(d)
         assert FirstOrderProx(gamma).evaluate(d, anchor) >= f_d - 1e-12 * max(1.0, abs(f_d))
 
@@ -495,11 +510,12 @@ def toeplitz_basis(rows, cols):
 
 
 def assert_step_minimizes(kind, fb, j, anchor, adapt=False):
-    """Take kind's step on block j; D must be feasible and must not raise
-    the model (at the gamma the step used) above its value at W."""
-    d, gamma, slope = kind.direction(fb, j, anchor.grad, anchor.f_fn if adapt else None)
-    if slope is not None:  # the gamma search's <grad, D - W>, which the Armijo test reuses
-        assert slope == float(np.add.reduce(anchor.grad * (d - anchor.w), None))
+    """Take kind's step S on block j; D = W + S must be feasible and must
+    not raise the model (at the gamma the step used) above its value at W."""
+    s, gamma, slope = kind.direction(fb, j, anchor.grad, anchor.f_fn if adapt else None)
+    if slope is not None:  # the gamma search's <grad, S>, which the Armijo test reuses
+        assert slope == float(np.add.reduce(anchor.grad * s, None))
+    d = anchor.w + s
     feasible = fb.net.spec.feasible_sets[j - 1]
     np.testing.assert_allclose(feasible.project(d), d, rtol=0, atol=1e-12)
     model = replace(kind, gamma=gamma)
@@ -553,12 +569,14 @@ class TestFamilyStepMinimizesItsModel:
         assume(np.linalg.eigvalsh(reduced)[0] > 0)  # else the model is unbounded below
         model = SecondOrderProx(gamma)
         assert assert_step_minimizes(model, fb, j, anchor) == gamma
-        d, _, _ = model.direction(fb, j, grad, None)
+        s, _, _ = model.direction(fb, j, grad, None)
+        d = w + s
         for offset in range(1 - w.shape[0], w.shape[1]):
             diagonal = np.diagonal(d, offset)
             assert np.all(diagonal == diagonal[0])
         oracle = w - (basis @ np.linalg.solve(reduced, basis.T @ grad.reshape(-1))).reshape(w.shape)
-        projected = Toeplitz().project(descent_direction_second_order(w, grad, hess, gamma)[0])
+        step, _ = descent_direction_second_order(w, grad, hess, gamma)
+        projected = Toeplitz().project(w + step)
         tol = MODEL_TOL * max(1.0, abs(anchor.f_value))
         assert model.evaluate(d, anchor) <= model.evaluate(oracle, anchor) + tol
         assert model.evaluate(d, anchor) <= model.evaluate(projected, anchor) + tol
@@ -572,12 +590,11 @@ class TestBacktrackedGamma:
         w = net.weights[0]
         f_anchor = value_fn(w)
         grad = grad_fn(w)
-        d, gamma = first_order_direction_backtracked(
+        diff, gamma, _ = first_order_direction_backtracked(
             w, grad, 1e-3, Unconstrained(), value_fn, f_anchor)
-        diff = d - w
         g_at_d = f_anchor + float(np.sum(grad * diff)) \
             + 0.5 * gamma * float(np.sum(diff * diff))
-        assert g_at_d >= value_fn(d) - 1e-10
+        assert g_at_d >= value_fn(w + diff) - 1e-10
         assert gamma >= 1e-3
 
 
