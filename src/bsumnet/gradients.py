@@ -9,14 +9,13 @@ with (.) the Hadamard product; the block-j gradient is D_j Z_{j-1}^T plus the
 regularizer gradient. An update of W_j keeps Z_0..Z_{j-1}, and the next query
 recomputes layers j..J; deltas are rebuilt lazily from D_J down; gradients,
 f (with ||Y - H||^2 under the L2 loss) and penalties are kept until their
-block changes. A block is keyed by its bytes (not identity: finite
-differences mutate one array), so an update to its content costs nothing;
-the pass's own W_j, which no one writes, needs no key. A probe f(W_j = V)
-is a fork with its own block lists, caches and Z_0..Z_{j-1}, no checks and
-no forward until asked, memoized by V's key; an update to that content, or
-to the array probed, adopts it. The trainer's blocks are kept uncopied;
-``set_block`` copies. The module functions are views of a fresh pass.
-Vectors here and in the Newton solve are row-major vec(W_j).
+block changes. A block is keyed by its bytes (finite differences mutate one
+array), so an update to its own content costs nothing. A probe f(W_j = V),
+V not W_j, is answered by the pass's one trial slot: a second pass that
+keeps a copy of V and is rewritten in place from the kept Z_{j-1}; an update
+to V's content swaps the slot's point into the pass. The trainer's blocks
+are kept uncopied; ``set_block`` copies. The module functions are views of
+a fresh pass. Vectors here and in the Newton solve are row-major vec(W_j).
 
 Every layer acts on each sample's column separately, so the block Hessian is
 
@@ -97,11 +96,11 @@ _KERNEL_SCRATCH = 1 << 17
 class NetworkPass:
     """Cached forward and backward state of one (network, data, loss).
 
-    The pass owns its weight list; its arrays are shared with the network
-    it was built from and must not be written while the pass is in use.
-    ``outs`` may hand in a forward pass already run on the same network and
-    inputs. Targets outside the loss's label set are a DomainError here.
-    """
+    The pass owns its weight list, whose arrays are shared with the network
+    it was built from and must not be written while the pass is in use, and
+    one trial slot for probes (``probe``). ``outs`` may hand in a forward
+    pass already run on the same network and inputs. Targets outside the
+    loss's label set are a DomainError here."""
 
     def __init__(self, net: Network, data: Dataset, loss,
                  outs: LayerOutputs | None = None):
@@ -109,85 +108,86 @@ class NetworkPass:
             raise ShapeError(f"Y has {data.Y.shape[0]} rows, the output layer "
                              f"has d_J = {net.spec.dims[-1]}")
         loss.check_labels(data.Y)
-        self.net = Network(net.spec, list(net.weights))
-        self.data = data
-        self.loss = loss
-        if outs is None:
-            outs = forward(self.net, data.X)
-        self._outs = LayerOutputs(list(outs.pre_activations),
-                                  list(outs.post_activations))
-        self.depth = net.depth
+        net = Network(net.spec, list(net.weights))
+        self._start(net, data, loss, forward(net, data.X) if outs is None else outs,
+                    [w.tobytes() for w in net.weights], [None] * net.depth, None)
+
+    def _start(self, net: Network, data: Dataset, loss, outs, keys, pens, slopes):
+        # the pass at ``outs``, with empty caches and an empty trial slot; no checks
+        self.net, self.data, self.loss, self.depth = net, data, loss, net.depth
+        self._outs = LayerOutputs(list(outs.pre_activations), list(outs.post_activations))
         self._stale = self.depth + 1  # U_j, Z_j need recomputing for j >= _stale
-        self._deltas = [None] * self.depth
-        self._slopes = None  # slopes[i-1] = sigma'_i, kept by deltas once a curvature is built
-        self._grads = [None] * self.depth
-        self._f = None  # (f, ||Y - H||^2 or None)
-        self._pens = [None] * self.depth
-        self._memo = None  # (j, key, pass, array probed) of the last probe
-        self._keys = [w.tobytes() for w in net.weights]
-        self._scratch = {}  # role -> flat float64 buffer, see _buf
+        # deltas, gradients and f = (f, ||Y - H||^2 or None), kept until their block changes
+        self._deltas, self._grads, self._f = [None] * self.depth, [None] * self.depth, None
+        self._slopes = slopes and [None] * self.depth  # sigma'_i, kept once a curvature was built
+        self._keys, self._pens, self._scratch = keys, pens, {}  # _scratch: see _buf
+        self._trial, self._trial_j = None, 0  # the slot and the block it holds, 0 for none
+        return self
 
     def set_block(self, j: int, w: np.ndarray) -> None:
         """Replace W_j by a copy of ``w``; a j outside 1..J is a SpecError and
         a shape not the spec's a ShapeError, both before any change. W_j's
         own content changes nothing; otherwise layers j..J refresh at the
-        next query, unless the last probe was at this content and holds them."""
+        next query, unless the trial slot holds this content and its stages."""
         w = np.array(w, dtype=float)
         _check_layer(self.net, j, w)
         self._install(j, w)
 
     def _install(self, j: int, w: np.ndarray) -> None:
-        # a float array of W_j's shape, the pass's alone; a probed one adopts its probe
-        memo = self._memo
-        if memo is None or memo[0] != j or memo[3] is not w:
-            key = w.tobytes()  # the content key
-            if key == self._keys[j - 1]:
-                return
-            if memo is None or memo[0] != j or memo[1] != key:
-                return self._replace(j, w, key)
-        self.__dict__.update(memo[2].__dict__)  # adopt the probe's state, network too
+        # a float array of W_j's shape, the pass's alone (or the slot's content)
+        key = w.tobytes()  # the content key
+        if key == self._keys[j - 1]:
+            return
+        trial = self._trial
+        if self._trial_j != j or trial._keys[j - 1] != key:
+            return self._replace(j, w, key)
+        # the slot's point comes in, and this pass's old one goes back to the slot
+        i, mine, its = j - 1, self.net.weights, trial.net.weights
+        mine[i], its[i], self._keys[i], trial._keys[i] = its[i], mine[i], key, self._keys[i]
+        self._pens[i], trial._pens[i] = trial._pens[i], self._pens[i]
+        (self._outs, self._stale, self._f, self._deltas, self._grads, self._slopes,
+         trial._outs, trial._stale, trial._f, trial._deltas, trial._grads, trial._slopes) = (
+            trial._outs, trial._stale, trial._f, trial._deltas, trial._grads, trial._slopes,
+            self._outs, self._stale, self._f, self._deltas, self._grads, self._slopes)
 
     def _replace(self, j: int, w: np.ndarray, key: bytes) -> None:
-        # every new W_j but an adopted probe's enters here, an array the pass keeps
+        # every new W_j but the slot's content enters here, an array the pass keeps
         self.net.weights[j - 1], self._keys[j - 1], self._pens[j - 1] = w, key, None
-        self._stale, self._f, self._memo = min(self._stale, j), None, None
+        self._stale, self._f, self._trial_j = min(self._stale, j), None, 0
         self._deltas, self._grads = [None] * self.depth, [None] * self.depth
         self._slopes = self._slopes and [None] * self.depth  # None until a curvature
 
     def probe(self, j: int, w: np.ndarray) -> "NetworkPass":
-        """The pass at W_j = w: this one when w is the current W_j, else the
-        memoized last probe, or a new one sharing this pass's Z_0..Z_{j-1}."""
+        """The pass at W_j = w, valid until this pass's next probe or block
+        update: this one at its own W_j, else its trial slot, a second pass on
+        a copy of w from Z_{j-1}, rewritten unless it holds w's content."""
         w = np.asarray(w, dtype=float)
         _check_layer(self.net, j, w)
         if w is self.net.weights[j - 1] or (key := w.tobytes()) == self._keys[j - 1]:
             return self
-        memo = self._memo
-        if memo is None or memo[0] != j or memo[1] != key:
-            memo = self._memo = j, key, self._fork(j, w.copy(), key), w
-        return memo[2]
-
-    def _fork(self, j: int, w: np.ndarray, key: bytes) -> "NetworkPass":
-        # this pass at W_j = w (kept), with its own lists and caches
-        other = object.__new__(NetworkPass)
-        state = other.__dict__ = self.__dict__.copy()
-        state["net"] = net = object.__new__(Network)  # no shape checks
-        net.spec, net.weights = self.net.spec, self.net.weights.copy()
-        outs = self._outs
-        state["_outs"] = LayerOutputs(outs.pre_activations[:j - 1], outs.post_activations[:j])
-        state["_keys"], state["_pens"] = self._keys.copy(), self._pens.copy()
-        other._replace(j, w, key)
-        return other
+        trial = self._trial
+        if self._trial_j == j and trial._keys[j - 1] == key:
+            return trial
+        if trial is None:  # a network shell, without the shape checks
+            net = object.__new__(Network)
+            net.spec, net.weights = self.net.spec, []
+            trial = self._trial = object.__new__(NetworkPass)._start(
+                net, self.data, self.loss, self._outs, [], [], None)
+        trial.net.weights[:], trial._keys[:] = self.net.weights, self._keys
+        trial._pens[:], trial._stale, trial._slopes = self._pens, self._stale, self._slopes
+        pre, post = self._outs.pre_activations, self._outs.post_activations  # sliced: fresh lists
+        trial._outs.pre_activations, trial._outs.post_activations = pre[:j - 1], post[:j]
+        trial._replace(j, w.copy(), key)
+        self._trial_j = j
+        return trial
 
     def _on(self, data: Dataset) -> "NetworkPass":
-        """This network and loss on ``data``, targets this pass checked; it
-        shares this pass's network, keys and penalties, as it takes no update."""
-        depth = self.depth
-        other = object.__new__(NetworkPass)
-        other.__dict__.update(
-            self.__dict__, data=data, _outs=forward(self.net, data.X), _stale=depth + 1,
-            _deltas=[None] * depth, _grads=[None] * depth, _f=None, _memo=None, _scratch={},
-            _slopes=self._slopes and [None] * depth)
-        return other
+        """This network and loss on ``data``, targets this pass checked, with
+        an empty trial slot; it shares this pass's network, keys and
+        penalties, as it takes no update."""
+        return object.__new__(NetworkPass)._start(
+            self.net, data, self.loss, forward(self.net, data.X), self._keys, self._pens,
+            self._slopes)
 
     @property
     def outs(self) -> LayerOutputs:
@@ -589,7 +589,7 @@ def block_objective_fn(net: Network, data: Dataset, loss, j: int,
     Both close over the frozen remaining blocks and start from Z_{j-1}; the
     value includes every regularizer (a constant shift for blocks other than
     j, so minimizers and majorization tests are unaffected). ``cache`` is a
-    pass already built on this (net, data, loss) whose stages are reused.
+    pass already built on this (net, data, loss), which each call probes.
     """
     _check_layer(net, j)
     base = cache if cache is not None else NetworkPass(net.copy(), data, loss)

@@ -375,10 +375,10 @@ def _alpha_for_step(sched, j: int, k: int, state: _LoopState, f_block, w, s, gra
 
 def _step(full: NetworkPass, k: int, state: _LoopState):
     """Outer iteration k: step S and stepsize from a pass on the batch
-    (``full`` itself with a full sampler), then ``full`` keeps W_j + alpha S,
-    formed in S's own fresh array, without a copy; W_j itself at alpha = 0,
-    whatever S holds. Returns (j, alpha, gamma, a callable giving the block
-    gradient's norm)."""
+    (``full`` itself with a full sampler), then ``full`` takes W_j + alpha S,
+    formed in S's own fresh array, or swaps in its trial slot when that holds
+    the point (an accepted Armijo trial); W_j itself at alpha = 0, whatever S
+    holds. Returns (j, alpha, gamma, a callable giving the block gradient's norm)."""
     j = (k - 1) % full.depth + 1
     kind, sched = state.blocks[j - 1]
     fb = full if state.full_batch else full._on(full.data.restrict(state.stream.next(k)))
@@ -386,8 +386,7 @@ def _step(full: NetworkPass, k: int, state: _LoopState):
     w = fb.net.weights[j - 1]
     kept = state.f_blocks.get(j)  # f_j of a block with a search, built once per pass
     if kept is not None and kept[0] is not fb:
-        kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j,
-                                                          cache=fb)[0]
+        kept = state.f_blocks[j] = fb, block_objective_fn(fb.net, fb.data, fb.loss, j, cache=fb)[0]
     f_block = None if kept is None else kept[1]
     s, gamma, slope = kind.direction(fb, j, grad, f_block if state.adapt else None)
     alpha = _alpha_for_step(sched, j, k, state, f_block, w, s, grad, slope)

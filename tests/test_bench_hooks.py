@@ -135,6 +135,25 @@ def test_armijo_step_records_probe_spans():
     assert names.count("gradients.probe") >= 3  # gamma search, f(W), f(D)
 
 
+def test_armijo_probes_forward_only_the_candidate():
+    # armijo_probe's activation metrics see each probe's forward: the gamma
+    # search's candidate runs layers j..J through Activation.value once
+    # each, and the f(W) and Armijo-trial probes, answered by the pass and
+    # by the trial slot that holds the candidate, run none
+    net, data = make_problem([3, 3, 3, 1], Logistic(), L2Loss(), seed=0,
+                             feasible=Toeplitz())
+    cfg = TrainConfig(upperbound=FirstOrderProx(0.5), schedule=ArmijoRule(),
+                      max_outer_iterations=3, record_every=1)
+    runs = []
+    tracer, _ = traced_run(lambda: runs.append(train(net, data, L2Loss(), cfg)))
+    assert [(r.alpha, r.gamma) for r in runs[0][1].rows] == [(1.0, 0.5)] * 3
+    spans = tracer.spans
+    probes = [i for i, s in enumerate(spans) if s[0] == "gradients.probe"]
+    values = [sum(s[0] == "functions.activation.value" and s[3] == i for s in spans)
+              for i in probes]
+    assert values == [3, 0, 0, 2, 0, 0, 1, 0, 0]
+
+
 def test_armijo_step_on_a_toeplitz_net_records_project_spans():
     # armijo_probe's netcore.project metrics read these spans: each gamma
     # candidate of the search is projected by Toeplitz.project

@@ -2,17 +2,17 @@
 
 Each drawn problem applies a sequence of block updates to one NetworkPass,
 querying it lazily in between. An update either sets a block directly,
-probes it first so that ``set_block`` adopts the memoized probe, probes,
-mutates the probed array in place and probes again, probes block q before
-and after the update, where the memo must not answer, or sets the block to a
-copy of its own content, which must leave every cached gradient and block
-q's memo in place. After every update the cached stages, objective, block
-gradients and block probes must be bitwise equal to a fresh ``forward`` /
-``objective_value`` / ``all_block_gradients`` on the same network, and at
-the end the gradients must match central differences. Every block's
-gradient is queried before and after each update, so a cached gradient that
-outlives its weights, or an adopted probe whose gradients are not taken
-over, shows as a mismatch.
+probes it first so that ``set_block`` swaps in the trial slot that holds
+the probe, probes, mutates the probed array in place and probes again,
+probes block q before and after the update, where the slot must not answer,
+or sets the block to a copy of its own content, which must leave every
+cached gradient and block q's slot in place. After every update the cached
+stages, objective, block gradients and block probes must be bitwise equal
+to a fresh ``forward`` / ``objective_value`` / ``all_block_gradients`` on
+the same network, and at the end the gradients must match central
+differences. Every block's gradient is queried before and after each
+update, so a cached gradient that outlives its weights, or a swapped-in
+slot whose gradients are not taken over, shows as a mismatch.
 """
 
 import itertools
@@ -37,7 +37,8 @@ from bsumnet.gradients import (NetworkPass, all_block_gradients,
 from bsumnet.functions import sqnorm
 from bsumnet.netcore import LayerOutputs
 from bsumnet.trainer import TrainConfig, _LoopState, _step
-from conftest import with_block
+from bsumnet.upperbounds import descent_direction_proximal
+from conftest import make_problem, with_block
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -246,11 +247,16 @@ def test_stalled_geometric_steps_run_no_forward(monkeypatch):
     assert_matches_fresh(full, full.net, data, L2Loss(), rng)
 
 
+def cached_arrays(fb) -> list:
+    """A pass's cached gradients and deltas."""
+    return [a for a in fb._grads + fb._deltas if a is not None]
+
+
 def assert_no_shared_memory(fb):
     # the in-place arithmetic of grad and deltas writes only fresh arrays:
     # no cached gradient or delta shares memory with another one, a weight
     # or a Z stage
-    cached = [a for a in fb._grads + fb._deltas if a is not None]
+    cached = cached_arrays(fb)
     held = fb.net.weights + fb.outs.post_activations
     for a, b in itertools.chain(itertools.combinations(cached, 2),
                                 itertools.product(cached, held)):
@@ -269,7 +275,11 @@ def test_cached_gradients_and_deltas_alias_nothing(problem):
         fb.grads()
         assert_no_shared_memory(fb)
         w = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
-        if mode == "adopt":  # set_block takes over the probe's gradients
+        if mode == "adopt":  # set_block swaps in the slot's gradients
+            v = net.weights[j - 1] + 0.3 * rng.standard_normal(net.weights[j - 1].shape)
+            probed = fb.probe(j, w).grad(j)
+            probed_kept = probed.copy()
+            fb.probe(j, v).grads()  # the slot rewritten for another point, then for w
             fb.probe(j, w).grads()
             assert_no_shared_memory(fb.probe(j, w))
         fb.set_block(j, w)
@@ -279,6 +289,54 @@ def test_cached_gradients_and_deltas_alias_nothing(problem):
         assert_no_shared_memory(fb)
         # a gradient the caller holds is not written by later updates or queries
         assert held.tobytes() == kept.tobytes()
+        if mode == "adopt":  # nor by the slot, rewritten over the pass's old point
+            fb.probe(j, v).grads()
+            assert probed.tobytes() == probed_kept.tobytes()
+            slot = fb.probe(j, v)
+            assert_no_shared_memory(slot)
+            for p in (fb, slot):
+                for a in cached_arrays(p) + p.net.weights + p.outs.pre_activations \
+                        + p.outs.post_activations:
+                    assert not np.shares_memory(probed, a)
+
+
+@pytest.mark.parametrize("install", ["written", "probed"])
+def test_install_of_a_probed_array_written_since_takes_its_content(install):
+    # the slot answers by content and keeps its own copy of the point: an
+    # array probed and then written installs what it holds at the install,
+    # and the content it held when probed still swaps in the slot's point
+    net, data = make_problem([3, 4, 1], Logistic(), L2Loss(), lam=1e-2, seed=1)
+    rng = np.random.default_rng(1)
+    fb = NetworkPass(net, data, L2Loss())
+    w = net.weights[0] + 0.1
+    probed = w.copy()
+    fb.probe(1, w).objective()
+    w += 0.5
+    if install == "probed":
+        w = probed
+    fb._install(1, w)
+    assert fb.net.weights[0].tobytes() == w.tobytes()
+    assert_matches_fresh(fb, with_block(net, 1, w), data, L2Loss(), rng)
+
+
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize("seed", range(5))
+def test_proximal_step_through_the_pass_equals_fresh_pass_oracles(seed, j):
+    # the inner solver interleaves value and gradient probes on one pass,
+    # answered by the pass at W_j and by the trial slot elsewhere; the same
+    # solver on fresh passes gives the same step, bit for bit
+    loss = ExponentialLoss(1.0)
+    net, data = make_problem([3, 2, 1], Identity(), loss, lam=0.05, seed=seed)
+    kind = Proximal(1.0, max_iters=50)
+    fb = NetworkPass(net, data, loss)
+    s, gamma, slope = kind.direction(fb, j, fb.grad(j), None)
+    w = net.weights[j - 1]
+    d, _ = descent_direction_proximal(
+        lambda v: objective_value(with_block(net, j, v), data, loss),
+        lambda v: block_gradient(with_block(net, j, v), data, loss, j),
+        w, kind.gamma, Unconstrained(), kind.max_iters, kind.grad_tol)
+    assert (s.tobytes(), gamma, slope) == ((d - w).tobytes(), 1.0, None)
+    assert_matches_fresh(fb, net, data, loss, np.random.default_rng(seed))
 
 
 def test_public_pass_checks_shapes_and_a_probe_does_not_recheck(monkeypatch):
